@@ -13,7 +13,6 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sync/clc.hpp"
-#include "sync/clc_parallel.hpp"
 #include "sync/collective_anchor.hpp"
 #include "sync/error_estimation.hpp"
 #include "sync/interpolation.hpp"
@@ -132,9 +131,6 @@ int main(int argc, char** argv) {
   }
   report("interpolation + CLC", true, [&] {
     return controlled_logical_clock(res.trace, schedule, interp).corrected;
-  });
-  report("interpolation + parallel CLC", true, [&] {
-    return controlled_logical_clock_parallel(res.trace, schedule, interp).corrected;
   });
   report("collective anchors (Babaoglu)", false, [&] {
     return apply_correction(res.trace, CollectiveAnchorCorrection::build(res.trace));

@@ -1,13 +1,11 @@
-// Performance — CLC throughput (events/s), sequential vs. parallel replay
-// (ref. [31] parallelized the algorithm for large-scale traces).
+// Performance — CLC throughput (events/s) of controlled_logical_clock, the
+// one in-memory driver, plus the layers that feed it.
 //
 // The measurement matrix is the cross product of --ranks and --events (both
-// accept comma-separated sweeps, e.g. `--ranks 64,256 --events 100000`): the
-// parallel CLC only pays off once the trace is large enough to amortize
-// thread startup and cross-thread handoffs, so the crossover is only visible
-// when the matrix reaches realistic sizes.  --events derives the round count
-// per point (the sweep workload emits ~4 events per rank and round); without
-// it a single --rounds config is measured, as before.
+// accept comma-separated sweeps, e.g. `--ranks 64,256 --events 100000`).
+// --events derives the round count per point (the sweep workload emits ~4
+// events per rank and round); without it a single --rounds config is
+// measured.
 //
 // --stream-events N additionally measures the out-of-core windowed streaming
 // CLC over an N-event v2 file.  That section runs FIRST: peak RSS is a
@@ -25,11 +23,11 @@
 #include "obs/obs.hpp"
 #include "obs/session.hpp"
 #include "sync/clc.hpp"
-#include "sync/clc_parallel.hpp"
 #include "sync/clc_stream.hpp"
 #include "sync/interpolation.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io.hpp"
+#include "verify/clc_oracle.hpp"
 #include "verify/invariants.hpp"
 #include "workload/sweep.hpp"
 
@@ -238,17 +236,6 @@ int main(int argc, char** argv) {
   const auto ranks_list = cli.get_int_list("ranks", {16});
   const auto events_list = cli.get_int_list("events", {});
   const int rounds_flag = static_cast<int>(cli.get_int("rounds", 800));
-  // --threads N measures the parallel CLC at exactly N threads; the default
-  // sweeps the usual ladder.
-  const int threads_flag = static_cast<int>(cli.get_int("threads", 0));
-  std::vector<int> thread_list = {1, 2, 4, 8};
-  if (threads_flag > 0) thread_list = {threads_flag};
-
-  ClcOptions clc_options;
-  clc_options.publish_batch =
-      static_cast<int>(cli.get_int("publish-batch", clc_options.publish_batch));
-  clc_options.min_events_per_thread = static_cast<int>(
-      cli.get_int("min-events-per-thread", clc_options.min_events_per_thread));
 
   // Before any in-memory fixture exists: the peak-RSS comparison needs the
   // streaming stage to run in a small process.
@@ -286,22 +273,17 @@ int main(int argc, char** argv) {
     // run-to-run noise is their relative difference, which the CI gate
     // bounds at 1%.
     if (point_idx == 0) {
-      const int obs_threads = threads_flag > 0 ? threads_flag : 8;
-      benchkit::ConfigList config = base;
-      config.emplace_back("threads", std::to_string(obs_threads));
       const obs::Level session_level = obs::level();
-      const auto run_parallel = [&] {
-        auto result = controlled_logical_clock_parallel(fx.trace, fx.schedule, fx.input,
-                                                        clc_options, obs_threads);
+      const auto run_clc = [&] {
+        auto result = controlled_logical_clock(fx.trace, fx.schedule, fx.input);
         benchkit::do_not_optimize(result.violations_repaired);
       };
 
       obs::set_level(obs::Level::Off);
-      run_parallel();  // one unconditional warmup: the A/A pair must not eat
-                       // the thread pool's cold start in its first member
-      const auto rec_base =
-          harness.time("clc_parallel_obs_baseline", config, events, run_parallel);
-      const auto rec_off = harness.time("clc_parallel_obs_off", config, events, run_parallel);
+      run_clc();  // one unconditional warmup: the A/A pair must not eat the
+                  // cold caches in its first member
+      const auto rec_base = harness.time("clc_obs_baseline", base, events, run_clc);
+      const auto rec_off = harness.time("clc_obs_off", base, events, run_clc);
 
       // Per-call cost of a disabled span: one relaxed load + branch.
       constexpr std::int64_t kProbeCalls = 1 << 20;
@@ -314,7 +296,7 @@ int main(int argc, char** argv) {
 
       obs::set_level(obs::Level::Trace);
       const auto stats_before = obs::trace_stats();
-      const auto rec_trace = harness.time("clc_parallel_obs_trace", config, events, run_parallel);
+      const auto rec_trace = harness.time("clc_obs_trace", base, events, run_clc);
       const auto stats_after = obs::trace_stats();
       obs::reset();  // drop the synthetic spans before any --trace-out recording
       obs::set_level(session_level);
@@ -334,7 +316,7 @@ int main(int argc, char** argv) {
       const double bound_pct = 100.0 * 2.0 * span_ns * checks_per_rep / rec_base.wall_ns_p50;
 
       harness.metric(
-          "obs_overhead", config,
+          "obs_overhead", base,
           {{"disabled_pct_bound", bound_pct},
            {"disabled_pct_p50", 100.0 * (rec_off.wall_ns_p50 / rec_base.wall_ns_p50 - 1.0)},
            {"disabled_pct_min", 100.0 * (rec_off.wall_ns_min / rec_base.wall_ns_min - 1.0)},
@@ -344,24 +326,15 @@ int main(int argc, char** argv) {
            {"disabled_span_ns", span_ns}});
     }
 
+    // The record keeps its historical name so the committed baselines stay
+    // comparable: controlled_logical_clock is single-threaded.
     harness.time("clc_sequential", base, events, [&] {
-      auto result = controlled_logical_clock(fx.trace, fx.schedule, fx.input, clc_options);
+      auto result = controlled_logical_clock(fx.trace, fx.schedule, fx.input);
       benchkit::do_not_optimize(result.violations_repaired);
     });
 
-    for (int threads : thread_list) {
-      benchkit::ConfigList config = base;
-      config.emplace_back("threads", std::to_string(threads));
-      harness.time("clc_parallel", config, events, [&] {
-        auto result = controlled_logical_clock_parallel(fx.trace, fx.schedule, fx.input,
-                                                        clc_options, threads);
-        benchkit::do_not_optimize(result.violations_repaired);
-      });
-    }
-
-    // Trace-wide auxiliary measurements only accompany the first point: they
-    // do not depend on the thread ladder, and repeating them per matrix
-    // point would dominate large-sweep wall time.
+    // Trace-wide auxiliary measurements only accompany the first point:
+    // repeating them per matrix point would dominate large-sweep wall time.
     if (point_idx == 0) {
       harness.time("replay_schedule_build", base, events, [&] {
         ReplaySchedule schedule(fx.trace, fx.msgs, fx.logical);
@@ -387,22 +360,18 @@ int main(int argc, char** argv) {
     }
 
     // Opt-in invariant audit of the measured results: CLC output must satisfy
-    // Eq. 1 exactly, never move an event backward, and serial/parallel must
-    // be bit-identical — with the thread clamp disabled so the parallel run
-    // really is concurrent, even at smoke scale.
+    // Eq. 1 exactly, never move an event backward, and match the
+    // replay-order oracle bit for bit.
     if (cli.has("verify")) {
-      const auto serial = controlled_logical_clock(fx.trace, fx.schedule, fx.input);
-      ClcOptions verify_options;
-      verify_options.min_events_per_thread = 1;
-      const auto parallel =
-          controlled_logical_clock_parallel(fx.trace, fx.schedule, fx.input, verify_options);
+      const auto clc = controlled_logical_clock(fx.trace, fx.schedule, fx.input);
+      const auto oracle = verify::replay_order_clc(fx.trace, fx.schedule, fx.input);
       const verify::InvariantChecker checker(fx.trace, fx.schedule);
-      const auto audit = checker.check_correction(fx.input, serial.corrected);
+      const auto audit = checker.check_correction(fx.input, clc.corrected);
       if (!audit.ok()) std::cerr << audit.summary();
       CS_ENSURE(audit.ok(), "CLC output violates the paper invariants");
       for (Rank r = 0; r < fx.trace.ranks(); ++r) {
-        CS_ENSURE(serial.corrected.of_rank(r) == parallel.corrected.of_rank(r),
-                  "parallel CLC diverges from the sequential reference");
+        CS_ENSURE(clc.corrected.of_rank(r) == oracle.corrected.of_rank(r),
+                  "CLC diverges from the replay-order oracle");
       }
       std::cerr << "verify: CLC invariants hold (" << audit.events_checked << " events, "
                 << audit.edges_checked << " edges)\n";

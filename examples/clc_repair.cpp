@@ -2,7 +2,7 @@
 // surveys (Sec. V) on the same drifting-clock trace, including ground-truth
 // accuracy numbers that only a simulation can provide.
 //
-//   $ clc_repair [--ranks 8] [--rounds 400] [--seed 42] [--parallel]
+//   $ clc_repair [--ranks 8] [--rounds 400] [--seed 42]
 #include <iostream>
 #include <memory>
 
@@ -11,7 +11,6 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sync/clc.hpp"
-#include "sync/clc_parallel.hpp"
 #include "sync/error_estimation.hpp"
 #include "sync/interpolation.hpp"
 #include "sync/offset_alignment.hpp"
@@ -59,11 +58,8 @@ int main(int argc, char** argv) {
     report("error estimation: " + to_string(method), apply_correction(res.trace, corr));
   }
 
-  const bool parallel = cli.has("parallel");
-  const ClcResult clc =
-      parallel ? controlled_logical_clock_parallel(res.trace, schedule, interp)
-               : controlled_logical_clock(res.trace, schedule, interp);
-  report(parallel ? "interpolation + parallel CLC" : "interpolation + CLC", clc.corrected);
+  const ClcResult clc = controlled_logical_clock(res.trace, schedule, interp);
+  report("interpolation + CLC", clc.corrected);
 
   std::cout << table.render() << "\nCLC repaired " << clc.violations_repaired
             << " receives (max jump " << to_us(clc.max_jump) << " us, total "

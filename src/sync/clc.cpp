@@ -1,101 +1,151 @@
 #include "sync/clc.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
-#include "sync/clc_detail.hpp"
+#include "sync/clc_kernel.hpp"
 
 namespace chronosync {
 
-namespace clc_detail {
+namespace {
 
-ForwardPassResult forward_pass(const Trace& trace, const ReplaySchedule& schedule,
-                               const TimestampArray& input, const ClcOptions& options) {
+// The forward pass drains one rank at a time.  A rank runs until its next
+// event has a constraining send that is not yet processed; it then *parks* on
+// the rank owning that send, and that rank re-queues it once its own drain
+// has moved past the send.  Each rank keeps its place in the blocked event's
+// incoming edges (and the partial Eq. 1 bound over the edges already passed),
+// so a woken rank resumes the scan instead of restarting it: every edge is
+// scanned once, plus once more per park.  The work is O(events + edges) with
+// no per-event dependency counters and no walk over outgoing edges.
+clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& schedule,
+                                      const TimestampArray& input, const ClcOptions& options) {
   CS_SPAN("clc.forward_pass");
-  CS_REQUIRE(options.forward_decay >= 0.0 && options.forward_decay < 1.0,
-             "forward_decay must be in [0, 1)");
+  const auto ranks = static_cast<std::size_t>(trace.ranks());
+  // Raw views over the schedule's CSR arrays: the per-edge hot path must not
+  // pay the bounds-checked accessors' branches.
+  const Rank* const ranks_of = schedule.ranks_of().data();
+  const std::uint32_t* const rank_off = schedule.rank_offsets().data();
+  const std::uint32_t* const in_off = schedule.incoming_offsets().data();
+  const ReplaySchedule::ConstraintEdge* const in_edges = schedule.incoming_edges().data();
 
-  ForwardPassResult res;
-  res.lc.assign(schedule.events(), 0.0);
-  res.jump.assign(schedule.events(), 0.0);
+  clc_kernel::ForwardPass fwd;
+  fwd.lc.assign(schedule.events(), 0.0);
+  fwd.jump.assign(schedule.events(), 0.0);
 
-  struct ProcState {
-    bool has_prev = false;
-    Time prev_input = 0.0;
-    Time prev_lc = 0.0;
+  struct Cursor {
+    std::uint32_t next = 0;  ///< global index of the rank's next unprocessed event
+    std::uint32_t edge = 0;  ///< resume point in next's incoming edges
+    Time bound = -kTimeInfinity;  ///< Eq. 1 bound over the edges before `edge`
+    clc_kernel::RankClock clock;
   };
-  std::vector<ProcState> state(static_cast<std::size_t>(trace.ranks()));
+  std::vector<Cursor> cursor(ranks);
+  for (std::size_t r = 0; r < ranks; ++r) {
+    cursor[r].next = rank_off[r];
+    cursor[r].edge = in_off[rank_off[r]];
+  }
 
-  schedule.replay([&](std::uint32_t g, const EventRef& ref) {
-    auto& st = state[static_cast<std::size_t>(ref.proc)];
-    const Time t = input.at(ref);
+  // parked[x]: (awaited global index, rank) of every rank parked on rank x,
+  // a min-heap on the awaited index.
+  using Park = std::pair<std::uint32_t, Rank>;
+  std::vector<std::vector<Park>> parked(ranks);
 
-    // Forward amortization: carry the previous correction forward, decayed
-    // by forward_decay per unit of elapsed local time, and never below zero
-    // (the CLC only moves events forward).
-    Time cand = t;
-    if (st.has_prev) {
-      const Duration dt = std::max(0.0, t - st.prev_input);
-      const Duration carried =
-          std::max(0.0, (st.prev_lc - st.prev_input) - options.forward_decay * dt);
-      cand = std::max(t + carried, st.prev_lc);  // local order is inviolable
+  // FIFO ring of runnable ranks.  A rank is running, queued, parked or done,
+  // so the ring never holds more than `ranks` entries.
+  std::vector<Rank> ready(ranks);
+  std::size_t head = 0;
+  std::size_t queued = 0;
+  auto enqueue = [&](Rank r) {
+    ready[(head + queued) % ranks] = r;
+    ++queued;
+  };
+  for (std::size_t r = 0; r < ranks; ++r) enqueue(static_cast<Rank>(r));
+
+  // Hot-loop tallies stay in locals; the registry is touched once per call.
+  std::uint64_t edges_scanned = 0;
+  std::uint64_t rank_parks = 0;
+
+  while (queued > 0) {
+    const Rank r = ready[head];
+    head = (head + 1) % ranks;
+    --queued;
+    Cursor& c = cursor[static_cast<std::size_t>(r)];
+    const std::uint32_t base = rank_off[static_cast<std::size_t>(r)];
+    const std::uint32_t end = rank_off[static_cast<std::size_t>(r) + 1];
+    const Time* const in_row = input.of_rank(r).data();
+
+    while (c.next < end) {
+      const std::uint32_t g = c.next;
+      const std::uint32_t edge_end = in_off[g + 1];
+      Rank blocker = -1;
+      for (; c.edge < edge_end; ++c.edge) {
+        ++edges_scanned;
+        const auto& edge = in_edges[c.edge];
+        const Rank src_rank = ranks_of[edge.source];
+        if (edge.source >= cursor[static_cast<std::size_t>(src_rank)].next) {
+          blocker = src_rank;
+          break;
+        }
+        c.bound = clc_kernel::eq1_bound(c.bound, fwd.lc[edge.source], edge.l_min);
+      }
+      if (blocker >= 0) {
+        auto& heap = parked[static_cast<std::size_t>(blocker)];
+        heap.emplace_back(in_edges[c.edge].source, r);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        ++rank_parks;
+        break;
+      }
+      const clc_kernel::Step step =
+          clc_kernel::forward_step(c.clock, in_row[g - base], c.bound, options.forward_decay);
+      fwd.lc[g] = step.lc;
+      fwd.jump[g] = step.jump;
+      c.bound = -kTimeInfinity;
+      c.next = g + 1;
+      // c.edge == edge_end == in_off[g + 1]: already the next event's first edge.
     }
 
-    // Clock condition against every constraining send.
-    Time bound = -kTimeInfinity;
-    for (const auto& edge : schedule.incoming(g)) {
-      bound = std::max(bound, res.lc[edge.source] + edge.l_min);
-    }
-
-    Time lc = cand;
-    if (bound > cand) {
-      lc = bound;
-      res.jump[g] = bound - cand;
-    }
-
-    res.lc[g] = lc;
-    st.prev_input = t;
-    st.prev_lc = lc;
-    st.has_prev = true;
-  });
-
-  finalize_stats(res);
-  return res;
-}
-
-void finalize_stats(ForwardPassResult& fwd) {
-  // Jump aggregates are derived from the jump[] array in global-index order,
-  // so serial and parallel replays (whose per-event jumps are bit-identical)
-  // report bit-identical statistics regardless of visit or thread order.
-  fwd.violations_repaired = 0;
-  fwd.max_jump = 0.0;
-  fwd.total_jump = 0.0;
-  for (const Duration j : fwd.jump) {
-    if (j > 0.0) {
-      ++fwd.violations_repaired;
-      fwd.max_jump = std::max(fwd.max_jump, j);
-      fwd.total_jump += j;
+    // Re-queue every rank parked on a send this drain has now processed.
+    auto& heap = parked[static_cast<std::size_t>(r)];
+    while (!heap.empty() && heap.front().first < c.next) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      enqueue(heap.back().second);
+      heap.pop_back();
     }
   }
+
+  // Every rank still short of its end is parked on a rank that is itself
+  // parked: the constraint graph has a cycle.
+  for (std::size_t r = 0; r < ranks; ++r) {
+    if (cursor[r].next < rank_off[r + 1]) {
+      throw_cyclic_constraints({static_cast<Rank>(r), cursor[r].next - rank_off[r]});
+    }
+  }
+
+  if (obs::metrics_enabled()) {
+    static obs::Counter& scanned = obs::counter("clc.edges_scanned");
+    static obs::Counter& parks = obs::counter("clc.rank_parks");
+    scanned.add(static_cast<std::int64_t>(edges_scanned));
+    parks.add(static_cast<std::int64_t>(rank_parks));
+  }
+  return fwd;
 }
 
 void backward_pass(const Trace& trace, const ReplaySchedule& schedule,
-                   ForwardPassResult& fwd, const ClcOptions& options) {
+                   clc_kernel::ForwardPass& fwd, const ClcOptions& options) {
   CS_SPAN("clc.backward_pass");
-  CS_REQUIRE(options.backward_slope > 0.0, "backward_slope must be positive");
 
   // Upper caps for send events: a send may be raised at most to its
   // receive's (forward-pass) timestamp minus l_min, or it would introduce a
   // fresh violation.  Receives and local events have no cap.
   std::vector<Time> cap(schedule.events(), kTimeInfinity);
-  constexpr Duration kFpMargin = 1e-12;  // keeps rounded re-checks strictly safe
   for (std::uint32_t g = 0; g < schedule.events(); ++g) {
     for (const auto& edge : schedule.incoming(g)) {
-      cap[edge.source] = std::min(cap[edge.source], fwd.lc[g] - edge.l_min - kFpMargin);
+      cap[edge.source] = std::min(cap[edge.source], clc_kernel::send_cap(fwd.lc[g], edge.l_min));
     }
   }
 
@@ -129,8 +179,7 @@ void backward_pass(const Trace& trace, const ReplaySchedule& schedule,
       if (have_jump) {
         const Duration dist = jump_at - lc;
         if (dist >= 0.0 && dist < window) {
-          const Duration shift = jump_size * (1.0 - dist / window);
-          Time moved = lc + shift;
+          Time moved = lc + clc_kernel::ramp_shift(jump_size, dist, window);
           moved = std::min(moved, cap[g]);      // never break a send's condition
           moved = std::min(moved, successor);   // keep local order
           fwd.lc[g] = std::max(moved, lc);      // only ever move forward
@@ -143,36 +192,55 @@ void backward_pass(const Trace& trace, const ReplaySchedule& schedule,
   }
 }
 
-}  // namespace clc_detail
+}  // namespace
+
+namespace clc_kernel {
+
+ClcResult finish(const Trace& trace, const ReplaySchedule& schedule, const TimestampArray& input,
+                 ForwardPass fwd, const ClcOptions& options) {
+  ClcResult result;
+  // Jump aggregates come from the jump[] array in global-index order, so any
+  // visit order that yields the same per-event jumps reports bit-identical
+  // statistics.
+  for (const Duration j : fwd.jump) {
+    if (j > 0.0) {
+      ++result.violations_repaired;
+      result.max_jump = std::max(result.max_jump, j);
+      result.total_jump += j;
+    }
+  }
+  if (options.backward_amortization) backward_pass(trace, schedule, fwd, options);
+
+  result.corrected = input;  // same shape
+  for (Rank r = 0; r < trace.ranks(); ++r) {
+    auto& v = result.corrected.of_rank(r);
+    const std::uint32_t base = schedule.rank_begin(r);
+    for (std::uint32_t i = 0; i < v.size(); ++i) {
+      v[i] = fwd.lc[base + i];
+    }
+  }
+  return result;
+}
+
+}  // namespace clc_kernel
 
 ClcResult controlled_logical_clock(const Trace& trace, const ReplaySchedule& schedule,
                                    const TimestampArray& input, const ClcOptions& options) {
-  CS_SPAN("clc.sequential");
+  CS_SPAN("clc.controlled_logical_clock");
   if (trace.ranks() == 0 || schedule.events() == 0) {
-    // Nothing to replay: hand the input back unchanged (0-rank and 0-event
-    // traces used to trip thread-count assertions downstream).
+    // Nothing to replay: hand the input back unchanged.
     ClcResult empty;
     empty.corrected = input;
     return empty;
   }
-  clc_detail::ForwardPassResult fwd =
-      clc_detail::forward_pass(trace, schedule, input, options);
-  if (options.backward_amortization) {
-    clc_detail::backward_pass(trace, schedule, fwd, options);
-  }
-
-  ClcResult result;
-  result.corrected = input;  // same shape
+  clc_kernel::require_valid(options);
+  CS_REQUIRE(input.ranks() == trace.ranks(), "input timestamps must match the trace's ranks");
   for (Rank r = 0; r < trace.ranks(); ++r) {
-    auto& v = result.corrected.of_rank(r);
-    for (std::uint32_t i = 0; i < v.size(); ++i) {
-      v[i] = fwd.lc[schedule.global_index({r, i})];
-    }
+    CS_REQUIRE(input.of_rank(r).size() == schedule.rank_size(r),
+               "input timestamps must match the trace's event counts");
   }
-  result.violations_repaired = fwd.violations_repaired;
-  result.max_jump = fwd.max_jump;
-  result.total_jump = fwd.total_jump;
-
+  ClcResult result = clc_kernel::finish(
+      trace, schedule, input, drain_forward(trace, schedule, input, options), options);
   if (obs::metrics_enabled()) {
     static obs::Counter& events = obs::counter("clc.events_processed");
     static obs::Counter& repaired = obs::counter("clc.violations_repaired");

@@ -15,8 +15,9 @@
 //     a sudden idle phase — bounded so no send may overtake its receive.
 //
 // The collective extension (ref. [30]) enters through the logical messages
-// derived from collective instances (trace/logical_messages.hpp); the
-// parallel replay version (ref. [31]) lives in clc_parallel.hpp.
+// derived from collective instances (trace/logical_messages.hpp).  The
+// arithmetic of every step lives in clc_kernel.hpp; controlled_logical_clock
+// is its one in-memory driver.
 //
 // The algorithm consumes *any* initial timestamp array (raw local clocks or
 // a pre-synchronization such as linear offset interpolation — the paper
@@ -40,19 +41,6 @@ struct ClcOptions {
   /// Maximum fractional stretch of pre-jump intervals: a jump of size d is
   /// smoothed over a window of d / backward_slope.
   double backward_slope = 0.05;
-  /// Parallel replay only: a worker publishes its progress counter after at
-  /// most this many locally processed events, even mid-drain, so consumers of
-  /// a long uninterrupted run are not starved until the run blocks.  Smaller
-  /// values pipeline tighter at the cost of more cross-thread stores; the
-  /// corrected timestamps are bit-identical for every value >= 1.
-  int publish_batch = 128;
-  /// Parallel replay only: the requested thread count is clamped so every
-  /// worker owns at least this many events.  Spreading a small trace over
-  /// many threads is a pure loss (thread startup plus cross-thread handoffs
-  /// dwarf the per-event work), so a 3k-event trace asked to use 8 threads
-  /// runs on 1–2 instead.  Set to 1 to force the requested thread count
-  /// (tests and sanitizer runs that must exercise real concurrency do).
-  int min_events_per_thread = 2048;
 };
 
 struct ClcResult {
@@ -62,7 +50,9 @@ struct ClcResult {
   Duration total_jump = 0.0;            ///< sum of all jump sizes (s)
 };
 
-/// Runs the CLC over `input` timestamps (sequential reference version).
+/// Runs the CLC over `input` timestamps: one single-threaded pass in
+/// dependency order.  Throws std::invalid_argument naming the first blocked
+/// event when the constraint graph has a cycle (a malformed trace).
 ClcResult controlled_logical_clock(const Trace& trace, const ReplaySchedule& schedule,
                                    const TimestampArray& input, const ClcOptions& options = {});
 

@@ -13,14 +13,13 @@
 #include "common/expect.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
+#include "sync/clc_kernel.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
 
 namespace chronosync {
 
 namespace {
-
-constexpr Duration kFpMargin = 1e-12;  // matches clc_detail::backward_pass
 
 /// Pairing state of one point-to-point message.  Entries are created when an
 /// endpoint's chunk is *read* (so processability can distinguish "send not
@@ -82,10 +81,7 @@ struct RankState {
   std::size_t next_chunk = 0;
   std::deque<Event> ahead;  ///< read but not yet processed
 
-  // Forward-pass scalar state (mirrors clc_detail::forward_pass).
-  bool has_prev = false;
-  Time prev_input = 0.0;
-  Time prev_lc = 0.0;
+  clc_kernel::RankClock clock;  ///< forward-pass state
 
   std::uint32_t seq = 0;  ///< events processed so far
   std::deque<Pending> pend;
@@ -108,10 +104,7 @@ class StreamEngine {
   StreamEngine(std::istream& in, TraceIndex index, const std::string& out_path,
                const StreamClcOptions& opts)
       : reader_(in, index), index_(std::move(index)), opts_(opts), out_path_(out_path) {
-    CS_REQUIRE(opts_.clc.forward_decay >= 0.0 && opts_.clc.forward_decay < 1.0,
-               "forward_decay must be in [0, 1)");
-    CS_REQUIRE(!opts_.clc.backward_amortization || opts_.clc.backward_slope > 0.0,
-               "backward_slope must be positive");
+    clc_kernel::require_valid(opts_.clc);
     CS_REQUIRE(opts_.horizon > 0.0, "horizon must be positive");
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
     CS_REQUIRE(opts_.emit_batch > 0, "emit_batch must be positive");
@@ -371,16 +364,7 @@ class StreamEngine {
     const Event e = rs.ahead.front();
     rs.ahead.pop_front();
 
-    // Forward amortization, exactly as clc_detail::forward_pass.
     const Time t = e.local_ts;
-    Time cand = t;
-    if (rs.has_prev) {
-      const Duration dt = std::max(0.0, t - rs.prev_input);
-      const Duration carried =
-          std::max(0.0, (rs.prev_lc - rs.prev_input) - opts_.clc.forward_decay * dt);
-      cand = std::max(t + carried, rs.prev_lc);
-    }
-
     Time bound = -kTimeInfinity;
     Pending p;
     p.ts = t;
@@ -391,7 +375,7 @@ class StreamEngine {
         MsgState* m = msgs_find(e.msg_id);
         if (m != nullptr && m->send_processed) {
           const Duration l_min = index_.meta.min_latency(m->send_rank, r);
-          bound = m->send_lc + l_min;
+          bound = clc_kernel::eq1_bound(bound, m->send_lc, l_min);
           ++stats_.p2p_edges;
           send = m;
         } else if (m != nullptr) {
@@ -439,10 +423,11 @@ class StreamEngine {
         break;
     }
 
-    Time lc = cand;
-    if (bound > cand) {
-      lc = bound;
-      p.jump = bound - cand;
+    const clc_kernel::Step step =
+        clc_kernel::forward_step(rs.clock, t, bound, opts_.clc.forward_decay);
+    const Time lc = step.lc;
+    if (step.jump > 0.0) {
+      p.jump = step.jump;
       ++stats_.violations_repaired;
       stats_.max_jump = std::max(stats_.max_jump, p.jump);
       if (opts_.clc.backward_amortization &&
@@ -453,11 +438,11 @@ class StreamEngine {
     p.lc = lc;
 
     // Post-lc bookkeeping: caps flow backward from this event onto the
-    // sources of the edges just applied (cap = lc - l_min - margin, exactly
-    // the in-memory backward_pass pre-computation).
+    // sources of the edges just applied (the in-memory backward pass's
+    // clc_kernel::send_cap).
     if (send != nullptr) {
       const Duration l_min = index_.meta.min_latency(send->send_rank, r);
-      cap_apply(send->send_rank, send->send_seq, lc - l_min - kFpMargin);
+      cap_apply(send->send_rank, send->send_seq, clc_kernel::send_cap(lc, l_min));
       hold_release(send->send_rank, send->send_seq);
       msgs_erase(e.msg_id);
     }
@@ -480,9 +465,6 @@ class StreamEngine {
       }
     }
 
-    rs.prev_input = t;
-    rs.prev_lc = lc;
-    rs.has_prev = true;
     ++rs.seq;
     ++stats_.events;
     rs.pend.push_back(p);
@@ -498,7 +480,7 @@ class StreamEngine {
       case CollectiveFlavor::OneToN: {
         const BeginRec* root = find_root_begin(inst);
         if (root != nullptr && r != inst.root) {
-          bound = root->lc + index_.meta.min_latency(root->rank, r);
+          bound = clc_kernel::eq1_bound(bound, root->lc, index_.meta.min_latency(root->rank, r));
           ++stats_.logical_edges;
         }
         break;
@@ -506,14 +488,14 @@ class StreamEngine {
       case CollectiveFlavor::NToOne:
         for (const BeginRec& b : inst.begins) {
           if (b.rank == inst.root) continue;
-          bound = std::max(bound, b.lc + index_.meta.min_latency(b.rank, r));
+          bound = clc_kernel::eq1_bound(bound, b.lc, index_.meta.min_latency(b.rank, r));
           ++stats_.logical_edges;
         }
         break;
       case CollectiveFlavor::NToN:
         for (const BeginRec& b : inst.begins) {
           if (b.rank == r) continue;
-          bound = std::max(bound, b.lc + index_.meta.min_latency(b.rank, r));
+          bound = clc_kernel::eq1_bound(bound, b.lc, index_.meta.min_latency(b.rank, r));
           ++stats_.logical_edges;
         }
         break;
@@ -526,7 +508,8 @@ class StreamEngine {
       case CollectiveFlavor::OneToN: {
         const BeginRec* root = find_root_begin(inst);
         if (root != nullptr && r != inst.root) {
-          cap_apply(root->rank, root->seq, lc - index_.meta.min_latency(root->rank, r) - kFpMargin);
+          cap_apply(root->rank, root->seq,
+                    clc_kernel::send_cap(lc, index_.meta.min_latency(root->rank, r)));
         }
         break;
       }
@@ -535,13 +518,13 @@ class StreamEngine {
         inst.root_end_taken = true;
         for (const BeginRec& b : inst.begins) {
           if (b.rank == inst.root) continue;
-          cap_apply(b.rank, b.seq, lc - index_.meta.min_latency(b.rank, r) - kFpMargin);
+          cap_apply(b.rank, b.seq, clc_kernel::send_cap(lc, index_.meta.min_latency(b.rank, r)));
         }
         break;
       case CollectiveFlavor::NToN:
         for (const BeginRec& b : inst.begins) {
           if (b.rank == r) continue;
-          cap_apply(b.rank, b.seq, lc - index_.meta.min_latency(b.rank, r) - kFpMargin);
+          cap_apply(b.rank, b.seq, clc_kernel::send_cap(lc, index_.meta.min_latency(b.rank, r)));
         }
         break;
     }
@@ -691,7 +674,7 @@ class StreamEngine {
       const double slope = opts_.clc.backward_slope;
       const double B = opts_.backward_window;
       double succ_est = kTimeInfinity;
-      double succ_lb = rank_final ? kTimeInfinity : rs.prev_lc;
+      double succ_lb = rank_final ? kTimeInfinity : rs.clock.prev_lc;
       bool suffix_exact = rank_final;
       bool have_jump = false;
       double jump_at = 0.0;
@@ -728,14 +711,13 @@ class StreamEngine {
           const double dist = jump_at - p.lc;
           if (dist >= 0.0 && dist < window) {
             in_ramp = true;
-            const double shift = jump_size * (1.0 - dist / window);
-            uncapped = std::min(p.lc + shift, p.cap);
+            uncapped = std::min(p.lc + clc_kernel::ramp_shift(jump_size, dist, window), p.cap);
             v = std::max(std::min(uncapped, succ_est), p.lc);
           } else if (dist >= window) {
             have_jump = false;
           }
         }
-        const bool b_safe = rank_final || p.lc < rs.prev_lc - B;
+        const bool b_safe = rank_final || p.lc < rs.clock.prev_lc - B;
         bool final_entry;
         if (!in_ramp) {
           final_entry = b_safe;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "sync/clc_kernel.hpp"
 
 namespace chronosync {
 
@@ -68,12 +69,11 @@ NodeCoupledClcResult node_coupled_clc(const Trace& trace, const ReplaySchedule& 
   // Send caps against the *final* CLC receive timestamps (only ever loosened
   // by coupling, since receives move forward too).
   std::vector<Time> cap(schedule.events(), kTimeInfinity);
-  constexpr Duration kFpMargin = 1e-12;
   for (std::uint32_t g = 0; g < schedule.events(); ++g) {
     for (const auto& edge : schedule.incoming(g)) {
-      cap[edge.source] = std::min(
-          cap[edge.source],
-          result.clc.corrected.at(schedule.event_ref(g)) - edge.l_min - kFpMargin);
+      cap[edge.source] =
+          std::min(cap[edge.source],
+                   clc_kernel::send_cap(result.clc.corrected.at(schedule.event_ref(g)), edge.l_min));
     }
   }
 

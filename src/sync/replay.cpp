@@ -1,5 +1,8 @@
 #include "sync/replay.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace chronosync {
 
 ReplaySchedule::ReplaySchedule(const Trace& trace, const std::vector<MessageRecord>& messages,
@@ -23,6 +26,11 @@ ReplaySchedule::ReplaySchedule(const Trace& trace, const std::vector<MessageReco
     }
   }
 
+  // A self-message orders two events of one rank, which program order
+  // already does; it carries no network latency.  (Recorded receive-first,
+  // it is a cycle, reported by replay() and the CLC driver.)
+  auto l_min = [&](Rank a, Rank b) { return a == b ? 0.0 : trace.min_latency(a, b); };
+
   // CSR build: count degrees, prefix-sum into offsets, then fill.  Filling
   // iterates p2p messages before logical ones, so each event's incoming edges
   // keep that order.
@@ -33,14 +41,14 @@ ReplaySchedule::ReplaySchedule(const Trace& trace, const std::vector<MessageReco
   for (const auto& msg : messages) {
     src[k] = global_index(msg.send);
     dst[k] = global_index(msg.recv);
-    lmin[k] = trace.min_latency(msg.send.proc, msg.recv.proc);
+    lmin[k] = l_min(msg.send.proc, msg.recv.proc);
     ++k;
   }
   const std::size_t first_logical = k;
   for (const auto& lm : logical) {
     src[k] = global_index(lm.send);
     dst[k] = global_index(lm.recv);
-    lmin[k] = trace.min_latency(lm.send.proc, lm.recv.proc);
+    lmin[k] = l_min(lm.send.proc, lm.recv.proc);
     ++k;
   }
 
@@ -74,6 +82,12 @@ EventRef ReplaySchedule::event_ref(std::uint32_t gidx) const {
   CS_REQUIRE(gidx < total_, "global index out of range");
   const Rank r = rank_of_[gidx];
   return {r, gidx - prefix_[static_cast<std::size_t>(r)]};
+}
+
+void throw_cyclic_constraints(const EventRef& blocked) {
+  throw std::invalid_argument("cyclic constraint graph: rank " + std::to_string(blocked.proc) +
+                              " is blocked forever at event " +
+                              std::to_string(blocked.index));
 }
 
 }  // namespace chronosync

@@ -68,7 +68,7 @@ class ReplaySchedule {
   }
 
   // Raw whole-array views for hot loops that index with already-validated
-  // global indexes (the parallel replay's edge scan).  The per-event
+  // global indexes (the CLC driver's edge scan).  The per-event
   // accessors above re-check bounds on every call; a forward pass touching
   // millions of edges streams these flat arrays directly instead.
   /// Owning rank per global index (size events()).
@@ -81,8 +81,9 @@ class ReplaySchedule {
   /// All incoming constraint edges, CSR order.
   std::span<const ConstraintEdge> incoming_edges() const { return in_edges_; }
 
-  /// Visits every event in a dependency-respecting order.  Throws if the
-  /// constraint graph has a cycle (a malformed trace).
+  /// Visits every event in a dependency-respecting order.  Throws
+  /// std::invalid_argument (see throw_cyclic_constraints) if the constraint
+  /// graph has a cycle (a malformed trace).
   template <class Visit>
   void replay(Visit&& visit) const;
 
@@ -98,6 +99,12 @@ class ReplaySchedule {
   std::vector<std::uint32_t> out_off_;
   std::vector<std::uint32_t> out_edges_;
 };
+
+/// Reports a cyclic constraint graph — e.g. a receive recorded before its
+/// own send on one rank, or two ranks that each receive the other's message
+/// before sending their own — by throwing std::invalid_argument that names
+/// `blocked`, the first event (lowest rank) that can never become ready.
+[[noreturn]] void throw_cyclic_constraints(const EventRef& blocked);
 
 template <class Visit>
 void ReplaySchedule::replay(Visit&& visit) const {
@@ -157,7 +164,12 @@ void ReplaySchedule::replay(Visit&& visit) const {
     }
   }
 
-  CS_ENSURE(visited == total_, "constraint graph has a cycle or dangling dependency");
+  if (visited == total_) return;
+  for (Rank r = 0; r < n; ++r) {
+    if (cursor[static_cast<std::size_t>(r)] < rank_size(r)) {
+      throw_cyclic_constraints({r, cursor[static_cast<std::size_t>(r)]});
+    }
+  }
 }
 
 }  // namespace chronosync

@@ -1,0 +1,40 @@
+#include "verify/clc_oracle.hpp"
+
+#include <utility>
+#include <vector>
+
+#include "obs/obs.hpp"
+#include "sync/clc_kernel.hpp"
+
+namespace chronosync::verify {
+
+ClcResult replay_order_clc(const Trace& trace, const ReplaySchedule& schedule,
+                           const TimestampArray& input, const ClcOptions& options) {
+  CS_SPAN("verify.clc_oracle");
+  if (trace.ranks() == 0 || schedule.events() == 0) {
+    ClcResult empty;
+    empty.corrected = input;
+    return empty;
+  }
+  clc_kernel::require_valid(options);
+
+  clc_kernel::ForwardPass fwd;
+  fwd.lc.assign(schedule.events(), 0.0);
+  fwd.jump.assign(schedule.events(), 0.0);
+  std::vector<clc_kernel::RankClock> clock(static_cast<std::size_t>(trace.ranks()));
+
+  schedule.replay([&](std::uint32_t g, const EventRef& ref) {
+    Time bound = -kTimeInfinity;
+    for (const auto& edge : schedule.incoming(g)) {
+      bound = clc_kernel::eq1_bound(bound, fwd.lc[edge.source], edge.l_min);
+    }
+    const clc_kernel::Step step = clc_kernel::forward_step(
+        clock[static_cast<std::size_t>(ref.proc)], input.at(ref), bound, options.forward_decay);
+    fwd.lc[g] = step.lc;
+    fwd.jump[g] = step.jump;
+  });
+
+  return clc_kernel::finish(trace, schedule, input, std::move(fwd), options);
+}
+
+}  // namespace chronosync::verify

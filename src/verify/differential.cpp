@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <sstream>
 
 #include "analysis/clock_condition.hpp"
@@ -11,10 +10,10 @@
 #include "common/expect.hpp"
 #include "common/log.hpp"
 #include "common/mathutil.hpp"
+#include "common/scratch_dir.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "sync/clc.hpp"
-#include "sync/clc_parallel.hpp"
 #include "sync/error_estimation.hpp"
 #include "sync/interpolation.hpp"
 #include "sync/kalman_drift.hpp"
@@ -22,6 +21,7 @@
 #include "sync/omp_clc.hpp"
 #include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
+#include "verify/clc_oracle.hpp"
 
 namespace chronosync::verify {
 
@@ -29,7 +29,7 @@ namespace {
 
 /// Pairs contracted to agree bit-for-bit regardless of input.
 constexpr std::pair<const char*, const char*> kExactContracts[] = {
-    {"interpolation+clc-serial", "interpolation+clc-parallel"},
+    {"interpolation+clc", "interpolation+clc-replay"},
 };
 
 bool must_match_exactly(const std::string& a, const std::string& b) {
@@ -113,19 +113,11 @@ std::vector<MethodOutput> run_all_methods(const Trace& trace, const OffsetStore&
           ? apply_correction(trace, LinearInterpolation::from_store(offsets))
           : TimestampArray::from_local(trace);
   out.push_back(
-      timed_method("verify.method.interpolation+clc-serial", "interpolation+clc-serial", true,
+      timed_method("verify.method.interpolation+clc", "interpolation+clc", true,
                    [&] { return controlled_logical_clock(trace, schedule, input).corrected; }));
-  // Force real concurrency: the differential contract must exercise the
-  // cross-thread protocol even on small synthetic traces, which the
-  // min_events_per_thread guard would otherwise collapse to a solo run.
-  out.push_back(timed_method("verify.method.interpolation+clc-parallel",
-                             "interpolation+clc-parallel", true, [&] {
-                               ClcOptions parallel_options;
-                               parallel_options.min_events_per_thread = 1;
-                               return controlled_logical_clock_parallel(trace, schedule, input,
-                                                                        parallel_options)
-                                   .corrected;
-                             }));
+  out.push_back(
+      timed_method("verify.method.interpolation+clc-replay", "interpolation+clc-replay", true,
+                   [&] { return replay_order_clc(trace, schedule, input).corrected; }));
   return out;
 }
 
@@ -140,8 +132,8 @@ const std::vector<std::string>& all_method_names() {
       "error-estimation-regression",
       "error-estimation-convex-hull",
       "error-estimation-min-max",
-      "interpolation+clc-serial",
-      "interpolation+clc-parallel",
+      "interpolation+clc",
+      "interpolation+clc-replay",
   };
   return names;
 }
@@ -289,8 +281,11 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
                                      const StreamClcOptions& options,
                                      std::vector<std::string>& failures) {
   CS_SPAN("verify.cross_check_windowed_clc");
-  const std::string in_path = work_dir + "/windowed_clc_in.cstr";
-  const std::string out_path = work_dir + "/windowed_clc_out.cstr";
+  // A private directory per call: concurrent cross-checks sharing work_dir
+  // must never see each other's trace or spill files.
+  const ScratchDir scratch(work_dir);
+  const std::string in_path = scratch.file("windowed_clc_in.cstr");
+  const std::string out_path = scratch.file("windowed_clc_out.cstr");
   write_trace_v2_file(trace, in_path);
   const StreamClcStats stats = clc_stream_file(in_path, out_path, options);
 
@@ -311,8 +306,6 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
       controlled_logical_clock(trace, schedule, TimestampArray::from_local(trace), options.clc);
 
   const Trace streamed = read_trace_v2_file(out_path);
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 
   if (streamed.ranks() != trace.ranks()) {
     std::ostringstream os;
@@ -376,33 +369,45 @@ std::size_t cross_check_omp_clc(const Trace& omp_trace, const Placement& thread_
   const auto logical = derive_omp_logical_messages(threads);
   const ReplaySchedule schedule(threads, {}, logical);
   const TimestampArray input = TimestampArray::from_local(threads);
-  const ClcResult serial = controlled_logical_clock(threads, schedule, input);
-  ClcOptions parallel_options;
-  parallel_options.min_events_per_thread = 1;
-  const ClcResult parallel =
-      controlled_logical_clock_parallel(threads, schedule, input, parallel_options);
+  const ClcResult driver = controlled_logical_clock(threads, schedule, input);
+  const ClcResult oracle = replay_order_clc(threads, schedule, input);
   const OmpClcResult merged = omp_controlled_logical_clock(omp_trace, thread_placement);
 
   std::size_t comparisons = 0;
 
-  // Serial vs parallel CLC on the thread schedule: the same bit-identical
-  // contract the MPI differential enforces, now over POMP logical edges.
+  // Driver vs replay-order oracle on the thread schedule: the same
+  // bit-identical contract the MPI differential enforces, now over POMP
+  // logical edges.
   for (Rank t = 0; t < threads.ranks(); ++t) {
-    const auto& a = serial.corrected.of_rank(t);
-    const auto& b = parallel.corrected.of_rank(t);
+    const auto& a = driver.corrected.of_rank(t);
+    const auto& b = oracle.corrected.of_rank(t);
     CS_REQUIRE(a.size() == b.size(), "omp CLC outputs differ in shape");
     for (std::uint32_t i = 0; i < a.size(); ++i) {
       ++comparisons;
       if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
         std::ostringstream os;
-        os << "omp CLC: serial vs parallel diverge at thread " << t << " event " << i << " ("
+        os << "omp CLC: driver vs replay-order oracle diverge at thread " << t << " event " << i << " ("
            << a[i] << " vs " << b[i] << ")";
         failures.push_back(os.str());
       }
     }
   }
 
-  // Merged backend output vs the serial CLC on the split trace: replays the
+  ++comparisons;
+  if (driver.violations_repaired != oracle.violations_repaired ||
+      std::bit_cast<std::uint64_t>(driver.max_jump) !=
+          std::bit_cast<std::uint64_t>(oracle.max_jump) ||
+      std::bit_cast<std::uint64_t>(driver.total_jump) !=
+          std::bit_cast<std::uint64_t>(oracle.total_jump)) {
+    std::ostringstream os;
+    os << "omp CLC: jump stats diverge between driver and replay-order oracle: repaired "
+       << driver.violations_repaired << " vs " << oracle.violations_repaired << ", max "
+       << driver.max_jump << " vs " << oracle.max_jump << ", total " << driver.total_jump
+       << " vs " << oracle.total_jump;
+    failures.push_back(os.str());
+  }
+
+  // Merged backend output vs the driver CLC on the split trace: replays the
   // backend's own merge cursors, so a split/merge bookkeeping bug shows up as
   // a divergence here even when the CLC itself is correct.
   std::vector<std::uint32_t> cursor(static_cast<std::size_t>(thread_placement.ranks()), 0);
@@ -411,10 +416,10 @@ std::size_t cross_check_omp_clc(const Trace& omp_trace, const Placement& thread_
   for (std::uint32_t i = 0; i < events.size(); ++i) {
     ++comparisons;
     const ThreadId th = events[i].thread;
-    const Time expect = serial.corrected.at({th, cursor[static_cast<std::size_t>(th)]++});
+    const Time expect = driver.corrected.at({th, cursor[static_cast<std::size_t>(th)]++});
     if (std::bit_cast<std::uint64_t>(merged_ts[i]) != std::bit_cast<std::uint64_t>(expect)) {
       std::ostringstream os;
-      os << "omp CLC: merged output diverges from the thread-split serial CLC at event " << i
+      os << "omp CLC: merged output diverges from the thread-split CLC at event " << i
          << " (thread " << th << ": " << merged_ts[i] << " vs " << expect << ")";
       failures.push_back(os.str());
     }
@@ -425,7 +430,7 @@ std::size_t cross_check_omp_clc(const Trace& omp_trace, const Placement& thread_
   VerifyOptions opt;
   opt.clock_condition_slack = 0.0;
   const InvariantChecker checker(threads, schedule, opt);
-  const VerifyReport audit = checker.check(serial.corrected);
+  const VerifyReport audit = checker.check(driver.corrected);
   ++comparisons;
   if (!audit.ok()) {
     std::ostringstream os;

@@ -1,8 +1,8 @@
 // Differential cross-checks across the correction stack.
 //
 // Independent implementations that promise the same answer are the cheapest
-// oracle this codebase has: the serial and parallel CLC must agree
-// bit-for-bit, the three clock-condition scanners (message re-matching, CSR
+// oracle this codebase has: the CLC driver and its replay-order oracle must
+// agree bit-for-bit, the three clock-condition scanners (message re-matching, CSR
 // schedule scan, out-of-core v2 stream scan) must produce identical reports,
 // and the interpolation family collapses to pairwise-identical corrections on
 // degenerate inputs.  This module runs every correction method on one trace,
@@ -35,8 +35,9 @@ struct MethodOutput {
 
 /// Runs every available correction method on one trace: offset alignment,
 /// linear/piecewise interpolation, Kalman drift estimation, the three
-/// error-estimation variants, and serial + parallel CLC over the interpolated
-/// input.  Methods whose preconditions the fixture cannot meet (e.g. no
+/// error-estimation variants, and the CLC over the interpolated input — once
+/// through controlled_logical_clock ("interpolation+clc") and once through the
+/// replay-order oracle ("interpolation+clc-replay").  Methods whose preconditions the fixture cannot meet (e.g. no
 /// offset store) are skipped.
 std::vector<MethodOutput> run_all_methods(const Trace& trace, const OffsetStore& offsets,
                                           const std::vector<MessageRecord>& messages,
@@ -56,8 +57,9 @@ struct PairDivergence {
   std::size_t above_tolerance = 0;  ///< events where |a - b| > tolerance
   double max_abs_diff = 0.0;
   EventRef worst{};                 ///< event attaining max_abs_diff
-  /// True when the pair is contracted to agree within tolerance (e.g. CLC
-  /// serial vs parallel at tolerance 0) — then above_tolerance > 0 is a bug.
+  /// True when the pair is contracted to agree within tolerance (e.g. the CLC
+  /// driver vs its replay-order oracle at tolerance 0) — then
+  /// above_tolerance > 0 is a bug.
   bool must_match = false;
 };
 
@@ -109,18 +111,20 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
 /// (ramp_clamped == horizon_dropped == forced == 0) — which the fixture's
 /// options must ensure.  true_ts and all non-timestamp fields must survive
 /// the round-trip untouched.  Appends contract breaches to `failures` and
-/// returns the number of comparisons made.  Temporary files are removed.
+/// returns the number of comparisons made.  The temporary files live in a
+/// private ScratchDir under `work_dir`, so concurrent cross-checks may share
+/// one `work_dir`; the directory is removed on return.
 std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work_dir,
                                      const StreamClcOptions& options,
                                      std::vector<std::string>& failures);
 
-/// Cross-checks the OpenMP CLC backend on a POMP trace, with the same
-/// bit-identical-to-sequential contract as clc_parallel:
+/// Cross-checks the OpenMP CLC backend on a POMP trace:
 ///  * the merged omp_controlled_logical_clock output must equal, bit for bit,
-///    the serial CLC run directly on the thread-split trace (this pins the
-///    split/merge cursor bookkeeping);
-///  * the parallel CLC on the same thread schedule must agree bit-for-bit
-///    with the serial one;
+///    controlled_logical_clock run directly on the thread-split trace (this
+///    pins the split/merge cursor bookkeeping);
+///  * the replay-order oracle (clc_oracle.hpp) on the same thread schedule
+///    must agree with that driver bit for bit, in timestamps and jump
+///    statistics;
 ///  * the corrected thread-split timestamps must pass a zero-slack invariant
 ///    audit against the POMP happened-before edges.
 /// Appends contract breaches to `failures`, returns comparisons made.

@@ -2,11 +2,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/expect.hpp"
+#include "common/scratch_dir.hpp"
 #include "common/table.hpp"
 
 namespace chronosync {
@@ -29,6 +32,24 @@ TEST(AsciiTable, RejectsWidthMismatch) {
 TEST(AsciiTable, NumberFormatting) {
   EXPECT_EQ(AsciiTable::num(4.288, 2), "4.29");
   EXPECT_EQ(AsciiTable::sci(0.00098, 2), "9.80e-04");
+}
+
+TEST(ScratchDir, UniquePerInstanceAndRemovedWithContents) {
+  std::string first;
+  {
+    const ScratchDir a(testing::TempDir());
+    const ScratchDir b(testing::TempDir());
+    first = a.path();
+    EXPECT_NE(a.path(), b.path());
+    EXPECT_TRUE(std::filesystem::is_directory(a.path()));
+    std::ofstream(a.file("spill.bin")) << "x";
+    EXPECT_TRUE(std::filesystem::exists(a.file("spill.bin")));
+  }
+  EXPECT_FALSE(std::filesystem::exists(first));
+}
+
+TEST(ScratchDir, MissingParentThrows) {
+  EXPECT_THROW(ScratchDir("/nonexistent-parent-dir/sub"), std::system_error);
 }
 
 TEST(CsvWriter, WritesRows) {

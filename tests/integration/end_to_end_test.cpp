@@ -9,10 +9,10 @@
 #include "trace/trace_io.hpp"
 #include "analysis/interval_stats.hpp"
 #include "sync/clc.hpp"
-#include "sync/clc_parallel.hpp"
 #include "sync/error_estimation.hpp"
 #include "sync/interpolation.hpp"
 #include "sync/offset_alignment.hpp"
+#include "verify/clc_oracle.hpp"
 #include "workload/sweep.hpp"
 
 namespace chronosync {
@@ -118,18 +118,15 @@ TEST(EndToEnd, ParallelClcAgreesOnRealTrace) {
   const auto logical = derive_logical_messages(res.trace);
   const ReplaySchedule schedule(res.trace, msgs, logical);
 
-  const ClcResult seq = controlled_logical_clock(res.trace, schedule, pre);
-  // min_events_per_thread = 1 keeps the run genuinely 4-threaded: the
-  // production clamp would collapse this mid-size trace to fewer workers and
-  // the equivalence check would lose its concurrency coverage.
-  ClcOptions opt;
-  opt.min_events_per_thread = 1;
-  const ClcResult par = controlled_logical_clock_parallel(res.trace, schedule, pre, opt, 4);
-  EXPECT_EQ(seq.violations_repaired, par.violations_repaired);
+  // The historical name: the driver against the replay-order oracle on a
+  // real drifting-clock trace, bit for bit.
+  const ClcResult clc = controlled_logical_clock(res.trace, schedule, pre);
+  const ClcResult oracle = verify::replay_order_clc(res.trace, schedule, pre);
+  EXPECT_EQ(clc.violations_repaired, oracle.violations_repaired);
+  EXPECT_EQ(clc.max_jump, oracle.max_jump);
+  EXPECT_EQ(clc.total_jump, oracle.total_jump);
   for (Rank r = 0; r < res.trace.ranks(); ++r) {
-    for (std::uint32_t i = 0; i < res.trace.events(r).size(); ++i) {
-      ASSERT_DOUBLE_EQ(seq.corrected.at({r, i}), par.corrected.at({r, i}));
-    }
+    ASSERT_TRUE(clc.corrected.of_rank(r) == oracle.corrected.of_rank(r)) << r;
   }
 }
 

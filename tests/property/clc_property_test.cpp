@@ -3,16 +3,19 @@
 //   1. remove every clock-condition violation (p2p and collective),
 //   2. never move an event backwards relative to its input timestamp,
 //   3. keep per-process timestamps monotone,
-//   4. agree bit-exactly with the parallel replay implementation,
+//   4. agree bit-exactly with the replay-order oracle, across the option grid,
 //   5. leave violation-free traces untouched.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "analysis/clock_condition.hpp"
 #include "sync/clc.hpp"
-#include "sync/clc_parallel.hpp"
 #include "sync/interpolation.hpp"
+#include "verify/clc_oracle.hpp"
 #include "workload/sweep.hpp"
 
 namespace chronosync {
@@ -83,16 +86,30 @@ TEST_P(ClcProperty, ParallelMatchesSequential) {
   const auto input =
       apply_correction(res.trace, LinearInterpolation::from_store(res.offsets));
 
-  const ClcResult seq = controlled_logical_clock(res.trace, schedule, input);
-  // Disable the oversubscription clamp so the property really runs 3
-  // concurrent workers on these small generated traces.
-  ClcOptions opt;
-  opt.min_events_per_thread = 1;
-  const ClcResult par = controlled_logical_clock_parallel(res.trace, schedule, input, opt, 3);
-  EXPECT_EQ(seq.violations_repaired, par.violations_repaired);
-  for (Rank r = 0; r < res.trace.ranks(); ++r) {
-    for (std::uint32_t i = 0; i < res.trace.events(r).size(); ++i) {
-      ASSERT_DOUBLE_EQ(seq.corrected.at({r, i}), par.corrected.at({r, i}));
+  // The historical name: the rank-drain driver against the replay-order
+  // oracle, over the option grid.  The sweep's barriers (collective_every)
+  // put logical edges into every trace.
+  ASSERT_FALSE(logical.empty());
+  for (const double decay : {0.0, 0.05, 0.5}) {
+    for (const bool backward : {true, false}) {
+      ClcOptions opt;
+      opt.forward_decay = decay;
+      opt.backward_amortization = backward;
+      const std::string what =
+          "decay " + std::to_string(decay) + " backward " + std::to_string(backward);
+      const ClcResult clc = controlled_logical_clock(res.trace, schedule, input, opt);
+      const ClcResult oracle = verify::replay_order_clc(res.trace, schedule, input, opt);
+      EXPECT_EQ(clc.violations_repaired, oracle.violations_repaired) << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(clc.max_jump),
+                std::bit_cast<std::uint64_t>(oracle.max_jump))
+          << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(clc.total_jump),
+                std::bit_cast<std::uint64_t>(oracle.total_jump))
+          << what;
+      for (Rank r = 0; r < res.trace.ranks(); ++r) {
+        ASSERT_TRUE(clc.corrected.of_rank(r) == oracle.corrected.of_rank(r))
+            << what << " rank " << r;
+      }
     }
   }
 }

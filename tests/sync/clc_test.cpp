@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "analysis/clock_condition.hpp"
 #include "common/rng.hpp"
-#include "sync/clc_parallel.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
+#include "sync/logical_clock.hpp"
 #include "topology/cluster.hpp"
+#include "verify/clc_oracle.hpp"
 
 namespace chronosync {
 namespace {
@@ -208,9 +216,12 @@ TEST(Clc, OptionValidation) {
   ClcOptions bad2;
   bad2.backward_slope = 0.0;
   EXPECT_THROW(controlled_logical_clock(fx.trace, s, input, bad2), std::invalid_argument);
+  TimestampArray short_input = input;  // one timestamp fewer than the trace has events
+  short_input.of_rank(1).pop_back();
+  EXPECT_THROW(controlled_logical_clock(fx.trace, s, short_input), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------- parallel
+// ------------------------------------------- driver vs replay-order oracle
 
 /// Last recorded local timestamp of a rank (keeps generated traces monotone).
 Time last_ts(const Trace& trace, Rank r) {
@@ -218,8 +229,10 @@ Time last_ts(const Trace& trace, Rank r) {
   return ev.empty() ? 0.0 : ev.back().local_ts;
 }
 
-/// Random many-rank trace with sprinkled violations for equivalence checks.
-Trace random_trace(int ranks, int rounds, std::uint64_t seed) {
+/// Random many-rank trace with sprinkled violations for equivalence checks;
+/// `barriers` closes every round with a barrier whose ends are often stamped
+/// before other ranks' begins (many-edge logical receives).
+Trace random_trace(int ranks, int rounds, std::uint64_t seed, bool barriers = false) {
   Trace trace(pinning::inter_node(clusters::xeon_rwth(), ranks),
               {0.47e-6, 0.86e-6, 4.29e-6}, "test");
   Rng rng(seed);
@@ -241,100 +254,80 @@ Trace random_trace(int ranks, int rounds, std::uint64_t seed) {
       trace.events(r).push_back(
           make_event(EventType::Recv, std::max(rt, last_ts(trace, r)), id + from, from));
     }
+    for (Rank r = 0; barriers && r < ranks; ++r) {
+      Event b = make_event(EventType::CollBegin, last_ts(trace, r) + rng.uniform(0.0, 1e-4));
+      b.coll = CollectiveKind::Barrier;
+      b.coll_id = round;
+      Event e = b;
+      e.type = EventType::CollEnd;
+      e.local_ts = e.true_ts = b.local_ts + rng.uniform(0.0, 5e-5);
+      trace.events(r).push_back(b);
+      trace.events(r).push_back(e);
+    }
     id += ranks;
     t += 1e-3;
   }
   return trace;
 }
 
-// Forces the parallel path to actually run concurrent: the production clamp
-// (min_events_per_thread) would collapse these small synthetic traces to a
-// solo run, and a solo run trivially matches the sequential pass.
-ClcOptions concurrent_options() {
-  ClcOptions opt;
-  opt.min_events_per_thread = 1;
-  return opt;
+/// Driver and oracle must agree bit for bit: every timestamp and all three
+/// jump statistics.
+void expect_bit_identical(const ClcResult& a, const ClcResult& b, const std::string& what) {
+  EXPECT_EQ(a.violations_repaired, b.violations_repaired) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.max_jump), std::bit_cast<std::uint64_t>(b.max_jump))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_jump),
+            std::bit_cast<std::uint64_t>(b.total_jump))
+      << what;
+  ASSERT_EQ(a.corrected.ranks(), b.corrected.ranks()) << what;
+  for (Rank r = 0; r < a.corrected.ranks(); ++r) {
+    const auto& x = a.corrected.of_rank(r);
+    const auto& y = b.corrected.of_rank(r);
+    ASSERT_EQ(x.size(), y.size()) << what << " rank " << r;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x[i]), std::bit_cast<std::uint64_t>(y[i]))
+          << what << " rank " << r << " idx " << i;
+    }
+  }
 }
 
 TEST(ParallelClc, MatchesSequentialBitExact) {
-  Trace trace = random_trace(8, 40, 99);
-  const auto msgs = trace.match_messages();
-  const ReplaySchedule s(trace, msgs, {});
-  const auto input = TimestampArray::from_local(trace);
-  const ClcResult seq = controlled_logical_clock(trace, s, input);
-  for (int threads : {1, 2, 4, 8}) {
-    const ClcResult par =
-        controlled_logical_clock_parallel(trace, s, input, concurrent_options(), threads);
-    EXPECT_EQ(par.violations_repaired, seq.violations_repaired) << threads;
-    for (Rank r = 0; r < trace.ranks(); ++r) {
-      for (std::uint32_t i = 0; i < trace.events(r).size(); ++i) {
-        ASSERT_DOUBLE_EQ(par.corrected.at({r, i}), seq.corrected.at({r, i}))
-            << "threads=" << threads << " rank=" << r << " idx=" << i;
+  // The historical name: today the rank-drain driver is held to the
+  // replay-order oracle, on several traces and option points.  The barrier
+  // traces make ranks park part-way through an event's incoming edges.
+  for (const std::uint64_t seed : {99u, 2024u, 5u}) {
+    Trace trace = random_trace(8, 40, seed, /*barriers=*/seed != 99u);
+    const auto msgs = trace.match_messages();
+    const auto logical = derive_logical_messages(trace);
+    const ReplaySchedule s(trace, msgs, logical);
+    const auto input = TimestampArray::from_local(trace);
+    for (const double decay : {0.0, 0.05, 0.5}) {
+      for (const bool backward : {true, false}) {
+        ClcOptions opt;
+        opt.forward_decay = decay;
+        opt.backward_amortization = backward;
+        expect_bit_identical(controlled_logical_clock(trace, s, input, opt),
+                             verify::replay_order_clc(trace, s, input, opt),
+                             "seed " + std::to_string(seed) + " decay " +
+                                 std::to_string(decay) + " backward " +
+                                 std::to_string(backward));
       }
     }
-  }
-}
-
-TEST(ParallelClc, BitExactAcrossPublishBatchSizes) {
-  // The batched epoch publication is pure scheduling: whether progress is
-  // announced per event (batch 1), in small batches, or only at rank
-  // completion (huge batch) must never change the fixed-point the workers
-  // converge to.  Batch 1 also exercises the pre-batching protocol shape.
-  Trace trace = random_trace(8, 60, 2024);
-  const auto msgs = trace.match_messages();
-  const ReplaySchedule s(trace, msgs, {});
-  const auto input = TimestampArray::from_local(trace);
-  const ClcResult seq = controlled_logical_clock(trace, s, input);
-  ASSERT_GT(seq.violations_repaired, 0u);
-  for (int batch : {1, 3, 128, 1 << 20}) {
-    ClcOptions opt = concurrent_options();
-    opt.publish_batch = batch;
-    for (int threads : {2, 4, 8}) {
-      const ClcResult par = controlled_logical_clock_parallel(trace, s, input, opt, threads);
-      EXPECT_EQ(par.violations_repaired, seq.violations_repaired)
-          << "batch=" << batch << " threads=" << threads;
-      for (Rank r = 0; r < trace.ranks(); ++r) {
-        const auto& a = par.corrected.of_rank(r);
-        const auto& b = seq.corrected.of_rank(r);
-        ASSERT_TRUE(a == b) << "batch=" << batch << " threads=" << threads << " rank=" << r;
-      }
-    }
-  }
-}
-
-TEST(ParallelClc, ThreadClampKeepsSmallTracesSoloButStaysExact) {
-  // Production default: a trace far below min_events_per_thread per worker
-  // must still produce the exact sequential answer (via the clamp) — the
-  // clamp is a performance guard, never a semantics switch.
-  Trace trace = random_trace(4, 20, 5);
-  const auto msgs = trace.match_messages();
-  const ReplaySchedule s(trace, msgs, {});
-  const auto input = TimestampArray::from_local(trace);
-  const ClcResult seq = controlled_logical_clock(trace, s, input);
-  const ClcResult par = controlled_logical_clock_parallel(trace, s, input, {}, 8);
-  EXPECT_EQ(par.violations_repaired, seq.violations_repaired);
-  for (Rank r = 0; r < trace.ranks(); ++r) {
-    ASSERT_TRUE(par.corrected.of_rank(r) == seq.corrected.of_rank(r)) << r;
   }
 }
 
 TEST(Clc, ZeroRankTraceReturnsInputUnchanged) {
-  // Regression: a trace with no ranks used to trip the thread-count
-  // precondition in the parallel path; both paths must be graceful no-ops.
+  // Regression: a trace with no ranks used to trip a thread-count
+  // precondition; driver and oracle must be graceful no-ops.
   Trace trace(pinning::inter_node(clusters::xeon_rwth(), 0),
               {0.47e-6, 0.86e-6, 4.29e-6}, "test");
   const ReplaySchedule s(trace, {}, {});
   const auto input = TimestampArray::from_local(trace);
 
-  const ClcResult seq = controlled_logical_clock(trace, s, input);
-  EXPECT_EQ(seq.violations_repaired, 0u);
-  EXPECT_EQ(seq.corrected.ranks(), 0);
-
-  for (int threads : {0, 1, 8}) {
-    const ClcResult par = controlled_logical_clock_parallel(trace, s, input, {}, threads);
-    EXPECT_EQ(par.violations_repaired, 0u) << "threads=" << threads;
-    EXPECT_EQ(par.corrected.ranks(), 0) << "threads=" << threads;
-  }
+  const ClcResult clc = controlled_logical_clock(trace, s, input);
+  EXPECT_EQ(clc.violations_repaired, 0u);
+  EXPECT_EQ(clc.corrected.ranks(), 0);
+  expect_bit_identical(clc, verify::replay_order_clc(trace, s, input), "zero ranks");
 }
 
 TEST(Clc, EventlessTraceReturnsInputUnchanged) {
@@ -346,44 +339,133 @@ TEST(Clc, EventlessTraceReturnsInputUnchanged) {
   ASSERT_EQ(s.events(), 0u);
   const auto input = TimestampArray::from_local(trace);
 
-  const ClcResult seq = controlled_logical_clock(trace, s, input);
-  EXPECT_EQ(seq.violations_repaired, 0u);
-  EXPECT_DOUBLE_EQ(seq.total_jump, 0.0);
-
-  for (int threads : {0, 1, 8}) {
-    const ClcResult par = controlled_logical_clock_parallel(trace, s, input, {}, threads);
-    EXPECT_EQ(par.violations_repaired, 0u) << "threads=" << threads;
-    EXPECT_EQ(par.corrected.ranks(), trace.ranks()) << "threads=" << threads;
-  }
+  const ClcResult clc = controlled_logical_clock(trace, s, input);
+  EXPECT_EQ(clc.violations_repaired, 0u);
+  EXPECT_DOUBLE_EQ(clc.total_jump, 0.0);
+  EXPECT_EQ(clc.corrected.ranks(), trace.ranks());
+  expect_bit_identical(clc, verify::replay_order_clc(trace, s, input), "no events");
 }
 
 TEST(ParallelClc, StatisticsIndependentOfThreadCount) {
   // Aggregates are derived from the final jump[] array in global-event
-  // order, so they must be bit-identical to the sequential run for every
-  // thread count — not merely close.
+  // order, so they must be bit-identical to the oracle's whatever order the
+  // driver visited the events in — not merely close.
   Trace trace = random_trace(8, 50, 7);
   const auto msgs = trace.match_messages();
   const ReplaySchedule s(trace, msgs, {});
   const auto input = TimestampArray::from_local(trace);
-  const ClcResult seq = controlled_logical_clock(trace, s, input);
-  ASSERT_GT(seq.violations_repaired, 0u);
-  for (int threads : {1, 2, 3, 4, 8}) {
-    const ClcResult par =
-        controlled_logical_clock_parallel(trace, s, input, concurrent_options(), threads);
-    EXPECT_EQ(par.violations_repaired, seq.violations_repaired) << threads;
-    EXPECT_EQ(par.max_jump, seq.max_jump) << threads;
-    EXPECT_EQ(par.total_jump, seq.total_jump) << threads;
-  }
+  const ClcResult clc = controlled_logical_clock(trace, s, input);
+  const ClcResult oracle = verify::replay_order_clc(trace, s, input);
+  ASSERT_GT(oracle.violations_repaired, 0u);
+  EXPECT_EQ(clc.violations_repaired, oracle.violations_repaired);
+  EXPECT_EQ(clc.max_jump, oracle.max_jump);
+  EXPECT_EQ(clc.total_jump, oracle.total_jump);
 }
 
 TEST(ParallelClc, RepairsEverything) {
   Trace trace = random_trace(6, 60, 123);
   const auto msgs = trace.match_messages();
   const ReplaySchedule s(trace, msgs, {});
-  const ClcResult res = controlled_logical_clock_parallel(
-      trace, s, TimestampArray::from_local(trace), concurrent_options(), 3);
+  const auto input = TimestampArray::from_local(trace);
+  const ClcResult res = controlled_logical_clock(trace, s, input);
   EXPECT_GT(res.violations_repaired, 0u);
   EXPECT_EQ(check_clock_condition(trace, res.corrected, msgs, {}).violations(), 0u);
+  expect_bit_identical(res, verify::replay_order_clc(trace, s, input), "repairs");
+}
+
+// ------------------------------------------------------ cyclic constraints
+
+/// Expects std::invalid_argument whose message names rank `r`, event `i`.
+template <class Fn>
+void expect_cycle_error(Fn&& fn, Rank r, std::uint32_t i, const char* who) {
+  try {
+    fn();
+    ADD_FAILURE() << who << ": a cyclic constraint graph did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cyclic"), std::string::npos) << who << ": " << what;
+    EXPECT_NE(what.find("rank " + std::to_string(r) + " "), std::string::npos)
+        << who << ": " << what;
+    EXPECT_NE(what.find("event " + std::to_string(i)), std::string::npos) << who << ": " << what;
+  }
+}
+
+void expect_all_reject_cycle(const Trace& trace, Rank r, std::uint32_t i) {
+  const auto msgs = trace.match_messages();
+  const ReplaySchedule s(trace, msgs, {});
+  const auto input = TimestampArray::from_local(trace);
+  expect_cycle_error([&] { controlled_logical_clock(trace, s, input); }, r, i, "driver");
+  expect_cycle_error([&] { verify::replay_order_clc(trace, s, input); }, r, i, "oracle");
+  expect_cycle_error([&] { lamport_clocks(trace, s); }, r, i, "lamport");
+}
+
+TEST(ClcCycle, ReceiveBeforeOwnSendOnOneRank) {
+  // Rank 1 records recv(m) before the send(m) it issues to itself: the
+  // receive waits on a later event of its own rank.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Enter, 1.0));
+  trace.events(1).push_back(make_event(EventType::Enter, 1.0));
+  trace.events(1).push_back(make_event(EventType::Recv, 2.0, 7, 1));
+  trace.events(1).push_back(make_event(EventType::Send, 3.0, 7, 1));
+  ASSERT_EQ(trace.match_messages().size(), 1u);
+  expect_all_reject_cycle(trace, 1, 1);
+}
+
+TEST(ClcCycle, TwoRanksReceiveBeforeSending) {
+  // Each rank receives the other's message before sending its own.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 3), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Enter, 0.5));
+  trace.events(1).push_back(make_event(EventType::Enter, 0.5));
+  trace.events(1).push_back(make_event(EventType::Recv, 1.0, 20, 2));
+  trace.events(1).push_back(make_event(EventType::Send, 2.0, 10, 2));
+  trace.events(2).push_back(make_event(EventType::Recv, 1.0, 10, 1));
+  trace.events(2).push_back(make_event(EventType::Send, 2.0, 20, 1));
+  ASSERT_EQ(trace.match_messages().size(), 2u);
+  expect_all_reject_cycle(trace, 1, 1);
+}
+
+// ------------------------------------------------------------ driver work
+
+TEST(ClcDriver, ReversePipelineWorkStaysLinear) {
+  // Rank r receives from r+1, then sends to r-1, for a few rounds: every
+  // rank but the last starts blocked, and a round-robin pass over the ranks
+  // would advance one rank per pass — quadratic in the rank count.  Parking
+  // on the blocking rank keeps the scan linear in events + edges.
+  constexpr int kRanks = 512;
+  constexpr int kRounds = 3;
+  Trace trace(pinning::inter_node(clusters::powerpc_marenostrum(), kRanks),
+              {0.47e-6, 0.86e-6, 4.29e-6}, "test");
+  auto id = [](Rank from, int round) { return std::int64_t{from} * kRounds + round; };
+  for (Rank r = 0; r < kRanks; ++r) {
+    for (int k = 0; k < kRounds; ++k) {
+      // Receives are stamped before their sends: every hop is a violation.
+      if (r + 1 < kRanks) {
+        trace.events(r).push_back(make_event(EventType::Recv, k + 0.5, id(r + 1, k), r + 1));
+      }
+      if (r > 0) trace.events(r).push_back(make_event(EventType::Send, k + 0.6, id(r, k), r - 1));
+    }
+  }
+  const auto msgs = trace.match_messages();
+  ASSERT_EQ(msgs.size(), static_cast<std::size_t>((kRanks - 1) * kRounds));
+  const ReplaySchedule s(trace, msgs, {});
+  const auto input = TimestampArray::from_local(trace);
+
+  obs::set_level(obs::Level::Metrics);
+  obs::reset();
+  const ClcResult clc = controlled_logical_clock(trace, s, input);
+  const std::int64_t scanned = obs::counter("clc.edges_scanned").value();
+  const std::int64_t parks = obs::counter("clc.rank_parks").value();
+  obs::set_level(obs::Level::Off);
+  obs::reset();
+
+  const auto work = static_cast<std::int64_t>(s.events() + s.edges());
+  EXPECT_GE(scanned, static_cast<std::int64_t>(s.edges()));
+  EXPECT_LE(scanned, 2 * work) << "parks " << parks;
+  EXPECT_GT(parks, 0);
+  EXPECT_GT(clc.violations_repaired, 0u);
+  expect_bit_identical(clc, verify::replay_order_clc(trace, s, input), "reverse pipeline");
 }
 
 }  // namespace

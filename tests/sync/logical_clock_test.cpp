@@ -78,6 +78,28 @@ TEST(ReplaySchedule, ReplayRespectsDependencies) {
   EXPECT_LT(pos(s.global_index({1, 0})), pos(s.global_index({1, 1})));
 }
 
+TEST(ReplaySchedule, SelfMessageEdgeHasZeroLatency) {
+  // A rank's message to itself is ordered by program order already; its
+  // edge carries no network latency (co-located ranks have none defined).
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 1), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  Event send;
+  send.type = EventType::Send;
+  send.local_ts = send.true_ts = 1.0;
+  send.msg_id = 3;
+  send.peer = 0;
+  Event recv = send;
+  recv.type = EventType::Recv;
+  recv.local_ts = recv.true_ts = 2.0;
+  trace.events(0).push_back(send);
+  trace.events(0).push_back(recv);
+  const ReplaySchedule s(trace, trace.match_messages(), {});
+  ASSERT_EQ(s.incoming(1).size(), 1u);
+  EXPECT_EQ(s.incoming(1)[0].source, 0u);
+  EXPECT_EQ(s.incoming(1)[0].l_min, 0.0);
+  EXPECT_EQ(lamport_clocks(trace, s)[0][1], 2u);
+}
+
 TEST(LamportClocks, MessageInducesOrdering) {
   SmallFixture fx;
   const ReplaySchedule s = fx.schedule();

@@ -33,14 +33,14 @@ TEST(Differential, RunAllMethodsIncludesClcContractPair) {
   const ReplaySchedule schedule(res.trace, msgs, logical);
   const auto outputs = verify::run_all_methods(res.trace, res.offsets, msgs, schedule);
 
-  bool serial = false, parallel = false;
+  bool driver = false, oracle = false;
   for (const auto& m : outputs) {
-    if (m.name == "interpolation+clc-serial") serial = m.restores_clock_condition;
-    if (m.name == "interpolation+clc-parallel") parallel = m.restores_clock_condition;
+    if (m.name == "interpolation+clc") driver = m.restores_clock_condition;
+    if (m.name == "interpolation+clc-replay") oracle = m.restores_clock_condition;
     ASSERT_EQ(m.ts.ranks(), res.trace.ranks()) << m.name;
   }
-  EXPECT_TRUE(serial);
-  EXPECT_TRUE(parallel);
+  EXPECT_TRUE(driver);
+  EXPECT_TRUE(oracle);
   EXPECT_GE(outputs.size(), 8u);  // raw + 4 probe-based + 3 estimators + 2 CLC
 }
 
@@ -134,10 +134,10 @@ TEST(Differential, SeededDivergenceInContractPairIsCaught) {
   auto outputs = verify::run_all_methods(res.trace, res.offsets, msgs, schedule);
 
   for (auto& m : outputs) {
-    if (m.name != "interpolation+clc-parallel") continue;
+    if (m.name != "interpolation+clc-replay") continue;
     for (Rank r = 0; r < m.ts.ranks(); ++r) {
       if (!m.ts.of_rank(r).empty()) {
-        m.ts.of_rank(r).front() += 1e-3;  // simulate a miscompiled thread
+        m.ts.of_rank(r).front() += 1e-3;  // simulate a miscompiled driver
         break;
       }
     }

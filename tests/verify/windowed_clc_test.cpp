@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,6 +67,47 @@ TEST(WindowedClc, CollectiveHeavyWorkloadMatchesInMemory) {
   no_ba.clc.backward_amortization = false;
   no_ba.emit_batch = 16;
   for (const std::string& f : check(trace, no_ba)) ADD_FAILURE() << f;
+}
+
+TEST(WindowedClc, ConcurrentCrossChecksShareOneWorkDir) {
+  // Regression: the cross-check used fixed scratch names inside work_dir, so
+  // concurrent runs sharing it (ctest -j, parallel chronocheck) overwrote
+  // each other's trace and spill files.  Two at once must both stay clean
+  // and leave nothing behind.
+  SweepConfig cfg;
+  cfg.rounds = 40;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::intel_tsc();
+  job.seed = 31;
+  const Trace trace = run_sweep(cfg, std::move(job)).trace;
+  StreamClcOptions opt;
+  opt.emit_batch = 16;
+  opt.backward_window = 1e3;
+
+  const std::filesystem::path work =
+      std::filesystem::path(testing::TempDir()) / "windowed_clc_concurrent";
+  std::filesystem::remove_all(work);
+  std::filesystem::create_directories(work);
+  std::vector<std::string> failures[2];
+  {
+    std::vector<std::thread> runs;
+    for (auto& f : failures) {
+      runs.emplace_back([&] {
+        try {
+          verify::cross_check_windowed_clc(trace, work.string(), opt, f);
+        } catch (const std::exception& e) {
+          f.push_back(e.what());
+        }
+      });
+    }
+    for (auto& t : runs) t.join();
+  }
+  for (const auto& f : failures) {
+    for (const std::string& msg : f) ADD_FAILURE() << msg;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(work));
+  std::filesystem::remove_all(work);
 }
 
 }  // namespace

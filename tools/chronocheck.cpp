@@ -11,8 +11,9 @@
 //
 //   chronocheck --synthetic [--ranks N --rounds R --seed S --tolerance T]
 //       Simulates a drifting-clock run, executes every correction method on
-//       it, audits each output, compares all outputs pairwise (CLC serial vs
-//       parallel must be bit-identical), and cross-checks the scanners.
+//       it, audits each output, compares all outputs pairwise (the CLC driver
+//       and its replay-order oracle must be bit-identical), and cross-checks
+//       the scanners.
 //
 //   chronocheck --method <name> [--ranks N --rounds R --seed S --probe-every K]
 //       Runs one named correction method (vocabulary: verify::
@@ -24,9 +25,9 @@
 //
 //   chronocheck --omp [--threads T --rounds R --seed S]
 //       Races the OpenMP CLC backend differentially on a POMP benchmark
-//       trace: merged output vs the sequential CLC on the thread-split trace
-//       (bit-identical), serial vs parallel CLC on the POMP schedule
-//       (bit-identical), and a zero-slack invariant audit.
+//       trace: merged output vs the CLC on the thread-split trace
+//       (bit-identical), the CLC driver vs its replay-order oracle on the
+//       POMP schedule (bit-identical), and a zero-slack invariant audit.
 //
 //   chronocheck --faults [--ranks N --rounds R --seed S]
 //       Re-runs the synthetic differential suite under every fault class of
@@ -217,7 +218,7 @@ int run_omp(const Cli& cli) {
             << " contract failure(s)\n";
   for (const auto& f : failures) std::cout << "FAIL " << f << "\n";
   if (!failures.empty()) return 1;
-  std::cout << "ok: omp CLC bit-identical to the sequential CLC and audit-clean\n";
+  std::cout << "ok: omp CLC bit-identical to the thread-split CLC and its oracle, audit-clean\n";
   return 0;
 }
 
