@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "trace/edge_rules.hpp"
 #include "trace/io_util.hpp"
 #include "trace/otf_text.hpp"
 #include "trace/trace_io.hpp"
@@ -19,31 +20,20 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x43535452;  // "CSTR"
 
-/// The half-matched endpoint of a point-to-point message, keyed by msg_id.
-/// An entry lives only while exactly one endpoint has been seen: the moment
-/// the other side arrives the edge is checked and the entry erased, so the
-/// map's high-water mark tracks the outstanding backlog, not the message
-/// count.  Within the half-open state a duplicate endpoint overwrites (last
-/// wins); an endpoint for an id that was already completed and erased starts
-/// a fresh entry.  Trace::match_messages applies the identical online rule
-/// over the same rank-major order, so the two pipelines agree even on
-/// malformed duplicate-id traces.
-struct MsgEndpoints {
-  Rank send_rank = -1;
-  Rank recv_rank = -1;
-  Time send_ts = 0.0;
-  Time recv_ts = 0.0;
+/// One endpoint of a point-to-point message or collective: its rank and
+/// local timestamp.
+struct Endpoint {
+  Rank rank = -1;
+  Time ts = 0.0;
 };
 
-/// One collective instance, keyed by coll_id.  Mirrors what
-/// Trace::collect_collectives keeps: kind/root overwritten by every
-/// participating event (last one wins), begins/ends in trace (rank-major)
-/// order.
+/// One collective instance, keyed by coll_id: kind/root overwritten by every
+/// participating event (last one wins), begins/ends in rank-major order.
 struct CollInstance {
   CollectiveKind kind{};
   Rank root = -1;
-  std::vector<std::pair<Rank, Time>> begins;
-  std::vector<std::pair<Rank, Time>> ends;
+  std::vector<Endpoint> begins;
+  std::vector<Endpoint> ends;
 };
 
 void check_edge(Time ts, Time tr, Duration l_min, std::size_t& reversed,
@@ -63,143 +53,60 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
   ClockConditionReport rep;
   ScanStats local_stats;
 
-  std::unordered_map<std::int64_t, MsgEndpoints> msgs;
+  // Messages are checked the moment their second endpoint arrives, so the
+  // join's high-water mark tracks the outstanding backlog, not the message
+  // count; half-matched leftovers are dropped.
+  edge_rules::MessageJoin<Endpoint> msgs;
   std::unordered_map<std::int64_t, CollInstance> colls;
-
-  // Checks and retires a message the moment its second endpoint arrives.
-  auto complete_p2p = [&](const MsgEndpoints& m) {
+  auto check_p2p = [&](const Endpoint& send, const Endpoint& recv) {
     ++rep.p2p_messages;
-    const Duration l_min = meta.min_latency(m.send_rank, m.recv_rank);
-    check_edge(m.send_ts, m.recv_ts, l_min, rep.p2p_reversed, rep.p2p_violations, rep.p2p_worst);
+    check_edge(send.ts, recv.ts, meta.min_latency(send.rank, recv.rank), rep.p2p_reversed,
+               rep.p2p_violations, rep.p2p_worst);
+  };
+  auto add_coll = [&](const Event& e, const Endpoint& ep) {
+    auto& inst = colls[e.coll_id];
+    inst.kind = e.coll;
+    inst.root = e.root;
+    (e.type == EventType::CollBegin ? inst.begins : inst.ends).push_back(ep);
+    local_stats.peak_outstanding_collectives =
+        std::max(local_stats.peak_outstanding_collectives, colls.size());
   };
 
   EventBlock block;
   while (reader.next(block)) {
     for (const Event& e : block.events) {
       ++rep.total_events;
+      const Endpoint ep{block.rank, e.local_ts};
       switch (e.type) {
-        case EventType::Send: {
+        case EventType::Send:
           ++rep.message_events;
-          auto it = msgs.find(e.msg_id);
-          if (it != msgs.end() && it->second.recv_rank >= 0) {
-            MsgEndpoints m = it->second;
-            msgs.erase(it);
-            m.send_rank = block.rank;
-            m.send_ts = e.local_ts;
-            complete_p2p(m);
-            break;
-          }
-          auto& m = msgs[e.msg_id];
-          m.send_rank = block.rank;
-          m.send_ts = e.local_ts;
-          local_stats.peak_outstanding_messages =
-              std::max(local_stats.peak_outstanding_messages, msgs.size());
+          msgs.send(e.msg_id, ep, check_p2p);
           break;
-        }
-        case EventType::Recv: {
+        case EventType::Recv:
           ++rep.message_events;
-          auto it = msgs.find(e.msg_id);
-          if (it != msgs.end() && it->second.send_rank >= 0) {
-            MsgEndpoints m = it->second;
-            msgs.erase(it);
-            m.recv_rank = block.rank;
-            m.recv_ts = e.local_ts;
-            complete_p2p(m);
-            break;
-          }
-          auto& m = msgs[e.msg_id];
-          m.recv_rank = block.rank;
-          m.recv_ts = e.local_ts;
-          local_stats.peak_outstanding_messages =
-              std::max(local_stats.peak_outstanding_messages, msgs.size());
+          msgs.recv(e.msg_id, ep, check_p2p);
           break;
-        }
-        case EventType::CollBegin: {
+        case EventType::CollBegin:
+        case EventType::CollEnd:
           ++rep.message_events;
-          auto& inst = colls[e.coll_id];
-          inst.kind = e.coll;
-          inst.root = e.root;
-          inst.begins.emplace_back(block.rank, e.local_ts);
-          local_stats.peak_outstanding_collectives =
-              std::max(local_stats.peak_outstanding_collectives, colls.size());
+          add_coll(e, ep);
           break;
-        }
-        case EventType::CollEnd: {
-          ++rep.message_events;
-          auto& inst = colls[e.coll_id];
-          inst.kind = e.coll;
-          inst.root = e.root;
-          inst.ends.emplace_back(block.rank, e.local_ts);
-          local_stats.peak_outstanding_collectives =
-              std::max(local_stats.peak_outstanding_collectives, colls.size());
-          break;
-        }
         default:
           break;
       }
     }
   }
+  local_stats.peak_outstanding_messages = msgs.peak_outstanding();
 
-  // Every entry still in `msgs` is half-matched (a tracing-window edge) and
-  // is dropped, exactly as Trace::match_messages does; complete pairs were
-  // already checked and erased during the scan.
-
-  // Collectives mapped onto logical messages, mirroring
-  // derive_logical_messages' flavour rules.
   for (const auto& [id, inst] : colls) {
-    if (inst.begins.empty() || inst.begins.size() != inst.ends.size()) continue;  // partial
-    switch (flavor_of(inst.kind)) {
-      case CollectiveFlavor::OneToN: {
-        const std::pair<Rank, Time>* root_begin = nullptr;
-        for (const auto& b : inst.begins) {
-          if (b.first == inst.root) {
-            root_begin = &b;
-            break;
-          }
-        }
-        if (!root_begin) break;
-        for (const auto& end : inst.ends) {
-          if (end.first == inst.root) continue;
+    if (edge_rules::partial_instance(inst.begins.size(), inst.ends.size())) continue;
+    edge_rules::for_each_logical_edge(
+        inst.kind, inst.root, inst.begins, inst.ends, [](const Endpoint& ep) { return ep.rank; },
+        [&](const Endpoint& begin, const Endpoint& end) {
           ++rep.logical_messages;
-          const Duration l_min = meta.min_latency(root_begin->first, end.first);
-          check_edge(root_begin->second, end.second, l_min, rep.logical_reversed,
-                     rep.logical_violations, rep.logical_worst);
-        }
-        break;
-      }
-      case CollectiveFlavor::NToOne: {
-        // First-match, same as the OneToN branch above and as
-        // derive_logical_messages' root lookups.
-        const std::pair<Rank, Time>* root_end = nullptr;
-        for (const auto& end : inst.ends) {
-          if (end.first == inst.root) {
-            root_end = &end;
-            break;
-          }
-        }
-        if (!root_end) break;
-        for (const auto& b : inst.begins) {
-          if (b.first == inst.root) continue;
-          ++rep.logical_messages;
-          const Duration l_min = meta.min_latency(b.first, root_end->first);
-          check_edge(b.second, root_end->second, l_min, rep.logical_reversed,
-                     rep.logical_violations, rep.logical_worst);
-        }
-        break;
-      }
-      case CollectiveFlavor::NToN: {
-        for (const auto& b : inst.begins) {
-          for (const auto& end : inst.ends) {
-            if (b.first == end.first) continue;
-            ++rep.logical_messages;
-            const Duration l_min = meta.min_latency(b.first, end.first);
-            check_edge(b.second, end.second, l_min, rep.logical_reversed,
-                       rep.logical_violations, rep.logical_worst);
-          }
-        }
-        break;
-      }
-    }
+          check_edge(begin.ts, end.ts, meta.min_latency(begin.rank, end.rank),
+                     rep.logical_reversed, rep.logical_violations, rep.logical_worst);
+        });
   }
   if (stats) *stats = local_stats;
   return rep;

@@ -14,6 +14,7 @@
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "sync/clc_kernel.hpp"
+#include "trace/edge_rules.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
 
@@ -46,11 +47,10 @@ struct BeginRec {
 };
 
 /// One collective instance.  kind/root follow registration order (last one
-/// wins, like Trace::collect_collectives); for well-formed traces every
-/// participant agrees so the order cannot matter.  The instance closes when
-/// the read frontier of every rank has passed last_ts + horizon: after that
-/// no further participant can appear (under the horizon contract), so
-/// partiality and the edge set are settled.
+/// wins); for well-formed traces every participant agrees so the order cannot
+/// matter.  The instance closes when the read frontier of every rank has
+/// passed last_ts + horizon: after that no further participant can appear
+/// (under the horizon contract), so partiality and the edge set are settled.
 struct CollInst {
   CollectiveKind kind{};
   Rank root = -1;
@@ -60,7 +60,7 @@ struct CollInst {
   std::uint32_t ends_registered = 0;
   std::uint32_t ends_processed = 0;
   bool closed = false;
-  bool root_end_taken = false;  ///< NToOne: the first root end owns the edges
+  bool root_end_seen = false;  ///< a root end took its edges (edge_rules::end_takes_edges)
 };
 
 /// A processed event awaiting emission.  `lc` is the forward-pass value and
@@ -271,8 +271,12 @@ class StreamEngine {
            inst.begins.size() == inst.begins_registered;
   }
 
-  static bool instance_partial(const CollInst& inst) {
-    return inst.begins_registered == 0 || inst.begins_registered != inst.ends_registered;
+  /// Calls fn(begin) for every processed begin of `inst` whose logical edge
+  /// enters rank r's end.
+  template <class Fn>
+  static void for_each_source(Rank r, const CollInst& inst, Fn&& fn) {
+    edge_rules::for_each_source(inst.kind, inst.root, r, inst.root_end_seen, inst.begins,
+                                [](const BeginRec& b) { return b.rank; }, fn);
   }
 
   void release_instance(const CollInst& inst) {
@@ -339,16 +343,8 @@ class StreamEngine {
         auto it = colls_.find(e.coll_id);
         if (it == colls_.end()) return true;  // retired instance straggler
         const CollInst& inst = it->second;
-        switch (flavor_of(inst.kind)) {
-          case CollectiveFlavor::OneToN:
-            if (r == inst.root) return true;  // root end takes no edges
-            break;
-          case CollectiveFlavor::NToOne:
-            if (r != inst.root) return true;  // non-root ends take no edges
-            if (inst.root_end_taken) return true;  // duplicate root end
-            break;
-          case CollectiveFlavor::NToN:
-            break;
+        if (!edge_rules::end_takes_edges(inst.kind, inst.root, r, inst.root_end_seen)) {
+          return true;
         }
         // Closure settles partiality and guarantees the begin set is
         // complete; all processed guarantees their forward values exist.
@@ -369,6 +365,7 @@ class StreamEngine {
     Pending p;
     p.ts = t;
     CollInst* inst = nullptr;
+    bool coll_edges = false;  // a collective end taking its logical edges
     const MsgState* send = nullptr;
     switch (e.type) {
       case EventType::Recv: {
@@ -413,8 +410,14 @@ class StreamEngine {
         auto it = colls_.find(e.coll_id);
         if (it != colls_.end()) {
           inst = &it->second;
-          if (inst->closed && !force && !instance_partial(*inst)) {
-            bound = std::max(bound, coll_end_bound(r, *inst));
+          coll_edges = inst->closed && !force &&
+                       !edge_rules::partial_instance(inst->begins_registered,
+                                                     inst->ends_registered);
+          if (coll_edges) {
+            for_each_source(r, *inst, [&](const BeginRec& b) {
+              bound = clc_kernel::eq1_bound(bound, b.lc, index_.meta.min_latency(b.rank, r));
+              ++stats_.logical_edges;
+            });
           }
         }
         break;
@@ -455,8 +458,11 @@ class StreamEngine {
       inst->begins.push_back({r, rs.seq, lc});
     }
     if (e.type == EventType::CollEnd && inst != nullptr) {
-      if (inst->closed && !force && !instance_partial(*inst)) {
-        coll_end_caps(r, *inst, lc);
+      if (coll_edges) {
+        for_each_source(r, *inst, [&](const BeginRec& b) {
+          cap_apply(b.rank, b.seq, clc_kernel::send_cap(lc, index_.meta.min_latency(b.rank, r)));
+        });
+        inst->root_end_seen = inst->root_end_seen || r == inst->root;
       }
       ++inst->ends_processed;
       if (inst->closed && instance_done(*inst)) {
@@ -470,78 +476,6 @@ class StreamEngine {
     rs.pend.push_back(p);
     if (rs.pend.size() >= std::max(opts_.emit_batch, rs.sweep_trigger)) sweep_and_emit(r);
   }
-
-  /// Max over the logical edges into a collective end, mirroring the edge set
-  /// derive_logical_messages builds (first-match roots, partials excluded
-  /// before this is called).
-  Time coll_end_bound(Rank r, const CollInst& inst) {
-    Time bound = -kTimeInfinity;
-    switch (flavor_of(inst.kind)) {
-      case CollectiveFlavor::OneToN: {
-        const BeginRec* root = find_root_begin(inst);
-        if (root != nullptr && r != inst.root) {
-          bound = clc_kernel::eq1_bound(bound, root->lc, index_.meta.min_latency(root->rank, r));
-          ++stats_.logical_edges;
-        }
-        break;
-      }
-      case CollectiveFlavor::NToOne:
-        for (const BeginRec& b : inst.begins) {
-          if (b.rank == inst.root) continue;
-          bound = clc_kernel::eq1_bound(bound, b.lc, index_.meta.min_latency(b.rank, r));
-          ++stats_.logical_edges;
-        }
-        break;
-      case CollectiveFlavor::NToN:
-        for (const BeginRec& b : inst.begins) {
-          if (b.rank == r) continue;
-          bound = clc_kernel::eq1_bound(bound, b.lc, index_.meta.min_latency(b.rank, r));
-          ++stats_.logical_edges;
-        }
-        break;
-    }
-    return bound;
-  }
-
-  void coll_end_caps(Rank r, CollInst& inst, Time lc) {
-    switch (flavor_of(inst.kind)) {
-      case CollectiveFlavor::OneToN: {
-        const BeginRec* root = find_root_begin(inst);
-        if (root != nullptr && r != inst.root) {
-          cap_apply(root->rank, root->seq,
-                    clc_kernel::send_cap(lc, index_.meta.min_latency(root->rank, r)));
-        }
-        break;
-      }
-      case CollectiveFlavor::NToOne:
-        if (r != inst.root || inst.root_end_taken) break;
-        inst.root_end_taken = true;
-        for (const BeginRec& b : inst.begins) {
-          if (b.rank == inst.root) continue;
-          cap_apply(b.rank, b.seq, clc_kernel::send_cap(lc, index_.meta.min_latency(b.rank, r)));
-        }
-        break;
-      case CollectiveFlavor::NToN:
-        for (const BeginRec& b : inst.begins) {
-          if (b.rank == r) continue;
-          cap_apply(b.rank, b.seq, clc_kernel::send_cap(lc, index_.meta.min_latency(b.rank, r)));
-        }
-        break;
-    }
-  }
-
-  static const BeginRec* find_root_begin(const CollInst& inst) {
-    for (const BeginRec& b : inst.begins) {
-      if (b.rank == inst.root) return &b;  // first match, like derive_logical_messages
-    }
-    return nullptr;
-  }
-
-  // NToOne edges all point at the *first* root end; a duplicate root end must
-  // be edge-free, which coll_end_caps enforces via root_end_taken — but the
-  // bound, too, must only be taken once.
-  // (coll_end_bound is only reached for a root end when !root_end_taken,
-  // because head_processable short-circuits duplicates to edge-free.)
 
   void cap_apply(Rank r, std::uint32_t seq, Time cap) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];

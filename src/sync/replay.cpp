@@ -26,11 +26,6 @@ ReplaySchedule::ReplaySchedule(const Trace& trace, const std::vector<MessageReco
     }
   }
 
-  // A self-message orders two events of one rank, which program order
-  // already does; it carries no network latency.  (Recorded receive-first,
-  // it is a cycle, reported by replay() and the CLC driver.)
-  auto l_min = [&](Rank a, Rank b) { return a == b ? 0.0 : trace.min_latency(a, b); };
-
   // CSR build: count degrees, prefix-sum into offsets, then fill.  Filling
   // iterates p2p messages before logical ones, so each event's incoming edges
   // keep that order.
@@ -41,14 +36,14 @@ ReplaySchedule::ReplaySchedule(const Trace& trace, const std::vector<MessageReco
   for (const auto& msg : messages) {
     src[k] = global_index(msg.send);
     dst[k] = global_index(msg.recv);
-    lmin[k] = l_min(msg.send.proc, msg.recv.proc);
+    lmin[k] = trace.min_latency(msg.send.proc, msg.recv.proc);
     ++k;
   }
   const std::size_t first_logical = k;
   for (const auto& lm : logical) {
     src[k] = global_index(lm.send);
     dst[k] = global_index(lm.recv);
-    lmin[k] = l_min(lm.send.proc, lm.recv.proc);
+    lmin[k] = trace.min_latency(lm.send.proc, lm.recv.proc);
     ++k;
   }
 

@@ -1,58 +1,18 @@
 #include "trace/logical_messages.hpp"
 
+#include "trace/edge_rules.hpp"
+
 namespace chronosync {
 
 std::vector<LogicalMessage> derive_logical_messages(
     const Trace& /*trace*/, const std::vector<CollectiveInstance>& collectives) {
   std::vector<LogicalMessage> out;
   for (const auto& inst : collectives) {
-    const CollectiveFlavor flavor = flavor_of(inst.kind);
-    // Root lookups are first-match: an instance lists each rank once in a
-    // well-formed trace, and on malformed input (a rank recorded twice) every
-    // consumer — this derivation and the streaming scanner — must agree on
-    // the same representative, so both use the first recorded event.
-    auto begin_of = [&](Rank r) -> const EventRef* {
-      for (const auto& ref : inst.begins) {
-        if (ref.proc == r) return &ref;
-      }
-      return nullptr;
-    };
-    auto end_of = [&](Rank r) -> const EventRef* {
-      for (const auto& ref : inst.ends) {
-        if (ref.proc == r) return &ref;
-      }
-      return nullptr;
-    };
-
-    switch (flavor) {
-      case CollectiveFlavor::OneToN: {
-        const EventRef* root_begin = begin_of(inst.root);
-        if (!root_begin) break;
-        for (const auto& end : inst.ends) {
-          if (end.proc == inst.root) continue;
-          out.push_back({*root_begin, end, inst.coll_id});
-        }
-        break;
-      }
-      case CollectiveFlavor::NToOne: {
-        const EventRef* root_end = end_of(inst.root);
-        if (!root_end) break;
-        for (const auto& begin : inst.begins) {
-          if (begin.proc == inst.root) continue;
-          out.push_back({begin, *root_end, inst.coll_id});
-        }
-        break;
-      }
-      case CollectiveFlavor::NToN: {
-        for (const auto& begin : inst.begins) {
-          for (const auto& end : inst.ends) {
-            if (begin.proc == end.proc) continue;
-            out.push_back({begin, end, inst.coll_id});
-          }
-        }
-        break;
-      }
-    }
+    edge_rules::for_each_logical_edge(
+        inst.kind, inst.root, inst.begins, inst.ends, [](const EventRef& ref) { return ref.proc; },
+        [&](const EventRef& begin, const EventRef& end) {
+          out.push_back({begin, end, inst.coll_id});
+        });
   }
   return out;
 }

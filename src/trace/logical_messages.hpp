@@ -10,6 +10,8 @@
 //                                every rank's begin -> every other rank's end
 //
 // Each logical message inherits the minimum latency of its (src, dst) domain.
+// The rules themselves (first-match roots, partial instances) live in
+// edge_rules.hpp.
 #pragma once
 
 #include <vector>

@@ -164,12 +164,6 @@ TraceMeta parse_meta_payload(const std::uint8_t* p, const std::uint8_t* end) {
 
 // -- TraceMeta ----------------------------------------------------------------
 
-Duration TraceMeta::min_latency(Rank a, Rank b) const {
-  const CommDomain d = placement.domain(a, b);
-  CS_REQUIRE(d != CommDomain::SameCore, "no latency between co-located ranks");
-  return domain_min_latency[static_cast<std::size_t>(d) - 1];
-}
-
 TraceMeta TraceMeta::of(const Trace& trace) {
   TraceMeta m;
   m.placement = trace.placement();

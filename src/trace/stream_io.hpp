@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "topology/pinning.hpp"
+#include "trace/edge_rules.hpp"
 #include "trace/io_util.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io_error.hpp"
@@ -63,8 +64,10 @@ struct TraceMeta {
   std::vector<std::string> regions;
 
   int ranks() const { return placement.ranks(); }
-  /// Minimum message latency between two ranks (mirrors Trace::min_latency).
-  Duration min_latency(Rank a, Rank b) const;
+  /// Minimum message latency between two ranks (l_min of Eq. 1).
+  Duration min_latency(Rank a, Rank b) const {
+    return edge_rules::pair_latency(placement, domain_min_latency, a, b);
+  }
 
   static TraceMeta of(const Trace& trace);
 };

@@ -78,16 +78,6 @@ const Event& Trace::at(const EventRef& ref) const {
   return ev[ref.index];
 }
 
-Duration Trace::min_latency(Rank a, Rank b) const {
-  const CommDomain d = placement_.domain(a, b);
-  return min_latency(d);
-}
-
-Duration Trace::min_latency(CommDomain d) const {
-  CS_REQUIRE(d != CommDomain::SameCore, "no latency between co-located ranks");
-  return min_latency_[static_cast<std::size_t>(d) - 1];
-}
-
 std::size_t Trace::total_events() const {
   std::size_t n = 0;
   for (const auto& v : events_) n += v.size();
@@ -109,45 +99,29 @@ const std::string& Trace::region_name(std::int32_t id) const {
 }
 
 std::vector<MessageRecord> Trace::match_messages() const {
-  // msg_id keys the join.  Matching is online over rank-major order, the
-  // same rule the streamed scanner (scan_clock_condition) applies so the two
-  // pipelines agree on every input: an id holds at most one half-open entry,
-  // duplicate endpoints overwrite while the entry is half-open (last wins),
-  // the pair is retired the moment its second endpoint arrives, and an
-  // endpoint for an already-retired id opens a fresh entry.  Well-formed
-  // traces have unique ids, so only malformed inputs can tell this from a
-  // whole-trace join.
-  std::map<std::int64_t, MessageRecord> open;
+  edge_rules::MessageJoin<EventRef> join;
   std::vector<std::pair<std::int64_t, MessageRecord>> done;
   for (Rank r = 0; r < ranks(); ++r) {
     const auto& ev = events(r);
     for (std::uint32_t i = 0; i < ev.size(); ++i) {
       const Event& e = ev[i];
+      auto on_pair = [&](const EventRef& send, const EventRef& recv) {
+        const Event& s = events_[static_cast<std::size_t>(send.proc)][send.index];
+        done.emplace_back(e.msg_id, MessageRecord{send, recv, s.bytes, s.tag});
+      };
       if (e.type == EventType::Send) {
-        auto& m = open[e.msg_id];
-        m.send = {r, i};
-        m.bytes = e.bytes;
-        m.tag = e.tag;
-        if (m.recv.proc >= 0) {
-          done.emplace_back(e.msg_id, m);
-          open.erase(e.msg_id);
-        }
+        join.send(e.msg_id, {r, i}, on_pair);
       } else if (e.type == EventType::Recv) {
-        auto& m = open[e.msg_id];
-        m.recv = {r, i};
-        if (m.send.proc >= 0) {
-          done.emplace_back(e.msg_id, m);
-          open.erase(e.msg_id);
-        }
+        join.recv(e.msg_id, {r, i}, on_pair);
       }
     }
   }
-  if (!open.empty()) {
+  if (join.outstanding() > 0) {
     // Sends whose receive fell outside the tracing window (or vice versa).
-    CS_LOG_DEBUG << open.size() << " half-matched messages dropped (tracing window edges)";
+    CS_LOG_DEBUG << join.outstanding() << " half-matched messages dropped (tracing window edges)";
   }
-  // Ascending msg_id, as the whole-trace join returned (stable, so the rare
-  // duplicate-id repeats stay in completion order).
+  // Ascending msg_id (stable, so the rare duplicate-id repeats stay in
+  // completion order).
   std::stable_sort(done.begin(), done.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<MessageRecord> out;
@@ -177,10 +151,7 @@ std::vector<CollectiveInstance> Trace::collect_collectives() const {
   std::vector<CollectiveInstance> out;
   out.reserve(by_id.size());
   for (auto& [id, inst] : by_id) {
-    if (inst.begins.size() != inst.ends.size() || inst.begins.empty()) {
-      // Partial instance at a tracing-window edge: skip, as a tool would.
-      continue;
-    }
+    if (edge_rules::partial_instance(inst.begins.size(), inst.ends.size())) continue;
     out.push_back(std::move(inst));
   }
   return out;

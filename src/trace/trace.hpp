@@ -12,6 +12,7 @@
 
 #include "common/expect.hpp"
 #include "topology/pinning.hpp"
+#include "trace/edge_rules.hpp"
 #include "trace/event.hpp"
 
 namespace chronosync {
@@ -49,9 +50,11 @@ class Trace {
   const std::string& timer_name() const { return timer_name_; }
 
   /// Minimum message latency between two ranks (l_min of Eq. 1).
-  Duration min_latency(Rank a, Rank b) const;
+  Duration min_latency(Rank a, Rank b) const {
+    return edge_rules::pair_latency(placement_, min_latency_, a, b);
+  }
   /// Minimum latency by domain (SameChip/SameNode/CrossNode).
-  Duration min_latency(CommDomain d) const;
+  Duration min_latency(CommDomain d) const { return edge_rules::domain_latency(min_latency_, d); }
   const std::array<Duration, 3>& domain_min_latency() const { return min_latency_; }
 
   std::size_t total_events() const;

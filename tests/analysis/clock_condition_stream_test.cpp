@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "../testutil/random_trace.hpp"
+#include "common/scratch_dir.hpp"
 #include "analysis/clock_condition.hpp"
 #include "topology/cluster.hpp"
 #include "trace/io_util.hpp"
@@ -53,23 +53,23 @@ TEST(ClockConditionStream, RealWorkloadStreamedEqualsInMemory) {
 }
 
 TEST(ClockConditionStream, V2FileIsScannedStreamed) {
-  const std::string path = testing::TempDir() + "/cs_ccstream_v2.bin";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("v2.bin");
   const Trace t = testutil::random_trace(9);
   write_trace_v2_file(t, path);
   const auto streamed = scan_clock_condition_file(path);
   const auto in_memory = check_clock_condition(t, TimestampArray::from_local(t));
   expect_reports_equal(streamed, in_memory);
-  std::remove(path.c_str());
 }
 
 TEST(ClockConditionStream, V1FileFallsBackToInMemoryLoad) {
-  const std::string path = testing::TempDir() + "/cs_ccstream_v1.bin";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("v1.bin");
   const Trace t = testutil::random_trace(10);
   write_trace_file(t, path);  // legacy v1 container
   const auto scanned = scan_clock_condition_file(path);
   const auto in_memory = check_clock_condition(t, TimestampArray::from_local(t));
   expect_reports_equal(scanned, in_memory);
-  std::remove(path.c_str());
 }
 
 TEST(ClockConditionStream, BacklogHighWaterTracksPairDistanceNotMessageCount) {
@@ -136,10 +136,11 @@ TEST(ClockConditionStream, PipeFedStreamsScanWithoutSeeking) {
 }
 
 TEST(ClockConditionStream, TinyTextTraceScansFromFile) {
+  const ScratchDir scratch(testing::TempDir());
   // An event-free text trace is barely larger than the 8-byte sniff window;
   // the dispatcher used to reject anything it could not re-read from the
   // start.  It must reach the text reader and return an all-zero report.
-  const std::string path = testing::TempDir() + "/cs_ccstream_tiny.txt";
+  const std::string path = scratch.file("tiny.txt");
   {
     std::ofstream f(path);
     f << "CSTXT 1\nTIMER t\nLATENCY 1e-7 1e-6 5e-6\nRANK 0 0 0 0\n";
@@ -147,11 +148,10 @@ TEST(ClockConditionStream, TinyTextTraceScansFromFile) {
   const auto rep = scan_clock_condition_file(path);
   EXPECT_EQ(rep.total_events, 0u);
   EXPECT_EQ(rep.p2p_messages, 0u);
-  std::remove(path.c_str());
 
   // Sub-8-byte files are no longer misreported as truncated v2 containers:
   // the text reader sees them from offset zero and reports its own error.
-  const std::string bad = testing::TempDir() + "/cs_ccstream_bad.txt";
+  const std::string bad = scratch.file("bad.txt");
   {
     std::ofstream f(bad);
     f << "CSTXT";
@@ -162,7 +162,6 @@ TEST(ClockConditionStream, TinyTextTraceScansFromFile) {
   } catch (const TraceIoError& e) {
     EXPECT_NE(e.kind(), TraceIoErrorKind::Truncated) << e.what();
   }
-  std::remove(bad.c_str());
 }
 
 TEST(ClockConditionStream, DuplicateRootEventsAgreeWithInMemory) {

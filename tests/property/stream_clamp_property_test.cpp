@@ -8,10 +8,10 @@
 // edge, so the property quantifies over window sizes with an ample horizon.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/scratch_dir.hpp"
 #include "sync/clc_stream.hpp"
 #include "sync/replay.hpp"
 #include "topology/cluster.hpp"
@@ -48,8 +48,8 @@ TEST(StreamClampProperty, ClampedRunsStillSatisfyAllInvariants) {
     const ReplaySchedule schedule(trace, messages, logical);
     const verify::InvariantChecker checker(trace, schedule, {});
 
-    const std::string in_path = testing::TempDir() + "/clamp_in_" +
-                                std::to_string(seed) + ".v2";
+    const ScratchDir scratch(testing::TempDir());
+    const std::string in_path = scratch.file("clamp_in.v2");
     write_trace_v2_file(trace, in_path);
 
     for (const Duration window : windows) {
@@ -71,9 +71,7 @@ TEST(StreamClampProperty, ClampedRunsStillSatisfyAllInvariants) {
       EXPECT_TRUE(report.ok())
           << "window " << window << " (ramp_clamped=" << stats.ramp_clamped
           << "):\n" << report.summary();
-      std::remove(out_path.c_str());
     }
-    std::remove(in_path.c_str());
   }
   // The property is vacuous unless small windows actually clamped.
   EXPECT_GE(clamped_runs, 2);

@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
 
 #include "../testutil/random_trace.hpp"
+#include "common/scratch_dir.hpp"
 #include "analysis/clock_condition_stream.hpp"
 #include "sync/clc.hpp"
 #include "sync/replay.hpp"
@@ -67,9 +67,10 @@ void expect_bit_identical(const Trace& trace, const std::string& out_path,
 }
 
 TEST(ClcStream, SweepWorkloadBitIdenticalToInMemory) {
+  const ScratchDir scratch(testing::TempDir());
   const Trace trace = sweep_fixture(5);
-  const std::string in_path = testing::TempDir() + "/cs_clcstream_in.cstr";
-  const std::string out_path = testing::TempDir() + "/cs_clcstream_out.cstr";
+  const std::string in_path = scratch.file("in.cstr");
+  const std::string out_path = scratch.file("out.cstr");
   write_trace_v2_file(trace, in_path, /*events_per_chunk=*/64);
 
   StreamClcOptions opt;
@@ -81,13 +82,12 @@ TEST(ClcStream, SweepWorkloadBitIdenticalToInMemory) {
   EXPECT_GT(stats.p2p_edges, 0u);
   EXPECT_GT(stats.violations_repaired, 0u);
   expect_bit_identical(trace, out_path, stats, in_memory_clc(trace, opt.clc));
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 TEST(ClcStream, EmitBatchingDoesNotChangeTheOutput) {
+  const ScratchDir scratch(testing::TempDir());
   const Trace trace = sweep_fixture(11, /*rounds=*/20);
-  const std::string in_path = testing::TempDir() + "/cs_clcstream_batch_in.cstr";
+  const std::string in_path = scratch.file("batch_in.cstr");
   write_trace_v2_file(trace, in_path, /*events_per_chunk=*/48);
 
   StreamClcOptions tiny;
@@ -96,8 +96,8 @@ TEST(ClcStream, EmitBatchingDoesNotChangeTheOutput) {
   StreamClcOptions huge;
   huge.emit_batch = std::size_t{1} << 20;  // one final sweep only
   huge.backward_window = 1e-3;
-  const std::string out_a = testing::TempDir() + "/cs_clcstream_batch_a.cstr";
-  const std::string out_b = testing::TempDir() + "/cs_clcstream_batch_b.cstr";
+  const std::string out_a = scratch.file("batch_a.cstr");
+  const std::string out_b = scratch.file("batch_b.cstr");
   const StreamClcStats sa = clc_stream_file(in_path, out_a, tiny);
   const StreamClcStats sb = clc_stream_file(in_path, out_b, huge);
 
@@ -105,15 +105,13 @@ TEST(ClcStream, EmitBatchingDoesNotChangeTheOutput) {
   EXPECT_TRUE(testutil::traces_equal(read_trace_v2_file(out_a), read_trace_v2_file(out_b)));
   // The tiny batch must actually have bounded the window.
   EXPECT_LT(sa.peak_resident_events, sb.peak_resident_events);
-  std::remove(in_path.c_str());
-  std::remove(out_a.c_str());
-  std::remove(out_b.c_str());
 }
 
 TEST(ClcStream, BackwardAmortizationOffMatchesInMemory) {
+  const ScratchDir scratch(testing::TempDir());
   const Trace trace = sweep_fixture(7, /*rounds=*/15);
-  const std::string in_path = testing::TempDir() + "/cs_clcstream_ba_in.cstr";
-  const std::string out_path = testing::TempDir() + "/cs_clcstream_ba_out.cstr";
+  const std::string in_path = scratch.file("ba_in.cstr");
+  const std::string out_path = scratch.file("ba_out.cstr");
   write_trace_v2_file(trace, in_path, /*events_per_chunk=*/64);
 
   StreamClcOptions opt;
@@ -121,14 +119,13 @@ TEST(ClcStream, BackwardAmortizationOffMatchesInMemory) {
   opt.emit_batch = 16;
   const StreamClcStats stats = clc_stream_file(in_path, out_path, opt);
   expect_bit_identical(trace, out_path, stats, in_memory_clc(trace, opt.clc));
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 TEST(ClcStream, ClampedRampStillRepairsEveryViolation) {
+  const ScratchDir scratch(testing::TempDir());
   const Trace trace = sweep_fixture(3);
-  const std::string in_path = testing::TempDir() + "/cs_clcstream_clamp_in.cstr";
-  const std::string out_path = testing::TempDir() + "/cs_clcstream_clamp_out.cstr";
+  const std::string in_path = scratch.file("clamp_in.cstr");
+  const std::string out_path = scratch.file("clamp_out.cstr");
   write_trace_v2_file(trace, in_path);
 
   StreamClcOptions opt;
@@ -143,28 +140,26 @@ TEST(ClcStream, ClampedRampStillRepairsEveryViolation) {
   const auto rep = scan_clock_condition_file(out_path);
   EXPECT_EQ(rep.p2p_violations, 0u);
   EXPECT_EQ(rep.logical_violations, 0u);
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 TEST(ClcStream, EmptyTraceRoundTrips) {
+  const ScratchDir scratch(testing::TempDir());
   Trace t(pinning::block(clusters::xeon_rwth(), 3), {1e-7, 1e-6, 5e-6}, "empty");
-  const std::string in_path = testing::TempDir() + "/cs_clcstream_empty_in.cstr";
-  const std::string out_path = testing::TempDir() + "/cs_clcstream_empty_out.cstr";
+  const std::string in_path = scratch.file("empty_in.cstr");
+  const std::string out_path = scratch.file("empty_out.cstr");
   write_trace_v2_file(t, in_path);
   const StreamClcStats stats = clc_stream_file(in_path, out_path, {});
   EXPECT_EQ(stats.events, 0u);
   const Trace out = read_trace_v2_file(out_path);
   EXPECT_EQ(out.ranks(), 3);
   EXPECT_EQ(out.total_events(), 0u);
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 TEST(ClcStream, TruncatedInputThrowsBeforeAnyOutputExists) {
+  const ScratchDir scratch(testing::TempDir());
   const Trace trace = testutil::random_trace(21);
-  const std::string in_path = testing::TempDir() + "/cs_clcstream_trunc_in.cstr";
-  const std::string out_path = testing::TempDir() + "/cs_clcstream_trunc_out.cstr";
+  const std::string in_path = scratch.file("trunc_in.cstr");
+  const std::string out_path = scratch.file("trunc_out.cstr");
   write_trace_v2_file(trace, in_path);
 
   // Chop the tail off: the footer (and possibly part of the last chunk) is
@@ -181,12 +176,12 @@ TEST(ClcStream, TruncatedInputThrowsBeforeAnyOutputExists) {
   EXPECT_THROW(clc_stream_file(in_path, out_path, {}), TraceIoError);
   std::ifstream probe(out_path);
   EXPECT_FALSE(probe.good()) << "no output file may exist after a failed run";
-  std::remove(in_path.c_str());
 }
 
 TEST(ClcStream, MissingInputThrowsIoError) {
+  const ScratchDir scratch(testing::TempDir());
   try {
-    clc_stream_file("/nonexistent/in.cstr", testing::TempDir() + "/unused.cstr", {});
+    clc_stream_file("/nonexistent/in.cstr", scratch.file("unused.cstr"), {});
     FAIL() << "expected TraceIoError";
   } catch (const TraceIoError& e) {
     EXPECT_EQ(e.kind(), TraceIoErrorKind::Io);
