@@ -19,7 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -53,51 +53,131 @@ inline Duration pair_latency(const Placement& placement, const std::array<Durati
 /// Whatever is still open at the end is half-matched (a tracing-window edge)
 /// and dropped.  Well-formed traces have unique ids, so only malformed inputs
 /// can tell this from a whole-trace join.
+///
+/// The half-open entries live in 256 flat open-addressing tables picked by
+/// the top byte of a Fibonacci hash of the id; the next bits give the home
+/// slot.  Each table probes linearly, deletes by backward shift (no
+/// tombstones), and doubles on its own at a load above 3/4, so growth never
+/// holds two copies of the whole join at once.  Entries are (id, endpoint)
+/// slots beside a one-byte state array that records the side.
 template <class Endpoint>
 class MessageJoin {
  public:
+  static constexpr int kPartitionBits = 8;
+  static constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;  // 2^64 / phi
+
+  /// The id's hash: its top kPartitionBits pick the table.  Multiplying the
+  /// unsigned cast wraps instead of overflowing.
+  static std::uint64_t hash(std::int64_t id) {
+    return static_cast<std::uint64_t>(id) * kHashMultiplier;
+  }
+
   /// Feeds a send; calls on_pair(send, recv) if it completes a message.
   template <class OnPair>
   void send(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
-    add(id, true, ep, on_pair);
+    add(id, kSend, ep, on_pair);
   }
   /// Feeds a receive; calls on_pair(send, recv) if it completes a message.
   template <class OnPair>
   void recv(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
-    add(id, false, ep, on_pair);
+    add(id, kRecv, ep, on_pair);
   }
 
   /// Half-open entries now, and their high-water mark.
-  std::size_t outstanding() const { return open_.size(); }
+  std::size_t outstanding() const { return open_; }
   std::size_t peak_outstanding() const { return peak_; }
 
  private:
-  struct HalfOpen {
+  enum : std::uint8_t { kEmpty = 0, kSend = 1, kRecv = 2 };
+  static constexpr int kMinSlotBits = 4;
+
+  struct Slot {
+    std::int64_t id = 0;
     Endpoint ep;
-    bool is_send;
+  };
+
+  /// One linear-probing table of mask + 1 slots (none before its first entry).
+  struct Table {
+    std::vector<std::uint8_t> state;
+    std::vector<Slot> slots;
+    std::size_t mask = 0;
+    std::size_t used = 0;
+    std::size_t limit = 0;  ///< 3/4 of the slots: the most entries before doubling
+    int shift = 64;  ///< 64 - log2(slots): home slot = hash bits below the table byte
+
+    std::size_t home(std::uint64_t h) const {
+      return static_cast<std::size_t>((h << kPartitionBits) >> shift);
+    }
+    /// Index of `id`'s entry, or of the empty slot that ends its probe.
+    std::size_t find(std::int64_t id, std::uint64_t h) const {
+      std::size_t i = home(h);
+      while (state[i] != kEmpty && slots[i].id != id) i = (i + 1) & mask;
+      return i;
+    }
+    void grow() {
+      const std::size_t size = slots.empty() ? std::size_t{1} << kMinSlotBits : 2 * slots.size();
+      Table bigger;
+      bigger.state.assign(size, kEmpty);
+      bigger.slots.resize(size);
+      bigger.mask = size - 1;
+      bigger.limit = size / 4 * 3;
+      bigger.shift = shift - (slots.empty() ? kMinSlotBits : 1);
+      bigger.used = used;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (state[i] == kEmpty) continue;
+        const std::size_t j = bigger.find(slots[i].id, hash(slots[i].id));
+        bigger.state[j] = state[i];
+        bigger.slots[j] = slots[i];
+      }
+      *this = std::move(bigger);
+    }
+    /// Empties slot i, shifting later entries of its probe run back so
+    /// every entry stays reachable from its home slot.
+    void erase(std::size_t i) {
+      for (std::size_t j = (i + 1) & mask; state[j] != kEmpty; j = (j + 1) & mask) {
+        // The entry at j may fill the hole at i unless its home lies in (i, j].
+        const std::size_t k = home(hash(slots[j].id));
+        if (((j - k) & mask) >= ((j - i) & mask)) {
+          state[i] = state[j];
+          slots[i] = slots[j];
+          i = j;
+        }
+      }
+      state[i] = kEmpty;
+      --used;
+    }
   };
 
   template <class OnPair>
-  void add(std::int64_t id, bool is_send, const Endpoint& ep, OnPair& on_pair) {
-    const auto [it, fresh] = open_.try_emplace(id, HalfOpen{ep, is_send});
-    if (fresh) {
-      peak_ = std::max(peak_, open_.size());
+  void add(std::int64_t id, std::uint8_t side, const Endpoint& ep, OnPair& on_pair) {
+    const std::uint64_t h = hash(id);
+    Table& t = tables_[static_cast<std::size_t>(h >> (64 - kPartitionBits))];
+    // A full table doubles first, so a fresh id always finds an empty slot.
+    if (t.used == t.limit) t.grow();
+    const std::size_t i = t.find(id, h);
+    if (t.state[i] == kEmpty) {
+      t.state[i] = side;
+      t.slots[i] = Slot{id, ep};
+      ++t.used;
+      peak_ = std::max(peak_, ++open_);
       return;
     }
-    if (it->second.is_send == is_send) {
-      it->second.ep = ep;
+    if (t.state[i] == side) {
+      t.slots[i].ep = ep;
       return;
     }
-    const Endpoint other = it->second.ep;
-    open_.erase(it);
-    if (is_send) {
+    const Endpoint other = t.slots[i].ep;
+    t.erase(i);
+    --open_;
+    if (side == kSend) {
       on_pair(ep, other);
     } else {
       on_pair(other, ep);
     }
   }
 
-  std::unordered_map<std::int64_t, HalfOpen> open_;
+  std::vector<Table> tables_ = std::vector<Table>(std::size_t{1} << kPartitionBits);
+  std::size_t open_ = 0;
   std::size_t peak_ = 0;
 };
 

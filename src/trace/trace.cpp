@@ -1,9 +1,14 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
+#include <utility>
 
 #include "common/log.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 
 namespace chronosync {
 
@@ -98,36 +103,99 @@ const std::string& Trace::region_name(std::int32_t id) const {
   return region_names_[static_cast<std::size_t>(id)];
 }
 
-std::vector<MessageRecord> Trace::match_messages() const {
-  edge_rules::MessageJoin<EventRef> join;
-  std::vector<std::pair<std::int64_t, MessageRecord>> done;
-  for (Rank r = 0; r < ranks(); ++r) {
-    const auto& ev = events(r);
-    for (std::uint32_t i = 0; i < ev.size(); ++i) {
-      const Event& e = ev[i];
-      auto on_pair = [&](const EventRef& send, const EventRef& recv) {
-        const Event& s = events_[static_cast<std::size_t>(send.proc)][send.index];
-        done.emplace_back(e.msg_id, MessageRecord{send, recv, s.bytes, s.tag});
-      };
-      if (e.type == EventType::Send) {
-        join.send(e.msg_id, {r, i}, on_pair);
-      } else if (e.type == EventType::Recv) {
-        join.recv(e.msg_id, {r, i}, on_pair);
-      }
+namespace {
+
+/// A matched message and the id it was matched on.
+struct KeyedMessage {
+  std::int64_t id = 0;
+  MessageRecord m;
+};
+
+/// Stable LSD radix sort of `in` by ascending id (ties keep their order).
+/// Digits run over id - min_id, so only the bits that vary are sorted, and a
+/// digit may take up to ~2n buckets: dense ids, as well-formed traces have,
+/// sort in a single counting pass.  The last pass drops the keys.
+std::vector<MessageRecord> sort_by_id(std::vector<KeyedMessage> in) {
+  // 32-bit bucket counts keep the largest array small; ReplaySchedule's
+  // global event indexes are 32-bit too.
+  CS_REQUIRE(in.size() <= std::numeric_limits<std::uint32_t>::max(), "more than 2^32 messages");
+  std::vector<MessageRecord> out(in.size());
+  if (in.empty()) return out;
+  const auto [lo, hi] = std::minmax_element(
+      in.begin(), in.end(),
+      [](const KeyedMessage& a, const KeyedMessage& b) { return a.id < b.id; });
+  // id - min_id, computed unsigned so that no span of int64 ids overflows.
+  auto key_of = [min_id = static_cast<std::uint64_t>(lo->id)](const KeyedMessage& k) {
+    return static_cast<std::uint64_t>(k.id) - min_id;
+  };
+  const int bits = std::bit_width(key_of(*hi));
+  const int max_digit = std::max(8, static_cast<int>(std::bit_width(in.size())) + 1);
+  const int digit = std::clamp(bits, 1, max_digit);
+  const std::uint64_t mask = (std::uint64_t{1} << digit) - 1;
+  const int passes = std::max(1, (bits + digit - 1) / digit);
+
+  std::vector<KeyedMessage> tmp(passes > 1 ? in.size() : 0);
+  std::vector<std::uint32_t> start(mask + 1);
+  for (int p = 0; p < passes; ++p) {
+    const int shift = p * digit;
+    std::fill(start.begin(), start.end(), 0);
+    for (const KeyedMessage& k : in) ++start[(key_of(k) >> shift) & mask];
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : start) sum += std::exchange(c, sum);
+    if (p + 1 == passes) {
+      for (const KeyedMessage& k : in) out[start[(key_of(k) >> shift) & mask]++] = k.m;
+    } else {
+      for (const KeyedMessage& k : in) tmp[start[(key_of(k) >> shift) & mask]++] = k;
+      in.swap(tmp);
     }
   }
-  if (join.outstanding() > 0) {
-    // Sends whose receive fell outside the tracing window (or vice versa).
-    CS_LOG_DEBUG << join.outstanding() << " half-matched messages dropped (tracing window edges)";
-  }
-  // Ascending msg_id (stable, so the rare duplicate-id repeats stay in
-  // completion order).
-  std::stable_sort(done.begin(), done.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<MessageRecord> out;
-  out.reserve(done.size());
-  for (auto& [id, m] : done) out.push_back(m);
   return out;
+}
+
+}  // namespace
+
+std::vector<MessageRecord> Trace::match_messages() const {
+  CS_SPAN("trace.match");
+  std::vector<KeyedMessage> done;
+  done.reserve(total_events() / 2);  // every message takes two events
+  {
+    // The send's payload rides in its endpoint, so completing a pair never
+    // looks back into another rank's events.  The join is freed before the
+    // sort allocates.
+    struct Endpoint {
+      EventRef ref;
+      std::uint32_t bytes = 0;
+      Tag tag = -1;
+    };
+    edge_rules::MessageJoin<Endpoint> join;
+    for (Rank r = 0; r < ranks(); ++r) {
+      const auto& ev = events_[static_cast<std::size_t>(r)];
+      for (std::uint32_t i = 0; i < ev.size(); ++i) {
+        const Event& e = ev[i];
+        auto on_pair = [&](const Endpoint& send, const Endpoint& recv) {
+          done.push_back({e.msg_id, MessageRecord{send.ref, recv.ref, send.bytes, send.tag}});
+        };
+        if (e.type == EventType::Send) {
+          join.send(e.msg_id, {{r, i}, e.bytes, e.tag}, on_pair);
+        } else if (e.type == EventType::Recv) {
+          join.recv(e.msg_id, {{r, i}}, on_pair);
+        }
+      }
+    }
+    if (join.outstanding() > 0) {
+      // Sends whose receive fell outside the tracing window (or vice versa).
+      CS_LOG_DEBUG << join.outstanding()
+                   << " half-matched messages dropped (tracing window edges)";
+    }
+    if (obs::metrics_enabled()) {
+      static obs::Counter& half_matched = obs::counter("trace.match.half_matched");
+      static obs::Counter& peak = obs::counter("trace.match.peak_outstanding");
+      half_matched.add(static_cast<std::int64_t>(join.outstanding()));
+      peak.add(static_cast<std::int64_t>(join.peak_outstanding()));
+    }
+  }
+  // Ascending msg_id; the rare duplicate-id repeats stay in completion order.
+  return sort_by_id(std::move(done));
 }
 
 std::vector<CollectiveInstance> Trace::collect_collectives() const {

@@ -64,8 +64,11 @@ class Trace {
   const std::string& region_name(std::int32_t id) const;
   const std::vector<std::string>& regions() const { return region_names_; }
 
-  /// Matches Send/Recv pairs via msg_id.  Sends without a matched receive
-  /// (none occur in well-formed runs) are dropped with a warning count.
+  /// Matches Send/Recv pairs via msg_id (edge_rules::MessageJoin), in
+  /// ascending msg_id order; repeats of a duplicated id keep their completion
+  /// order.  Half-matched endpoints (a tracing-window edge; none occur in
+  /// well-formed runs) are dropped: their number is logged at debug level and,
+  /// with metrics on, added to the `trace.match.half_matched` counter.
   std::vector<MessageRecord> match_messages() const;
 
   /// Groups CollBegin/CollEnd events into instances via coll_id.

@@ -1,14 +1,20 @@
 // The Eq. 1 edge rules (trace/edge_rules.hpp) are shared by every scanner and
 // every CLC path, so the scanner cross-checks can no longer catch a wrong rule
 // on their own.  These tests pin the rules from outside: regression traces run
-// through all consumers, and a brute-force oracle written here from the
-// definition of the collective flavours.
+// through all consumers, a brute-force oracle written here from the
+// definition of the collective flavours, and the msg_id join as first written
+// (on std::unordered_map) as the oracle of the flat partitioned one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
@@ -16,12 +22,17 @@
 #include "analysis/clock_condition_stream.hpp"
 #include "common/rng.hpp"
 #include "common/scratch_dir.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "sync/clc.hpp"
 #include "sync/clc_stream.hpp"
+#include "sync/replay.hpp"
 #include "topology/cluster.hpp"
 #include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
 #include "verify/differential.hpp"
+#include "workload/pop.hpp"
+#include "workload/sweep.hpp"
 
 namespace chronosync {
 namespace {
@@ -269,6 +280,383 @@ TEST(EdgeRules, FlavourRuleMatchesBruteForceOracle) {
   // Not vacuous: edges were produced, and the absent-root case was hit.
   EXPECT_GT(edges, 1000u);
   EXPECT_GT(rooted_without_root, 0u);
+}
+
+// -- msg_id join vs the hash-map oracle ------------------------------------------
+
+/// The msg_id join as first written, on std::unordered_map: the oracle the
+/// flat partitioned edge_rules::MessageJoin must reproduce op for op.
+template <class Endpoint>
+class MapJoin {
+ public:
+  template <class OnPair>
+  void send(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
+    add(id, true, ep, on_pair);
+  }
+  template <class OnPair>
+  void recv(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
+    add(id, false, ep, on_pair);
+  }
+  std::size_t outstanding() const { return open_.size(); }
+  std::size_t peak_outstanding() const { return peak_; }
+
+ private:
+  struct HalfOpen {
+    Endpoint ep;
+    bool is_send;
+  };
+
+  template <class OnPair>
+  void add(std::int64_t id, bool is_send, const Endpoint& ep, OnPair& on_pair) {
+    const auto [it, fresh] = open_.try_emplace(id, HalfOpen{ep, is_send});
+    if (fresh) {
+      peak_ = std::max(peak_, open_.size());
+      return;
+    }
+    if (it->second.is_send == is_send) {
+      it->second.ep = ep;
+      return;
+    }
+    const Endpoint other = it->second.ep;
+    open_.erase(it);
+    if (is_send) {
+      on_pair(ep, other);
+    } else {
+      on_pair(other, ep);
+    }
+  }
+
+  std::unordered_map<std::int64_t, HalfOpen> open_;
+  std::size_t peak_ = 0;
+};
+
+/// Trace::match_messages as first written: MapJoin over rank-major order,
+/// bytes and tag looked up from the send event, then a stable sort by id.
+std::vector<MessageRecord> oracle_match(const Trace& t) {
+  MapJoin<EventRef> join;
+  std::vector<std::pair<std::int64_t, MessageRecord>> done;
+  for (Rank r = 0; r < t.ranks(); ++r) {
+    for (std::uint32_t i = 0; i < t.events(r).size(); ++i) {
+      const Event& e = t.events(r)[i];
+      auto on_pair = [&](const EventRef& send, const EventRef& recv) {
+        const Event& s = t.at(send);
+        done.emplace_back(e.msg_id, MessageRecord{send, recv, s.bytes, s.tag});
+      };
+      if (e.type == EventType::Send) {
+        join.send(e.msg_id, {r, i}, on_pair);
+      } else if (e.type == EventType::Recv) {
+        join.recv(e.msg_id, {r, i}, on_pair);
+      }
+    }
+  }
+  std::stable_sort(done.begin(), done.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<MessageRecord> out;
+  for (const auto& [id, m] : done) out.push_back(m);
+  return out;
+}
+
+using FlatJoin = edge_rules::MessageJoin<std::uint64_t>;
+
+/// Inverse of the join's odd hash multiplier mod 2^64 (Newton iteration), so
+/// a test can pick hashes and derive the ids that have them.
+constexpr std::uint64_t inverse_multiplier() {
+  std::uint64_t x = FlatJoin::kHashMultiplier;  // correct to 3 bits
+  for (int i = 0; i < 5; ++i) x *= 2 - FlatJoin::kHashMultiplier * x;
+  return x;
+}
+static_assert(inverse_multiplier() * FlatJoin::kHashMultiplier == 1);
+
+/// `count` ids whose hashes share the top 8 + 20 bits: one table, and one
+/// home slot at every table size up to 2^20 slots.
+std::vector<std::int64_t> colliding_ids(Rng& rng, std::size_t count) {
+  const std::uint64_t top = rng.next() & ~((std::uint64_t{1} << 36) - 1);
+  std::vector<std::int64_t> ids;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t h = top | (rng.next() >> 28);
+    ids.push_back(static_cast<std::int64_t>(h * inverse_multiplier()));
+  }
+  return ids;
+}
+
+/// One random id pool per seed: a few small ids (frequent duplicates and
+/// reopened ids), the int64 extremes, and for some seeds a colliding cluster
+/// or a wide range that makes the tables grow through several steps.
+std::vector<std::int64_t> id_pool(Rng& rng, std::uint64_t seed) {
+  std::vector<std::int64_t> pool = {std::numeric_limits<std::int64_t>::min(), -1, 0,
+                                    std::numeric_limits<std::int64_t>::max()};
+  const auto small = rng.uniform_int(1, 40);
+  for (std::int64_t k = 1; k <= small; ++k) pool.push_back(k);
+  if (seed % 3 == 0) {
+    const auto more = colliding_ids(rng, static_cast<std::size_t>(rng.uniform_int(2, 1000)));
+    pool.insert(pool.end(), more.begin(), more.end());
+  }
+  if (seed % 50 == 0) {
+    // ~4x10^4 ids open at once: every table doubles four times or more (a
+    // colliding cluster alone drives its one table through up to seven).
+    for (std::int64_t k = 0; k < 40000; ++k) pool.push_back(static_cast<std::int64_t>(rng.next()));
+  }
+  return pool;
+}
+
+std::int64_t pick(Rng& rng, const std::vector<std::int64_t>& pool) {
+  const auto last = static_cast<std::int64_t>(pool.size()) - 1;
+  return pool[static_cast<std::size_t>(rng.uniform_int(0, last))];
+}
+
+TEST(EdgeRules, FlatJoinMatchesMapOracle) {
+  {
+    // The colliding pools below only test something if their ids really
+    // share a table and a home slot.
+    Rng rng(5);
+    const std::vector<std::int64_t> ids = colliding_ids(rng, 64);
+    for (const std::int64_t id : ids) {
+      ASSERT_EQ(FlatJoin::hash(id) >> 36, FlatJoin::hash(ids[0]) >> 36);
+    }
+  }
+  std::size_t pairs = 0, overwrites = 0, reopened = 0, half_open_left = 0;
+  std::size_t max_peak = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
+    const std::vector<std::int64_t> pool = id_pool(rng, seed);
+    // Big pools are first filled in order (all open), then drained at random.
+    const std::size_t ops = pool.size() > 1000 ? 3 * pool.size() : 400;
+
+    FlatJoin flat;
+    MapJoin<std::uint64_t> oracle;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> got, want;
+    std::unordered_set<std::int64_t> retired;
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      const std::int64_t id = op < pool.size() && pool.size() > 1000 ? pool[op] : pick(rng, pool);
+      const bool is_send = rng.bernoulli(0.5);
+      const std::size_t before = oracle.outstanding();
+      auto on_got = [&](std::uint64_t s, std::uint64_t r) { got.emplace_back(s, r); };
+      auto on_want = [&](std::uint64_t s, std::uint64_t r) { want.emplace_back(s, r); };
+      if (is_send) {
+        flat.send(id, op, on_got);
+        oracle.send(id, op, on_want);
+      } else {
+        flat.recv(id, op, on_got);
+        oracle.recv(id, op, on_want);
+      }
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " op " << op << " id " << id;
+      if (!want.empty()) {
+        ASSERT_EQ(got.back(), want.back()) << "seed " << seed << " op " << op;
+      }
+      ASSERT_EQ(flat.outstanding(), oracle.outstanding()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(flat.peak_outstanding(), oracle.peak_outstanding())
+          << "seed " << seed << " op " << op;
+
+      if (oracle.outstanding() < before) {
+        ++pairs;
+        retired.insert(id);
+      } else if (oracle.outstanding() == before) {
+        ++overwrites;
+      } else if (retired.count(id) > 0) {
+        ++reopened;
+      }
+    }
+    half_open_left += oracle.outstanding();
+    max_peak = std::max(max_peak, oracle.peak_outstanding());
+  }
+  // Not vacuous: every path of the join was taken, and tables grew deep.
+  EXPECT_GT(pairs, 10000u);
+  EXPECT_GT(overwrites, 10000u);
+  EXPECT_GT(reopened, 1000u);
+  EXPECT_GT(half_open_left, 1000u);
+  EXPECT_GT(max_peak, 30000u);
+}
+
+// -- matcher and CSR schedule on real traces ------------------------------------
+
+void expect_same_messages(const std::vector<MessageRecord>& got,
+                          const std::vector<MessageRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].send, want[i].send) << "message " << i;
+    ASSERT_EQ(got[i].recv, want[i].recv) << "message " << i;
+    ASSERT_EQ(got[i].bytes, want[i].bytes) << "message " << i;
+    ASSERT_EQ(got[i].tag, want[i].tag) << "message " << i;
+  }
+}
+
+/// match_messages() equals the oracle matcher field for field and in order,
+/// and the ReplaySchedules built from the two have identical CSR arrays.
+void expect_matcher_and_schedule_match_oracle(const Trace& t, std::size_t min_messages) {
+  const std::vector<MessageRecord> got = t.match_messages();
+  const std::vector<MessageRecord> want = oracle_match(t);
+  EXPECT_GE(want.size(), min_messages);
+  expect_same_messages(got, want);
+
+  const std::vector<LogicalMessage> logical = derive_logical_messages(t);
+  const ReplaySchedule a(t, got, logical);
+  const ReplaySchedule b(t, want, logical);
+  ASSERT_EQ(a.events(), b.events());
+  ASSERT_EQ(a.edges(), b.edges());
+  const auto in_a = a.incoming_offsets();
+  const auto in_b = b.incoming_offsets();
+  ASSERT_TRUE(std::equal(in_a.begin(), in_a.end(), in_b.begin(), in_b.end()));
+  const auto ea = a.incoming_edges();
+  const auto eb = b.incoming_edges();
+  for (std::size_t k = 0; k < ea.size(); ++k) {
+    ASSERT_EQ(ea[k].source, eb[k].source) << "in-edge " << k;
+    ASSERT_EQ(ea[k].logical, eb[k].logical) << "in-edge " << k;
+    ASSERT_TRUE(testutil::same_bits(ea[k].l_min, eb[k].l_min)) << "in-edge " << k;
+  }
+  for (std::uint32_t g = 0; g < a.events(); ++g) {
+    const auto oa = a.outgoing(g);
+    const auto ob = b.outgoing(g);
+    ASSERT_TRUE(std::equal(oa.begin(), oa.end(), ob.begin(), ob.end())) << "out-edges of " << g;
+  }
+}
+
+TEST(EdgeRules, MatcherAndScheduleMatchOracleOnSweep64) {
+  SweepConfig cfg;
+  cfg.rounds = 60;
+  cfg.collective_every = 20;
+  JobConfig job;
+  job.placement = pinning::block(clusters::xeon_rwth(), 64);
+  job.timer = timer_specs::intel_tsc();
+  job.seed = 11;
+  const Trace t = run_sweep(cfg, std::move(job)).trace;
+  ASSERT_EQ(t.ranks(), 64);
+  expect_matcher_and_schedule_match_oracle(t, 60 * 64 / 2);
+}
+
+TEST(EdgeRules, MatcherAndScheduleMatchOracleOnPopWithPmpiRegions) {
+  PopConfig cfg;
+  cfg.px = 4;
+  cfg.py = 4;
+  cfg.total_iterations = 40;
+  cfg.traced_begin = 10;
+  cfg.traced_end = 30;
+  cfg.iter_compute = 500 * units::us;
+  JobConfig job;
+  job.placement = pinning::block(clusters::xeon_rwth(), cfg.px * cfg.py);
+  job.timer = timer_specs::intel_tsc();
+  job.record_mpi_regions = true;
+  job.seed = 3;
+  const Trace t = run_pop(cfg, std::move(job)).trace;
+  ASSERT_FALSE(t.regions().empty());
+  expect_matcher_and_schedule_match_oracle(t, 100);
+}
+
+TEST(EdgeRules, MatcherAndScheduleMatchOracleOnDuplicatedAndRetiredIds) {
+  // Hand-built malformed trace: same-side duplicates while half-open (last
+  // wins), an id reopened and completed again after retirement (two records
+  // for one id, in completion order), half-open leftovers, the int64
+  // extremes, ids colliding in one table, and a collective for logical edges.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), 3), {1e-7, 1e-6, 5e-6}, "dups");
+  Time ts = 0.0;
+  auto send = [&](Rank r, std::int64_t id, Rank peer, Tag tag, std::uint32_t bytes) {
+    Event e = p2p(EventType::Send, id, peer, ts += 1e-3);
+    e.tag = tag;
+    e.bytes = bytes;
+    t.events(r).push_back(e);
+  };
+  auto recv = [&](Rank r, std::int64_t id, Rank peer) {
+    t.events(r).push_back(p2p(EventType::Recv, id, peer, ts += 1e-3));
+  };
+  Rng rng(9);
+  const std::vector<std::int64_t> clash = colliding_ids(rng, 40);
+  send(0, 5, 1, 1, 10);
+  send(0, 5, 1, 2, 20);  // overwrites the first send of id 5
+  send(0, kMin, 2, 3, 30);
+  send(0, kMax, 2, 4, 40);
+  send(0, -1, 1, 5, 50);
+  send(0, 9, 2, 6, 60);  // never received
+  for (std::size_t k = 0; k < clash.size(); ++k) {
+    send(0, clash[k], 1, 7, static_cast<std::uint32_t>(k));
+  }
+  t.events(0).push_back(coll(EventType::CollBegin, CollectiveKind::Allreduce, 1, 0, ts += 1e-3));
+  t.events(0).push_back(coll(EventType::CollEnd, CollectiveKind::Allreduce, 1, 0, ts += 1e-3));
+  recv(1, 5, 0);   // retires id 5
+  recv(1, -1, 0);
+  recv(1, 5, 2);   // reopens id 5 ...
+  for (std::size_t k = 0; k < clash.size(); k += 2) recv(1, clash[k], 0);
+  recv(1, 0, 2);   // never sent
+  // Ids that share their high bits, completed against id order: a sort that
+  // looked at the top digit only would keep them in completion order.
+  for (const std::int64_t id : {std::int64_t{1} << 40, std::int64_t{3}, std::int64_t{1} << 20}) {
+    send(0, id, 1, 9, 90);
+    recv(1, id, 0);
+  }
+  t.events(1).push_back(coll(EventType::CollBegin, CollectiveKind::Allreduce, 1, 0, ts += 1e-3));
+  t.events(1).push_back(coll(EventType::CollEnd, CollectiveKind::Allreduce, 1, 0, ts += 1e-3));
+  send(2, 5, 1, 8, 80);  // ... and completes it again: a second record for id 5
+  recv(2, kMax, 0);
+  recv(2, kMin, 0);
+  recv(2, kMin, 0);  // reopens kMin, left half-open
+  for (std::size_t k = 1; k < clash.size(); k += 2) recv(2, clash[k], 0);
+  t.events(2).push_back(coll(EventType::CollBegin, CollectiveKind::Allreduce, 1, 0, ts += 1e-3));
+  t.events(2).push_back(coll(EventType::CollEnd, CollectiveKind::Allreduce, 1, 0, ts += 1e-3));
+
+  expect_matcher_and_schedule_match_oracle(t, 48);
+  const std::vector<MessageRecord> msgs = t.match_messages();
+  ASSERT_EQ(msgs.size(), 48u);
+  EXPECT_EQ(msgs.front().tag, 3);  // kMin sorts first
+  EXPECT_EQ(msgs.back().tag, 4);   // kMax sorts last
+  // The two records of id 5 stay in completion order: the overwriting send
+  // (tag 2) paired first, the reopened pair (tag 8) second.
+  std::vector<Tag> id5;
+  for (const MessageRecord& m : msgs) {
+    if (t.at(m.send).msg_id == 5) id5.push_back(m.tag);
+  }
+  EXPECT_EQ(id5, (std::vector<Tag>{2, 8}));
+}
+
+TEST(EdgeRules, MatcherMatchesOracleOnRandomIds) {
+  // Random endpoint streams over the id pools of FlatJoinMatchesMapOracle,
+  // spread over ranks: the sort by id sees dense, duplicated and full-range
+  // ids, so it runs anywhere from one pass to eight.
+  std::size_t messages = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed + 1000);
+    const std::vector<std::int64_t> pool = id_pool(rng, seed);
+    const int ranks = static_cast<int>(rng.uniform_int(1, 5));
+    Trace t(pinning::block(clusters::xeon_rwth(), ranks), {1e-7, 1e-6, 5e-6}, "random-ids");
+    for (Rank r = 0; r < ranks; ++r) {
+      const auto n = rng.uniform_int(0, 120);
+      for (std::int64_t k = 0; k < n; ++k) {
+        const EventType type = rng.bernoulli(0.5) ? EventType::Send : EventType::Recv;
+        Event e = p2p(type, pick(rng, pool), 0, 1.0);
+        e.tag = static_cast<Tag>(k);
+        e.bytes = static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
+        t.events(r).push_back(e);
+      }
+    }
+    const std::vector<MessageRecord> want = oracle_match(t);
+    messages += want.size();
+    expect_same_messages(t.match_messages(), want);
+    if (testing::Test::HasFatalFailure()) FAIL() << "seed " << seed;
+  }
+  EXPECT_GT(messages, 10000u);
+}
+
+TEST(EdgeRules, MatcherCountsHalfMatchedAndPeakOutstanding) {
+  // Two half-matched endpoints (a send never received, a receive never
+  // sent); the peak is reached after rank 0 opened all three of its sends.
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), 2), {1e-7, 1e-6, 5e-6}, "counts");
+  t.events(0).push_back(p2p(EventType::Send, 1, 1, 1.0));
+  t.events(0).push_back(p2p(EventType::Send, 2, 1, 2.0));
+  t.events(0).push_back(p2p(EventType::Send, 3, 1, 3.0));
+  t.events(1).push_back(p2p(EventType::Recv, 1, 0, 4.0));
+  t.events(1).push_back(p2p(EventType::Recv, 2, 0, 5.0));
+  t.events(1).push_back(p2p(EventType::Recv, 4, 0, 6.0));
+
+  const obs::Level saved = obs::level();
+  obs::set_level(obs::Level::Metrics);
+  obs::Counter& half = obs::counter("trace.match.half_matched");
+  obs::Counter& peak = obs::counter("trace.match.peak_outstanding");
+  const std::int64_t half0 = half.value();
+  const std::int64_t peak0 = peak.value();
+  const std::size_t matched = t.match_messages().size();
+  obs::set_level(saved);
+  EXPECT_EQ(matched, 2u);
+  EXPECT_EQ(half.value() - half0, 2);
+  EXPECT_EQ(peak.value() - peak0, 3);
 }
 
 }  // namespace
