@@ -26,7 +26,6 @@
 #include "sync/clc_stream.hpp"
 #include "sync/interpolation.hpp"
 #include "trace/stream_io.hpp"
-#include "trace/trace_io.hpp"
 #include "verify/clc_oracle.hpp"
 #include "verify/invariants.hpp"
 #include "workload/sweep.hpp"
@@ -189,7 +188,7 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
   if (stream_events <= 2000000) {
     const auto rss_mem_before = sample_resource_usage();
     const auto alloc_mem_before = allocation_totals();
-    const Trace t = read_trace_file(in_file);
+    const Trace t = read_trace_v2_file(in_file);
     const auto msgs = t.match_messages();
     const auto logical = derive_logical_messages(t);
     const ReplaySchedule schedule(t, msgs, logical);
@@ -213,7 +212,7 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
          {"peak_rss_bytes", static_cast<double>(rss_mem_after.peak_rss_bytes)}});
 
     harness.time("clc_inmemory_correct", cfg, static_cast<std::int64_t>(written), [&] {
-      Trace trace = read_trace_file(in_file);
+      Trace trace = read_trace_v2_file(in_file);
       const auto m = trace.match_messages();
       const auto l = derive_logical_messages(trace);
       const ReplaySchedule sched(trace, m, l);
@@ -347,8 +346,9 @@ int main(int argc, char** argv) {
                      benchkit::do_not_optimize(msgs.size());
                    });
 
-      // Violation analysis: the message-(re)matching path vs. the single-pass
-      // scan over the schedule's CSR edges.
+      // Violation analysis from scratch (message matching, logical-message
+      // derivation, schedule build, CSR scan) vs. the CSR scan alone over the
+      // already-built schedule.
       harness.time("clock_condition_full", base, events, [&] {
         auto rep = check_clock_condition(fx.trace, fx.input);
         benchkit::do_not_optimize(rep.p2p_violations);

@@ -1,4 +1,4 @@
-// Performance — trace subsystem throughput: serialization (binary v1/v2 and
+// Performance — trace subsystem throughput: serialization (binary v2 and
 // text), logical-message derivation, timeline rendering, and the out-of-core
 // streaming scan.
 //
@@ -22,7 +22,6 @@
 #include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/timeline.hpp"
-#include "trace/trace_io.hpp"
 #include "verify/differential.hpp"
 #include "verify/invariants.hpp"
 #include "workload/sweep.hpp"
@@ -97,15 +96,6 @@ std::uint64_t write_synthetic_stream(const std::string& path, int ranks,
   return w.events_written();
 }
 
-void require_reports_equal(const ClockConditionReport& a, const ClockConditionReport& b) {
-  CS_ENSURE(a.p2p_messages == b.p2p_messages && a.p2p_reversed == b.p2p_reversed &&
-                a.p2p_violations == b.p2p_violations &&
-                a.logical_messages == b.logical_messages &&
-                a.logical_violations == b.logical_violations &&
-                a.total_events == b.total_events && a.message_events == b.message_events,
-            "streaming scan diverges from the in-memory pipeline");
-}
-
 /// Out-of-core section: generation throughput, streaming-scan throughput, and
 /// the resident-memory comparison against the in-memory loader.
 void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_events) {
@@ -150,12 +140,12 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
   const auto rss_mem_before = sample_resource_usage();
   const auto alloc_mem_before = allocation_totals();
   {
-    const Trace t = read_trace_file(file);
+    const Trace t = read_trace_v2_file(file);
     const ClockConditionReport in_memory =
         check_clock_condition(t, TimestampArray::from_local(t));
     const auto rss_mem_after = sample_resource_usage();
     const auto alloc_mem_after = allocation_totals();
-    require_reports_equal(streamed, in_memory);
+    CS_ENSURE(streamed == in_memory, "streaming scan diverges from the in-memory pipeline");
     harness.metric(
         "inmemory_scan_memory", cfg,
         {{"events", static_cast<double>(t.total_events())},
@@ -189,12 +179,6 @@ int main(int argc, char** argv) {
   const benchkit::ConfigList base = {{"ranks", std::to_string(ranks)},
                                      {"rounds", std::to_string(rounds)}};
 
-  harness.time("binary_write", base, events, [&] {
-    std::stringstream buf;
-    write_trace(t, buf);
-    benchkit::do_not_optimize(buf.tellp());
-  });
-
   harness.time("v2_write", base, events, [&] {
     std::stringstream buf;
     write_trace_v2(t, buf);
@@ -203,41 +187,24 @@ int main(int argc, char** argv) {
 
   {
     std::stringstream buf;
-    write_trace(t, buf);
-    const std::string blob = buf.str();
-    harness.time("binary_round_trip", base, events, [&] {
-      std::stringstream in(blob);
-      Trace back = read_trace(in);
-      benchkit::do_not_optimize(back.total_events());
-    });
-  }
-
-  {
-    std::stringstream buf;
     write_trace_v2(t, buf);
     const std::string blob = buf.str();
     harness.time("v2_round_trip", base, events, [&] {
       std::stringstream in(blob);
-      Trace back = read_trace(in);
+      Trace back = read_trace_v2(in);
       benchkit::do_not_optimize(back.total_events());
     });
   }
 
-  // Encoded-size comparison of the three formats over the same fixture.
+  // Encoded-size comparison of the two formats over the same fixture.
   {
-    std::stringstream v1;
     std::stringstream v2;
     std::stringstream txt;
-    write_trace(t, v1);
     write_trace_v2(t, v2);
     write_text_trace(t, txt);
-    const auto v1_bytes = static_cast<double>(v1.str().size());
-    const auto v2_bytes = static_cast<double>(v2.str().size());
     harness.metric("format_sizes", base,
-                   {{"v1_bytes", v1_bytes},
-                    {"v2_bytes", v2_bytes},
+                   {{"v2_bytes", static_cast<double>(v2.str().size())},
                     {"text_bytes", static_cast<double>(txt.str().size())},
-                    {"v2_over_v1", v2_bytes / v1_bytes},
                     {"events", static_cast<double>(events)}});
   }
 
@@ -282,8 +249,8 @@ int main(int argc, char** argv) {
   }
 
   // Opt-in audit: the fixture's local timestamps must be structurally sound
-  // (finite, locally ordered) and the three clock-condition scanners must
-  // agree on it field-for-field.
+  // (finite, locally ordered) and both clock-condition scanners must equal
+  // their oracle on it field-for-field.
   if (cli.has("verify")) {
     const auto msgs = t.match_messages();
     const auto logical = derive_logical_messages(t);

@@ -11,7 +11,8 @@
 #include "common/table.hpp"
 #include "sync/interpolation.hpp"
 #include "sync/offset_alignment.hpp"
-#include "trace/trace_io.hpp"
+#include "sync/replay.hpp"
+#include "trace/stream_io.hpp"
 #include "workload/pop.hpp"
 
 using namespace chronosync;
@@ -42,18 +43,19 @@ int main(int argc, char** argv) {
             << timer.name << ")...\n";
   AppRunResult res = run_pop(pop, std::move(job));
 
-  write_trace_file(res.trace, out);
+  write_trace_v2_file(res.trace, out);
   std::cout << "Trace written to " << out << " (" << res.trace.total_events()
             << " events); reading back for analysis.\n\n";
-  Trace trace = read_trace_file(out);
+  Trace trace = read_trace_v2_file(out);
 
-  const auto msgs = trace.match_messages();
-  const auto logical = derive_logical_messages(trace);
+  // The constraint edges depend only on the trace, so one schedule serves
+  // every correction below.
+  const ReplaySchedule schedule(trace, trace.match_messages(), derive_logical_messages(trace));
 
   AsciiTable table({"correction", "p2p reversed [%]", "p2p violations [%]",
                     "collective reversed [%]"});
   auto report = [&](const std::string& name, const TimestampArray& ts) {
-    const auto rep = check_clock_condition(trace, ts, msgs, logical);
+    const auto rep = check_clock_condition(trace, ts, schedule);
     table.add_row({name, AsciiTable::num(rep.p2p_reversed_pct(), 3),
                    AsciiTable::num(rep.p2p_violation_pct(), 3),
                    AsciiTable::num(rep.logical_reversed_pct(), 3)});

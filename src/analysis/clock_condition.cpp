@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/expect.hpp"
 #include "obs/obs.hpp"
 
 namespace chronosync {
@@ -28,61 +29,6 @@ double ClockConditionReport::combined_reversed_pct() const {
 
 ClockConditionReport check_clock_condition(const Trace& trace,
                                            const TimestampArray& timestamps,
-                                           const std::vector<MessageRecord>& messages,
-                                           const std::vector<LogicalMessage>& logical) {
-  CS_SPAN("analysis.clock_condition_full");
-  ClockConditionReport rep;
-
-  for (const auto& m : messages) {
-    ++rep.p2p_messages;
-    const Time ts = timestamps.at(m.send);
-    const Time tr = timestamps.at(m.recv);
-    const Duration l_min = trace.min_latency(m.send.proc, m.recv.proc);
-    if (tr < ts) ++rep.p2p_reversed;
-    if (tr < ts + l_min) {
-      ++rep.p2p_violations;
-      rep.p2p_worst = std::max(rep.p2p_worst, ts + l_min - tr);
-    }
-  }
-
-  for (const auto& lm : logical) {
-    ++rep.logical_messages;
-    const Time ts = timestamps.at(lm.send);
-    const Time tr = timestamps.at(lm.recv);
-    const Duration l_min = trace.min_latency(lm.send.proc, lm.recv.proc);
-    if (tr < ts) ++rep.logical_reversed;
-    if (tr < ts + l_min) {
-      ++rep.logical_violations;
-      rep.logical_worst = std::max(rep.logical_worst, ts + l_min - tr);
-    }
-  }
-
-  rep.total_events = trace.total_events();
-  for (Rank r = 0; r < trace.ranks(); ++r) {
-    for (const Event& e : trace.events(r)) {
-      switch (e.type) {
-        case EventType::Send:
-        case EventType::Recv:
-        case EventType::CollBegin:
-        case EventType::CollEnd:
-          ++rep.message_events;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  return rep;
-}
-
-ClockConditionReport check_clock_condition(const Trace& trace,
-                                           const TimestampArray& timestamps) {
-  return check_clock_condition(trace, timestamps, trace.match_messages(),
-                               derive_logical_messages(trace));
-}
-
-ClockConditionReport check_clock_condition(const Trace& trace,
-                                           const TimestampArray& timestamps,
                                            const ReplaySchedule& schedule) {
   CS_SPAN("analysis.clock_condition_csr");
   ClockConditionReport rep;
@@ -93,8 +39,9 @@ ClockConditionReport check_clock_condition(const Trace& trace,
   std::vector<Time> flat(total);
   for (Rank r = 0; r < trace.ranks(); ++r) {
     const auto& row = timestamps.of_rank(r);
-    const std::uint32_t base = schedule.rank_begin(r);
-    for (std::uint32_t i = 0; i < row.size(); ++i) flat[base + i] = row[i];
+    CS_REQUIRE(row.size() == schedule.rank_size(r),
+               "timestamp array does not match the trace's shape");
+    std::copy(row.begin(), row.end(), flat.begin() + schedule.rank_begin(r));
   }
 
   // One pass over the CSR incoming-edge arrays; each constraint edge is
@@ -102,41 +49,21 @@ ClockConditionReport check_clock_condition(const Trace& trace,
   for (std::uint32_t g = 0; g < total; ++g) {
     const Time tr = flat[g];
     for (const auto& edge : schedule.incoming(g)) {
-      const Time ts = flat[edge.source];
-      if (edge.logical) {
-        ++rep.logical_messages;
-        if (tr < ts) ++rep.logical_reversed;
-        if (tr < ts + edge.l_min) {
-          ++rep.logical_violations;
-          rep.logical_worst = std::max(rep.logical_worst, ts + edge.l_min - tr);
-        }
-      } else {
-        ++rep.p2p_messages;
-        if (tr < ts) ++rep.p2p_reversed;
-        if (tr < ts + edge.l_min) {
-          ++rep.p2p_violations;
-          rep.p2p_worst = std::max(rep.p2p_worst, ts + edge.l_min - tr);
-        }
-      }
+      rep.add_edge(edge.logical, flat[edge.source], tr, edge.l_min);
     }
   }
 
-  rep.total_events = trace.total_events();
   for (Rank r = 0; r < trace.ranks(); ++r) {
-    for (const Event& e : trace.events(r)) {
-      switch (e.type) {
-        case EventType::Send:
-        case EventType::Recv:
-        case EventType::CollBegin:
-        case EventType::CollEnd:
-          ++rep.message_events;
-          break;
-        default:
-          break;
-      }
-    }
+    for (const Event& e : trace.events(r)) rep.add_event(e.type);
   }
   return rep;
+}
+
+ClockConditionReport check_clock_condition(const Trace& trace,
+                                           const TimestampArray& timestamps) {
+  CS_SPAN("analysis.clock_condition_full");
+  const ReplaySchedule schedule(trace, trace.match_messages(), derive_logical_messages(trace));
+  return check_clock_condition(trace, timestamps, schedule);
 }
 
 std::vector<std::tuple<Rank, Rank, std::size_t>> PairViolationMatrix::worst_pairs() const {

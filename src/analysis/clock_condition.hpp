@@ -5,8 +5,14 @@
 //     t_recv >= t_send + l_min          (clock condition)
 // and the stricter observable the paper plots in Fig. 7,
 //     t_recv <  t_send                  (reversed message).
+//
+// In memory the check is one pass over the CSR constraint edges of a
+// ReplaySchedule; trace files are scanned out of core by
+// analysis/clock_condition_stream.hpp.  Both tally through the same
+// ClockConditionReport members, so the per-edge rule is written once.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <tuple>
 #include <vector>
@@ -42,25 +48,51 @@ struct ClockConditionReport {
   double combined_reversed_pct() const;
 
   std::size_t violations() const { return p2p_violations + logical_violations; }
+
+  /// Tallies one constraint edge whose source (send / collective begin) is at
+  /// `ts` and whose target (receive / collective end) is at `tr`.
+  void add_edge(bool logical, Time ts, Time tr, Duration l_min) {
+    std::size_t& messages = logical ? logical_messages : p2p_messages;
+    std::size_t& reversed = logical ? logical_reversed : p2p_reversed;
+    std::size_t& violating = logical ? logical_violations : p2p_violations;
+    Duration& worst = logical ? logical_worst : p2p_worst;
+    ++messages;
+    if (tr < ts) ++reversed;
+    if (tr < ts + l_min) {
+      ++violating;
+      worst = std::max(worst, ts + l_min - tr);
+    }
+  }
+
+  /// Counts one event into the census.
+  void add_event(EventType type) {
+    ++total_events;
+    switch (type) {
+      case EventType::Send:
+      case EventType::Recv:
+      case EventType::CollBegin:
+      case EventType::CollEnd:
+        ++message_events;
+        break;
+      default:
+        break;
+    }
+  }
+
+  bool operator==(const ClockConditionReport&) const = default;
 };
 
-/// Analyzes `timestamps` (any correction output) against the trace structure.
-ClockConditionReport check_clock_condition(const Trace& trace,
-                                           const TimestampArray& timestamps,
-                                           const std::vector<MessageRecord>& messages,
-                                           const std::vector<LogicalMessage>& logical);
-
-/// Convenience: builds the message/collective indexes itself.
-ClockConditionReport check_clock_condition(const Trace& trace,
-                                           const TimestampArray& timestamps);
-
-/// Fast path: a single pass over the CSR constraint edges of an
-/// already-built ReplaySchedule instead of re-matching messages and
-/// re-deriving collectives.  Produces the same report as the message-list
-/// overload when the schedule was built from the same message/logical lists.
+/// Single pass over the CSR constraint edges of an already-built
+/// ReplaySchedule: each edge is one matched p2p or derived logical message.
+/// `timestamps` (any correction output) must have the trace's shape.
 ClockConditionReport check_clock_condition(const Trace& trace,
                                            const TimestampArray& timestamps,
                                            const ReplaySchedule& schedule);
+
+/// Convenience: matches messages, derives the logical ones, builds the
+/// schedule, and scans it.
+ClockConditionReport check_clock_condition(const Trace& trace,
+                                           const TimestampArray& timestamps);
 
 /// Per-(src, dst) message and violation counts — localizes which links
 /// suffer, as a tool would highlight offending process pairs.

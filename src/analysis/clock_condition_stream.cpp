@@ -12,13 +12,10 @@
 #include "trace/edge_rules.hpp"
 #include "trace/io_util.hpp"
 #include "trace/otf_text.hpp"
-#include "trace/trace_io.hpp"
 
 namespace chronosync {
 
 namespace {
-
-constexpr std::uint32_t kMagic = 0x43535452;  // "CSTR"
 
 /// One endpoint of a point-to-point message or collective: its rank and
 /// local timestamp.
@@ -36,15 +33,6 @@ struct CollInstance {
   std::vector<Endpoint> ends;
 };
 
-void check_edge(Time ts, Time tr, Duration l_min, std::size_t& reversed,
-                std::size_t& violations, Duration& worst) {
-  if (tr < ts) ++reversed;
-  if (tr < ts + l_min) {
-    ++violations;
-    worst = std::max(worst, ts + l_min - tr);
-  }
-}
-
 }  // namespace
 
 ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats) {
@@ -59,9 +47,7 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
   edge_rules::MessageJoin<Endpoint> msgs;
   std::unordered_map<std::int64_t, CollInstance> colls;
   auto check_p2p = [&](const Endpoint& send, const Endpoint& recv) {
-    ++rep.p2p_messages;
-    check_edge(send.ts, recv.ts, meta.min_latency(send.rank, recv.rank), rep.p2p_reversed,
-               rep.p2p_violations, rep.p2p_worst);
+    rep.add_edge(/*logical=*/false, send.ts, recv.ts, meta.min_latency(send.rank, recv.rank));
   };
   auto add_coll = [&](const Event& e, const Endpoint& ep) {
     auto& inst = colls[e.coll_id];
@@ -75,20 +61,17 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
   EventBlock block;
   while (reader.next(block)) {
     for (const Event& e : block.events) {
-      ++rep.total_events;
+      rep.add_event(e.type);
       const Endpoint ep{block.rank, e.local_ts};
       switch (e.type) {
         case EventType::Send:
-          ++rep.message_events;
           msgs.send(e.msg_id, ep, check_p2p);
           break;
         case EventType::Recv:
-          ++rep.message_events;
           msgs.recv(e.msg_id, ep, check_p2p);
           break;
         case EventType::CollBegin:
         case EventType::CollEnd:
-          ++rep.message_events;
           add_coll(e, ep);
           break;
         default:
@@ -103,9 +86,7 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
     edge_rules::for_each_logical_edge(
         inst.kind, inst.root, inst.begins, inst.ends, [](const Endpoint& ep) { return ep.rank; },
         [&](const Endpoint& begin, const Endpoint& end) {
-          ++rep.logical_messages;
-          check_edge(begin.ts, end.ts, meta.min_latency(begin.rank, end.rank),
-                     rep.logical_reversed, rep.logical_violations, rep.logical_worst);
+          rep.add_edge(/*logical=*/true, begin.ts, end.ts, meta.min_latency(begin.rank, end.rank));
         });
   }
   if (stats) *stats = local_stats;
@@ -125,18 +106,24 @@ ClockConditionReport scan_clock_condition(std::istream& in, ScanStats* stats) {
   if (got >= 4) std::memcpy(&magic, header, 4);
   if (got == 8) std::memcpy(&version, header + 4, 4);
 
-  if (got == 8 && magic == kMagic && version == 2) {
+  if (got >= 4 && magic == kTraceMagic) {
+    if (got < 8) {
+      throw TraceIoError(TraceIoErrorKind::Truncated, "trace header: stream ended mid-read");
+    }
+    if (version != kTraceVersion) {
+      throw TraceIoError(TraceIoErrorKind::BadVersion,
+                         "expected container version 2, found " + std::to_string(version));
+    }
     TraceReader reader(in, /*header_consumed=*/true);
     return scan_clock_condition(reader, stats);
   }
 
-  // Not a v2 container: replay the sniffed prefix in front of the remaining
-  // bytes so the v1/text readers see the stream from offset zero and report
-  // their own errors (line numbers for text, typed header errors for v1).
+  // Not a binary container: replay the sniffed prefix in front of the
+  // remaining bytes so the text reader sees the stream from offset zero and
+  // reports its own errors (with line numbers).
   traceio::PrefixedStreambuf replay_buf(std::string(header, got), in);
   std::istream replay(&replay_buf);
-  const Trace trace =
-      got >= 4 && magic == kMagic ? read_trace(replay) : read_text_trace(replay);
+  const Trace trace = read_text_trace(replay);
   if (stats) *stats = ScanStats{};
   return check_clock_condition(trace, TimestampArray::from_local(trace));
 }

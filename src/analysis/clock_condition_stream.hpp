@@ -1,13 +1,12 @@
 // Out-of-core clock-condition analysis over trace files.
 //
-// The in-memory pipeline (read_trace -> match_messages -> derive_logical_...
-// -> check_clock_condition) materializes every event, the message index, and
-// a timestamp array — ~150 bytes per event.  The streaming scan consumes a v2
+// The in-memory pipeline (read_trace_v2 -> match_messages ->
+// derive_logical_messages -> ReplaySchedule -> check_clock_condition)
+// materializes every event, the constraint edges, and a timestamp array.  The streaming scan consumes a v2
 // trace chunk-by-chunk through TraceReader and keeps only the per-message
 // pairing state (message endpoints by msg_id, collective instances by
 // coll_id), so resident memory is bounded by the number of *messages*, not
-// events — on region-dominated traces orders of magnitude smaller, and never
-// the full 150 bytes/event of the loader.
+// events — on region-dominated traces orders of magnitude smaller.
 //
 // The report is identical (same counts, same worst-case slack) to
 //   check_clock_condition(trace, TimestampArray::from_local(trace))
@@ -41,12 +40,14 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats 
 
 /// Scans a trace of any supported format from `in`, sniffing at most the
 /// first 8 bytes and never seeking, so pipe-fed streams work.  v2 streams
-/// with bounded memory; binary v1 and text traces replay the sniffed prefix
-/// into their own readers (which also report their own, better errors).
+/// with bounded memory.  Any other "CSTR" header raises TraceIoError
+/// (BadVersion, or Truncated below 8 bytes).  Everything else replays the
+/// sniffed prefix into the text reader, which reports its own errors, and is
+/// checked in memory by check_clock_condition.
 ClockConditionReport scan_clock_condition(std::istream& in, ScanStats* stats = nullptr);
 
-/// Opens `path` and scans it.  v2 files stream with bounded memory; v1 and
-/// text files fall back to the in-memory loader transparently.
+/// Opens `path` and scans it.  v2 files stream with bounded memory; text
+/// files fall back to the in-memory check transparently.
 ClockConditionReport scan_clock_condition_file(const std::string& path,
                                                ScanStats* stats = nullptr);
 

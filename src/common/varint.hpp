@@ -1,6 +1,6 @@
 // LEB128 variable-length integers and zigzag mapping — the wire primitives of
 // the v2 trace container.  Small magnitudes (deltas, ids, ranks) encode in one
-// or two bytes instead of the fixed four/eight of the v1 format.
+// or two bytes instead of a fixed four or eight.
 //
 // Decoders are total functions over untrusted bytes: they never read past
 // `end`, reject overlong encodings (> 10 bytes), and report failure through

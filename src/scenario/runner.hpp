@@ -8,8 +8,9 @@
 //      seconds) to the recorded trace — exactly what a trace collected on
 //      faulty clocks would look like, probes included;
 //   3. audit the raw trace (paper invariants, Eq. 1 violation census);
-//   4. run every correction method + the pairwise differential suite + the
-//      three clock-condition scanners (verify::run_differential_suite);
+//   4. run every correction method + the pairwise differential suite + both
+//      clock-condition scanners against their oracle
+//      (verify::run_differential_suite);
 //   5. run the CLC on the interpolated input and audit its output with zero
 //      slack (Eq. 1 exact, amortization never moves events backward);
 //   6. cross-check the out-of-core windowed streaming CLC bit-for-bit;

@@ -1,40 +1,21 @@
-// Shared low-level helpers of the binary trace readers/writers (v1 and v2).
+// Low-level stream helpers of the trace readers.
 //
 // ByteSource wraps an std::istream with *bounded* reads: when the stream is
 // seekable its total remaining size is measured once up front, and every
 // length/count field is validated against it before any allocation.  On
-// non-seekable streams large reads fall back to incremental chunks so a lying
-// length field fails fast at EOF instead of triggering a huge allocation.
+// non-seekable streams that check is impossible, so callers cap each length
+// field themselves (the v2 reader's 64 MiB chunk limit) and a lying one fails
+// at EOF with Truncated.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <istream>
-#include <ostream>
 #include <string>
 
 #include "trace/trace_io_error.hpp"
 
 namespace chronosync::traceio {
-
-// -- little-endian writers ----------------------------------------------------
-
-inline void put_u32(std::ostream& o, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  o.write(b, 4);
-}
-
-inline void put_u64(std::ostream& o, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  o.write(b, 8);
-}
-
-inline void put_i64(std::ostream& o, std::int64_t v) { put_u64(o, std::bit_cast<std::uint64_t>(v)); }
-inline void put_i32(std::ostream& o, std::int32_t v) { put_u32(o, std::bit_cast<std::uint32_t>(v)); }
-inline void put_f64(std::ostream& o, double v) { put_u64(o, std::bit_cast<std::uint64_t>(v)); }
 
 // -- bounded reader -----------------------------------------------------------
 
@@ -52,9 +33,6 @@ class ByteSource {
     }
     in_.clear();  // a failed probe on a non-seekable stream must not poison reads
   }
-
-  /// Bytes left before EOF, or -1 when the stream is not seekable.
-  std::int64_t remaining() const { return remaining_; }
 
   /// Validates that `n` more bytes exist without consuming them (only
   /// possible when the stream size is known; a no-op otherwise).
@@ -88,35 +66,6 @@ class ByteSource {
     std::uint32_t v;
     std::memcpy(&v, b, 4);
     return v;
-  }
-
-  std::uint64_t get_u64(const char* what) {
-    char b[8];
-    read_exact(b, 8, what);
-    std::uint64_t v;
-    std::memcpy(&v, b, 8);
-    return v;
-  }
-
-  std::int32_t get_i32(const char* what) { return std::bit_cast<std::int32_t>(get_u32(what)); }
-  std::int64_t get_i64(const char* what) { return std::bit_cast<std::int64_t>(get_u64(what)); }
-  double get_f64(const char* what) { return std::bit_cast<double>(get_u64(what)); }
-
-  /// Reads an `n`-byte string.  With a known stream size `n` is validated up
-  /// front; otherwise the string grows in bounded steps so a forged length
-  /// cannot force a giant allocation before the stream runs dry.
-  std::string get_string(std::uint64_t n, const char* what) {
-    need(n, what);
-    std::string s;
-    constexpr std::uint64_t kStep = 1u << 20;
-    while (n > 0) {
-      const std::uint64_t take = n < kStep ? n : kStep;
-      const std::size_t old = s.size();
-      s.resize(old + static_cast<std::size_t>(take));
-      read_exact(s.data() + old, static_cast<std::size_t>(take), what);
-      n -= take;
-    }
-    return s;
   }
 
   /// True when the stream has no byte left.

@@ -15,9 +15,6 @@ namespace chronosync {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x43535452;  // "CSTR", shared with v1
-constexpr std::uint32_t kVersion = 2;
-
 constexpr std::uint8_t kChunkMeta = 'M';
 constexpr std::uint8_t kChunkEvents = 'E';
 constexpr std::uint8_t kChunkFooter = 'Z';
@@ -183,8 +180,8 @@ TraceWriter::TraceWriter(std::ostream& out, TraceMeta meta, std::size_t events_p
 
   // File header.
   char header[8];
-  std::memcpy(header, &kMagic, 4);
-  std::memcpy(header + 4, &kVersion, 4);
+  std::memcpy(header, &kTraceMagic, 4);
+  std::memcpy(header + 4, &kTraceVersion, 4);
   out_.write(header, 8);
   file_crc_ = crc32c(file_crc_, header, 8);
   bytes_written_ += 8;
@@ -320,15 +317,15 @@ void TraceWriter::finish() {
 
 TraceReader::TraceReader(std::istream& in, bool header_consumed) : src_(in) {
   char header[8];
-  std::memcpy(header, &kMagic, 4);
-  std::memcpy(header + 4, &kVersion, 4);
+  std::memcpy(header, &kTraceMagic, 4);
+  std::memcpy(header + 4, &kTraceVersion, 4);
   if (!header_consumed) {
     const std::uint32_t magic = src_.get_u32("trace header");
-    if (magic != kMagic) {
+    if (magic != kTraceMagic) {
       throw TraceIoError(TraceIoErrorKind::BadMagic, "not a chronosync trace stream");
     }
     const std::uint32_t version = src_.get_u32("trace header");
-    if (version != kVersion) {
+    if (version != kTraceVersion) {
       throw TraceIoError(TraceIoErrorKind::BadVersion,
                          "expected container version 2, found " + std::to_string(version));
     }
@@ -487,10 +484,10 @@ TraceIndex index_trace_v2(std::istream& in) {
   std::uint32_t version = 0;
   std::memcpy(&magic, header, 4);
   std::memcpy(&version, header + 4, 4);
-  if (magic != kMagic) {
+  if (magic != kTraceMagic) {
     throw TraceIoError(TraceIoErrorKind::BadMagic, "not a chronosync trace stream");
   }
-  if (version != kVersion) {
+  if (version != kTraceVersion) {
     throw TraceIoError(TraceIoErrorKind::BadVersion,
                        "expected container version 2, found " + std::to_string(version));
   }

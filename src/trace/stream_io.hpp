@@ -1,9 +1,9 @@
-// Streaming, checksummed trace container — format v2.
+// Streaming, checksummed trace container — format v2, the only binary trace
+// format.
 //
-// Motivation: the v1 "CSTR" container loads a whole trace into RAM and trusts
-// on-disk counts blindly.  Long runs (1800–3600 s, the regime where drift
-// effects appear) produce multi-million-event traces; v2 makes them durable,
-// verifiable, and consumable with bounded memory.
+// Long runs (1800–3600 s, the regime where drift effects appear) produce
+// multi-million-event traces; v2 makes them durable, verifiable, and
+// consumable with bounded memory.
 //
 // On-disk layout (all integers little-endian; `uv` = unsigned LEB128 varint,
 // `sv` = zigzag LEB128 varint; doubles are IEEE-754 bit patterns):
@@ -37,9 +37,9 @@
 //
 // The reader validates every length/count against the bytes actually
 // available before allocating, verifies each chunk's CRC before parsing it,
-// and throws TraceIoError on any malformed input — never crashes or UB.  v1
-// files remain readable through the same read_trace()/read_trace_file() entry
-// points, which dispatch on the version field.
+// and throws TraceIoError on any malformed input — never crashes or UB.  A
+// header with any other version (e.g. the retired fixed-width v1 layout)
+// raises TraceIoError{BadVersion}.
 #pragma once
 
 #include <array>
@@ -55,6 +55,10 @@
 #include "trace/trace_io_error.hpp"
 
 namespace chronosync {
+
+/// The 8-byte file header: magic "CSTR", then the container version.
+inline constexpr std::uint32_t kTraceMagic = 0x43535452;
+inline constexpr std::uint32_t kTraceVersion = 2;
 
 /// Trace-level metadata, available before (and without) reading any event.
 struct TraceMeta {
@@ -134,7 +138,7 @@ struct EventBlock {
 class TraceReader {
  public:
   /// `header_consumed` is for dispatchers that already read and verified the
-  /// 8-byte magic/version header (read_trace does).
+  /// 8-byte magic/version header (scan_clock_condition does).
   explicit TraceReader(std::istream& in, bool header_consumed = false);
 
   const TraceMeta& meta() const { return meta_; }

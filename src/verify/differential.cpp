@@ -22,6 +22,7 @@
 #include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
 #include "verify/clc_oracle.hpp"
+#include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync::verify {
 
@@ -225,38 +226,28 @@ namespace {
 
 void compare_reports(const char* what, const ClockConditionReport& a,
                      const ClockConditionReport& b, std::vector<std::string>& failures) {
-  auto mismatch = [&](const char* field, double x, double y) {
-    std::ostringstream os;
-    os << what << ": " << field << " diverges (" << x << " vs " << y << ")";
-    failures.push_back(os.str());
+  if (a == b) return;
+  std::ostringstream os;
+  os << what << ": reports diverge:";
+  auto field = [&](const char* name, double x, double y) {
+    if (x != y) os << ' ' << name << " (" << x << " vs " << y << ")";
   };
-  if (a.p2p_messages != b.p2p_messages)
-    mismatch("p2p_messages", static_cast<double>(a.p2p_messages),
-             static_cast<double>(b.p2p_messages));
-  if (a.p2p_reversed != b.p2p_reversed)
-    mismatch("p2p_reversed", static_cast<double>(a.p2p_reversed),
-             static_cast<double>(b.p2p_reversed));
-  if (a.p2p_violations != b.p2p_violations)
-    mismatch("p2p_violations", static_cast<double>(a.p2p_violations),
-             static_cast<double>(b.p2p_violations));
-  if (a.p2p_worst != b.p2p_worst) mismatch("p2p_worst", a.p2p_worst, b.p2p_worst);
-  if (a.logical_messages != b.logical_messages)
-    mismatch("logical_messages", static_cast<double>(a.logical_messages),
-             static_cast<double>(b.logical_messages));
-  if (a.logical_reversed != b.logical_reversed)
-    mismatch("logical_reversed", static_cast<double>(a.logical_reversed),
-             static_cast<double>(b.logical_reversed));
-  if (a.logical_violations != b.logical_violations)
-    mismatch("logical_violations", static_cast<double>(a.logical_violations),
-             static_cast<double>(b.logical_violations));
-  if (a.logical_worst != b.logical_worst)
-    mismatch("logical_worst", a.logical_worst, b.logical_worst);
-  if (a.total_events != b.total_events)
-    mismatch("total_events", static_cast<double>(a.total_events),
-             static_cast<double>(b.total_events));
-  if (a.message_events != b.message_events)
-    mismatch("message_events", static_cast<double>(a.message_events),
-             static_cast<double>(b.message_events));
+  field("p2p_messages", static_cast<double>(a.p2p_messages), static_cast<double>(b.p2p_messages));
+  field("p2p_reversed", static_cast<double>(a.p2p_reversed), static_cast<double>(b.p2p_reversed));
+  field("p2p_violations", static_cast<double>(a.p2p_violations),
+        static_cast<double>(b.p2p_violations));
+  field("p2p_worst", a.p2p_worst, b.p2p_worst);
+  field("logical_messages", static_cast<double>(a.logical_messages),
+        static_cast<double>(b.logical_messages));
+  field("logical_reversed", static_cast<double>(a.logical_reversed),
+        static_cast<double>(b.logical_reversed));
+  field("logical_violations", static_cast<double>(a.logical_violations),
+        static_cast<double>(b.logical_violations));
+  field("logical_worst", a.logical_worst, b.logical_worst);
+  field("total_events", static_cast<double>(a.total_events), static_cast<double>(b.total_events));
+  field("message_events", static_cast<double>(a.message_events),
+        static_cast<double>(b.message_events));
+  failures.push_back(os.str());
 }
 
 }  // namespace
@@ -265,15 +256,16 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
                               std::vector<std::string>& failures) {
   CS_SPAN("verify.cross_check_scans");
   const TimestampArray local = TimestampArray::from_local(trace);
-  const ClockConditionReport full = check_clock_condition(trace, local);
+  const ClockConditionReport oracle = clock_condition_oracle(
+      trace, local, trace.match_messages(), derive_logical_messages(trace));
   const ClockConditionReport csr = check_clock_condition(trace, local, schedule);
-  compare_reports("full vs CSR scan", full, csr, failures);
+  compare_reports("oracle vs CSR scan", oracle, csr, failures);
 
   std::stringstream v2;
   write_trace_v2(trace, v2);
   TraceReader reader(v2);
   const ClockConditionReport streamed = scan_clock_condition(reader);
-  compare_reports("in-memory vs streaming scan", full, streamed, failures);
+  compare_reports("oracle vs streaming scan", oracle, streamed, failures);
   return 2;
 }
 

@@ -2,10 +2,10 @@
 //
 // Independent implementations that promise the same answer are the cheapest
 // oracle this codebase has: the CLC driver and its replay-order oracle must
-// agree bit-for-bit, the three clock-condition scanners (message re-matching, CSR
-// schedule scan, out-of-core v2 stream scan) must produce identical reports,
-// and the interpolation family collapses to pairwise-identical corrections on
-// degenerate inputs.  This module runs every correction method on one trace,
+// agree bit-for-bit, the two clock-condition scanners (CSR schedule scan,
+// out-of-core v2 stream scan) must equal the message-list oracle field for
+// field, and the interpolation family collapses to pairwise-identical
+// corrections on degenerate inputs.  This module runs every correction method on one trace,
 // compares all outputs pairwise, and checks the declared equivalences — a
 // divergence above tolerance is a bug in one of the implementations, not a
 // property of the data.
@@ -97,10 +97,11 @@ DifferentialReport compare_methods(const Trace& trace,
                                    const std::vector<MethodOutput>& outputs,
                                    double tolerance);
 
-/// Cross-checks the three clock-condition scanners on the trace's local
-/// timestamps: full message re-matching, single-pass CSR scan, and the
-/// streaming v2 scan over an in-memory serialization.  Appends any field
-/// mismatch to `failures` and returns the number of comparisons made.
+/// Cross-checks the clock-condition scanners on the trace's local timestamps
+/// against the message-list oracle (clock_condition_oracle.hpp, over freshly
+/// re-matched messages): the CSR scan over `schedule` and the streaming v2
+/// scan over an in-memory serialization.  Appends any field mismatch to
+/// `failures` and returns the number of comparisons made.
 std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule,
                               std::vector<std::string>& failures);
 

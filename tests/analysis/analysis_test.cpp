@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/clock_condition.hpp"
+#include "analysis/clock_condition_stream.hpp"
 #include "analysis/deviation.hpp"
 #include "analysis/interval_stats.hpp"
 #include "analysis/omp_semantics.hpp"
 #include "sync/offset_alignment.hpp"
 #include "topology/cluster.hpp"
+#include "trace/stream_io.hpp"
+#include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync {
 namespace {
@@ -41,6 +46,51 @@ TEST(ClockCondition, CountsReversedAndViolated) {
   EXPECT_DOUBLE_EQ(rep.message_event_pct(), 100.0);
 }
 
+TEST(ClockCondition, EdgesOnTheBoundsAreClassifiedAlike) {
+  // Binary-exact timestamps and latency put targets exactly on the bounds of
+  // both predicates: t_recv == t_send + l_min satisfies Eq. 1, and
+  // t_recv == t_send violates it without being reversed.  Both scanners and
+  // the oracle must draw both lines at the same place, p2p and logical alike.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.125, 0.25, 0.5}, "bounds");
+  trace.events(0).push_back(make_event(EventType::Send, 1.0, 0, 1));
+  trace.events(0).push_back(make_event(EventType::Send, 2.0, 1, 1));
+  trace.events(1).push_back(make_event(EventType::Recv, 1.5, 0, 0));  // == send + l_min
+  trace.events(1).push_back(make_event(EventType::Recv, 2.0, 1, 0));  // == send
+  // Barrier edges run from each begin to the other rank's end: 3.0 -> 3.5
+  // sits on the Eq. 1 bound, 3.5 -> 3.5 on the reversal bound.
+  const Time begin[2] = {3.0, 3.5};
+  for (Rank r = 0; r < 2; ++r) {
+    Event b = make_event(EventType::CollBegin, begin[r]);
+    b.coll = CollectiveKind::Barrier;
+    b.coll_id = 0;
+    Event e = make_event(EventType::CollEnd, 3.5);
+    e.coll = CollectiveKind::Barrier;
+    e.coll_id = 0;
+    trace.events(r).push_back(b);
+    trace.events(r).push_back(e);
+  }
+
+  ClockConditionReport expected;
+  expected.p2p_messages = 2;
+  expected.p2p_violations = 1;
+  expected.p2p_worst = 0.5;
+  expected.logical_messages = 2;
+  expected.logical_violations = 1;
+  expected.logical_worst = 0.5;
+  expected.total_events = 8;
+  expected.message_events = 8;
+
+  const auto ts = TimestampArray::from_local(trace);
+  EXPECT_EQ(check_clock_condition(trace, ts), expected);
+  EXPECT_EQ(verify::clock_condition_oracle(trace, ts, trace.match_messages(),
+                                           derive_logical_messages(trace)),
+            expected);
+  std::stringstream v2;
+  write_trace_v2(trace, v2);
+  TraceReader reader(v2);
+  EXPECT_EQ(scan_clock_condition(reader), expected);
+}
+
 TEST(ClockCondition, LogicalMessagesChecked) {
   Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
               "test");
@@ -64,9 +114,10 @@ TEST(ClockCondition, LogicalMessagesChecked) {
 }
 
 TEST(ClockCondition, ScanOverloadMatchesMessageListPath) {
-  // The single-pass scan over an already-built ReplaySchedule's CSR edges
-  // must reproduce the message-matching overload field for field — p2p and
-  // logical alike.
+  // The single-pass scan over an already-built ReplaySchedule's CSR edges,
+  // and the convenience overload that builds the schedule itself, must
+  // reproduce the message-list oracle field for field — p2p and logical
+  // alike.
   Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
               "test");
   trace.events(0).push_back(make_event(EventType::Send, 1.0, 0, 1));
@@ -91,18 +142,26 @@ TEST(ClockCondition, ScanOverloadMatchesMessageListPath) {
   const ReplaySchedule schedule(trace, msgs, logical);
   const auto ts = TimestampArray::from_local(trace);
 
-  const auto full = check_clock_condition(trace, ts, msgs, logical);
+  const auto full = verify::clock_condition_oracle(trace, ts, msgs, logical);
   const auto scan = check_clock_condition(trace, ts, schedule);
-  EXPECT_EQ(scan.p2p_messages, full.p2p_messages);
-  EXPECT_EQ(scan.p2p_reversed, full.p2p_reversed);
-  EXPECT_EQ(scan.p2p_violations, full.p2p_violations);
-  EXPECT_DOUBLE_EQ(scan.p2p_worst, full.p2p_worst);
-  EXPECT_EQ(scan.logical_messages, full.logical_messages);
-  EXPECT_EQ(scan.logical_reversed, full.logical_reversed);
-  EXPECT_EQ(scan.logical_violations, full.logical_violations);
-  EXPECT_DOUBLE_EQ(scan.logical_worst, full.logical_worst);
-  EXPECT_EQ(scan.total_events, full.total_events);
-  EXPECT_EQ(scan.message_events, full.message_events);
+  EXPECT_EQ(scan, full);
+  EXPECT_EQ(check_clock_condition(trace, ts), full);
+}
+
+TEST(ClockCondition, RejectsTimestampsOfAnotherShape) {
+  // The CSR scan copies each rank's row into a flat array sized by the
+  // schedule; a longer row must be refused, not written past its end.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Send, 1.0, 0, 1));
+  trace.events(1).push_back(make_event(EventType::Recv, 1.1, 0, 0));
+  Trace longer = trace;
+  longer.events(0).push_back(make_event(EventType::Enter, 2.0));
+  const ReplaySchedule schedule(trace, trace.match_messages(), {});
+  EXPECT_THROW(check_clock_condition(trace, TimestampArray::from_local(longer), schedule),
+               std::invalid_argument);
+  EXPECT_THROW(check_clock_condition(trace, TimestampArray::from_local(longer)),
+               std::invalid_argument);
 }
 
 TEST(ClockCondition, EmptyTraceIsClean) {

@@ -16,6 +16,7 @@
 #include "sync/clc.hpp"
 #include "sync/interpolation.hpp"
 #include "verify/clc_oracle.hpp"
+#include "verify/clock_condition_oracle.hpp"
 #include "workload/sweep.hpp"
 
 namespace chronosync {
@@ -61,7 +62,7 @@ TEST_P(ClcProperty, RepairsEverythingWithoutRegression) {
   const ClcResult clc = controlled_logical_clock(res.trace, schedule, input);
 
   // (1) no violations remain
-  const auto rep = check_clock_condition(res.trace, clc.corrected, msgs, logical);
+  const auto rep = verify::clock_condition_oracle(res.trace, clc.corrected, msgs, logical);
   EXPECT_EQ(rep.violations(), 0u);
 
   for (Rank r = 0; r < res.trace.ranks(); ++r) {
@@ -149,7 +150,7 @@ TEST_P(ClcProperty, BackwardAmortizationNeverReintroducesViolations) {
     opt.backward_slope = slope;
     const ClcResult clc = controlled_logical_clock(res.trace, schedule, input, opt);
 
-    const auto rep = check_clock_condition(res.trace, clc.corrected, msgs, logical);
+    const auto rep = verify::clock_condition_oracle(res.trace, clc.corrected, msgs, logical);
     EXPECT_EQ(rep.violations(), 0u) << "slope=" << slope;
 
     for (Rank r = 0; r < res.trace.ranks(); ++r) {

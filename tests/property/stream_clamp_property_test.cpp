@@ -17,7 +17,6 @@
 #include "topology/cluster.hpp"
 #include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
-#include "trace/trace_io.hpp"
 #include "verify/invariants.hpp"
 #include "workload/sweep.hpp"
 
@@ -65,7 +64,7 @@ TEST(StreamClampProperty, ClampedRunsStillSatisfyAllInvariants) {
       EXPECT_GT(stats.violations_repaired, 0u) << "fixture has nothing to repair";
       if (stats.ramp_clamped > 0) ++clamped_runs;
 
-      const Trace corrected = read_trace_file(out_path);
+      const Trace corrected = read_trace_v2_file(out_path);
       const verify::VerifyReport report =
           checker.check(TimestampArray::from_local(corrected));
       EXPECT_TRUE(report.ok())

@@ -1,7 +1,7 @@
-// Property suite: all three trace serializations (binary v1, binary v2,
-// text) round-trip randomized traces bit-exactly, the formats agree with each
-// other (differential loads), and postmortem analyses — including the
-// streaming out-of-core scan — are invariant under a round trip.
+// Property suite: both trace serializations (binary v2, text) round-trip
+// randomized traces bit-exactly, the formats agree with each other
+// (differential loads), and postmortem analyses — including the streaming
+// out-of-core scan — are invariant under a round trip.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,7 +11,7 @@
 #include "analysis/clock_condition_stream.hpp"
 #include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
-#include "trace/trace_io.hpp"
+#include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync {
 namespace {
@@ -21,26 +21,11 @@ using testutil::traces_equal;
 
 class TraceRoundTrip : public testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TraceRoundTrip, BinaryV1Exact) {
-  Trace t = random_trace(GetParam());
-  std::stringstream buf;
-  write_trace(t, buf);
-  EXPECT_TRUE(traces_equal(t, read_trace(buf)));
-}
-
 TEST_P(TraceRoundTrip, BinaryV2Exact) {
   Trace t = random_trace(GetParam());
   std::stringstream buf;
   write_trace_v2(t, buf);
   EXPECT_TRUE(traces_equal(t, read_trace_v2(buf)));
-}
-
-TEST_P(TraceRoundTrip, BinaryV2ExactThroughDispatch) {
-  // v2 blobs read back through the generic read_trace entry point too.
-  Trace t = random_trace(GetParam());
-  std::stringstream buf;
-  write_trace_v2(t, buf);
-  EXPECT_TRUE(traces_equal(t, read_trace(buf)));
 }
 
 TEST_P(TraceRoundTrip, BinaryV2SmallChunksExact) {
@@ -62,26 +47,15 @@ TEST_P(TraceRoundTrip, DifferentialBinaryVsText) {
   // The binary and text loads of one trace must produce identical objects.
   Trace t = random_trace(GetParam());
   std::stringstream bin;
-  std::stringstream bin2;
   std::stringstream txt;
-  write_trace(t, bin);
-  write_trace_v2(t, bin2);
+  write_trace_v2(t, bin);
   write_text_trace(t, txt);
-  const Trace from_v1 = read_trace(bin);
-  const Trace from_v2 = read_trace(bin2);
-  const Trace from_txt = read_text_trace(txt);
-  EXPECT_TRUE(traces_equal(from_v1, from_txt));
-  EXPECT_TRUE(traces_equal(from_v1, from_v2));
+  EXPECT_TRUE(traces_equal(read_trace_v2(bin), read_text_trace(txt)));
 }
 
 TEST_P(TraceRoundTrip, ExtremeDoublesAllFormats) {
   // Signed zeros, denormals, and range-end doubles survive every format.
   Trace t = random_trace(GetParam(), /*extreme_doubles=*/true);
-  {
-    std::stringstream buf;
-    write_trace(t, buf);
-    EXPECT_TRUE(traces_equal(t, read_trace(buf)));
-  }
   {
     std::stringstream buf;
     write_trace_v2(t, buf);
@@ -97,34 +71,26 @@ TEST_P(TraceRoundTrip, ExtremeDoublesAllFormats) {
 TEST_P(TraceRoundTrip, AnalysisInvariant) {
   Trace t = random_trace(GetParam());
   std::stringstream buf;
-  write_trace(t, buf);
-  Trace back = read_trace(buf);
+  write_trace_v2(t, buf);
+  Trace back = read_trace_v2(buf);
   const auto a = check_clock_condition(t, TimestampArray::from_local(t));
   const auto b = check_clock_condition(back, TimestampArray::from_local(back));
-  EXPECT_EQ(a.p2p_messages, b.p2p_messages);
-  EXPECT_EQ(a.p2p_violations, b.p2p_violations);
-  EXPECT_EQ(a.logical_violations, b.logical_violations);
-  EXPECT_EQ(a.total_events, b.total_events);
+  EXPECT_EQ(a, b);
 }
 
 TEST_P(TraceRoundTrip, StreamingScanMatchesInMemory) {
-  // The out-of-core scan over a v2 stream equals the in-memory pipeline.
+  // The out-of-core scan over a v2 stream and the in-memory CSR scan both
+  // equal the message-list oracle.
   Trace t = random_trace(GetParam());
   std::stringstream buf;
   write_trace_v2(t, buf, /*events_per_chunk=*/7);
   TraceReader reader(buf);
   const auto streamed = scan_clock_condition(reader);
-  const auto in_memory = check_clock_condition(t, TimestampArray::from_local(t));
-  EXPECT_EQ(streamed.p2p_messages, in_memory.p2p_messages);
-  EXPECT_EQ(streamed.p2p_reversed, in_memory.p2p_reversed);
-  EXPECT_EQ(streamed.p2p_violations, in_memory.p2p_violations);
-  EXPECT_DOUBLE_EQ(streamed.p2p_worst, in_memory.p2p_worst);
-  EXPECT_EQ(streamed.logical_messages, in_memory.logical_messages);
-  EXPECT_EQ(streamed.logical_reversed, in_memory.logical_reversed);
-  EXPECT_EQ(streamed.logical_violations, in_memory.logical_violations);
-  EXPECT_DOUBLE_EQ(streamed.logical_worst, in_memory.logical_worst);
-  EXPECT_EQ(streamed.total_events, in_memory.total_events);
-  EXPECT_EQ(streamed.message_events, in_memory.message_events);
+  const TimestampArray local = TimestampArray::from_local(t);
+  const auto oracle = verify::clock_condition_oracle(t, local, t.match_messages(),
+                                                     derive_logical_messages(t));
+  EXPECT_EQ(streamed, oracle);
+  EXPECT_EQ(check_clock_condition(t, local), oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceRoundTrip, testing::Range<std::uint64_t>(1, 21));

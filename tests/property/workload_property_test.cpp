@@ -9,6 +9,7 @@
 #include "analysis/clock_condition.hpp"
 #include "sync/clc.hpp"
 #include "sync/interpolation.hpp"
+#include "verify/clock_condition_oracle.hpp"
 #include "workload/pop.hpp"
 #include "workload/smg2000.hpp"
 #include "workload/sweep.hpp"
@@ -122,7 +123,9 @@ TEST_P(WorkloadProperty, ClcRepairsCompletely) {
   const auto input =
       apply_correction(res.trace, LinearInterpolation::from_store(res.offsets));
   const ClcResult clc = controlled_logical_clock(res.trace, schedule, input);
-  EXPECT_EQ(check_clock_condition(res.trace, clc.corrected, msgs, logical).violations(), 0u);
+  EXPECT_EQ(
+      verify::clock_condition_oracle(res.trace, clc.corrected, msgs, logical).violations(),
+      0u);
 }
 
 TEST_P(WorkloadProperty, DeterministicAcrossRuns) {

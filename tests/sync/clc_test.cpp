@@ -14,6 +14,7 @@
 #include "sync/logical_clock.hpp"
 #include "topology/cluster.hpp"
 #include "verify/clc_oracle.hpp"
+#include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync {
 namespace {
@@ -150,7 +151,7 @@ TEST(Clc, BackwardAmortizationNeverBreaksSends) {
   const ReplaySchedule s(trace, msgs, {});
   const ClcResult res =
       controlled_logical_clock(trace, s, TimestampArray::from_local(trace));
-  const auto rep = check_clock_condition(trace, res.corrected, msgs, {});
+  const auto rep = verify::clock_condition_oracle(trace, res.corrected, msgs, {});
   EXPECT_EQ(rep.violations(), 0u);
 }
 
@@ -173,7 +174,7 @@ TEST(Clc, HandlesCollectiveLogicalMessages) {
   const ClcResult res =
       controlled_logical_clock(trace, s, TimestampArray::from_local(trace));
   EXPECT_GE(res.violations_repaired, 1u);
-  const auto rep = check_clock_condition(trace, res.corrected, {}, logical);
+  const auto rep = verify::clock_condition_oracle(trace, res.corrected, {}, logical);
   EXPECT_EQ(rep.logical_violations, 0u);
 }
 
@@ -192,7 +193,7 @@ TEST(Clc, ChainOfViolationsAllRepaired) {
   const ClcResult res =
       controlled_logical_clock(trace, s, TimestampArray::from_local(trace));
   EXPECT_EQ(res.violations_repaired, 3u);
-  EXPECT_EQ(check_clock_condition(trace, res.corrected, msgs, {}).violations(), 0u);
+  EXPECT_EQ(verify::clock_condition_oracle(trace, res.corrected, msgs, {}).violations(), 0u);
   // The chain accumulates: each hop is at least l_min later.
   EXPECT_GE(res.corrected.at({3, 0}), 1.0 + 3 * 4.29e-6 - 1e-12);
 }
@@ -369,7 +370,7 @@ TEST(ParallelClc, RepairsEverything) {
   const auto input = TimestampArray::from_local(trace);
   const ClcResult res = controlled_logical_clock(trace, s, input);
   EXPECT_GT(res.violations_repaired, 0u);
-  EXPECT_EQ(check_clock_condition(trace, res.corrected, msgs, {}).violations(), 0u);
+  EXPECT_EQ(verify::clock_condition_oracle(trace, res.corrected, msgs, {}).violations(), 0u);
   expect_bit_identical(res, verify::replay_order_clc(trace, s, input), "repairs");
 }
 

@@ -4,6 +4,7 @@
 
 #include "analysis/clock_condition.hpp"
 #include "topology/cluster.hpp"
+#include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync {
 namespace {
@@ -74,7 +75,7 @@ TEST(NodeCoupling, NoNewViolations) {
   const auto input = TimestampArray::from_local(fx.trace);
 
   const NodeCoupledClcResult coupled = node_coupled_clc(fx.trace, schedule, input);
-  const auto rep = check_clock_condition(fx.trace, coupled.clc.corrected, msgs, {});
+  const auto rep = verify::clock_condition_oracle(fx.trace, coupled.clc.corrected, msgs, {});
   EXPECT_EQ(rep.violations(), 0u);
 }
 

@@ -8,7 +8,6 @@
 
 #include "../testutil/random_trace.hpp"
 #include "topology/cluster.hpp"
-#include "trace/trace_io.hpp"
 
 namespace chronosync {
 namespace {
@@ -79,23 +78,6 @@ TEST(StreamIo, RoundTripExact) {
   EXPECT_EQ(c.coll_id, 3);
 }
 
-TEST(StreamIo, DispatchReadsV2) {
-  const Trace t = sample_trace();
-  std::stringstream buf;
-  write_trace_v2(t, buf);
-  const Trace u = read_trace(buf);  // generic entry point
-  EXPECT_EQ(u.total_events(), t.total_events());
-}
-
-TEST(StreamIo, DispatchStillReadsV1) {
-  const Trace t = sample_trace();
-  std::stringstream buf;
-  write_trace(t, buf);  // legacy v1 writer
-  const Trace u = read_trace(buf);
-  EXPECT_EQ(u.total_events(), t.total_events());
-  EXPECT_EQ(u.timer_name(), "intel-tsc");
-}
-
 TEST(StreamIo, MetaAvailableBeforeEvents) {
   const Trace t = sample_trace();
   std::stringstream buf;
@@ -156,9 +138,6 @@ TEST(StreamIo, FileRoundTrip) {
   write_trace_v2_file(t, path);
   const Trace u = read_trace_v2_file(path);
   EXPECT_EQ(u.total_events(), t.total_events());
-  // The generic file entry point dispatches on the version field too.
-  const Trace v = read_trace_file(path);
-  EXPECT_EQ(v.total_events(), t.total_events());
   std::remove(path.c_str());
 }
 
@@ -277,9 +256,10 @@ TEST(StreamIo, RejectsGarbage) {
 }
 
 TEST(StreamIo, RejectsV1HeaderThroughV2Reader) {
-  const Trace t = sample_trace();
-  std::stringstream buf;
-  write_trace(t, buf);
+  // The retired fixed-width v1 container shared the magic; only the version
+  // field told them apart.
+  const std::uint32_t v1_header[2] = {kTraceMagic, 1};
+  std::stringstream buf(std::string(reinterpret_cast<const char*>(v1_header), 8));
   try {
     read_trace_v2(buf);
     FAIL() << "expected TraceIoError";
@@ -342,14 +322,12 @@ TEST(StreamIo, MissingFileThrowsIoError) {
 }
 
 TEST(StreamIo, V2IsSmallerThanV1) {
-  // Delta + varint encoding should beat the fixed-width v1 layout on a
-  // realistic monotone-timestamp trace.
+  // Delta + varint encoding must stay under half the 68-byte fixed-width
+  // record of the retired v1 layout on a realistic monotone-timestamp trace.
   const Trace t = bulk_trace(4, 2000);
-  std::stringstream v1;
   std::stringstream v2;
-  write_trace(t, v1);
   write_trace_v2(t, v2);
-  EXPECT_LT(v2.str().size(), v1.str().size() / 2);
+  EXPECT_LT(v2.str().size(), t.total_events() * 34);
 }
 
 TEST(StreamIo, BytesWrittenMatchesStream) {

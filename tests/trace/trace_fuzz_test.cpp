@@ -1,11 +1,13 @@
 // Deterministic mutation corpus for the trace readers.  Seeds a set of valid
-// blobs in all three formats, then applies structured mutations — single-bit
+// blobs in both formats, then applies structured mutations — single-bit
 // flips, truncations, duplicated/removed/reordered chunks, corrupted CRC
 // fields, and plain garbage — and asserts the readers ALWAYS fail with a
 // typed TraceIoError (v2: every mutation is detectable thanks to the chunk
-// and file checksums) or, for the unchecksummed v1/text formats, either parse
-// successfully or throw TraceIoError.  No mutation may crash, abort, or throw
-// anything else; the suite is also run under ASan/UBSan in CI.
+// and file checksums) or, for the unchecksummed text format, either parse
+// successfully or throw TraceIoError.  The format-sniffing clock-condition
+// scan, whose text fallback builds a ReplaySchedule from whatever parsed, is
+// held to the same rule.  No mutation may crash, abort, or throw anything
+// else; the suite is also run under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,10 +16,10 @@
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
+#include "analysis/clock_condition_stream.hpp"
 #include "common/rng.hpp"
 #include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_io_error.hpp"
 
 namespace chronosync {
@@ -44,8 +46,8 @@ Outcome feed_v2(const std::string& blob) {
   return feed(blob, [](std::istream& in) { read_trace_v2(in); });
 }
 
-Outcome feed_v1(const std::string& blob) {
-  return feed(blob, [](std::istream& in) { read_trace(in); });
+Outcome feed_scan(const std::string& blob) {
+  return feed(blob, [](std::istream& in) { scan_clock_condition(in); });
 }
 
 Outcome feed_text(const std::string& blob) {
@@ -62,7 +64,7 @@ void expect_v2_rejected(const std::string& blob, const std::string& context) {
   }
 }
 
-/// v1/text carry no checksums, so a mutation may produce a different but
+/// Text carries no checksums, so a mutation may produce a different but
 /// well-formed blob; the reader must still never crash or throw a foreign
 /// exception type.
 template <typename FeedFn>
@@ -94,7 +96,6 @@ std::vector<ChunkSpan> chunk_spans(const std::string& blob) {
 }
 
 struct Corpus {
-  std::string v1;
   std::string v2;
   std::string text;
 };
@@ -102,13 +103,10 @@ struct Corpus {
 Corpus make_corpus(std::uint64_t seed, bool extreme) {
   const Trace t = random_trace(seed, extreme);
   Corpus c;
-  std::stringstream b1;
   std::stringstream b2;
   std::stringstream bt;
-  write_trace(t, b1);
   write_trace_v2(t, b2, /*events_per_chunk=*/5);  // many chunk boundaries
   write_text_trace(t, bt);
-  c.v1 = b1.str();
   c.v2 = b2.str();
   c.text = bt.str();
   return c;
@@ -119,9 +117,10 @@ constexpr std::uint64_t kSeeds[] = {3, 17, 42};
 TEST(TraceFuzz, SeedBlobsParseCleanly) {
   for (std::uint64_t seed : kSeeds) {
     const Corpus c = make_corpus(seed, seed % 2 == 0);
-    EXPECT_EQ(feed_v1(c.v1), Outcome::Parsed);
     EXPECT_EQ(feed_v2(c.v2), Outcome::Parsed);
     EXPECT_EQ(feed_text(c.text), Outcome::Parsed);
+    EXPECT_EQ(feed_scan(c.v2), Outcome::Parsed);
+    EXPECT_EQ(feed_scan(c.text), Outcome::Parsed);
   }
 }
 
@@ -140,21 +139,14 @@ TEST(TraceFuzz, BitFlips) {
     }
     for (int i = 0; i < 600; ++i) {
       const std::size_t byte = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.v1.size()) - 1));
-      const int bit = static_cast<int>(rng.uniform_int(0, 7));
-      std::string m = c.v1;
-      m[byte] = static_cast<char>(m[byte] ^ (1 << bit));
-      expect_no_crash(feed_v1, m, "v1 flip byte " + std::to_string(byte) + " bit " +
-                                      std::to_string(bit) + " seed " + std::to_string(seed));
-    }
-    for (int i = 0; i < 600; ++i) {
-      const std::size_t byte = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(c.text.size()) - 1));
       const int bit = static_cast<int>(rng.uniform_int(0, 7));
       std::string m = c.text;
       m[byte] = static_cast<char>(m[byte] ^ (1 << bit));
-      expect_no_crash(feed_text, m, "text flip byte " + std::to_string(byte) + " bit " +
-                                        std::to_string(bit) + " seed " + std::to_string(seed));
+      const std::string context = "text flip byte " + std::to_string(byte) + " bit " +
+                                  std::to_string(bit) + " seed " + std::to_string(seed);
+      expect_no_crash(feed_text, m, context);
+      expect_no_crash(feed_scan, m, context);
     }
   }
 }
@@ -163,19 +155,12 @@ TEST(TraceFuzz, Truncations) {
   for (std::uint64_t seed : kSeeds) {
     const Corpus c = make_corpus(seed, false);
     Rng rng(seed * 104729 + 2);
-    // v2 and v1: every strict prefix must throw; sample plus hit both ends.
+    // v2: every strict prefix must throw.
     for (int i = 0; i < 400; ++i) {
       const std::size_t n = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(c.v2.size()) - 1));
       expect_v2_rejected(c.v2.substr(0, n),
                          "v2 prefix " + std::to_string(n) + " seed " + std::to_string(seed));
-    }
-    for (int i = 0; i < 400; ++i) {
-      const std::size_t n = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.v1.size()) - 1));
-      const Outcome got = feed_v1(c.v1.substr(0, n));
-      EXPECT_EQ(got, Outcome::IoError)
-          << "v1 prefix " << n << " seed " << seed << " was not rejected";
     }
     // Text may truncate exactly at a line boundary, which legitimately
     // parses; only the no-crash guarantee applies.
@@ -254,7 +239,7 @@ TEST(TraceFuzz, RandomGarbage) {
     for (auto& ch : blob) ch = static_cast<char>(rng.uniform_int(0, 255));
     const std::string context = "garbage #" + std::to_string(i);
     EXPECT_NE(feed_v2(blob), Outcome::WrongException) << context;
-    EXPECT_NE(feed_v1(blob), Outcome::WrongException) << context;
+    EXPECT_NE(feed_scan(blob), Outcome::WrongException) << context;
     // Garbage essentially never reproduces a valid header, but the invariant
     // we assert is typed-failure, not which kind.
     expect_no_crash(feed_text, blob, context);
@@ -268,7 +253,6 @@ TEST(TraceFuzz, GarbageAppendedToValidBlob) {
     std::string tail(64, '\0');
     for (auto& ch : tail) ch = static_cast<char>(rng.uniform_int(0, 255));
     expect_v2_rejected(c.v2 + tail, "v2 with trailing garbage, seed " + std::to_string(seed));
-    expect_no_crash(feed_v1, c.v1 + tail, "v1 with trailing garbage");
     expect_no_crash(feed_text, c.text + tail, "text with trailing garbage");
   }
 }

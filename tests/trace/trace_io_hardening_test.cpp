@@ -1,16 +1,19 @@
-// Hardening regressions for the v1 binary reader: truncation at every byte
-// (hence every section boundary), forged count/length fields that used to
-// trigger unchecked huge allocations, and non-seekable streams where the
-// total size cannot be validated up front.
+// Hardening regressions for the binary trace reader: truncation at every byte
+// of an unseekable stream, forged count/length fields behind *valid*
+// checksums (so the parser, not the CRC, must catch them before allocating),
+// and non-seekable streams where the total size cannot be validated up front.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 #include <streambuf>
+#include <vector>
 
+#include "../testutil/random_trace.hpp"
+#include "common/crc32c.hpp"
+#include "common/varint.hpp"
 #include "topology/cluster.hpp"
 #include "trace/stream_io.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_io_error.hpp"
 
 namespace chronosync {
@@ -46,27 +49,81 @@ Trace sample_trace() {
   return t;
 }
 
-std::string v1_blob() {
+std::string v2_blob() {
   std::stringstream buf;
-  write_trace(sample_trace(), buf);
+  write_trace_v2(sample_trace(), buf);
   return buf.str();
 }
 
-// v1 layout offsets of the sample trace (timer "intel-tsc", 3 ranks,
-// regions "main"/"halo", one 68-byte event per rank).
-constexpr std::size_t kOffTimerLen = 8;
-constexpr std::size_t kOffRankCount = 12 + 9;                            // 21
-constexpr std::size_t kOffRegionCount = kOffRankCount + 4 + 3 * 12 + 24; // 85
-constexpr std::size_t kOffRegion0Len = kOffRegionCount + 4;              // 89
-constexpr std::size_t kOffRank0EventCount = kOffRegion0Len + 8 + 8;      // 105
+struct Chunk {
+  char kind;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Splits a well-formed v2 blob into its chunks (the 8-byte header skipped).
+std::vector<Chunk> split(const std::string& blob) {
+  std::vector<Chunk> chunks;
+  std::size_t pos = 8;
+  while (pos < blob.size()) {
+    std::uint32_t len;
+    std::memcpy(&len, blob.data() + pos + 1, 4);
+    const auto* p = reinterpret_cast<const std::uint8_t*>(blob.data() + pos + 5);
+    chunks.push_back({blob[pos], {p, p + len}});
+    pos += 5 + len + 4;
+  }
+  return chunks;
+}
+
+/// Frames `chunks` as a v2 file with valid chunk CRCs and a recomputed
+/// whole-file CRC in the footer, so a forged field is only caught by parsing.
+std::string seal(std::vector<Chunk> chunks) {
+  std::string out(8, '\0');
+  std::memcpy(out.data(), &kTraceMagic, 4);
+  std::memcpy(out.data() + 4, &kTraceVersion, 4);
+  for (Chunk& c : chunks) {
+    if (c.kind == 'Z') {
+      const std::uint32_t file_crc = crc32c(0, out.data(), out.size());
+      std::memcpy(c.payload.data() + c.payload.size() - 4, &file_crc, 4);
+    }
+    const auto len = static_cast<std::uint32_t>(c.payload.size());
+    char hdr[5];
+    hdr[0] = c.kind;
+    std::memcpy(hdr + 1, &len, 4);
+    const std::uint32_t crc = crc32c(crc32c(0, hdr, 5), c.payload.data(), c.payload.size());
+    out.append(hdr, 5);
+    out.append(reinterpret_cast<const char*>(c.payload.data()), c.payload.size());
+    out.append(reinterpret_cast<const char*>(&crc), 4);
+  }
+  return out;
+}
+
+// Payload offsets of the sample trace's chunks: the meta chunk (timer
+// "intel-tsc", 3 ranks with one-byte placements, 3 latencies, regions
+// "main"/"halo") and each one-event event chunk (seq, rank, count, event).
+constexpr std::size_t kMetaTimerLen = 0;
+constexpr std::size_t kMetaRankCount = kMetaTimerLen + 1 + 9;         // 10
+constexpr std::size_t kMetaRegionCount = kMetaRankCount + 1 + 9 + 24;  // 44
+constexpr std::size_t kMetaRegion0Len = kMetaRegionCount + 1;         // 45
+constexpr std::size_t kMetaBytes = kMetaRegion0Len + 2 * (1 + 4);     // 55
+constexpr std::size_t kEventCount = 2;
+constexpr std::size_t kEventType = 3;
+constexpr std::size_t kMetaChunk = 0;
+constexpr std::size_t kRank0Chunk = 1;
+
+/// The sample blob with the one-byte varint at `off` of chunk `chunk`
+/// replaced by the encoding of `value`, resealed.
+std::string forge_varint(std::size_t chunk, std::size_t off, std::uint64_t value) {
+  auto chunks = split(v2_blob());
+  auto& payload = chunks[chunk].payload;
+  std::vector<std::uint8_t> enc;
+  put_uvarint(enc, value);
+  payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(off));
+  payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(off), enc.begin(), enc.end());
+  return seal(std::move(chunks));
+}
 
 std::string patch_u32(std::string blob, std::size_t off, std::uint32_t v) {
   std::memcpy(blob.data() + off, &v, 4);
-  return blob;
-}
-
-std::string patch_u64(std::string blob, std::size_t off, std::uint64_t v) {
-  std::memcpy(blob.data() + off, &v, 8);
   return blob;
 }
 
@@ -92,136 +149,146 @@ class UnseekableStringBuf : public std::streambuf {
   char buf_[64];
 };
 
+/// The kind of TraceIoError that reading `blob` raises, from a seekable
+/// stream or, with `unseekable`, through UnseekableStringBuf.
+TraceIoErrorKind read_error(const std::string& blob, bool unseekable = false) {
+  std::stringstream seekable(blob);
+  UnseekableStringBuf sb(blob);
+  std::istream pipe(&sb);
+  try {
+    read_trace_v2(unseekable ? pipe : static_cast<std::istream&>(seekable));
+  } catch (const TraceIoError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "a forged blob parsed";
+  return TraceIoErrorKind::Io;
+}
+
+/// The kind of TraceIoError the index pass raises on `blob`.
+TraceIoErrorKind index_error(const std::string& blob) {
+  std::stringstream in(blob);
+  try {
+    index_trace_v2(in);
+  } catch (const TraceIoError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "the index pass accepted a forged blob";
+  return TraceIoErrorKind::Io;
+}
+
 TEST(TraceIoHardening, SanityOffsetsMatchFormat) {
-  // If the sample trace or the v1 layout changes, the patch offsets above
-  // must be revisited; this guards them.
-  const std::string blob = v1_blob();
-  ASSERT_EQ(blob.size(), kOffRank0EventCount + 3 * 8 + 3 * 68);
-  std::uint32_t timer_len;
-  std::memcpy(&timer_len, blob.data() + kOffTimerLen, 4);
-  ASSERT_EQ(timer_len, 9u);
-  std::uint32_t nranks;
-  std::memcpy(&nranks, blob.data() + kOffRankCount, 4);
-  ASSERT_EQ(nranks, 3u);
-  std::uint32_t nregions;
-  std::memcpy(&nregions, blob.data() + kOffRegionCount, 4);
-  ASSERT_EQ(nregions, 2u);
+  // If the sample trace or the v2 layout changes, the forging offsets above
+  // must be revisited; this guards them and the resealing helper.
+  const std::string blob = v2_blob();
+  const auto chunks = split(blob);
+  EXPECT_EQ(seal(chunks), blob);
+  ASSERT_EQ(chunks.size(), 5u);
+  EXPECT_EQ(chunks[kMetaChunk].kind, 'M');
+  EXPECT_EQ(chunks[kRank0Chunk].kind, 'E');
+  EXPECT_EQ(chunks.back().kind, 'Z');
+  const auto& meta = chunks[kMetaChunk].payload;
+  ASSERT_EQ(meta.size(), kMetaBytes);
+  EXPECT_EQ(meta[kMetaTimerLen], 9u);
+  EXPECT_EQ(meta[kMetaRankCount], 3u);
+  EXPECT_EQ(meta[kMetaRegionCount], 2u);
+  EXPECT_EQ(meta[kMetaRegion0Len], 4u);
+  const auto& events = chunks[kRank0Chunk].payload;
+  EXPECT_EQ(events[kEventCount], 1u);
+  EXPECT_EQ(events[kEventType], static_cast<std::uint8_t>(EventType::Send));
 }
 
 TEST(TraceIoHardening, TruncationAtEveryByteIsRejected) {
-  // Covers every section boundary: header, timer, placement, latencies,
-  // region table, per-rank counts, and event payloads.
-  const std::string blob = v1_blob();
+  // Covers every section boundary — header, chunk framing, meta fields,
+  // event payloads, footer — on a stream whose size the reader cannot learn.
+  const std::string blob = v2_blob();
   for (std::size_t n = 0; n < blob.size(); ++n) {
-    std::stringstream cut(blob.substr(0, n));
-    EXPECT_THROW(read_trace(cut), TraceIoError) << "prefix length " << n;
+    UnseekableStringBuf sb(blob.substr(0, n));
+    std::istream cut(&sb);
+    EXPECT_THROW(read_trace_v2(cut), TraceIoError) << "prefix length " << n;
   }
 }
 
 TEST(TraceIoHardening, ForgedTimerLengthIsRejected) {
-  std::stringstream in(patch_u32(v1_blob(), kOffTimerLen, 0xFFFFFFFFu));
-  try {
-    read_trace(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::Truncated);
-  }
+  const std::string blob = forge_varint(kMetaChunk, kMetaTimerLen, 0xFFFFFFFFu);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, ForgedRankCountIsRejected) {
-  std::stringstream in(patch_u32(v1_blob(), kOffRankCount, 0x7FFFFFFFu));
-  try {
-    read_trace(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::Truncated);
-  }
+  // Rejected before the placement vector is sized from the count.
+  const std::string blob = forge_varint(kMetaChunk, kMetaRankCount, 0x7FFFFFFFu);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, ForgedRegionCountIsRejected) {
-  std::stringstream in(patch_u32(v1_blob(), kOffRegionCount, 0x40000000u));
-  EXPECT_THROW(read_trace(in), TraceIoError);
+  const std::string blob = forge_varint(kMetaChunk, kMetaRegionCount, 0x40000000u);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, ForgedRegionNameLengthIsRejected) {
-  std::stringstream in(patch_u32(v1_blob(), kOffRegion0Len, 0xFFFFFF00u));
-  EXPECT_THROW(read_trace(in), TraceIoError);
+  const std::string blob = forge_varint(kMetaChunk, kMetaRegion0Len, 0xFFFFFF00u);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, ForgedEventCountIsRejected) {
-  // A count of 2^32 events would previously resize() ~350 GB up front.
-  std::stringstream in(patch_u64(v1_blob(), kOffRank0EventCount, 1ull << 32));
-  try {
-    read_trace(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::Truncated);
-  }
+  // 2^32 events would reserve ~340 GB if the count were trusted.
+  const std::string blob = forge_varint(kRank0Chunk, kEventCount, 1ull << 32);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, AbsurdEventCountIsRejected) {
   // Large enough that count * event_size overflows 64 bits.
-  std::stringstream in(patch_u64(v1_blob(), kOffRank0EventCount, ~0ull));
-  try {
-    read_trace(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::Malformed);
-  }
+  const std::string blob = forge_varint(kRank0Chunk, kEventCount, ~0ull);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, InvalidEventTypeIsRejected) {
-  // First u32 of rank 0's first event record.
-  std::stringstream in(patch_u32(v1_blob(), kOffRank0EventCount + 8, 250u));
-  try {
-    read_trace(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::Malformed);
-  }
+  // The type is a raw byte, which a one-byte varint rewrites verbatim.  The
+  // index pass never decodes events; the decoding reader must object.
+  const std::string blob = forge_varint(kRank0Chunk, kEventType, 0x7Fu);
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(read_error(blob, /*unseekable=*/true), TraceIoErrorKind::Malformed);
 }
 
 TEST(TraceIoHardening, UnseekableStreamParsesValidTrace) {
-  UnseekableStringBuf sb(v1_blob());
+  const Trace t = sample_trace();
+  UnseekableStringBuf sb(v2_blob());
   std::istream in(&sb);
-  const Trace u = read_trace(in);
-  EXPECT_EQ(u.ranks(), 3);
-  EXPECT_EQ(u.total_events(), 3u);
+  EXPECT_TRUE(testutil::traces_equal(t, read_trace_v2(in)));
 }
 
 TEST(TraceIoHardening, UnseekableStreamParsesValidV2Trace) {
+  // A randomized trace cut into many small chunks, so chunk framing, CRCs
+  // and the footer all straddle the 64-byte refills of the unseekable buffer.
+  std::uint64_t seed = 1;
+  while (testutil::random_trace(seed).total_events() < 100) ++seed;
+  const Trace t = testutil::random_trace(seed);
   std::stringstream buf;
-  write_trace_v2(sample_trace(), buf);
+  write_trace_v2(t, buf, /*events_per_chunk=*/3);
   UnseekableStringBuf sb(buf.str());
   std::istream in(&sb);
-  const Trace u = read_trace(in);
-  EXPECT_EQ(u.total_events(), 3u);
+  EXPECT_TRUE(testutil::traces_equal(t, read_trace_v2(in)));
 }
 
 TEST(TraceIoHardening, UnseekableStreamRejectsForgedCountsQuickly) {
-  // Without a known stream size the reader cannot pre-validate, but reads
-  // stay incremental: a forged giant count fails at EOF instead of
-  // triggering a giant allocation.
-  {
-    UnseekableStringBuf sb(patch_u32(v1_blob(), kOffTimerLen, 0xFFFFFFFFu));
-    std::istream in(&sb);
-    EXPECT_THROW(read_trace(in), TraceIoError);
-  }
-  {
-    UnseekableStringBuf sb(patch_u64(v1_blob(), kOffRank0EventCount, 1ull << 40));
-    std::istream in(&sb);
-    EXPECT_THROW(read_trace(in), TraceIoError);
-  }
+  // Without a known stream size the reader cannot pre-validate a chunk's
+  // payload_len.  Above the 64 MiB cap it is refused outright; below it, the
+  // allocation stays bounded by the cap and the short stream fails at EOF.
+  constexpr std::size_t kMetaLenField = 8 + 1;
+  EXPECT_EQ(read_error(patch_u32(v2_blob(), kMetaLenField, 0xFFFFFFFFu), /*unseekable=*/true),
+            TraceIoErrorKind::Malformed);
+  EXPECT_EQ(read_error(patch_u32(v2_blob(), kMetaLenField, 1u << 25), /*unseekable=*/true),
+            TraceIoErrorKind::Truncated);
 }
 
 TEST(TraceIoHardening, UnknownVersionIsRejected) {
-  std::stringstream in(patch_u32(v1_blob(), 4, 99u));
-  try {
-    read_trace(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::BadVersion);
-  }
+  EXPECT_EQ(read_error(patch_u32(v2_blob(), 4, 99u)), TraceIoErrorKind::BadVersion);
+  EXPECT_EQ(index_error(patch_u32(v2_blob(), 4, 99u)), TraceIoErrorKind::BadVersion);
 }
 
 }  // namespace

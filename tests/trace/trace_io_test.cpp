@@ -1,11 +1,15 @@
-#include "trace/trace_io.hpp"
-
+// Whole-trace binary I/O (write_trace_v2 / read_trace_v2 and their file
+// forms): every event field, the metadata, and the placement survive a round
+// trip, and failures stay catchable as std::invalid_argument, the type
+// TraceIoError derives from for older call sites.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
 
+#include "../testutil/random_trace.hpp"
 #include "topology/cluster.hpp"
+#include "trace/stream_io.hpp"
 
 namespace chronosync {
 namespace {
@@ -43,8 +47,8 @@ Trace sample_trace() {
 TEST(TraceIo, RoundTripExact) {
   Trace t = sample_trace();
   std::stringstream buf;
-  write_trace(t, buf);
-  Trace u = read_trace(buf);
+  write_trace_v2(t, buf);
+  Trace u = read_trace_v2(buf);
 
   EXPECT_EQ(u.ranks(), t.ranks());
   EXPECT_EQ(u.timer_name(), "intel-tsc");
@@ -71,8 +75,8 @@ TEST(TraceIo, RoundTripExact) {
 TEST(TraceIo, PlacementSurvives) {
   Trace t = sample_trace();
   std::stringstream buf;
-  write_trace(t, buf);
-  Trace u = read_trace(buf);
+  write_trace_v2(t, buf);
+  Trace u = read_trace_v2(buf);
   for (Rank r = 0; r < 3; ++r) {
     EXPECT_TRUE(u.placement().location(r) == t.placement().location(r));
   }
@@ -80,39 +84,29 @@ TEST(TraceIo, PlacementSurvives) {
 
 TEST(TraceIo, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/cs_trace.bin";
-  Trace t = sample_trace();
-  write_trace_file(t, path);
-  Trace u = read_trace_file(path);
-  EXPECT_EQ(u.total_events(), t.total_events());
+  const Trace t = testutil::random_trace(4, /*extreme_doubles=*/true);
+  write_trace_v2_file(t, path);
+  EXPECT_TRUE(testutil::traces_equal(t, read_trace_v2_file(path)));
   std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsGarbage) {
   std::stringstream buf("this is not a trace");
-  EXPECT_THROW(read_trace(buf), std::invalid_argument);
+  EXPECT_THROW(read_trace_v2(buf), std::invalid_argument);
 }
 
 TEST(TraceIo, RejectsTruncated) {
   Trace t = sample_trace();
   std::stringstream buf;
-  write_trace(t, buf);
+  write_trace_v2(t, buf);
   std::string data = buf.str();
   data.resize(data.size() / 2);
   std::stringstream cut(data);
-  EXPECT_THROW(read_trace(cut), std::invalid_argument);
+  EXPECT_THROW(read_trace_v2(cut), std::invalid_argument);
 }
 
 TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW(read_trace_file("/nonexistent/path/trace.bin"), std::invalid_argument);
-}
-
-TEST(TraceIo, DumpMentionsEvents) {
-  Trace t = sample_trace();
-  const std::string s = dump_trace(t);
-  EXPECT_NE(s.find("SEND"), std::string::npos);
-  EXPECT_NE(s.find("RECV"), std::string::npos);
-  EXPECT_NE(s.find("allreduce"), std::string::npos);
-  EXPECT_NE(s.find("intel-tsc"), std::string::npos);
+  EXPECT_THROW(read_trace_v2_file("/nonexistent/path/trace.bin"), std::invalid_argument);
 }
 
 }  // namespace

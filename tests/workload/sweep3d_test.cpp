@@ -5,6 +5,7 @@
 #include "analysis/clock_condition.hpp"
 #include "sync/clc.hpp"
 #include "sync/interpolation.hpp"
+#include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync {
 namespace {
@@ -69,7 +70,9 @@ TEST(Sweep3d, ClcRepairsPipelineChains) {
   const auto input =
       apply_correction(res.trace, LinearInterpolation::from_store(res.offsets));
   const ClcResult clc = controlled_logical_clock(res.trace, schedule, input);
-  EXPECT_EQ(check_clock_condition(res.trace, clc.corrected, msgs, logical).violations(), 0u);
+  EXPECT_EQ(
+      verify::clock_condition_oracle(res.trace, clc.corrected, msgs, logical).violations(),
+      0u);
 }
 
 TEST(Sweep3d, DeterministicAcrossRuns) {

@@ -5,9 +5,9 @@
 //   chronocheck <trace-file> [--slack S]
 //       Audits the file's recorded timestamps against the paper invariants
 //       (finiteness, per-rank local order, Eq. 1 with slack S) and
-//       cross-checks the three clock-condition scanners on it.  Violations of
-//       Eq. 1 are expected on raw traces — that is the paper's point — so
-//       they fail the run only under --strict.
+//       cross-checks both clock-condition scanners against their oracle on
+//       it.  Violations of Eq. 1 are expected on raw traces — that is the
+//       paper's point — so they fail the run only under --strict.
 //
 //   chronocheck --synthetic [--ranks N --rounds R --seed S --tolerance T]
 //       Simulates a drifting-clock run, executes every correction method on
@@ -82,7 +82,6 @@
 #include "sync/replay.hpp"
 #include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_io_error.hpp"
 #include "verify/differential.hpp"
 #include "verify/fault_injection.hpp"
@@ -112,7 +111,7 @@ AppRunResult make_fixture(const Cli& cli) {
 
 int audit_file(const std::string& path, const Cli& cli) {
   std::cout << "chronocheck: auditing " << path << "\n";
-  const Trace trace = read_trace_file(path);
+  const Trace trace = read_trace_v2_file(path);
   const auto messages = trace.match_messages();
   const auto logical = derive_logical_messages(trace);
   const ReplaySchedule schedule(trace, messages, logical);
@@ -275,7 +274,7 @@ int run_faults(const Cli& cli) {
 
 int run_stream(const Cli& cli) {
   const std::string input = cli.get("input", "");
-  const Trace trace = input.empty() ? make_fixture(cli).trace : read_trace_file(input);
+  const Trace trace = input.empty() ? make_fixture(cli).trace : read_trace_v2_file(input);
   std::cout << "chronocheck: windowed streaming CLC vs in-memory on "
             << trace.ranks() << " ranks, " << trace.total_events() << " events\n";
   StreamClcOptions opt;
