@@ -14,6 +14,10 @@ namespace chronosync {
 
 /// Appends the unsigned LEB128 encoding of `v` (1..10 bytes) to `out`.
 inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  if (v < 0x80u) {  // the common one-byte case: small deltas, ids, ranks
+    out.push_back(static_cast<std::uint8_t>(v));
+    return;
+  }
   while (v >= 0x80u) {
     out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
     v >>= 7;
@@ -41,6 +45,11 @@ inline void put_svarint(std::vector<std::uint8_t>& out, std::int64_t v) {
 inline bool get_uvarint(const std::uint8_t** cursor, const std::uint8_t* end,
                         std::uint64_t& out) {
   const std::uint8_t* p = *cursor;
+  if (p != end && *p < 0x80u) {  // one-byte fast path
+    out = *p;
+    *cursor = p + 1;
+    return true;
+  }
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (p == end) return false;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <deque>
 #include <fstream>
-#include <limits>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,6 +18,75 @@
 namespace chronosync {
 
 namespace {
+
+/// Fixed-size blocks of T shared through one free list by every BlockQueue
+/// drawing from the pool.  Blocks live as long as the pool, so the per-rank
+/// windows allocate nothing in the steady state, and their memory peaks with
+/// all ranks' windows together — not with the sum of each rank's own peak,
+/// as per-rank buffers that keep their capacity would.
+template <class T>
+class BlockPool {
+ public:
+  static constexpr std::size_t kBlockSize = 512;  ///< elements per block
+
+  T* get() {
+    if (free_.empty()) {
+      blocks_.push_back(std::make_unique<T[]>(kBlockSize));
+      return blocks_.back().get();
+    }
+    T* block = free_.back();
+    free_.pop_back();
+    return block;
+  }
+  void put(T* block) { free_.push_back(block); }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> blocks_;
+  std::vector<T*> free_;
+};
+
+/// FIFO over blocks from a BlockPool; an empty queue holds no block.
+/// Indices count from the front.
+template <class T>
+class BlockQueue {
+  static constexpr std::size_t kB = BlockPool<T>::kBlockSize;
+
+ public:
+  explicit BlockQueue(BlockPool<T>& pool) : pool_(&pool) {}
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const T& front() const { return (*this)[0]; }
+  T& operator[](std::size_t i) { return at(head_ + i); }
+  const T& operator[](std::size_t i) const { return at(head_ + i); }
+
+  void push_back(const T& v) {
+    const std::size_t k = head_ + size_;
+    if (k == blocks_.size() * kB) blocks_.push_back(pool_->get());
+    at(k) = v;
+    ++size_;
+  }
+  /// Drops the first n elements, returning emptied blocks to the pool.
+  void pop_front(std::size_t n = 1) {
+    head_ += n;
+    size_ -= n;
+    if (size_ != 0 && head_ < kB) return;  // still inside the front block
+    const std::size_t done = size_ == 0 ? blocks_.size() : head_ / kB;
+    for (std::size_t b = 0; b < done; ++b) pool_->put(blocks_[b]);
+    blocks_.erase(blocks_.begin(), blocks_.begin() + static_cast<std::ptrdiff_t>(done));
+    head_ = size_ == 0 ? 0 : head_ % kB;
+  }
+
+ private:
+  T& at(std::size_t k) const { return blocks_[k / kB][k % kB]; }
+
+  BlockPool<T>* pool_;
+  /// In queue order.  A queue spans a few hundred blocks at most, so
+  /// dropping them from the front is cheap.
+  std::vector<T*> blocks_;
+  std::size_t head_ = 0;  ///< front element's index in blocks_.front()
+  std::size_t size_ = 0;
+};
 
 /// Pairing state of one point-to-point message.  Entries are created when an
 /// endpoint's chunk is *read* (so processability can distinguish "send not
@@ -77,14 +143,17 @@ struct Pending {
 };
 
 struct RankState {
+  RankState(BlockPool<Event>& events, BlockPool<Pending>& pending)
+      : ahead(events), pend(pending) {}
+
   std::vector<std::uint32_t> chunks;  ///< indices into TraceIndex::chunks
   std::size_t next_chunk = 0;
-  std::deque<Event> ahead;  ///< read but not yet processed
+  BlockQueue<Event> ahead;  ///< read but not yet processed
 
   clc_kernel::RankClock clock;  ///< forward-pass state
 
   std::uint32_t seq = 0;  ///< events processed so far
-  std::deque<Pending> pend;
+  BlockQueue<Pending> pend;  ///< processed, not yet emitted (the retention window)
   std::uint32_t front_seq = 0;  ///< seq of pend.front()
   std::uint64_t emitted = 0;
   std::size_t sweep_trigger = 0;
@@ -109,7 +178,10 @@ class StreamEngine {
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
     CS_REQUIRE(opts_.emit_batch > 0, "emit_batch must be positive");
 
-    ranks_.resize(static_cast<std::size_t>(index_.meta.ranks()));
+    ranks_.reserve(static_cast<std::size_t>(index_.meta.ranks()));
+    for (Rank r = 0; r < index_.meta.ranks(); ++r) {
+      ranks_.emplace_back(event_blocks_, pending_blocks_);
+    }
     for (std::uint32_t c = 0; c < index_.chunks.size(); ++c) {
       ranks_[static_cast<std::size_t>(index_.chunks[c].rank)].chunks.push_back(c);
     }
@@ -254,16 +326,12 @@ class StreamEngine {
   }
 
   void closure_scan() {
-    for (auto it = colls_.begin(); it != colls_.end();) {
-      CollInst& inst = it->second;
+    colls_.erase_if([&](std::int64_t, CollInst& inst) {
       if (!inst.closed && read_low_ > inst.last_ts + opts_.horizon) inst.closed = true;
-      if (inst.closed && instance_done(inst)) {
-        release_instance(inst);
-        it = colls_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+      if (!inst.closed || !instance_done(inst)) return false;
+      release_instance(inst);
+      return true;
+    });
   }
 
   static bool instance_done(const CollInst& inst) {
@@ -286,8 +354,10 @@ class StreamEngine {
   /// Safety valve for malformed inputs: whatever pairing state survived the
   /// full drain can constrain nothing anymore, so free its holds.
   void release_leftovers() {
-    for (auto& [id, inst] : colls_) release_instance(inst);
-    colls_.clear();
+    colls_.erase_if([&](std::int64_t, CollInst& inst) {
+      release_instance(inst);
+      return true;
+    });
   }
 
   // -- processing -------------------------------------------------------------
@@ -340,15 +410,14 @@ class StreamEngine {
         return all_read_eof_ || read_low_ > e.local_ts + opts_.horizon;
       }
       case EventType::CollEnd: {
-        auto it = colls_.find(e.coll_id);
-        if (it == colls_.end()) return true;  // retired instance straggler
-        const CollInst& inst = it->second;
-        if (!edge_rules::end_takes_edges(inst.kind, inst.root, r, inst.root_end_seen)) {
+        const CollInst* inst = colls_.find(e.coll_id);
+        if (inst == nullptr) return true;  // retired instance straggler
+        if (!edge_rules::end_takes_edges(inst->kind, inst->root, r, inst->root_end_seen)) {
           return true;
         }
         // Closure settles partiality and guarantees the begin set is
         // complete; all processed guarantees their forward values exist.
-        return inst.closed && inst.begins.size() == inst.begins_registered;
+        return inst->closed && inst->begins.size() == inst->begins_registered;
       }
       default:
         return true;  // sends, begins, and local events never have incoming edges
@@ -366,7 +435,9 @@ class StreamEngine {
     p.ts = t;
     CollInst* inst = nullptr;
     bool coll_edges = false;  // a collective end taking its logical edges
-    const MsgState* send = nullptr;
+    bool p2p_edge = false;    // a receive taking its send's edge
+    Rank send_rank = -1;
+    std::uint32_t send_seq = 0;
     switch (e.type) {
       case EventType::Recv: {
         MsgState* m = msgs_find(e.msg_id);
@@ -374,7 +445,9 @@ class StreamEngine {
           const Duration l_min = index_.meta.min_latency(m->send_rank, r);
           bound = clc_kernel::eq1_bound(bound, m->send_lc, l_min);
           ++stats_.p2p_edges;
-          send = m;
+          p2p_edge = true;
+          send_rank = m->send_rank;
+          send_seq = m->send_seq;
         } else if (m != nullptr) {
           // Going ahead without the edge: the matching send (seen or future)
           // must neither expect a cap nor hold its emission for one.
@@ -398,18 +471,16 @@ class StreamEngine {
         break;
       }
       case EventType::CollBegin: {
-        auto it = colls_.find(e.coll_id);
-        if (it != colls_.end()) {
-          inst = &it->second;
+        inst = colls_.find(e.coll_id);
+        if (inst != nullptr) {
           p.holds = 1;  // released when the instance's edges are all applied
           p.id = e.coll_id;
         }
         break;
       }
       case EventType::CollEnd: {
-        auto it = colls_.find(e.coll_id);
-        if (it != colls_.end()) {
-          inst = &it->second;
+        inst = colls_.find(e.coll_id);
+        if (inst != nullptr) {
           coll_edges = inst->closed && !force &&
                        !edge_rules::partial_instance(inst->begins_registered,
                                                      inst->ends_registered);
@@ -443,10 +514,10 @@ class StreamEngine {
     // Post-lc bookkeeping: caps flow backward from this event onto the
     // sources of the edges just applied (the in-memory backward pass's
     // clc_kernel::send_cap).
-    if (send != nullptr) {
-      const Duration l_min = index_.meta.min_latency(send->send_rank, r);
-      cap_apply(send->send_rank, send->send_seq, clc_kernel::send_cap(lc, l_min));
-      hold_release(send->send_rank, send->send_seq);
+    if (p2p_edge) {
+      const Duration l_min = index_.meta.min_latency(send_rank, r);
+      cap_apply(send_rank, send_seq, clc_kernel::send_cap(lc, l_min));
+      hold_release(send_rank, send_seq);
       msgs_erase(e.msg_id);
     }
     if (e.type == EventType::Send) {
@@ -522,47 +593,46 @@ class StreamEngine {
     // the horizon: no receive can legitimately appear anymore, so the
     // backward hold is released and only the compact send record is kept on
     // disk in case a (contract-breaking) receive shows up after all.
-    for (auto it = msgs_.begin(); it != msgs_.end();) {
-      const MsgState& m = it->second;
-      if (m.send_processed && !m.recv_registered && !m.recv_dropped &&
-          read_low_ > m.send_ts + opts_.horizon) {
-        hold_release(m.send_rank, m.send_seq);
-        SpillRecord rec{it->first, m.send_ts, m.send_lc, m.send_rank, m.send_seq};
-        msg_spill_.seekp(0, std::ios::end);
-        const auto off = static_cast<std::uint64_t>(msg_spill_.tellp());
-        msg_spill_.write(reinterpret_cast<const char*>(&rec), sizeof rec);
-        if (!msg_spill_.good()) {
-          throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + msg_spill_path_);
-        }
-        spill_index_[it->first] = off;
-        ++stats_.spilled_msgs;
-        it = msgs_.erase(it);
-      } else {
-        ++it;
+    msgs_.erase_if([&](std::int64_t id, const MsgState& m) {
+      if (!m.send_processed || m.recv_registered || m.recv_dropped ||
+          read_low_ <= m.send_ts + opts_.horizon) {
+        return false;
       }
-    }
+      hold_release(m.send_rank, m.send_seq);
+      SpillRecord rec{id, m.send_ts, m.send_lc, m.send_rank, m.send_seq};
+      msg_spill_.seekp(0, std::ios::end);
+      const auto off = static_cast<std::uint64_t>(msg_spill_.tellp());
+      msg_spill_.write(reinterpret_cast<const char*>(&rec), sizeof rec);
+      if (!msg_spill_.good()) {
+        throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + msg_spill_path_);
+      }
+      spill_index_[id] = off;
+      ++stats_.spilled_msgs;
+      return true;
+    });
   }
 
+  /// The message's pairing state, brought back from the spill file if it was
+  /// spilled, or null.  The pointer lives until msgs_ next changes.
   MsgState* msgs_find(std::int64_t id) {
-    auto it = msgs_.find(id);
-    if (it != msgs_.end()) return &it->second;
-    auto sit = spill_index_.find(id);
-    if (sit == spill_index_.end()) return nullptr;
-    msg_spill_.seekg(static_cast<std::streamoff>(sit->second));
+    if (MsgState* m = msgs_.find(id)) return m;
+    const std::uint64_t* off = spill_index_.find(id);
+    if (off == nullptr) return nullptr;
+    msg_spill_.seekg(static_cast<std::streamoff>(*off));
     SpillRecord rec;
     msg_spill_.read(reinterpret_cast<char*>(&rec), sizeof rec);
     if (!msg_spill_.good()) {
       throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + msg_spill_path_);
     }
-    spill_index_.erase(sit);
-    MsgState m;
+    spill_index_.erase(id);
+    MsgState& m = msgs_[id];
     m.send_ts = rec.send_ts;
     m.send_lc = rec.send_lc;
     m.send_rank = rec.send_rank;
     m.send_seq = rec.send_seq;
     m.send_registered = true;
     m.send_processed = true;
-    return &msgs_.emplace(id, m).first->second;
+    return &m;
   }
 
   void msgs_erase(std::int64_t id) {
@@ -572,7 +642,7 @@ class StreamEngine {
 
   // -- backward amortization & emission ---------------------------------------
 
-  /// Recomputes backward-amortized values over the retention deque (newest to
+  /// Recomputes backward-amortized values over the retention window (newest to
   /// oldest), decides which entries are *final* — provably equal to what the
   /// in-memory backward pass (with the window clamp) would produce no matter
   /// what is processed later — and emits the maximal final prefix.
@@ -684,7 +754,7 @@ class StreamEngine {
       if (!ts_spill_.good()) {
         throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + ts_spill_path_);
       }
-      rs.pend.erase(rs.pend.begin(), rs.pend.begin() + static_cast<std::ptrdiff_t>(k));
+      rs.pend.pop_front(k);
       rs.front_seq += static_cast<std::uint32_t>(k);
       rs.emitted += k;
       resident_ -= k;
@@ -698,58 +768,70 @@ class StreamEngine {
 
   // -- output merge -----------------------------------------------------------
 
-  /// Second pass over the input: re-reads every chunk in file order,
-  /// substitutes the corrected timestamps from the side file, and streams the
-  /// result through TraceWriter into out_path + ".tmp", renamed into place
-  /// only after finish() sealed the footer — a crash mid-merge leaves no
-  /// half-written trace behind under the output name.
+  /// Deletes a file when it goes out of scope, unless disarmed.
+  struct RemoveOnExit {
+    std::string path;
+    bool armed = true;
+    ~RemoveOnExit() {
+      if (armed) std::remove(path.c_str());
+    }
+  };
+
+  /// Second pass over the input: re-reads every chunk in file order (its CRC
+  /// and head checked against the index again), rewrites only the local_ts
+  /// deltas from the corrected timestamps in the side file, copies every
+  /// other field's bytes, and appends the chunk whole to out_path + ".tmp".
+  /// The output keeps the input's chunk layout.  The temporary is renamed
+  /// into place only after finish() sealed the footer, and removed on any
+  /// error, so a failed merge leaves neither a half-written trace under the
+  /// output name nor the temporary behind.
   void merge_output(std::istream& raw_in) {
     CS_SPAN("clc.stream.merge");
     ts_spill_.flush();
     ts_spill_.seekg(0);
 
-    const std::string tmp_path = out_path_ + ".tmp";
-    std::ofstream outf(tmp_path, std::ios::binary | std::ios::trunc);
+    RemoveOnExit tmp{out_path_ + ".tmp"};
+    std::ofstream outf(tmp.path, std::ios::binary | std::ios::trunc);
     if (!outf.good()) {
       throw TraceIoError(TraceIoErrorKind::Io,
-                         "cannot open trace file for writing: " + tmp_path);
+                         "cannot open trace file for writing: " + tmp.path);
     }
     {
-      const std::size_t epc =
-          opts_.events_per_chunk > 0 ? opts_.events_per_chunk : kDefaultEventsPerChunk;
-      TraceWriter writer(outf, index_.meta, epc);
+      TraceWriter writer(outf, index_.meta);
       ChunkReader merge_reader(raw_in, index_);
-      EventBlock block;
       std::vector<double> vals;
+      std::vector<Time> ts;
+      std::vector<std::uint8_t> events;
       // File order is rank-major (the writer enforces it), so this fold over
       // the per-event jumps reproduces finalize_stats' accumulation exactly.
       double total_jump = 0.0;
       for (const ChunkRef& ref : index_.chunks) {
-        merge_reader.read(ref, block);
-        vals.resize(2 * block.events.size());
+        vals.resize(2 * std::size_t{ref.count});
         ts_spill_.read(reinterpret_cast<char*>(vals.data()),
                        static_cast<std::streamsize>(vals.size() * 8));
         if (static_cast<std::size_t>(ts_spill_.gcount()) != vals.size() * 8) {
           throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + ts_spill_path_);
         }
-        for (std::size_t i = 0; i < block.events.size(); ++i) {
-          Event e = block.events[i];
-          e.local_ts = vals[2 * i];
+        ts.resize(ref.count);
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+          ts[i] = vals[2 * i];
           if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
-          writer.append(block.rank, e);
         }
+        merge_reader.read_retimed(ref, ts, events);
+        writer.append_chunk(ref.rank, ref.count, events);
       }
       stats_.total_jump = total_jump;
       writer.finish();
     }
     outf.close();
     if (!outf.good()) {
-      throw TraceIoError(TraceIoErrorKind::Io, "trace write failed: " + tmp_path);
+      throw TraceIoError(TraceIoErrorKind::Io, "trace write failed: " + tmp.path);
     }
-    if (std::rename(tmp_path.c_str(), out_path_.c_str()) != 0) {
+    if (std::rename(tmp.path.c_str(), out_path_.c_str()) != 0) {
       throw TraceIoError(TraceIoErrorKind::Io,
                          "cannot move corrected trace into place: " + out_path_);
     }
+    tmp.armed = false;
   }
 
   ChunkReader reader_;
@@ -760,10 +842,12 @@ class StreamEngine {
   std::string msg_spill_path_;
   std::fstream ts_spill_;
   std::fstream msg_spill_;
+  BlockPool<Event> event_blocks_;
+  BlockPool<Pending> pending_blocks_;
   std::vector<RankState> ranks_;
-  std::unordered_map<std::int64_t, MsgState> msgs_;
-  std::unordered_map<std::int64_t, std::uint64_t> spill_index_;
-  std::unordered_map<std::int64_t, CollInst> colls_;
+  edge_rules::IdTable<MsgState> msgs_;
+  edge_rules::IdTable<std::uint64_t> spill_index_;  ///< spilled msg_id -> file offset
+  edge_rules::IdTable<CollInst> colls_;
   EventBlock block_;
   std::vector<double> emit_buf_;
   StreamClcStats stats_;

@@ -9,12 +9,18 @@
 //   * one read-ahead chunk queue per rank (events read but not processed),
 //   * the forward-pass scalar state per rank,
 //   * the outstanding message/collective pairing backlog (half-open edges),
-//   * a bounded retention deque per rank of processed-but-unemitted events
+//     in edge_rules::IdTable,
+//   * a bounded retention window per rank of processed-but-unemitted events
 //     over which backward amortization is re-swept before emission.
 //
-// Corrected timestamps stream to an on-disk side file as they become final
-// and are merged into a sealed v2 output in one last pass, so peak RSS is
-// bounded by window size plus edge backlog — never by trace length.
+// The read-ahead and retention windows are rings of recycled capacity, so
+// the steady state allocates nothing.  Corrected timestamps stream to an
+// on-disk side file as they become final.  One last pass merges them into a
+// sealed v2 output: it re-reads each input chunk (CRC and head checked
+// against the index again), rewrites only the local_ts deltas, copies every
+// other field's bytes, and appends the chunk whole, so the output keeps the
+// input's chunk layout.  Peak RSS is bounded by window size plus edge
+// backlog — never by trace length.
 //
 // -- Equivalence contract -----------------------------------------------------
 //
@@ -65,8 +71,6 @@ struct StreamClcOptions {
   /// In-memory message-table high-water before processed half-open entries
   /// (sends still awaiting their receive) spill to the on-disk side file.
   std::size_t max_outstanding_msgs = std::size_t{1} << 20;
-  /// Chunk size of the corrected output trace.
-  std::size_t events_per_chunk = 0;  ///< 0 = kDefaultEventsPerChunk
 };
 
 struct StreamClcStats {
@@ -88,11 +92,13 @@ struct StreamClcStats {
 };
 
 /// Corrects `in_path` (a sealed v2 trace) into `out_path` (v2, same events
-/// with local_ts replaced by the corrected timestamps; true_ts preserved).
-/// The output is written to a temporary file and atomically renamed on
-/// success, so a crash or thrown error never leaves a silently truncated
-/// trace at `out_path`.  Throws TraceIoError on any input defect — including
-/// a missing footer — before the output file is created.
+/// and chunk layout with local_ts replaced by the corrected timestamps; every
+/// other field preserved byte for byte).  The output is written to
+/// `out_path` + ".tmp" and atomically renamed on success; a thrown error
+/// removes the temporary and the spill files, so it never leaves a silently
+/// truncated trace at `out_path` nor litter beside it.  Throws TraceIoError
+/// on any input defect — including a missing footer — before the output file
+/// is created.
 StreamClcStats clc_stream_file(const std::string& in_path, const std::string& out_path,
                                const StreamClcOptions& options = {});
 

@@ -10,7 +10,8 @@
 //
 //   1. pair_latency: l_min between two ranks; 0 for a rank's message to
 //      itself, which program order already orders.
-//   2. MessageJoin: the online msg_id join over rank-major order.
+//   2. MessageJoin: the online msg_id join over rank-major order, on the
+//      IdTable that also holds the windowed CLC's pairing state.
 //   3. for_each_source / for_each_logical_edge: which begins of a collective
 //      instance constrain which of its ends.
 #pragma once
@@ -19,6 +20,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,24 +46,24 @@ inline Duration pair_latency(const Placement& placement, const std::array<Durati
   return a == b ? 0.0 : domain_latency(latency, placement.domain(a, b));
 }
 
-// -- 2. online msg_id join ----------------------------------------------------
+// -- 2. id-keyed pairing state and the online msg_id join ----------------------
 
-/// Pairs Send and Recv endpoints by msg_id as they are read, rank-major.  An
-/// id holds at most one half-open entry: a duplicate endpoint of the same side
-/// overwrites it (last wins), the pair is retired the moment its other side
-/// arrives, and an endpoint for an already-retired id opens a fresh entry.
-/// Whatever is still open at the end is half-matched (a tracing-window edge)
-/// and dropped.  Well-formed traces have unique ids, so only malformed inputs
-/// can tell this from a whole-trace join.
+/// Flat hash table from int64 ids (msg_id, coll_id) to `Value`: the pairing
+/// state of every consumer that joins events by id — MessageJoin below and
+/// the windowed CLC's message, spill and collective tables.
 ///
-/// The half-open entries live in 256 flat open-addressing tables picked by
-/// the top byte of a Fibonacci hash of the id; the next bits give the home
-/// slot.  Each table probes linearly, deletes by backward shift (no
-/// tombstones), and doubles on its own at a load above 3/4, so growth never
-/// holds two copies of the whole join at once.  Entries are (id, endpoint)
-/// slots beside a one-byte state array that records the side.
-template <class Endpoint>
-class MessageJoin {
+/// The entries live in 256 flat open-addressing tables picked by the top
+/// byte of a Fibonacci hash of the id; the next bits give the home slot.
+/// Each table probes linearly, deletes by backward shift (no tombstones), and
+/// doubles on its own at a load above 3/4, so growth moves one table's
+/// entries at a time and never holds two copies of the whole.  Entries are
+/// (id, value) slots beside a one-byte state array.  An occupied slot's state
+/// is a nonzero mark chosen by the caller (MessageJoin records an endpoint's
+/// side there), so the mark costs no slot padding.
+template <class Value>
+class IdTable {
+  struct Part;
+
  public:
   static constexpr int kPartitionBits = 8;
   static constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;  // 2^64 / phi
@@ -72,34 +74,108 @@ class MessageJoin {
     return static_cast<std::uint64_t>(id) * kHashMultiplier;
   }
 
-  /// Feeds a send; calls on_pair(send, recv) if it completes a message.
-  template <class OnPair>
-  void send(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
-    add(id, kSend, ep, on_pair);
-  }
-  /// Feeds a receive; calls on_pair(send, recv) if it completes a message.
-  template <class OnPair>
-  void recv(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
-    add(id, kRecv, ep, on_pair);
+  /// A probed position: `id`'s entry, or the empty slot its insertion takes.
+  /// Valid until the table's next insertion or removal.
+  class Slot {
+   public:
+    bool found() const { return part_->state[i_] != kEmpty; }
+    std::uint8_t mark() const { return part_->state[i_]; }
+    Value& value() const { return part_->slots[i_].value; }
+    /// Fills the empty slot with the probed id, `value` and `mark` (nonzero).
+    void insert(Value value, std::uint8_t mark = 1) {
+      part_->state[i_] = mark;
+      part_->slots[i_] = Entry{id_, std::move(value)};
+      ++part_->used;
+      ++table_->size_;
+    }
+    /// Removes the found entry.
+    void erase() { table_->erase_at(*part_, i_); }
+
+   private:
+    friend class IdTable;
+    Slot(IdTable* table, Part* part, std::size_t i, std::int64_t id)
+        : table_(table), part_(part), i_(i), id_(id) {}
+    IdTable* table_;
+    Part* part_;
+    std::size_t i_;
+    std::int64_t id_;
+  };
+
+  /// Probes for `id`.  A full table doubles first, so the slot of an absent
+  /// id is free to fill.
+  Slot probe(std::int64_t id) {
+    const std::uint64_t h = hash(id);
+    Part& p = part_of(h);
+    if (p.used == p.limit) p.grow();
+    return Slot(this, &p, p.find(id, h), id);
   }
 
-  /// Half-open entries now, and their high-water mark.
-  std::size_t outstanding() const { return open_; }
-  std::size_t peak_outstanding() const { return peak_; }
+  /// `id`'s value, or null.  Never grows a table.
+  Value* find(std::int64_t id) {
+    const std::uint64_t h = hash(id);
+    Part& p = part_of(h);
+    if (p.used == 0) return nullptr;
+    const std::size_t i = p.find(id, h);
+    return p.state[i] == kEmpty ? nullptr : &p.slots[i].value;
+  }
+
+  /// `id`'s value, value-initialised under mark 1 first if absent.
+  Value& operator[](std::int64_t id) {
+    Slot s = probe(id);
+    if (!s.found()) s.insert(Value{});
+    return s.value();
+  }
+
+  /// Removes `id`'s entry; false if there is none.
+  bool erase(std::int64_t id) {
+    const std::uint64_t h = hash(id);
+    Part& p = part_of(h);
+    if (p.used == 0) return false;
+    const std::size_t i = p.find(id, h);
+    if (p.state[i] == kEmpty) return false;
+    erase_at(p, i);
+    return true;
+  }
+
+  /// Calls pred(id, value) exactly once per entry, in no defined order, and
+  /// removes the entries it returns true for.  pred must not insert into or
+  /// remove from the table.
+  template <class Pred>
+  void erase_if(Pred&& pred) {
+    for (Part& p : parts_) {
+      if (p.used == 0) continue;
+      // Walk the table once around, starting just after an empty slot (one
+      // exists at load <= 3/4).  A backward shift then only moves entries
+      // not yet visited into the slot being visited, never past the start.
+      std::size_t i = 0;
+      while (p.state[i] != kEmpty) ++i;
+      i = (i + 1) & p.mask;
+      for (std::size_t left = p.mask; left > 0;) {
+        if (p.state[i] != kEmpty && pred(p.slots[i].id, p.slots[i].value)) {
+          erase_at(p, i);  // slot i may now hold a later entry: visit it again
+          continue;
+        }
+        i = (i + 1) & p.mask;
+        --left;
+      }
+    }
+  }
+
+  std::size_t size() const { return size_; }
 
  private:
-  enum : std::uint8_t { kEmpty = 0, kSend = 1, kRecv = 2 };
+  enum : std::uint8_t { kEmpty = 0 };
   static constexpr int kMinSlotBits = 4;
 
-  struct Slot {
+  struct Entry {
     std::int64_t id = 0;
-    Endpoint ep;
+    Value value{};
   };
 
   /// One linear-probing table of mask + 1 slots (none before its first entry).
-  struct Table {
+  struct Part {
     std::vector<std::uint8_t> state;
-    std::vector<Slot> slots;
+    std::vector<Entry> slots;
     std::size_t mask = 0;
     std::size_t used = 0;
     std::size_t limit = 0;  ///< 3/4 of the slots: the most entries before doubling
@@ -116,7 +192,7 @@ class MessageJoin {
     }
     void grow() {
       const std::size_t size = slots.empty() ? std::size_t{1} << kMinSlotBits : 2 * slots.size();
-      Table bigger;
+      Part bigger;
       bigger.state.assign(size, kEmpty);
       bigger.slots.resize(size);
       bigger.mask = size - 1;
@@ -127,48 +203,83 @@ class MessageJoin {
         if (state[i] == kEmpty) continue;
         const std::size_t j = bigger.find(slots[i].id, hash(slots[i].id));
         bigger.state[j] = state[i];
-        bigger.slots[j] = slots[i];
+        bigger.slots[j] = std::move(slots[i]);
       }
       *this = std::move(bigger);
     }
-    /// Empties slot i, shifting later entries of its probe run back so
-    /// every entry stays reachable from its home slot.
-    void erase(std::size_t i) {
-      for (std::size_t j = (i + 1) & mask; state[j] != kEmpty; j = (j + 1) & mask) {
-        // The entry at j may fill the hole at i unless its home lies in (i, j].
-        const std::size_t k = home(hash(slots[j].id));
-        if (((j - k) & mask) >= ((j - i) & mask)) {
-          state[i] = state[j];
-          slots[i] = slots[j];
-          i = j;
-        }
-      }
-      state[i] = kEmpty;
-      --used;
-    }
   };
+
+  Part& part_of(std::uint64_t h) {
+    return parts_[static_cast<std::size_t>(h >> (64 - kPartitionBits))];
+  }
+
+  /// Empties slot i of `p`, shifting later entries of its probe run back so
+  /// every entry stays reachable from its home slot.
+  void erase_at(Part& p, std::size_t i) {
+    for (std::size_t j = (i + 1) & p.mask; p.state[j] != kEmpty; j = (j + 1) & p.mask) {
+      // The entry at j may fill the hole at i unless its home lies in (i, j].
+      const std::size_t k = p.home(hash(p.slots[j].id));
+      if (((j - k) & p.mask) >= ((j - i) & p.mask)) {
+        p.state[i] = p.state[j];
+        p.slots[i] = std::move(p.slots[j]);
+        i = j;
+      }
+    }
+    p.state[i] = kEmpty;
+    if constexpr (!std::is_trivially_copyable_v<Value>) {
+      p.slots[i].value = Value{};  // free what the removed value owned
+    }
+    --p.used;
+    --size_;
+  }
+
+  std::vector<Part> parts_ = std::vector<Part>(std::size_t{1} << kPartitionBits);
+  std::size_t size_ = 0;
+};
+
+/// Pairs Send and Recv endpoints by msg_id as they are read, rank-major.  An
+/// id holds at most one half-open entry: a duplicate endpoint of the same side
+/// overwrites it (last wins), the pair is retired the moment its other side
+/// arrives, and an endpoint for an already-retired id opens a fresh entry.
+/// Whatever is still open at the end is half-matched (a tracing-window edge)
+/// and dropped.  Well-formed traces have unique ids, so only malformed inputs
+/// can tell this from a whole-trace join.  The half-open entries live in an
+/// IdTable whose mark records the entry's side.
+template <class Endpoint>
+class MessageJoin {
+ public:
+  /// Feeds a send; calls on_pair(send, recv) if it completes a message.
+  template <class OnPair>
+  void send(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
+    add(id, kSend, ep, on_pair);
+  }
+  /// Feeds a receive; calls on_pair(send, recv) if it completes a message.
+  template <class OnPair>
+  void recv(std::int64_t id, const Endpoint& ep, OnPair&& on_pair) {
+    add(id, kRecv, ep, on_pair);
+  }
+
+  /// Half-open entries now, and their high-water mark.
+  std::size_t outstanding() const { return open_.size(); }
+  std::size_t peak_outstanding() const { return peak_; }
+
+ private:
+  enum : std::uint8_t { kSend = 1, kRecv = 2 };
 
   template <class OnPair>
   void add(std::int64_t id, std::uint8_t side, const Endpoint& ep, OnPair& on_pair) {
-    const std::uint64_t h = hash(id);
-    Table& t = tables_[static_cast<std::size_t>(h >> (64 - kPartitionBits))];
-    // A full table doubles first, so a fresh id always finds an empty slot.
-    if (t.used == t.limit) t.grow();
-    const std::size_t i = t.find(id, h);
-    if (t.state[i] == kEmpty) {
-      t.state[i] = side;
-      t.slots[i] = Slot{id, ep};
-      ++t.used;
-      peak_ = std::max(peak_, ++open_);
+    typename IdTable<Endpoint>::Slot slot = open_.probe(id);
+    if (!slot.found()) {
+      slot.insert(ep, side);
+      peak_ = std::max(peak_, open_.size());
       return;
     }
-    if (t.state[i] == side) {
-      t.slots[i].ep = ep;
+    if (slot.mark() == side) {
+      slot.value() = ep;
       return;
     }
-    const Endpoint other = t.slots[i].ep;
-    t.erase(i);
-    --open_;
+    const Endpoint other = slot.value();
+    slot.erase();
     if (side == kSend) {
       on_pair(ep, other);
     } else {
@@ -176,8 +287,7 @@ class MessageJoin {
     }
   }
 
-  std::vector<Table> tables_ = std::vector<Table>(std::size_t{1} << kPartitionBits);
-  std::size_t open_ = 0;
+  IdTable<Endpoint> open_;
   std::size_t peak_ = 0;
 };
 

@@ -23,6 +23,9 @@ constexpr std::uint8_t kChunkFooter = 'Z';
 /// even on non-seekable streams.
 constexpr std::uint32_t kMaxChunkPayload = 1u << 26;  // 64 MiB
 
+/// Largest event-chunk head: three 10-byte varints (seq, rank, count).
+constexpr std::uint32_t kMaxEventChunkHead = 30;
+
 /// Smallest possible encoded event: type byte + 12 one-byte varints.
 constexpr std::uint64_t kMinEncodedEvent = 13;
 
@@ -45,23 +48,29 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   throw TraceIoError(TraceIoErrorKind::Malformed, msg);
 }
 
-std::uint64_t get_uv(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
+/// The error path of the field readers below, kept out of line so that they
+/// inline into the decode loops.
+[[noreturn, gnu::cold, gnu::noinline]] void bad_field(const char* what, const char* why) {
+  malformed(std::string(what) + ": " + why);
+}
+
+inline std::uint64_t get_uv(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
   std::uint64_t v = 0;
-  if (!get_uvarint(p, end, v)) malformed(std::string(what) + ": bad varint");
+  if (!get_uvarint(p, end, v)) [[unlikely]] bad_field(what, "bad varint");
   return v;
 }
 
-std::int64_t get_sv(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
+inline std::int64_t get_sv(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
   std::int64_t v = 0;
-  if (!get_svarint(p, end, v)) malformed(std::string(what) + ": bad varint");
+  if (!get_svarint(p, end, v)) [[unlikely]] bad_field(what, "bad varint");
   return v;
 }
 
-std::int32_t get_sv32(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
+inline std::int32_t get_sv32(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
   const std::int64_t v = get_sv(p, end, what);
   if (v < std::numeric_limits<std::int32_t>::min() ||
-      v > std::numeric_limits<std::int32_t>::max()) {
-    malformed(std::string(what) + ": value out of 32-bit range");
+      v > std::numeric_limits<std::int32_t>::max()) [[unlikely]] {
+    bad_field(what, "value out of 32-bit range");
   }
   return static_cast<std::int32_t>(v);
 }
@@ -242,6 +251,23 @@ void TraceWriter::append(Rank rank, const Event& e) {
   ++body_events_;
   ++total_events_;
   if (body_events_ >= events_per_chunk_) flush_chunk();
+}
+
+void TraceWriter::append_chunk(Rank rank, std::uint64_t count,
+                               const std::vector<std::uint8_t>& events) {
+  CS_REQUIRE(!finished_, "append_chunk on a finished TraceWriter");
+  CS_REQUIRE(rank >= 0 && rank < ranks_, "rank outside the placement");
+  CS_REQUIRE(count > 0, "an event chunk holds at least one event");
+  flush_chunk();
+  CS_REQUIRE(rank >= pending_rank_, "events must be appended rank-major");
+  pending_rank_ = rank;
+  std::vector<std::uint8_t> head;
+  put_uvarint(head, chunk_seq_);
+  put_uvarint(head, static_cast<std::uint64_t>(rank));
+  put_uvarint(head, count);
+  emit_chunk(kChunkEvents, head, events);
+  ++chunk_seq_;
+  total_events_ += count;
 }
 
 void TraceWriter::flush_chunk() {
@@ -606,7 +632,7 @@ TraceIndex index_trace_v2_file(const std::string& path) {
 ChunkReader::ChunkReader(std::istream& in, const TraceIndex& index)
     : in_(in), ranks_(index.meta.ranks()) {}
 
-void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
+const std::uint8_t* ChunkReader::load(const ChunkRef& ref) {
   CS_SPAN("trace.read_chunk");
   CS_REQUIRE(ref.rank >= 0 && ref.rank < ranks_, "chunk ref outside the placement");
   in_.clear();
@@ -648,8 +674,55 @@ void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
   if (seq != ref.seq || rank64 != static_cast<std::uint64_t>(ref.rank) || count != ref.count) {
     malformed("event chunk does not match its index entry");
   }
+  return p;
+}
+
+void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
+  const std::uint8_t* p = load(ref);
   out.rank = ref.rank;
-  decode_events(p, end, count, out.events);
+  decode_events(p, payload_.data() + payload_.size(), ref.count, out.events);
+}
+
+void ChunkReader::read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
+                               std::vector<std::uint8_t>& out) {
+  CS_REQUIRE(local_ts.size() == ref.count, "one timestamp per event of the chunk");
+  const std::uint8_t* p = load(ref);
+  const std::uint8_t* end = payload_.data() + payload_.size();
+  out.clear();
+  std::uint64_t prev_local = 0;
+  for (const Time t : local_ts) {
+    if (p == end) malformed("event chunk ends mid-event");
+    const std::uint8_t type = *p++;
+    if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
+    out.push_back(type);
+    get_uv(&p, end, "event local_ts");
+    const std::uint64_t local = std::bit_cast<std::uint64_t>(t);
+    put_svarint(out, static_cast<std::int64_t>(local - prev_local));
+    prev_local = local;
+    // true_ts through thread: skipped by reading them with the decoder's
+    // bounds checks and discarding the values, then copied as they are.
+    const std::uint8_t* kept = p;
+    get_uv(&p, end, "event true_ts");
+    get_uv(&p, end, "event region");
+    get_uv(&p, end, "event peer");
+    get_uv(&p, end, "event tag");
+    get_uv(&p, end, "event bytes");
+    get_uv(&p, end, "event msg_id");
+    if (p == end) malformed("event chunk ends mid-event");
+    const std::uint8_t coll = *p++;
+    if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
+    get_uv(&p, end, "event coll_id");
+    get_uv(&p, end, "event root");
+    get_uv(&p, end, "event omp_instance");
+    get_uv(&p, end, "event thread");
+    out.insert(out.end(), kept, p);
+  }
+  if (p != end) malformed("trailing bytes in event chunk");
+  // Longer timestamp deltas could push a forged maximal chunk past the limit
+  // the writer enforces.
+  if (out.size() > kMaxChunkPayload - kMaxEventChunkHead) {
+    malformed("retimed event chunk exceeds the 64 MiB payload limit");
+  }
 }
 
 // -- conveniences -------------------------------------------------------------

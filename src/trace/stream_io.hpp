@@ -21,7 +21,7 @@
 //   'E' events  one rank's events (rank-major, non-decreasing rank order):
 //                 uv seq (0-based event-chunk index, catches duplicated or
 //                         reordered chunks)
-//                 uv rank, uv count (1 .. events_per_chunk)
+//                 uv rank, uv count (>= 1; the writer cuts at events_per_chunk)
 //                 per event (delta state resets per chunk):
 //                   u8 type
 //                   sv delta(bits(local_ts)) sv delta(bits(true_ts))
@@ -45,6 +45,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,11 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(Rank rank, const Event& e);
+  /// Appends one whole event chunk of rank `rank`: `events` holds `count`
+  /// events encoded as above (delta state reset), as ChunkReader::read_retimed
+  /// produces them.  Events appended one by one before it close their own
+  /// chunk first.  The bytes are framed and checksummed, not re-validated.
+  void append_chunk(Rank rank, std::uint64_t count, const std::vector<std::uint8_t>& events);
   void finish();
 
   bool finished() const { return finished_; }
@@ -206,7 +212,19 @@ class ChunkReader {
   /// chunk regardless of how many are visited.
   void read(const ChunkRef& ref, EventBlock& out);
 
+  /// Re-reads the chunk at `ref`, verified as read() does, without decoding
+  /// its events: writes to `out` the chunk's encoded events with event i's
+  /// local_ts replaced by `local_ts[i]` and every other field's bytes copied
+  /// unchanged after a bounds-checked skip — the input of
+  /// TraceWriter::append_chunk.  Throws TraceIoError on a malformed chunk.
+  void read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
+                    std::vector<std::uint8_t>& out);
+
  private:
+  /// Reads and verifies the chunk at `ref` into payload_; returns where its
+  /// events start.
+  const std::uint8_t* load(const ChunkRef& ref);
+
   std::istream& in_;
   int ranks_;
   std::vector<std::uint8_t> payload_;

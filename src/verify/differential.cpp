@@ -329,8 +329,10 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
         failures.push_back(os.str());
       }
       if (std::bit_cast<std::uint64_t>(b.true_ts) != std::bit_cast<std::uint64_t>(a.true_ts) ||
-          b.type != a.type || b.peer != a.peer || b.msg_id != a.msg_id ||
-          b.coll_id != a.coll_id || b.region != a.region) {
+          b.type != a.type || b.region != a.region || b.peer != a.peer || b.tag != a.tag ||
+          b.bytes != a.bytes || b.msg_id != a.msg_id || b.coll != a.coll ||
+          b.coll_id != a.coll_id || b.root != a.root || b.omp_instance != a.omp_instance ||
+          b.thread != a.thread) {
         std::ostringstream os;
         os << "windowed CLC: rank " << r << " event " << i
            << " non-corrected fields did not survive the round-trip";

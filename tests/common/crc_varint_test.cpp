@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/crc32c.hpp"
+#include "common/rng.hpp"
 #include "common/varint.hpp"
 
 namespace chronosync {
@@ -23,6 +24,42 @@ TEST(Crc32c, KnownVectors) {
   std::vector<std::uint8_t> ascending(32);
   for (std::size_t i = 0; i < 32; ++i) ascending[i] = static_cast<std::uint8_t>(i);
   EXPECT_EQ(crc32c(0, ascending.data(), ascending.size()), 0x46DD794Eu);
+}
+
+// crc32c() may run on the CPU's CRC32 instruction; the slicing-by-8 table
+// path is its oracle.  Every length up to 4 KiB at every 8-byte alignment,
+// split at a random point, so the hardware path's byte-wise head and tail and
+// its word loop all meet the table path; then lengths around and far past
+// its three-stream loop (24 KiB blocks).
+TEST(Crc32c, HardwareMatchesTablePath) {
+  EXPECT_EQ(detail::crc32c_table(0, "", 0), 0u);
+  const std::string check = "123456789";
+  EXPECT_EQ(detail::crc32c_table(0, check.data(), check.size()), 0xE3069283u);
+  const std::vector<std::uint8_t> ones(32, 0xFF);
+  EXPECT_EQ(detail::crc32c_table(0, ones.data(), ones.size()), 0x62A8AB43u);
+
+  constexpr std::size_t kMaxLen = 4096;
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= kMaxLen; ++len) lengths.push_back(len);
+  for (const std::size_t len : {24575, 24576, 24577, 24583, 49151, 49152, 49159, 100003, 262144}) {
+    lengths.push_back(len);
+  }
+  Rng rng(0xC3C3);
+  std::vector<std::uint8_t> buf(lengths.back() + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t align = 0; align < 8; ++align) {
+    const std::uint8_t* data = buf.data() + align;
+    for (const std::size_t len : lengths) {
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng.next());
+      const std::uint32_t want = detail::crc32c_table(seed, data, len);
+      ASSERT_EQ(crc32c(seed, data, len), want) << "align " << align << " len " << len;
+      const auto split = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(len)));
+      const std::uint32_t head = crc32c(seed, data, split);
+      ASSERT_EQ(crc32c(head, data + split, len - split), want)
+          << "align " << align << " len " << len << " split " << split;
+    }
+  }
 }
 
 TEST(Crc32c, PartialUpdatesCompose) {

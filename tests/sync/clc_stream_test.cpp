@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -39,6 +42,19 @@ ClcResult in_memory_clc(const Trace& t, const ClcOptions& opt) {
   return controlled_logical_clock(t, schedule, TimestampArray::from_local(t), opt);
 }
 
+bool same_event(const Event& x, const Event& y) {
+  return x.type == y.type && testutil::same_bits(x.local_ts, y.local_ts) &&
+         testutil::same_bits(x.true_ts, y.true_ts) && x.region == y.region &&
+         x.peer == y.peer && x.tag == y.tag && x.bytes == y.bytes && x.msg_id == y.msg_id &&
+         x.coll == y.coll && x.coll_id == y.coll_id && x.root == y.root &&
+         x.omp_instance == y.omp_instance && x.thread == y.thread;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
 void expect_bit_identical(const Trace& trace, const std::string& out_path,
                           const StreamClcStats& stats, const ClcResult& mem) {
   EXPECT_EQ(stats.ramp_clamped, 0u);
@@ -58,10 +74,11 @@ void expect_bit_identical(const Trace& trace, const std::string& out_path,
     for (std::size_t i = 0; i < in_ev.size(); ++i) {
       ASSERT_TRUE(testutil::same_bits(out_ev[i].local_ts, lc[i]))
           << "rank " << r << " event " << i << ": " << out_ev[i].local_ts << " vs " << lc[i];
-      ASSERT_TRUE(testutil::same_bits(out_ev[i].true_ts, in_ev[i].true_ts))
-          << "true_ts must survive untouched";
-      ASSERT_EQ(out_ev[i].type, in_ev[i].type);
-      ASSERT_EQ(out_ev[i].msg_id, in_ev[i].msg_id);
+      // Every other field must survive untouched: the merge copies their
+      // encoded bytes instead of re-encoding them.
+      Event want = in_ev[i];
+      want.local_ts = out_ev[i].local_ts;
+      ASSERT_TRUE(same_event(out_ev[i], want)) << "rank " << r << " event " << i;
     }
   }
 }
@@ -176,6 +193,75 @@ TEST(ClcStream, TruncatedInputThrowsBeforeAnyOutputExists) {
   EXPECT_THROW(clc_stream_file(in_path, out_path, {}), TraceIoError);
   std::ifstream probe(out_path);
   EXPECT_FALSE(probe.good()) << "no output file may exist after a failed run";
+}
+
+// The output is what the writer makes of the in-memory-corrected trace at the
+// input's chunking, byte for byte: the merge keeps the chunk layout, rewrites
+// the local_ts deltas exactly as the encoder would, and copies every other
+// field's bytes.  The fixture's events are spread over a placement with one
+// rank more, which keeps no events.
+TEST(ClcStream, OutputBytesEqualWriterAtInputChunking) {
+  const ScratchDir scratch(testing::TempDir());
+  const Trace sweep = sweep_fixture(19, /*rounds=*/12);
+  constexpr Rank kEmpty = 2;
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), sweep.ranks() + 1),
+              sweep.domain_min_latency(), sweep.timer_name());
+  for (const std::string& name : sweep.regions()) trace.intern_region(name);
+  for (Rank r = 0; r < sweep.ranks(); ++r) trace.events(r < kEmpty ? r : r + 1) = sweep.events(r);
+  ASSERT_TRUE(trace.events(kEmpty).empty());
+
+  StreamClcOptions opt;
+  opt.emit_batch = 16;
+  opt.backward_window = 1e3;  // no clamping: the in-memory CLC is exact
+  const ClcResult mem = in_memory_clc(trace, opt.clc);
+  Trace corrected = trace;
+  for (Rank r = 0; r < trace.ranks(); ++r) {
+    for (std::size_t i = 0; i < corrected.events(r).size(); ++i) {
+      corrected.events(r)[i].local_ts = mem.corrected.of_rank(r)[i];
+    }
+  }
+
+  for (const std::size_t epc : {std::size_t{3}, std::size_t{64}, kDefaultEventsPerChunk}) {
+    const std::string in_path = scratch.file("chunking_in_" + std::to_string(epc));
+    const std::string out_path = scratch.file("chunking_out_" + std::to_string(epc));
+    write_trace_v2_file(trace, in_path, epc);
+    const StreamClcStats stats = clc_stream_file(in_path, out_path, opt);
+    EXPECT_EQ(stats.ramp_clamped + stats.horizon_dropped + stats.forced, 0u) << epc;
+    EXPECT_GT(stats.violations_repaired, 0u);
+
+    std::ostringstream want;
+    write_trace_v2(corrected, want, epc);
+    const std::string got = file_bytes(out_path);
+    ASSERT_EQ(got.size(), want.str().size()) << "events_per_chunk " << epc;
+    EXPECT_TRUE(got == want.str()) << "events_per_chunk " << epc;
+  }
+}
+
+// Regression: when the final rename failed, the sealed temporary output
+// (<out>.tmp) stayed on disk.  Every file the run created must be gone after
+// any error, and the output path itself must be left as it was.
+TEST(ClcStream, FailedMergeLeavesNoTempFile) {
+  const ScratchDir scratch(testing::TempDir());
+  const Trace trace = sweep_fixture(13, /*rounds=*/10);
+  const std::string in_path = scratch.file("merge_in.cstr");
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/64);
+  // A directory at the output path makes the rename into place fail.
+  const std::string out_path = scratch.file("merge_out.cstr");
+  std::filesystem::create_directory(out_path);
+
+  StreamClcOptions opt;
+  opt.max_outstanding_msgs = 1;  // opens the message spill file as well
+  try {
+    clc_stream_file(in_path, out_path, opt);
+    FAIL() << "expected TraceIoError";
+  } catch (const TraceIoError& e) {
+    EXPECT_EQ(e.kind(), TraceIoErrorKind::Io) << e.what();
+  }
+  for (const char* suffix : {".tmp", ".ts-spill", ".msg-spill"}) {
+    EXPECT_FALSE(std::filesystem::exists(out_path + suffix)) << suffix << " left behind";
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(out_path));
+  EXPECT_TRUE(std::filesystem::is_empty(out_path));
 }
 
 TEST(ClcStream, MissingInputThrowsIoError) {

@@ -6,18 +6,25 @@
 // and file checksums) or, for the unchecksummed text format, either parse
 // successfully or throw TraceIoError.  The format-sniffing clock-condition
 // scan, whose text fallback builds a ReplaySchedule from whatever parsed, is
-// held to the same rule.  No mutation may crash, abort, or throw anything
-// else; the suite is also run under ASan/UBSan in CI.
+// held to the same rule, and so is the windowed CLC (clc_stream_file), whose
+// merge re-parses raw event bytes; it must also leave no file behind when it
+// fails.  No mutation may crash, abort, or throw anything else; the suite is
+// also run under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
 #include "analysis/clock_condition_stream.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
+#include "common/scratch_dir.hpp"
+#include "sync/clc_stream.hpp"
 #include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
@@ -255,6 +262,101 @@ TEST(TraceFuzz, GarbageAppendedToValidBlob) {
     expect_v2_rejected(c.v2 + tail, "v2 with trailing garbage, seed " + std::to_string(seed));
     expect_no_crash(feed_text, c.text + tail, "text with trailing garbage");
   }
+}
+
+/// Recomputes every chunk CRC and the footer's whole-file CRC of a blob with
+/// intact framing, so a payload mutation gets past the checksums to the
+/// parsers behind them.
+std::string reseal(std::string blob) {
+  std::uint32_t file_crc = crc32c(0, blob.data(), 8);
+  for (const ChunkSpan& s : chunk_spans(blob)) {
+    char* chunk = blob.data() + s.off;
+    const std::size_t crc_at = s.size - 4;
+    if (s.kind == 'Z') std::memcpy(chunk + crc_at - 4, &file_crc, 4);
+    const std::uint32_t crc = crc32c(0, chunk, crc_at);
+    std::memcpy(chunk + crc_at, &crc, 4);
+    if (s.kind != 'Z') file_crc = crc32c(file_crc, chunk, s.size);
+  }
+  return blob;
+}
+
+/// Runs the windowed CLC over `blob`: it must either succeed, leaving a
+/// readable output, or throw TraceIoError, leaving no output, temporary or
+/// spill file.  Returns whether it succeeded.
+bool expect_windowed_clc_typed(const ScratchDir& dir, const std::string& blob,
+                               const std::string& context) {
+  const std::string in_path = dir.file("fuzz_in.cstr");
+  const std::string out_path = dir.file("fuzz_out.cstr");
+  std::ofstream(in_path, std::ios::binary | std::ios::trunc)
+      .write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  std::filesystem::remove(out_path);
+  StreamClcOptions opt;
+  opt.emit_batch = 8;
+  opt.max_outstanding_msgs = 4;  // the message spill file takes part too
+  bool ok = false;
+  try {
+    clc_stream_file(in_path, out_path, opt);
+    ok = true;
+  } catch (const TraceIoError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "windowed CLC threw something other than TraceIoError (" << e.what()
+                  << "): " << context;
+  }
+  if (ok) {
+    EXPECT_NO_THROW(read_trace_v2_file(out_path)) << context;
+  } else {
+    EXPECT_FALSE(std::filesystem::exists(out_path)) << "output left behind: " << context;
+  }
+  for (const char* suffix : {".tmp", ".ts-spill", ".msg-spill"}) {
+    EXPECT_FALSE(std::filesystem::exists(out_path + suffix))
+        << suffix << " left behind: " << context;
+  }
+  return ok;
+}
+
+TEST(TraceFuzz, WindowedClcSurvivesMutations) {
+  const ScratchDir dir(testing::TempDir());
+  std::size_t resealed_ok = 0, resealed_rejected = 0;
+  for (std::uint64_t seed : kSeeds) {
+    const Corpus c = make_corpus(seed, seed % 2 == 0);
+    const std::string tag = " seed " + std::to_string(seed);
+    EXPECT_TRUE(expect_windowed_clc_typed(dir, c.v2, "clean blob" + tag));
+    Rng rng(seed * 6007 + 5);
+    // Caught by the index pass: plain bit flips and truncations.
+    for (int i = 0; i < 40; ++i) {
+      std::string m = c.v2;
+      const auto byte = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(m.size()) - 1));
+      m[byte] = static_cast<char>(m[byte] ^ (1 << rng.uniform_int(0, 7)));
+      EXPECT_FALSE(expect_windowed_clc_typed(dir, m, "flip byte " + std::to_string(byte) + tag));
+      const auto n = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(c.v2.size()) - 1));
+      EXPECT_FALSE(
+          expect_windowed_clc_typed(dir, c.v2.substr(0, n), "prefix " + std::to_string(n) + tag));
+    }
+    // Resealed flips inside event payloads reach the processing pass and
+    // the merge, which must each parse them or reject them typed.
+    std::vector<ChunkSpan> events;
+    for (const ChunkSpan& s : chunk_spans(c.v2)) {
+      if (s.kind == 'E') events.push_back(s);
+    }
+    ASSERT_FALSE(events.empty());
+    for (int i = 0; i < 150; ++i) {
+      const ChunkSpan& s = events[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(events.size()) - 1))];
+      std::string m = c.v2;
+      const auto byte = s.off + 5 +
+                        static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(s.size) - 10));
+      m[byte] = static_cast<char>(m[byte] ^ (1 << rng.uniform_int(0, 7)));
+      const std::string context = "resealed flip byte " + std::to_string(byte) + tag;
+      const bool ok = expect_windowed_clc_typed(dir, reseal(m), context);
+      ++(ok ? resealed_ok : resealed_rejected);
+    }
+  }
+  // Not vacuous: resealed flips both reached the output and were rejected.
+  EXPECT_GT(resealed_ok, 50u);
+  EXPECT_GT(resealed_rejected, 50u);
 }
 
 }  // namespace

@@ -359,15 +359,16 @@ std::vector<MessageRecord> oracle_match(const Trace& t) {
 }
 
 using FlatJoin = edge_rules::MessageJoin<std::uint64_t>;
+using FlatTable = edge_rules::IdTable<std::uint64_t>;
 
-/// Inverse of the join's odd hash multiplier mod 2^64 (Newton iteration), so
+/// Inverse of the id table's odd hash multiplier mod 2^64 (Newton iteration), so
 /// a test can pick hashes and derive the ids that have them.
 constexpr std::uint64_t inverse_multiplier() {
-  std::uint64_t x = FlatJoin::kHashMultiplier;  // correct to 3 bits
-  for (int i = 0; i < 5; ++i) x *= 2 - FlatJoin::kHashMultiplier * x;
+  std::uint64_t x = FlatTable::kHashMultiplier;  // correct to 3 bits
+  for (int i = 0; i < 5; ++i) x *= 2 - FlatTable::kHashMultiplier * x;
   return x;
 }
-static_assert(inverse_multiplier() * FlatJoin::kHashMultiplier == 1);
+static_assert(inverse_multiplier() * FlatTable::kHashMultiplier == 1);
 
 /// `count` ids whose hashes share the top 8 + 20 bits: one table, and one
 /// home slot at every table size up to 2^20 slots.
@@ -413,7 +414,7 @@ TEST(EdgeRules, FlatJoinMatchesMapOracle) {
     Rng rng(5);
     const std::vector<std::int64_t> ids = colliding_ids(rng, 64);
     for (const std::int64_t id : ids) {
-      ASSERT_EQ(FlatJoin::hash(id) >> 36, FlatJoin::hash(ids[0]) >> 36);
+      ASSERT_EQ(FlatTable::hash(id) >> 36, FlatTable::hash(ids[0]) >> 36);
     }
   }
   std::size_t pairs = 0, overwrites = 0, reopened = 0, half_open_left = 0;
@@ -467,6 +468,101 @@ TEST(EdgeRules, FlatJoinMatchesMapOracle) {
   EXPECT_GT(reopened, 1000u);
   EXPECT_GT(half_open_left, 1000u);
   EXPECT_GT(max_peak, 30000u);
+}
+
+// The id table the join and the windowed CLC share, against std::unordered_map:
+// insert, overwrite, find, erase and erase_if on the hostile id pools above
+// (int64 extremes, -1 and 0, colliding hashes, reopened ids, and pools wide
+// enough to double a table several times), with the caller's mark riding
+// along.  erase_if must visit every entry exactly once.
+TEST(EdgeRules, IdTableMatchesMapOracle) {
+  struct Want {
+    std::uint64_t value;
+    std::uint8_t mark;
+  };
+  std::size_t reopened = 0, swept = 0, max_size = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 0x2545F4914F6CDD1DULL + 3);
+    const std::vector<std::int64_t> pool = id_pool(rng, seed);
+    const std::size_t ops = pool.size() > 1000 ? 3 * pool.size() : 500;
+
+    FlatTable table;
+    std::unordered_map<std::int64_t, Want> oracle;
+    std::unordered_set<std::int64_t> erased;
+    auto expect_same_contents = [&](const std::string& where) {
+      std::unordered_set<std::int64_t> seen;
+      table.erase_if([&](std::int64_t id, std::uint64_t& v) {
+        EXPECT_TRUE(seen.insert(id).second) << where << ": id " << id << " visited twice";
+        const auto it = oracle.find(id);
+        EXPECT_TRUE(it != oracle.end() && it->second.value == v) << where << ": id " << id;
+        return false;
+      });
+      EXPECT_EQ(seen.size(), oracle.size()) << where;
+    };
+
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      const bool filling = pool.size() > 1000 && op < pool.size();
+      const std::int64_t id = filling ? pool[op] : pick(rng, pool);
+      const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      // Sweeps cost O(size): rarer in the big pools.
+      const std::int64_t sweep_odds = pool.size() > 1000 ? 10000 : 50;
+      const bool sweep = !filling && rng.uniform_int(1, sweep_odds) == 1;
+      const auto roll = filling ? 0 : rng.uniform_int(0, 97);
+      if (sweep) {
+        // Sweep out about a third of the entries.
+        table.erase_if([&](std::int64_t key, std::uint64_t& v) {
+          if (v % 3 != 0) return false;
+          EXPECT_EQ(oracle.erase(key), 1u) << where << ": id " << key;
+          erased.insert(key);
+          return true;
+        });
+        ++swept;
+        expect_same_contents(where);
+      } else if (roll < 45) {
+        // Probe, then insert under a mark or check the entry found.
+        FlatTable::Slot slot = table.probe(id);
+        const auto it = oracle.find(id);
+        ASSERT_EQ(slot.found(), it != oracle.end()) << where;
+        if (slot.found()) {
+          ASSERT_EQ(slot.mark(), it->second.mark) << where;
+          ASSERT_EQ(slot.value(), it->second.value) << where;
+        } else {
+          const auto mark = static_cast<std::uint8_t>(op % 255 + 1);
+          slot.insert(op, mark);
+          oracle[id] = {op, mark};
+          reopened += erased.count(id);
+        }
+      } else if (roll < 60) {
+        // operator[]: an absent id enters under mark 1, a present one keeps
+        // its mark.
+        table[id] = op;
+        const auto [it, inserted] = oracle.try_emplace(id, Want{op, 1});
+        if (inserted) {
+          reopened += erased.count(id);
+        } else {
+          it->second.value = op;
+        }
+      } else if (roll < 80) {
+        const std::uint64_t* v = table.find(id);
+        const auto it = oracle.find(id);
+        ASSERT_EQ(v != nullptr, it != oracle.end()) << where;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second.value) << where;
+        }
+      } else {
+        const bool had = oracle.erase(id) > 0;
+        ASSERT_EQ(table.erase(id), had) << where;
+        if (had) erased.insert(id);
+      }
+      ASSERT_EQ(table.size(), oracle.size()) << where;
+      max_size = std::max(max_size, oracle.size());
+    }
+    expect_same_contents("seed " + std::to_string(seed) + " end");
+  }
+  // Not vacuous: ids came back after removal, sweeps ran, tables grew deep.
+  EXPECT_GT(reopened, 1000u);
+  EXPECT_GT(swept, 1000u);
+  EXPECT_GT(max_size, 30000u);
 }
 
 // -- matcher and CSR schedule on real traces ------------------------------------
