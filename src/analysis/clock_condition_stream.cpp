@@ -102,18 +102,13 @@ ClockConditionReport scan_clock_condition(std::istream& in, ScanStats* stats) {
   const auto got = static_cast<std::size_t>(in.gcount());
   in.clear();
   std::uint32_t magic = 0;
-  std::uint32_t version = 0;
   if (got >= 4) std::memcpy(&magic, header, 4);
-  if (got == 8) std::memcpy(&version, header + 4, 4);
 
   if (got >= 4 && magic == kTraceMagic) {
     if (got < 8) {
       throw TraceIoError(TraceIoErrorKind::Truncated, "trace header: stream ended mid-read");
     }
-    if (version != kTraceVersion) {
-      throw TraceIoError(TraceIoErrorKind::BadVersion,
-                         "expected container version 2, found " + std::to_string(version));
-    }
+    check_trace_header(header);
     TraceReader reader(in, /*header_consumed=*/true);
     return scan_clock_condition(reader, stats);
   }

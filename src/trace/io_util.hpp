@@ -1,11 +1,12 @@
 // Low-level stream helpers of the trace readers.
 //
 // ByteSource wraps an std::istream with *bounded* reads: when the stream is
-// seekable its total remaining size is measured once up front, and every
-// length/count field is validated against it before any allocation.  On
-// non-seekable streams that check is impossible, so callers cap each length
-// field themselves (the v2 reader's 64 MiB chunk limit) and a lying one fails
-// at EOF with Truncated.
+// seekable its end is measured once up front, and every length/count field is
+// validated against the bytes left before any allocation.  On non-seekable
+// streams that check is impossible, so callers cap each length field
+// themselves (the v2 reader's 64 MiB chunk limit) and a lying one fails at EOF
+// with Truncated.  It also tracks the offset of the next byte and seeks, for
+// the chunk index and the random-access chunk reads.
 #pragma once
 
 #include <cstdint>
@@ -24,23 +25,37 @@ class ByteSource {
   explicit ByteSource(std::istream& in) : in_(in) {
     const std::streampos pos = in_.tellg();
     if (pos != std::streampos(-1)) {
+      offset_ = static_cast<std::uint64_t>(pos);
       in_.seekg(0, std::ios::end);
       const std::streampos end = in_.tellg();
       in_.seekg(pos);
-      if (end != std::streampos(-1) && in_.good() && end >= pos) {
-        remaining_ = static_cast<std::int64_t>(end - pos);
-      }
+      if (end != std::streampos(-1) && in_.good()) end_ = static_cast<std::int64_t>(end);
     }
     in_.clear();  // a failed probe on a non-seekable stream must not poison reads
+  }
+
+  /// Stream offset of the next byte: absolute on a seekable stream, counted
+  /// from the construction point otherwise.
+  std::uint64_t offset() const { return offset_; }
+
+  /// Moves to absolute `offset` of a seekable stream.
+  void seek(std::uint64_t offset) {
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(offset));
+    if (!in_.good()) {
+      throw TraceIoError(TraceIoErrorKind::Io,
+                         "seek to offset " + std::to_string(offset) + " failed");
+    }
+    offset_ = offset;
   }
 
   /// Validates that `n` more bytes exist without consuming them (only
   /// possible when the stream size is known; a no-op otherwise).
   void need(std::uint64_t n, const char* what) const {
-    if (remaining_ >= 0 && n > static_cast<std::uint64_t>(remaining_)) {
+    if (end_ >= 0 && n > remaining()) {
       throw TraceIoError(TraceIoErrorKind::Truncated,
                          std::string(what) + ": needs " + std::to_string(n) +
-                             " bytes but only " + std::to_string(remaining_) + " remain");
+                             " bytes but only " + std::to_string(remaining()) + " remain");
     }
   }
 
@@ -51,7 +66,7 @@ class ByteSource {
       throw TraceIoError(TraceIoErrorKind::Truncated,
                          std::string(what) + ": stream ended mid-read");
     }
-    if (remaining_ >= 0) remaining_ -= static_cast<std::int64_t>(n);
+    offset_ += n;
   }
 
   std::uint8_t get_u8(const char* what) {
@@ -70,13 +85,19 @@ class ByteSource {
 
   /// True when the stream has no byte left.
   bool exhausted() {
-    if (remaining_ >= 0) return remaining_ == 0;
+    if (end_ >= 0) return remaining() == 0;
     return in_.peek() == std::istream::traits_type::eof();
   }
 
  private:
+  std::uint64_t remaining() const {
+    const auto end = static_cast<std::uint64_t>(end_);
+    return offset_ < end ? end - offset_ : 0;
+  }
+
   std::istream& in_;
-  std::int64_t remaining_ = -1;
+  std::uint64_t offset_ = 0;
+  std::int64_t end_ = -1;  ///< the stream's end offset, -1 while unknown
 };
 
 // -- sniffed-prefix replay ----------------------------------------------------

@@ -1,9 +1,11 @@
 #include "trace/stream_io.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <string_view>
 
 #include "common/crc32c.hpp"
 #include "common/expect.hpp"
@@ -126,7 +128,7 @@ void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t
   if (p != end) malformed("trailing bytes in event chunk");
 }
 
-/// Parses the meta-chunk payload.  Shared by TraceReader and index_trace_v2.
+/// Parses and validates the meta-chunk payload.
 TraceMeta parse_meta_payload(const std::uint8_t* p, const std::uint8_t* end) {
   TraceMeta meta;
   const std::uint64_t timer_len = get_uv(&p, end, "meta timer");
@@ -163,10 +165,106 @@ TraceMeta parse_meta_payload(const std::uint8_t* p, const std::uint8_t* end) {
     p += len;
   }
   if (p != end) malformed("trailing bytes in meta chunk");
+  // Events name regions by index, so a repeated name would make two ids of
+  // one region (Trace interns each name once).
+  std::vector<std::string_view> names(meta.regions.begin(), meta.regions.end());
+  std::sort(names.begin(), names.end());
+  if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
+    malformed("duplicate region name in meta chunk");
+  }
   return meta;
 }
 
+/// Reads one chunk frame — kind, payload length (capped before allocation),
+/// payload, CRC32C — into `payload` and verifies the chunk CRC.  Unless
+/// `file_crc` is null or the chunk is the footer, whose CRC field covers every
+/// byte before it, folds the whole frame into `*file_crc`.  Returns the kind.
+std::uint8_t read_frame(traceio::ByteSource& src, std::vector<std::uint8_t>& payload,
+                        std::uint32_t* file_crc) {
+  CS_SPAN("trace.read_chunk");
+  const std::uint8_t kind = src.get_u8("chunk header");
+  const std::uint32_t len = src.get_u32("chunk header");
+  if (len > kMaxChunkPayload) {
+    malformed("chunk payload length " + std::to_string(len) + " exceeds the 64 MiB limit");
+  }
+  src.need(static_cast<std::uint64_t>(len) + 4, "chunk payload");
+  payload.resize(len);
+  src.read_exact(payload.data(), len, "chunk payload");
+  const std::uint32_t stored = src.get_u32("chunk checksum");
+
+  if (obs::metrics_enabled()) {
+    static obs::Counter& chunks = obs::counter("trace.chunks_in");
+    static obs::Counter& bytes_in = obs::counter("trace.bytes_in");
+    chunks.add(1);
+    bytes_in.add(static_cast<std::int64_t>(5 + static_cast<std::uint64_t>(len) + 4));
+  }
+
+  char hdr[5];
+  hdr[0] = static_cast<char>(kind);
+  std::memcpy(hdr + 1, &len, 4);
+  obs::Span crc_span("trace.crc");
+  std::uint32_t crc = crc32c(0, hdr, 5);
+  crc = crc32c(crc, payload.data(), payload.size());
+  if (crc != stored) {
+    throw TraceIoError(TraceIoErrorKind::BadChecksum,
+                       "chunk checksum mismatch (kind '" + std::string(1, static_cast<char>(kind)) +
+                           "')");
+  }
+  if (file_crc != nullptr && kind != kChunkFooter) {
+    char crc_bytes[4];
+    std::memcpy(crc_bytes, &stored, 4);
+    *file_crc = crc32c(*file_crc, hdr, 5);
+    *file_crc = crc32c(*file_crc, payload.data(), payload.size());
+    *file_crc = crc32c(*file_crc, crc_bytes, 4);
+  }
+  return kind;
+}
+
+struct EventChunkHead {
+  std::uint64_t seq = 0;
+  Rank rank = -1;
+  std::uint32_t count = 0;
+  const std::uint8_t* events = nullptr;  ///< the encoded events after the head
+};
+
+/// Parses the head of an event-chunk payload of a trace with `ranks` ranks:
+/// the rank lies in the placement, and the count is positive and fits the
+/// payload, so a forged one is caught before decode_events reserves for it.
+EventChunkHead parse_event_head(const std::vector<std::uint8_t>& payload, int ranks) {
+  const std::uint8_t* p = payload.data();
+  const std::uint8_t* end = p + payload.size();
+  EventChunkHead head;
+  head.seq = get_uv(&p, end, "event chunk sequence");
+  const std::uint64_t rank = get_uv(&p, end, "event chunk rank");
+  if (rank >= static_cast<std::uint64_t>(ranks)) {
+    malformed("event chunk rank " + std::to_string(rank) + " outside the placement");
+  }
+  head.rank = static_cast<Rank>(rank);
+  const std::uint64_t count = get_uv(&p, end, "event chunk count");
+  if (count == 0) malformed("empty event chunk");
+  if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
+    malformed("event chunk count " + std::to_string(count) + " overruns chunk");
+  }
+  head.count = static_cast<std::uint32_t>(count);
+  head.events = p;
+  return head;
+}
+
 }  // namespace
+
+void check_trace_header(const char (&header)[8]) {
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::memcpy(&magic, header, 4);
+  std::memcpy(&version, header + 4, 4);
+  if (magic != kTraceMagic) {
+    throw TraceIoError(TraceIoErrorKind::BadMagic, "not a chronosync trace stream");
+  }
+  if (version != kTraceVersion) {
+    throw TraceIoError(TraceIoErrorKind::BadVersion,
+                       "expected container version 2, found " + std::to_string(version));
+  }
+}
 
 // -- TraceMeta ----------------------------------------------------------------
 
@@ -346,75 +444,23 @@ TraceReader::TraceReader(std::istream& in, bool header_consumed) : src_(in) {
   std::memcpy(header, &kTraceMagic, 4);
   std::memcpy(header + 4, &kTraceVersion, 4);
   if (!header_consumed) {
-    const std::uint32_t magic = src_.get_u32("trace header");
-    if (magic != kTraceMagic) {
-      throw TraceIoError(TraceIoErrorKind::BadMagic, "not a chronosync trace stream");
-    }
-    const std::uint32_t version = src_.get_u32("trace header");
-    if (version != kTraceVersion) {
-      throw TraceIoError(TraceIoErrorKind::BadVersion,
-                         "expected container version 2, found " + std::to_string(version));
-    }
+    src_.read_exact(header, 8, "trace header");
+    check_trace_header(header);
   }
   // The file CRC covers the 8 header bytes; a dispatcher that consumed them
-  // already verified their values, so fold the known constants.
+  // already checked them, so the known constants stand in for them.
   file_crc_ = crc32c(file_crc_, header, 8);
 
-  if (read_chunk() != kChunkMeta) {
+  if (read_frame(src_, payload_, &file_crc_) != kChunkMeta) {
     malformed("first chunk must be the meta chunk");
   }
-  parse_meta();
-}
-
-std::uint8_t TraceReader::read_chunk() {
-  CS_SPAN("trace.read_chunk");
-  const std::uint8_t kind = src_.get_u8("chunk header");
-  const std::uint32_t len = src_.get_u32("chunk header");
-  if (len > kMaxChunkPayload) {
-    malformed("chunk payload length " + std::to_string(len) + " exceeds the 64 MiB limit");
-  }
-  src_.need(static_cast<std::uint64_t>(len) + 4, "chunk payload");
-  payload_.resize(len);
-  src_.read_exact(payload_.data(), len, "chunk payload");
-  const std::uint32_t stored = src_.get_u32("chunk checksum");
-
-  if (obs::metrics_enabled()) {
-    static obs::Counter& chunks = obs::counter("trace.chunks_in");
-    static obs::Counter& bytes_in = obs::counter("trace.bytes_in");
-    chunks.add(1);
-    bytes_in.add(static_cast<std::int64_t>(5 + static_cast<std::uint64_t>(len) + 4));
-  }
-
-  char hdr[5];
-  hdr[0] = static_cast<char>(kind);
-  std::memcpy(hdr + 1, &len, 4);
-  obs::Span crc_span("trace.crc");
-  std::uint32_t crc = crc32c(0, hdr, 5);
-  crc = crc32c(crc, payload_.data(), payload_.size());
-  if (crc != stored) {
-    throw TraceIoError(TraceIoErrorKind::BadChecksum,
-                       "chunk checksum mismatch (kind '" + std::string(1, static_cast<char>(kind)) +
-                           "')");
-  }
-
-  if (kind != kChunkFooter) {
-    // The footer's CRC field covers every byte before the footer chunk.
-    char crc_bytes[4];
-    std::memcpy(crc_bytes, &stored, 4);
-    file_crc_ = crc32c(file_crc_, hdr, 5);
-    file_crc_ = crc32c(file_crc_, payload_.data(), payload_.size());
-    file_crc_ = crc32c(file_crc_, crc_bytes, 4);
-  }
-  return kind;
-}
-
-void TraceReader::parse_meta() {
   meta_ = parse_meta_payload(payload_.data(), payload_.data() + payload_.size());
 }
 
-bool TraceReader::next(EventBlock& block) {
+bool TraceReader::next_chunk(ChunkRef& ref) {
   if (done_) return false;
-  const std::uint8_t kind = read_chunk();
+  const std::uint64_t offset = src_.offset();
+  const std::uint8_t kind = read_frame(src_, payload_, &file_crc_);
   if (kind == kChunkFooter) {
     parse_footer();
     done_ = true;
@@ -425,33 +471,26 @@ bool TraceReader::next(EventBlock& block) {
     malformed("unknown chunk kind '" + std::string(1, static_cast<char>(kind)) + "'");
   }
 
-  const std::uint8_t* p = payload_.data();
-  const std::uint8_t* end = p + payload_.size();
-
-  const std::uint64_t seq = get_uv(&p, end, "event chunk sequence");
-  if (seq != event_chunks_seen_) {
+  const EventChunkHead head = parse_event_head(payload_, ranks());
+  if (head.seq != event_chunks_seen_) {
     malformed("event chunk out of sequence (duplicated, dropped, or reordered chunk): expected " +
-              std::to_string(event_chunks_seen_) + ", found " + std::to_string(seq));
+              std::to_string(event_chunks_seen_) + ", found " + std::to_string(head.seq));
   }
-  const std::uint64_t rank64 = get_uv(&p, end, "event chunk rank");
-  if (rank64 >= static_cast<std::uint64_t>(ranks())) {
-    malformed("event chunk rank " + std::to_string(rank64) + " outside the placement");
-  }
-  const auto rank = static_cast<Rank>(rank64);
-  if (rank < last_rank_) malformed("event chunks out of rank order");
+  if (head.rank < last_rank_) malformed("event chunks out of rank order");
 
-  const std::uint64_t count = get_uv(&p, end, "event chunk count");
-  if (count == 0) malformed("empty event chunk");
-  if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
-    malformed("event chunk count " + std::to_string(count) + " overruns chunk");
-  }
-
-  block.rank = rank;
-  decode_events(p, end, count, block.events);
-
+  ref = {offset, static_cast<std::uint32_t>(payload_.size()), head.seq, head.rank, head.count};
+  events_ = head.events;
   ++event_chunks_seen_;
-  events_read_ += count;
-  last_rank_ = rank;
+  events_read_ += head.count;
+  last_rank_ = head.rank;
+  return true;
+}
+
+bool TraceReader::next(EventBlock& block) {
+  ChunkRef ref;
+  if (!next_chunk(ref)) return false;
+  block.rank = ref.rank;
+  decode_events(events_, payload_.data() + payload_.size(), ref.count, block.events);
   return true;
 }
 
@@ -463,7 +502,7 @@ void TraceReader::parse_footer() {
     malformed("footer event-chunk count " + std::to_string(nchunks) + " != " +
               std::to_string(event_chunks_seen_) + " chunks read");
   }
-  const std::uint64_t total = get_uv(&p, end, "footer event total");
+  const std::uint64_t total = get_uv(&p, end, "footer total");
   if (total != events_read_) {
     malformed("footer event total " + std::to_string(total) + " != " +
               std::to_string(events_read_) + " events read");
@@ -479,145 +518,17 @@ void TraceReader::parse_footer() {
 
 // -- chunk index & random access ----------------------------------------------
 
-namespace {
-
-void read_or_throw(std::istream& in, char* dst, std::streamsize n, const char* what) {
-  in.read(dst, n);
-  if (in.gcount() != n) {
-    throw TraceIoError(TraceIoErrorKind::Truncated,
-                       std::string(what) + ": unexpected end of stream");
-  }
-}
-
-}  // namespace
-
 TraceIndex index_trace_v2(std::istream& in) {
-  // Record the stream's starting position so ChunkRef offsets are absolute
-  // (seekg-able) even if the caller handed us a stream mid-file.
-  std::streamoff base = 0;
-  {
-    const std::streamoff pos = in.tellg();
-    if (pos > 0) {
-      base = pos;
-    } else {
-      in.clear();
-    }
-  }
-
-  char header[8];
-  read_or_throw(in, header, 8, "trace header");
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  std::memcpy(&magic, header, 4);
-  std::memcpy(&version, header + 4, 4);
-  if (magic != kTraceMagic) {
-    throw TraceIoError(TraceIoErrorKind::BadMagic, "not a chronosync trace stream");
-  }
-  if (version != kTraceVersion) {
-    throw TraceIoError(TraceIoErrorKind::BadVersion,
-                       "expected container version 2, found " + std::to_string(version));
-  }
-  std::uint32_t file_crc = crc32c(0, header, 8);
-
+  TraceReader reader(in);
   TraceIndex idx;
-  std::vector<std::uint8_t> payload;
-  std::uint64_t offset = 8;
-  bool meta_seen = false;
-  Rank last_rank = 0;
-  std::uint64_t events_total = 0;
-
-  for (;;) {
-    const std::uint64_t chunk_offset = static_cast<std::uint64_t>(base) + offset;
-    // A clean EOF here means the writer never sealed the file: the last event
-    // chunk may be complete, but without the footer nothing vouches for the
-    // chunk sequence or the whole-file CRC — reject as truncated.
-    char hdr[5];
-    read_or_throw(in, hdr, 5, "chunk header");
-    const auto kind = static_cast<std::uint8_t>(hdr[0]);
-    std::uint32_t len = 0;
-    std::memcpy(&len, hdr + 1, 4);
-    if (len > kMaxChunkPayload) {
-      malformed("chunk payload length " + std::to_string(len) + " exceeds the 64 MiB limit");
-    }
-    payload.resize(len);
-    read_or_throw(in, reinterpret_cast<char*>(payload.data()), len, "chunk payload");
-    char crc_bytes[4];
-    read_or_throw(in, crc_bytes, 4, "chunk checksum");
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, crc_bytes, 4);
-    std::uint32_t crc = crc32c(0, hdr, 5);
-    crc = crc32c(crc, payload.data(), payload.size());
-    if (crc != stored) {
-      throw TraceIoError(TraceIoErrorKind::BadChecksum,
-                         "chunk checksum mismatch (kind '" +
-                             std::string(1, static_cast<char>(kind)) + "')");
-    }
-    if (kind != kChunkFooter) {
-      file_crc = crc32c(file_crc, hdr, 5);
-      file_crc = crc32c(file_crc, payload.data(), payload.size());
-      file_crc = crc32c(file_crc, crc_bytes, 4);
-    }
-    offset += 5 + static_cast<std::uint64_t>(len) + 4;
-
-    const std::uint8_t* p = payload.data();
-    const std::uint8_t* end = p + payload.size();
-    if (!meta_seen) {
-      if (kind != kChunkMeta) malformed("first chunk must be the meta chunk");
-      idx.meta = parse_meta_payload(p, end);
-      idx.rank_events.assign(static_cast<std::size_t>(idx.meta.ranks()), 0);
-      meta_seen = true;
-      continue;
-    }
-    if (kind == kChunkMeta) malformed("duplicate meta chunk");
-    if (kind == kChunkEvents) {
-      const std::uint64_t seq = get_uv(&p, end, "event chunk sequence");
-      if (seq != idx.chunks.size()) {
-        malformed(
-            "event chunk out of sequence (duplicated, dropped, or reordered chunk): expected " +
-            std::to_string(idx.chunks.size()) + ", found " + std::to_string(seq));
-      }
-      const std::uint64_t rank64 = get_uv(&p, end, "event chunk rank");
-      if (rank64 >= static_cast<std::uint64_t>(idx.meta.ranks())) {
-        malformed("event chunk rank " + std::to_string(rank64) + " outside the placement");
-      }
-      const auto rank = static_cast<Rank>(rank64);
-      if (rank < last_rank) malformed("event chunks out of rank order");
-      const std::uint64_t count = get_uv(&p, end, "event chunk count");
-      if (count == 0) malformed("empty event chunk");
-      if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
-        malformed("event chunk count " + std::to_string(count) + " overruns chunk");
-      }
-      idx.chunks.push_back(
-          {chunk_offset, len, seq, rank, static_cast<std::uint32_t>(count)});
-      idx.rank_events[static_cast<std::size_t>(rank)] += count;
-      events_total += count;
-      last_rank = rank;
-      continue;
-    }
-    if (kind != kChunkFooter) {
-      malformed("unknown chunk kind '" + std::string(1, static_cast<char>(kind)) + "'");
-    }
-    const std::uint64_t nchunks = get_uv(&p, end, "footer chunk count");
-    if (nchunks != idx.chunks.size()) {
-      malformed("footer event-chunk count " + std::to_string(nchunks) + " != " +
-                std::to_string(idx.chunks.size()) + " chunks read");
-    }
-    const std::uint64_t total = get_uv(&p, end, "footer event total");
-    if (total != events_total) {
-      malformed("footer event total " + std::to_string(total) + " != " +
-                std::to_string(events_total) + " events read");
-    }
-    if (end - p != 4) malformed("footer payload has wrong size");
-    std::memcpy(&stored, p, 4);
-    if (stored != file_crc) {
-      throw TraceIoError(TraceIoErrorKind::BadChecksum, "whole-file checksum mismatch");
-    }
-    if (in.peek() != std::char_traits<char>::eof()) {
-      malformed("trailing data after trace footer");
-    }
-    break;
+  idx.meta = reader.meta();
+  idx.rank_events.assign(static_cast<std::size_t>(reader.ranks()), 0);
+  ChunkRef ref;
+  while (reader.next_chunk(ref)) {
+    idx.chunks.push_back(ref);
+    idx.rank_events[static_cast<std::size_t>(ref.rank)] += ref.count;
   }
-  idx.total_events = events_total;
+  idx.total_events = reader.events_read();
   return idx;
 }
 
@@ -630,51 +541,18 @@ TraceIndex index_trace_v2_file(const std::string& path) {
 }
 
 ChunkReader::ChunkReader(std::istream& in, const TraceIndex& index)
-    : in_(in), ranks_(index.meta.ranks()) {}
+    : src_(in), ranks_(index.meta.ranks()) {}
 
 const std::uint8_t* ChunkReader::load(const ChunkRef& ref) {
-  CS_SPAN("trace.read_chunk");
   CS_REQUIRE(ref.rank >= 0 && ref.rank < ranks_, "chunk ref outside the placement");
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(ref.offset));
-  if (!in_.good()) {
-    throw TraceIoError(TraceIoErrorKind::Io, "seek to event chunk failed");
+  src_.seek(ref.offset);
+  if (read_frame(src_, payload_, nullptr) == kChunkEvents && payload_.size() == ref.payload_len) {
+    const EventChunkHead head = parse_event_head(payload_, ranks_);
+    if (head.seq == ref.seq && head.rank == ref.rank && head.count == ref.count) {
+      return head.events;
+    }
   }
-  char hdr[5];
-  read_or_throw(in_, hdr, 5, "chunk header");
-  std::uint32_t len = 0;
-  std::memcpy(&len, hdr + 1, 4);
-  if (static_cast<std::uint8_t>(hdr[0]) != kChunkEvents || len != ref.payload_len) {
-    malformed("event chunk does not match its index entry");
-  }
-  payload_.resize(len);
-  read_or_throw(in_, reinterpret_cast<char*>(payload_.data()), len, "chunk payload");
-  char crc_bytes[4];
-  read_or_throw(in_, crc_bytes, 4, "chunk checksum");
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, crc_bytes, 4);
-  std::uint32_t crc = crc32c(0, hdr, 5);
-  crc = crc32c(crc, payload_.data(), payload_.size());
-  if (crc != stored) {
-    throw TraceIoError(TraceIoErrorKind::BadChecksum, "chunk checksum mismatch (kind 'E')");
-  }
-
-  if (obs::metrics_enabled()) {
-    static obs::Counter& chunks = obs::counter("trace.chunks_in");
-    static obs::Counter& bytes_in = obs::counter("trace.bytes_in");
-    chunks.add(1);
-    bytes_in.add(static_cast<std::int64_t>(5 + static_cast<std::uint64_t>(len) + 4));
-  }
-
-  const std::uint8_t* p = payload_.data();
-  const std::uint8_t* end = p + payload_.size();
-  const std::uint64_t seq = get_uv(&p, end, "event chunk sequence");
-  const std::uint64_t rank64 = get_uv(&p, end, "event chunk rank");
-  const std::uint64_t count = get_uv(&p, end, "event chunk count");
-  if (seq != ref.seq || rank64 != static_cast<std::uint64_t>(ref.rank) || count != ref.count) {
-    malformed("event chunk does not match its index entry");
-  }
-  return p;
+  malformed("event chunk does not match its index entry");
 }
 
 void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
@@ -747,10 +625,8 @@ void write_trace_v2_file(const Trace& trace, const std::string& path,
 Trace read_trace_v2(TraceReader& reader) {
   const TraceMeta& meta = reader.meta();
   Trace trace(meta.placement, meta.domain_min_latency, meta.timer_name);
-  for (std::size_t i = 0; i < meta.regions.size(); ++i) {
-    const std::int32_t got = trace.intern_region(meta.regions[i]);
-    if (static_cast<std::size_t>(got) != i) malformed("duplicate region name in meta chunk");
-  }
+  // parse_meta_payload rejected repeated names, so region i interns as id i.
+  for (const std::string& name : meta.regions) trace.intern_region(name);
   EventBlock block;
   while (reader.next(block)) {
     auto& ev = trace.events(block.rank);

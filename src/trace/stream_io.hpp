@@ -35,11 +35,15 @@
 // are (near-)monotone, so consecutive bit patterns are close and the zigzag
 // delta is short.  Round trips are bit-exact for every finite double.
 //
-// The reader validates every length/count against the bytes actually
-// available before allocating, verifies each chunk's CRC before parsing it,
-// and throws TraceIoError on any malformed input — never crashes or UB.  A
-// header with any other version (e.g. the retired fixed-width v1 layout)
-// raises TraceIoError{BadVersion}.
+// TraceReader is the one parser of the container.  It validates every
+// length/count against the bytes actually available before allocating,
+// verifies each chunk's CRC before parsing it, and throws TraceIoError on any
+// malformed input — never crashes or UB.  A header with any other version
+// (e.g. the retired fixed-width v1 layout) raises TraceIoError{BadVersion}.
+//
+// The chunk index (index_trace_v2) is that reader stepped with next_chunk(),
+// i.e. without event decoding, and ChunkReader re-reads indexed chunks through
+// the same chunk framing and head checks; neither has validation of its own.
 #pragma once
 
 #include <array>
@@ -137,39 +141,9 @@ struct EventBlock {
   std::vector<Event> events;
 };
 
-/// Streaming v2 reader: validates the header and meta chunk on construction,
-/// then yields event blocks rank-by-rank via next().  next() returns false
-/// only after the footer verified the chunk sequence, the event total, and
-/// the whole-file CRC.
-class TraceReader {
- public:
-  /// `header_consumed` is for dispatchers that already read and verified the
-  /// 8-byte magic/version header (scan_clock_condition does).
-  explicit TraceReader(std::istream& in, bool header_consumed = false);
-
-  const TraceMeta& meta() const { return meta_; }
-  int ranks() const { return meta_.ranks(); }
-
-  bool next(EventBlock& block);
-
-  std::uint64_t events_read() const { return events_read_; }
-
- private:
-  std::uint8_t read_chunk();
-  void parse_meta();
-  void parse_footer();
-
-  traceio::ByteSource src_;
-  TraceMeta meta_;
-  std::vector<std::uint8_t> payload_;  // reused chunk buffer
-  std::uint32_t file_crc_ = 0;
-  std::uint64_t event_chunks_seen_ = 0;
-  std::uint64_t events_read_ = 0;
-  Rank last_rank_ = 0;
-  bool done_ = false;
-};
-
-// -- random access over an indexed v2 file ------------------------------------
+/// Checks an 8-byte file header: TraceIoError{BadMagic} unless it starts with
+/// kTraceMagic, {BadVersion} unless the version that follows is kTraceVersion.
+void check_trace_header(const char (&header)[8]);
 
 /// Location and shape of one event chunk inside a v2 file, recorded by the
 /// index pass so the chunk can be re-read (and re-verified) out of order.
@@ -180,6 +154,47 @@ struct ChunkRef {
   Rank rank = -1;
   std::uint32_t count = 0;        ///< events encoded in the chunk
 };
+
+/// Streaming v2 reader, the only parser of the container: validates the
+/// header and meta chunk on construction, then steps through the event
+/// chunks.  next() decodes each into an event block; next_chunk() validates
+/// it without decoding its events (the index pass).  Both return false only
+/// after the footer verified the chunk sequence, the event total, and the
+/// whole-file CRC.
+class TraceReader {
+ public:
+  /// `header_consumed` is for dispatchers that already read the 8-byte
+  /// header and passed it through check_trace_header (scan_clock_condition
+  /// does).
+  explicit TraceReader(std::istream& in, bool header_consumed = false);
+
+  const TraceMeta& meta() const { return meta_; }
+  int ranks() const { return meta_.ranks(); }
+
+  bool next(EventBlock& block);
+  /// Reads and validates the next event chunk — CRC, sequence, rank order,
+  /// head — and describes it in `ref`, its offset absolute when the stream
+  /// is seekable.
+  bool next_chunk(ChunkRef& ref);
+
+  /// Events in the chunks stepped over so far.
+  std::uint64_t events_read() const { return events_read_; }
+
+ private:
+  void parse_footer();
+
+  traceio::ByteSource src_;
+  TraceMeta meta_;
+  std::vector<std::uint8_t> payload_;  // reused chunk buffer
+  const std::uint8_t* events_ = nullptr;  // encoded events of the chunk in payload_
+  std::uint32_t file_crc_ = 0;
+  std::uint64_t event_chunks_seen_ = 0;
+  std::uint64_t events_read_ = 0;
+  Rank last_rank_ = 0;
+  bool done_ = false;
+};
+
+// -- random access over an indexed v2 file ------------------------------------
 
 /// Whole-file chunk index, built by one sequential validation pass.  Knowing
 /// every rank's chunk extents and event count up front is what lets the
@@ -192,17 +207,17 @@ struct TraceIndex {
   std::uint64_t total_events = 0;
 };
 
-/// Sequentially validates a v2 stream — per-chunk CRCs, chunk sequencing,
-/// rank-major order, footer totals, and the whole-file CRC — without decoding
-/// any event, and returns the chunk index.  A file whose final event chunk is
-/// complete but whose footer is missing (a writer died before finish()) is
-/// rejected with a typed TraceIoError, exactly like TraceReader.
+/// Runs a TraceReader over a v2 stream with next_chunk() — every check of
+/// the reader but event decoding — and returns the chunk index.  A file
+/// whose final event chunk is complete but whose footer is missing (a writer
+/// died before finish()) is rejected as Truncated.
 TraceIndex index_trace_v2(std::istream& in);
 TraceIndex index_trace_v2_file(const std::string& path);
 
-/// Re-reads single event chunks of an indexed v2 file in any order, verifying
-/// each chunk's CRC and shape against its ChunkRef before decoding.  The
-/// stream must be seekable (the index pass already proved it readable).
+/// Re-reads single event chunks of an indexed v2 file in any order, through
+/// TraceReader's framing and head checks, and verifies each chunk against its
+/// ChunkRef before decoding.  The stream must be seekable (the index pass
+/// already proved it readable).
 class ChunkReader {
  public:
   ChunkReader(std::istream& in, const TraceIndex& index);
@@ -225,7 +240,7 @@ class ChunkReader {
   /// events start.
   const std::uint8_t* load(const ChunkRef& ref);
 
-  std::istream& in_;
+  traceio::ByteSource src_;
   int ranks_;
   std::vector<std::uint8_t> payload_;
 };

@@ -4,6 +4,7 @@
 // streaming-analysis equivalence tests.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -103,6 +104,15 @@ inline bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// Field-by-field event equality, bit-exact on timestamps.
+inline bool same_event(const Event& x, const Event& y) {
+  return x.type == y.type && same_bits(x.local_ts, y.local_ts) &&
+         same_bits(x.true_ts, y.true_ts) && x.region == y.region && x.peer == y.peer &&
+         x.tag == y.tag && x.bytes == y.bytes && x.msg_id == y.msg_id && x.coll == y.coll &&
+         x.coll_id == y.coll_id && x.root == y.root && x.omp_instance == y.omp_instance &&
+         x.thread == y.thread;
+}
+
 /// Field-by-field trace equality, bit-exact on timestamps.
 inline bool traces_equal(const Trace& a, const Trace& b) {
   if (a.ranks() != b.ranks() || a.timer_name() != b.timer_name()) return false;
@@ -115,17 +125,7 @@ inline bool traces_equal(const Trace& a, const Trace& b) {
     const auto& ea = a.events(r);
     const auto& eb = b.events(r);
     if (ea.size() != eb.size()) return false;
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      const Event& x = ea[i];
-      const Event& y = eb[i];
-      if (x.type != y.type || !same_bits(x.local_ts, y.local_ts) ||
-          !same_bits(x.true_ts, y.true_ts) || x.region != y.region || x.peer != y.peer ||
-          x.tag != y.tag || x.bytes != y.bytes || x.msg_id != y.msg_id || x.coll != y.coll ||
-          x.coll_id != y.coll_id || x.root != y.root || x.omp_instance != y.omp_instance ||
-          x.thread != y.thread) {
-        return false;
-      }
-    }
+    if (!std::equal(ea.begin(), ea.end(), eb.begin(), same_event)) return false;
   }
   return true;
 }

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
+#include "common/scratch_dir.hpp"
 #include "topology/cluster.hpp"
 #include "trace/trace_io_error.hpp"
 #include "workload/sweep.hpp"
@@ -158,12 +158,12 @@ TEST(OtfText, NoRankRecordsIsRejected) {
 }
 
 TEST(OtfText, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/cs_trace.txt";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("trace.txt");
   Trace t = sample_trace();
   write_text_trace_file(t, path);
   Trace u = read_text_trace_file(path);
   EXPECT_EQ(u.total_events(), t.total_events());
-  std::remove(path.c_str());
 }
 
 TEST(OtfText, RealTraceAnalyzesIdentically) {

@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "../testutil/random_trace.hpp"
+#include "common/scratch_dir.hpp"
 #include "topology/cluster.hpp"
 
 namespace chronosync {
@@ -133,12 +134,12 @@ TEST(StreamIo, EmptyRanksAndZeroRankTraces) {
 }
 
 TEST(StreamIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/cs_trace_v2.bin";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("trace.cstr");
   const Trace t = bulk_trace(2, 50);
   write_trace_v2_file(t, path);
   const Trace u = read_trace_v2_file(path);
   EXPECT_EQ(u.total_events(), t.total_events());
-  std::remove(path.c_str());
 }
 
 TEST(StreamIo, WriterEnforcesRankMajorOrder) {
@@ -220,7 +221,8 @@ TEST(StreamIo, CompleteChunksWithoutFooterAreTruncated) {
 
 TEST(StreamIo, IndexAndChunkReaderGiveRandomAccess) {
   const Trace t = bulk_trace(3, 500);
-  const std::string path = testing::TempDir() + "/cs_streamio_index.cstr";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("trace.cstr");
   write_trace_v2_file(t, path, /*events_per_chunk=*/128);
 
   std::ifstream f(path, std::ios::binary);
@@ -242,7 +244,38 @@ TEST(StreamIo, IndexAndChunkReaderGiveRandomAccess) {
     const std::size_t base = (c % 4) * 128;
     EXPECT_TRUE(testutil::same_bits(first.local_ts, t.events(ref.rank)[base].local_ts));
   }
-  std::remove(path.c_str());
+}
+
+TEST(StreamIo, IndexOffsetsStartFromStreamPosition) {
+  // A stream handed over mid-file: the chunk offsets must still be absolute,
+  // so that ChunkReader's seeks land on the chunks.
+  const Trace t = bulk_trace(3, 200);
+  std::stringstream v2;
+  write_trace_v2(t, v2, /*events_per_chunk=*/64);
+  const std::string junk = "junk before the trace";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("embedded.cstr");
+  std::ofstream(path, std::ios::binary) << junk << v2.str();
+
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(junk.size()));
+  const TraceIndex idx = index_trace_v2(f);
+  ASSERT_EQ(idx.chunks.size(), 12u);  // ceil(200/64) = 4 chunks per rank
+  EXPECT_GT(idx.chunks.front().offset, junk.size());
+
+  ChunkReader reader(f, idx);
+  EventBlock block;
+  std::vector<std::size_t> next(3, 0);
+  for (const ChunkRef& ref : idx.chunks) {
+    reader.read(ref, block);
+    const auto& events = t.events(ref.rank);
+    ASSERT_LE(next[ref.rank] + block.events.size(), events.size());
+    EXPECT_TRUE(std::equal(block.events.begin(), block.events.end(),
+                           events.begin() + static_cast<std::ptrdiff_t>(next[ref.rank]),
+                           testutil::same_event));
+    next[ref.rank] += block.events.size();
+  }
+  for (Rank r = 0; r < 3; ++r) EXPECT_EQ(next[r], t.events(r).size());
 }
 
 TEST(StreamIo, RejectsGarbage) {

@@ -8,13 +8,18 @@
 // scan, whose text fallback builds a ReplaySchedule from whatever parsed, is
 // held to the same rule, and so is the windowed CLC (clc_stream_file), whose
 // merge re-parses raw event bytes; it must also leave no file behind when it
-// fails.  No mutation may crash, abort, or throw anything else; the suite is
-// also run under ASan/UBSan in CI.
+// fails.  The chunk index is held to the reader on the same corpus: same
+// error kind, and the same events from every indexed chunk.  No mutation may
+// crash, abort, or throw anything else; the suite is also run under ASan/UBSan
+// in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -119,7 +124,120 @@ Corpus make_corpus(std::uint64_t seed, bool extreme) {
   return c;
 }
 
+/// Recomputes every chunk CRC and the footer's whole-file CRC of a blob with
+/// intact framing, so a payload mutation gets past the checksums to the
+/// parsers behind them.
+std::string reseal(std::string blob) {
+  std::uint32_t file_crc = crc32c(0, blob.data(), 8);
+  for (const ChunkSpan& s : chunk_spans(blob)) {
+    char* chunk = blob.data() + s.off;
+    const std::size_t crc_at = s.size - 4;
+    if (s.kind == 'Z') std::memcpy(chunk + crc_at - 4, &file_crc, 4);
+    const std::uint32_t crc = crc32c(0, chunk, crc_at);
+    std::memcpy(chunk + crc_at, &crc, 4);
+    if (s.kind != 'Z') file_crc = crc32c(file_crc, chunk, s.size);
+  }
+  return blob;
+}
+
+// -- mutation generators ------------------------------------------------------
+//
+// Each hands every mutant of `blob` to `visit` together with a description.
+
+using Visit = std::function<void(const std::string& mutant, const std::string& what)>;
+
+std::size_t random_index(Rng& rng, std::size_t size) {
+  return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+}
+
+void bit_flips(const std::string& blob, Rng& rng, int n, const Visit& visit) {
+  for (int i = 0; i < n; ++i) {
+    const std::size_t byte = random_index(rng, blob.size());
+    const int bit = static_cast<int>(rng.uniform_int(0, 7));
+    std::string m = blob;
+    m[byte] = static_cast<char>(m[byte] ^ (1 << bit));
+    visit(m, "flip byte " + std::to_string(byte) + " bit " + std::to_string(bit));
+  }
+}
+
+void prefixes(const std::string& blob, Rng& rng, int n, const Visit& visit) {
+  for (int i = 0; i < n; ++i) {
+    const std::size_t len = random_index(rng, blob.size());
+    visit(blob.substr(0, len), "prefix " + std::to_string(len));
+  }
+}
+
+void duplicated_chunks(const std::string& v2, const Visit& visit) {
+  for (const ChunkSpan& s : chunk_spans(v2)) {
+    std::string m = v2;
+    m.insert(s.off + s.size, v2.substr(s.off, s.size));
+    visit(m, std::string("duplicated '") + s.kind + "' chunk at " + std::to_string(s.off));
+  }
+}
+
+void removed_chunks(const std::string& v2, const Visit& visit) {
+  for (const ChunkSpan& s : chunk_spans(v2)) {
+    std::string m = v2;
+    m.erase(s.off, s.size);
+    visit(m, std::string("removed '") + s.kind + "' chunk at " + std::to_string(s.off));
+  }
+}
+
+void reordered_chunks(const std::string& v2, const Visit& visit) {
+  const auto spans = chunk_spans(v2);
+  for (std::size_t i = 0; i + 1 < spans.size(); ++i) {
+    const ChunkSpan& a = spans[i];
+    const ChunkSpan& b = spans[i + 1];
+    visit(v2.substr(0, a.off) + v2.substr(b.off, b.size) + v2.substr(a.off, a.size) +
+              v2.substr(b.off + b.size),
+          "swapped chunks " + std::to_string(i) + "/" + std::to_string(i + 1));
+  }
+}
+
+/// Inverts the entire trailing CRC field of each chunk in turn.
+void corrupted_crcs(const std::string& v2, const Visit& visit) {
+  for (const ChunkSpan& s : chunk_spans(v2)) {
+    std::string m = v2;
+    for (std::size_t b = s.off + s.size - 4; b < s.off + s.size; ++b) {
+      m[b] = static_cast<char>(~m[b]);
+    }
+    visit(m, std::string("corrupted CRC of '") + s.kind + "' chunk at " + std::to_string(s.off));
+  }
+}
+
+/// `n` bit flips inside event-chunk payloads, resealed so that they reach
+/// the event decoders.
+void resealed_event_flips(const std::string& v2, Rng& rng, int n, const Visit& visit) {
+  std::vector<ChunkSpan> events;
+  for (const ChunkSpan& s : chunk_spans(v2)) {
+    if (s.kind == 'E') events.push_back(s);
+  }
+  ASSERT_FALSE(events.empty());
+  for (int i = 0; i < n; ++i) {
+    const ChunkSpan& s = events[random_index(rng, events.size())];
+    std::string m = v2;
+    const std::size_t byte = s.off + 5 + random_index(rng, s.size - 9);
+    m[byte] = static_cast<char>(m[byte] ^ (1 << rng.uniform_int(0, 7)));
+    visit(reseal(m), "resealed flip byte " + std::to_string(byte));
+  }
+}
+
+std::string random_bytes(Rng& rng, std::size_t n) {
+  std::string blob(n, '\0');
+  for (auto& ch : blob) ch = static_cast<char>(rng.uniform_int(0, 255));
+  return blob;
+}
+
 constexpr std::uint64_t kSeeds[] = {3, 17, 42};
+
+std::string seed_tag(std::uint64_t seed) { return " seed " + std::to_string(seed); }
+
+/// expect_v2_rejected as a Visit, tagging each mutation with `tag`.
+Visit v2_rejected(const std::string& tag) {
+  return [tag](const std::string& m, const std::string& what) {
+    expect_v2_rejected(m, what + tag);
+  };
+}
 
 TEST(TraceFuzz, SeedBlobsParseCleanly) {
   for (std::uint64_t seed : kSeeds) {
@@ -135,26 +253,12 @@ TEST(TraceFuzz, BitFlips) {
   for (std::uint64_t seed : kSeeds) {
     const Corpus c = make_corpus(seed, seed % 2 == 0);
     Rng rng(seed * 7919 + 1);
-    for (int i = 0; i < 1200; ++i) {
-      const std::size_t byte = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.v2.size()) - 1));
-      const int bit = static_cast<int>(rng.uniform_int(0, 7));
-      std::string m = c.v2;
-      m[byte] = static_cast<char>(m[byte] ^ (1 << bit));
-      expect_v2_rejected(m, "v2 flip byte " + std::to_string(byte) + " bit " +
-                                std::to_string(bit) + " seed " + std::to_string(seed));
-    }
-    for (int i = 0; i < 600; ++i) {
-      const std::size_t byte = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.text.size()) - 1));
-      const int bit = static_cast<int>(rng.uniform_int(0, 7));
-      std::string m = c.text;
-      m[byte] = static_cast<char>(m[byte] ^ (1 << bit));
-      const std::string context = "text flip byte " + std::to_string(byte) + " bit " +
-                                  std::to_string(bit) + " seed " + std::to_string(seed);
+    bit_flips(c.v2, rng, 1200, v2_rejected(seed_tag(seed)));
+    bit_flips(c.text, rng, 600, [&](const std::string& m, const std::string& what) {
+      const std::string context = "text " + what + seed_tag(seed);
       expect_no_crash(feed_text, m, context);
       expect_no_crash(feed_scan, m, context);
-    }
+    });
   }
 }
 
@@ -163,87 +267,46 @@ TEST(TraceFuzz, Truncations) {
     const Corpus c = make_corpus(seed, false);
     Rng rng(seed * 104729 + 2);
     // v2: every strict prefix must throw.
-    for (int i = 0; i < 400; ++i) {
-      const std::size_t n = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.v2.size()) - 1));
-      expect_v2_rejected(c.v2.substr(0, n),
-                         "v2 prefix " + std::to_string(n) + " seed " + std::to_string(seed));
-    }
+    prefixes(c.v2, rng, 400, v2_rejected(seed_tag(seed)));
     // Text may truncate exactly at a line boundary, which legitimately
     // parses; only the no-crash guarantee applies.
-    for (int i = 0; i < 300; ++i) {
-      const std::size_t n = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.text.size()) - 1));
-      expect_no_crash(feed_text, c.text.substr(0, n),
-                      "text prefix " + std::to_string(n) + " seed " + std::to_string(seed));
-    }
+    prefixes(c.text, rng, 300, [&](const std::string& m, const std::string& what) {
+      expect_no_crash(feed_text, m, "text " + what + seed_tag(seed));
+    });
   }
 }
 
 TEST(TraceFuzz, DuplicatedChunks) {
+  // A duplicated chunk is CRC-valid, so only the sequence numbers, the
+  // footer counters, and the whole-file CRC can catch it.
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, false);
-    const auto spans = chunk_spans(c.v2);
-    for (const ChunkSpan& s : spans) {
-      // A duplicated chunk is CRC-valid, so only the sequence numbers, the
-      // footer counters, and the whole-file CRC can catch it.
-      std::string m = c.v2;
-      m.insert(s.off + s.size, c.v2.substr(s.off, s.size));
-      expect_v2_rejected(m, std::string("duplicated '") + s.kind + "' chunk at " +
-                                std::to_string(s.off) + " seed " + std::to_string(seed));
-    }
+    duplicated_chunks(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, RemovedChunks) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, false);
-    const auto spans = chunk_spans(c.v2);
-    for (const ChunkSpan& s : spans) {
-      std::string m = c.v2;
-      m.erase(s.off, s.size);
-      expect_v2_rejected(m, std::string("removed '") + s.kind + "' chunk at " +
-                                std::to_string(s.off) + " seed " + std::to_string(seed));
-    }
+    removed_chunks(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, ReorderedChunks) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, false);
-    const auto spans = chunk_spans(c.v2);
-    for (std::size_t i = 0; i + 1 < spans.size(); ++i) {
-      const ChunkSpan& a = spans[i];
-      const ChunkSpan& b = spans[i + 1];
-      std::string m = c.v2.substr(0, a.off) + c.v2.substr(b.off, b.size) +
-                      c.v2.substr(a.off, a.size) + c.v2.substr(b.off + b.size);
-      expect_v2_rejected(m, "swapped chunks " + std::to_string(i) + "/" +
-                                std::to_string(i + 1) + " seed " + std::to_string(seed));
-    }
+    reordered_chunks(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, CorruptedChunkCrcFields) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, false);
-    for (const ChunkSpan& s : chunk_spans(c.v2)) {
-      std::string m = c.v2;
-      // Invert the entire trailing CRC field of the chunk.
-      for (std::size_t b = s.off + s.size - 4; b < s.off + s.size; ++b) {
-        m[b] = static_cast<char>(~m[b]);
-      }
-      expect_v2_rejected(m, std::string("corrupted CRC of '") + s.kind + "' chunk at " +
-                                std::to_string(s.off) + " seed " + std::to_string(seed));
-    }
+    corrupted_crcs(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, RandomGarbage) {
   Rng rng(20260806);
   for (int i = 0; i < 200; ++i) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 4096));
-    std::string blob(n, '\0');
-    for (auto& ch : blob) ch = static_cast<char>(rng.uniform_int(0, 255));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 4096));
+    const std::string blob = random_bytes(rng, n);
     const std::string context = "garbage #" + std::to_string(i);
     EXPECT_NE(feed_v2(blob), Outcome::WrongException) << context;
     EXPECT_NE(feed_scan(blob), Outcome::WrongException) << context;
@@ -257,27 +320,90 @@ TEST(TraceFuzz, GarbageAppendedToValidBlob) {
   for (std::uint64_t seed : kSeeds) {
     const Corpus c = make_corpus(seed, false);
     Rng rng(seed + 31);
-    std::string tail(64, '\0');
-    for (auto& ch : tail) ch = static_cast<char>(rng.uniform_int(0, 255));
-    expect_v2_rejected(c.v2 + tail, "v2 with trailing garbage, seed " + std::to_string(seed));
+    const std::string tail = random_bytes(rng, 64);
+    expect_v2_rejected(c.v2 + tail, "v2 with trailing garbage" + seed_tag(seed));
     expect_no_crash(feed_text, c.text + tail, "text with trailing garbage");
   }
 }
 
-/// Recomputes every chunk CRC and the footer's whole-file CRC of a blob with
-/// intact framing, so a payload mutation gets past the checksums to the
-/// parsers behind them.
-std::string reseal(std::string blob) {
-  std::uint32_t file_crc = crc32c(0, blob.data(), 8);
-  for (const ChunkSpan& s : chunk_spans(blob)) {
-    char* chunk = blob.data() + s.off;
-    const std::size_t crc_at = s.size - 4;
-    if (s.kind == 'Z') std::memcpy(chunk + crc_at - 4, &file_crc, 4);
-    const std::uint32_t crc = crc32c(0, chunk, crc_at);
-    std::memcpy(chunk + crc_at, &crc, 4);
-    if (s.kind != 'Z') file_crc = crc32c(file_crc, chunk, s.size);
+/// The kind of TraceIoError `fn` throws, or nullopt when it returns.
+template <typename Fn>
+std::optional<TraceIoErrorKind> error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const TraceIoError& e) {
+    return e.kind();
   }
-  return blob;
+  return std::nullopt;
+}
+
+enum class Verdict { Rejected, DecodeRejected, Accepted };
+
+/// Holds the index pass and both event readers to one validator on `blob`:
+/// when index_trace_v2 throws kind K, read_trace_v2 throws K.  When the
+/// index accepts, ChunkReader::read on every ChunkRef yields the events
+/// TraceReader::next decodes, or both throw the kind read_trace_v2 throws.
+Verdict expect_index_agrees(const std::string& blob, const std::string& context) {
+  std::stringstream in(blob);
+  TraceIndex idx;
+  const auto index_kind = error_of([&] { idx = index_trace_v2(in); });
+  const auto read_kind = error_of([&] {
+    std::stringstream whole(blob);
+    read_trace_v2(whole);
+  });
+  if (index_kind) {
+    EXPECT_EQ(read_kind, index_kind) << "index and reader disagree: " << context;
+    return Verdict::Rejected;
+  }
+  std::stringstream seq_in(blob);
+  TraceReader seq(seq_in);
+  ChunkReader random(in, idx);
+  EventBlock a;
+  EventBlock b;
+  for (const ChunkRef& ref : idx.chunks) {
+    const auto seq_kind = error_of([&] { EXPECT_TRUE(seq.next(a)) << context; });
+    const auto random_kind = error_of([&] { random.read(ref, b); });
+    EXPECT_EQ(random_kind, seq_kind) << "chunk " << ref.seq << ": " << context;
+    if (seq_kind) {
+      EXPECT_EQ(read_kind, seq_kind) << context;
+      return Verdict::DecodeRejected;
+    }
+    EXPECT_EQ(a.rank, b.rank) << context;
+    EXPECT_TRUE(std::equal(a.events.begin(), a.events.end(), b.events.begin(), b.events.end(),
+                           testutil::same_event))
+        << "chunk " << ref.seq << ": " << context;
+  }
+  EXPECT_FALSE(seq.next(a)) << context;
+  EXPECT_EQ(read_kind, std::nullopt) << context;
+  return Verdict::Accepted;
+}
+
+TEST(TraceFuzz, IndexAgreesWithReaders) {
+  std::size_t verdicts[3] = {};
+  Rng rng(20261017);
+  for (std::uint64_t seed : kSeeds) {
+    const Corpus c = make_corpus(seed, seed % 2 == 0);
+    const Visit agree = [&](const std::string& m, const std::string& what) {
+      ++verdicts[static_cast<int>(expect_index_agrees(m, what + seed_tag(seed)))];
+    };
+    agree(c.v2, "clean blob");
+    agree(c.v2 + random_bytes(rng, 64), "trailing garbage");
+    bit_flips(c.v2, rng, 300, agree);
+    prefixes(c.v2, rng, 100, agree);
+    duplicated_chunks(c.v2, agree);
+    removed_chunks(c.v2, agree);
+    reordered_chunks(c.v2, agree);
+    corrupted_crcs(c.v2, agree);
+    resealed_event_flips(c.v2, rng, 150, agree);
+  }
+  for (int i = 0; i < 100; ++i) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 512));
+    expect_index_agrees(random_bytes(rng, n), "garbage #" + std::to_string(i));
+  }
+  // Not vacuous: every branch of the contract was taken.
+  EXPECT_GT(verdicts[static_cast<int>(Verdict::Rejected)], 1000u);
+  EXPECT_GT(verdicts[static_cast<int>(Verdict::DecodeRejected)], 50u);
+  EXPECT_GT(verdicts[static_cast<int>(Verdict::Accepted)], 50u);
 }
 
 /// Runs the windowed CLC over `blob`: it must either succeed, leaving a
@@ -319,40 +445,20 @@ TEST(TraceFuzz, WindowedClcSurvivesMutations) {
   std::size_t resealed_ok = 0, resealed_rejected = 0;
   for (std::uint64_t seed : kSeeds) {
     const Corpus c = make_corpus(seed, seed % 2 == 0);
-    const std::string tag = " seed " + std::to_string(seed);
+    const std::string tag = seed_tag(seed);
     EXPECT_TRUE(expect_windowed_clc_typed(dir, c.v2, "clean blob" + tag));
     Rng rng(seed * 6007 + 5);
     // Caught by the index pass: plain bit flips and truncations.
-    for (int i = 0; i < 40; ++i) {
-      std::string m = c.v2;
-      const auto byte = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(m.size()) - 1));
-      m[byte] = static_cast<char>(m[byte] ^ (1 << rng.uniform_int(0, 7)));
-      EXPECT_FALSE(expect_windowed_clc_typed(dir, m, "flip byte " + std::to_string(byte) + tag));
-      const auto n = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(c.v2.size()) - 1));
-      EXPECT_FALSE(
-          expect_windowed_clc_typed(dir, c.v2.substr(0, n), "prefix " + std::to_string(n) + tag));
-    }
+    const Visit rejected = [&](const std::string& m, const std::string& what) {
+      EXPECT_FALSE(expect_windowed_clc_typed(dir, m, what + tag));
+    };
+    bit_flips(c.v2, rng, 40, rejected);
+    prefixes(c.v2, rng, 40, rejected);
     // Resealed flips inside event payloads reach the processing pass and
     // the merge, which must each parse them or reject them typed.
-    std::vector<ChunkSpan> events;
-    for (const ChunkSpan& s : chunk_spans(c.v2)) {
-      if (s.kind == 'E') events.push_back(s);
-    }
-    ASSERT_FALSE(events.empty());
-    for (int i = 0; i < 150; ++i) {
-      const ChunkSpan& s = events[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(events.size()) - 1))];
-      std::string m = c.v2;
-      const auto byte = s.off + 5 +
-                        static_cast<std::size_t>(rng.uniform_int(
-                            0, static_cast<std::int64_t>(s.size) - 10));
-      m[byte] = static_cast<char>(m[byte] ^ (1 << rng.uniform_int(0, 7)));
-      const std::string context = "resealed flip byte " + std::to_string(byte) + tag;
-      const bool ok = expect_windowed_clc_typed(dir, reseal(m), context);
-      ++(ok ? resealed_ok : resealed_rejected);
-    }
+    resealed_event_flips(c.v2, rng, 150, [&](const std::string& m, const std::string& what) {
+      ++(expect_windowed_clc_typed(dir, m, what + tag) ? resealed_ok : resealed_rejected);
+    });
   }
   // Not vacuous: resealed flips both reached the output and were rejected.
   EXPECT_GT(resealed_ok, 50u);

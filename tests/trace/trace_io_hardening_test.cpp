@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <streambuf>
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
+#include "analysis/clock_condition_stream.hpp"
 #include "common/crc32c.hpp"
+#include "common/scratch_dir.hpp"
 #include "common/varint.hpp"
+#include "sync/clc_stream.hpp"
 #include "topology/cluster.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
@@ -149,31 +154,32 @@ class UnseekableStringBuf : public std::streambuf {
   char buf_[64];
 };
 
+/// The kind of TraceIoError `fn` throws; a test failure when it throws none.
+template <typename Fn>
+TraceIoErrorKind thrown_kind(Fn&& fn) {
+  try {
+    fn();
+  } catch (const TraceIoError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "a forged blob was accepted";
+  return TraceIoErrorKind::Io;
+}
+
 /// The kind of TraceIoError that reading `blob` raises, from a seekable
 /// stream or, with `unseekable`, through UnseekableStringBuf.
 TraceIoErrorKind read_error(const std::string& blob, bool unseekable = false) {
   std::stringstream seekable(blob);
   UnseekableStringBuf sb(blob);
   std::istream pipe(&sb);
-  try {
-    read_trace_v2(unseekable ? pipe : static_cast<std::istream&>(seekable));
-  } catch (const TraceIoError& e) {
-    return e.kind();
-  }
-  ADD_FAILURE() << "a forged blob parsed";
-  return TraceIoErrorKind::Io;
+  return thrown_kind(
+      [&] { read_trace_v2(unseekable ? pipe : static_cast<std::istream&>(seekable)); });
 }
 
 /// The kind of TraceIoError the index pass raises on `blob`.
 TraceIoErrorKind index_error(const std::string& blob) {
   std::stringstream in(blob);
-  try {
-    index_trace_v2(in);
-  } catch (const TraceIoError& e) {
-    return e.kind();
-  }
-  ADD_FAILURE() << "the index pass accepted a forged blob";
-  return TraceIoErrorKind::Io;
+  return thrown_kind([&] { index_trace_v2(in); });
 }
 
 TEST(TraceIoHardening, SanityOffsetsMatchFormat) {
@@ -289,6 +295,32 @@ TEST(TraceIoHardening, UnseekableStreamRejectsForgedCountsQuickly) {
 TEST(TraceIoHardening, UnknownVersionIsRejected) {
   EXPECT_EQ(read_error(patch_u32(v2_blob(), 4, 99u)), TraceIoErrorKind::BadVersion);
   EXPECT_EQ(index_error(patch_u32(v2_blob(), 4, 99u)), TraceIoErrorKind::BadVersion);
+}
+
+TEST(TraceIoHardening, DuplicateRegionNameIsRejectedByEveryReader) {
+  // Region 1 renamed from "halo" to "main".  Events name regions by index, so
+  // the meta chunk would give one region two ids; every reader of the
+  // container must refuse it, and the windowed CLC must not write a trace
+  // the whole-trace reader then rejects.
+  auto chunks = split(v2_blob());
+  auto& meta = chunks[kMetaChunk].payload;
+  const std::size_t region1 = kMetaRegion0Len + 1 + 4 + 1;
+  ASSERT_EQ(std::string(meta.begin() + region1, meta.begin() + region1 + 4), "halo");
+  std::memcpy(meta.data() + region1, "main", 4);
+  const std::string blob = seal(std::move(chunks));
+  EXPECT_EQ(read_error(blob), TraceIoErrorKind::Malformed);
+  EXPECT_EQ(index_error(blob), TraceIoErrorKind::Malformed);
+
+  const ScratchDir scratch(testing::TempDir());
+  const std::string in_path = scratch.file("in.cstr");
+  const std::string out_path = scratch.file("out.cstr");
+  std::ofstream(in_path, std::ios::binary) << blob;
+  EXPECT_EQ(thrown_kind([&] { scan_clock_condition_file(in_path); }),
+            TraceIoErrorKind::Malformed);
+  EXPECT_EQ(thrown_kind([&] { clc_stream_file(in_path, out_path); }),
+            TraceIoErrorKind::Malformed);
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  EXPECT_FALSE(std::filesystem::exists(out_path + ".tmp"));
 }
 
 }  // namespace

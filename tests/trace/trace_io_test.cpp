@@ -4,10 +4,10 @@
 // TraceIoError derives from for older call sites.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "../testutil/random_trace.hpp"
+#include "common/scratch_dir.hpp"
 #include "topology/cluster.hpp"
 #include "trace/stream_io.hpp"
 
@@ -83,11 +83,11 @@ TEST(TraceIo, PlacementSurvives) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/cs_trace.bin";
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("trace.cstr");
   const Trace t = testutil::random_trace(4, /*extreme_doubles=*/true);
   write_trace_v2_file(t, path);
   EXPECT_TRUE(testutil::traces_equal(t, read_trace_v2_file(path)));
-  std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsGarbage) {
