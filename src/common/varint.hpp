@@ -7,10 +7,25 @@
 // the return value so callers can surface a typed error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace chronosync {
+
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes the unsigned LEB128 encoding of `v` (1..10 bytes) at `p`, which
+/// has room for kMaxVarintBytes, and returns the end of the encoding.
+inline std::uint8_t* put_uvarint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80u) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
 
 /// Appends the unsigned LEB128 encoding of `v` (1..10 bytes) to `out`.
 inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -18,11 +33,8 @@ inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>(v));
     return;
   }
-  while (v >= 0x80u) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t buf[kMaxVarintBytes];
+  out.insert(out.end(), buf, put_uvarint(buf, v));
 }
 
 /// Maps signed to unsigned so small magnitudes of either sign stay short:
@@ -33,6 +45,10 @@ inline std::uint64_t zigzag_encode(std::int64_t v) {
 
 inline std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1u);
+}
+
+inline std::uint8_t* put_svarint(std::uint8_t* p, std::int64_t v) {
+  return put_uvarint(p, zigzag_encode(v));
 }
 
 inline void put_svarint(std::vector<std::uint8_t>& out, std::int64_t v) {

@@ -26,50 +26,46 @@ ReplaySchedule::ReplaySchedule(const Trace& trace, const std::vector<MessageReco
     }
   }
 
-  // CSR build: count degrees, prefix-sum into offsets, then fill.  Filling
-  // iterates p2p messages before logical ones, so each event's incoming edges
-  // keep that order.
-  const std::size_t m = messages.size() + logical.size();
-  std::vector<std::uint32_t> src(m), dst(m);
-  std::vector<Duration> lmin(m);
-  std::size_t k = 0;
-  for (const auto& msg : messages) {
-    src[k] = global_index(msg.send);
-    dst[k] = global_index(msg.recv);
-    lmin[k] = trace.min_latency(msg.send.proc, msg.recv.proc);
-    ++k;
-  }
-  const std::size_t first_logical = k;
-  for (const auto& lm : logical) {
-    src[k] = global_index(lm.send);
-    dst[k] = global_index(lm.recv);
-    lmin[k] = trace.min_latency(lm.send.proc, lm.recv.proc);
-    ++k;
-  }
-
+  // CSR build: count degrees, prefix-sum into offsets, then fill, using each
+  // event's offset as its fill cursor.  Filling advances every cursor to the
+  // next event's offset, so one shift restores the offsets.  p2p messages
+  // are filled before logical ones, so each event's incoming edges keep that
+  // order.
   in_off_.assign(total_ + 1, 0);
   out_off_.assign(total_ + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++in_off_[dst[e] + 1];
-    ++out_off_[src[e] + 1];
-  }
+  const auto count = [&](const EventRef& send, const EventRef& recv) {
+    ++in_off_[global_index(recv) + 1];
+    ++out_off_[global_index(send) + 1];
+  };
+  for (const auto& msg : messages) count(msg.send, msg.recv);
+  for (const auto& lm : logical) count(lm.send, lm.recv);
   for (std::size_t g = 0; g < total_; ++g) {
     in_off_[g + 1] += in_off_[g];
     out_off_[g + 1] += out_off_[g];
   }
 
+  const std::size_t m = messages.size() + logical.size();
   in_edges_.resize(m);
   out_edges_.resize(m);
-  std::vector<std::uint32_t> in_fill(in_off_.begin(), in_off_.end() - 1);
-  std::vector<std::uint32_t> out_fill(out_off_.begin(), out_off_.end() - 1);
-  for (std::size_t e = 0; e < m; ++e) {
-    in_edges_[in_fill[dst[e]]++] = {src[e], e >= first_logical, lmin[e]};
-    out_edges_[out_fill[src[e]]++] = dst[e];
+  const auto fill = [&](const EventRef& send, const EventRef& recv, bool is_logical) {
+    const std::uint32_t src = global_index(send);
+    const std::uint32_t dst = global_index(recv);
+    in_edges_[in_off_[dst]++] = {src, is_logical, trace.min_latency(send.proc, recv.proc)};
+    out_edges_[out_off_[src]++] = dst;
+  };
+  for (const auto& msg : messages) fill(msg.send, msg.recv, false);
+  for (const auto& lm : logical) fill(lm.send, lm.recv, true);
+  for (std::size_t g = total_; g > 0; --g) {
+    in_off_[g] = in_off_[g - 1];
+    out_off_[g] = out_off_[g - 1];
   }
+  in_off_[0] = 0;
+  out_off_[0] = 0;
 }
 
 std::uint32_t ReplaySchedule::global_index(const EventRef& ref) const {
   CS_REQUIRE(ref.proc >= 0 && ref.proc < trace_->ranks(), "rank out of range");
+  CS_REQUIRE(ref.index < rank_size(ref.proc), "event index out of range for its rank");
   return prefix_[static_cast<std::size_t>(ref.proc)] + ref.index;
 }
 

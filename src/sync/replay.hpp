@@ -39,6 +39,8 @@ class ReplaySchedule {
   /// Total number of constraint edges (p2p + logical).
   std::size_t edges() const { return in_edges_.size(); }
 
+  /// Global index of `ref`; throws std::invalid_argument unless it names an
+  /// event of the trace (rank in range, index below that rank's size).
   std::uint32_t global_index(const EventRef& ref) const;
   EventRef event_ref(std::uint32_t gidx) const;
 

@@ -53,22 +53,30 @@ enum class CollectiveFlavor { OneToN, NToOne, NToN };
 
 CollectiveFlavor flavor_of(CollectiveKind k);
 
+// The fields are ordered by size — the four 8-byte ones, then the seven
+// 4-byte ones, then the two enum bytes — so that no padding falls between
+// them and an event fits one 64-byte cache line; grouped by meaning instead,
+// alignment padding makes it 80 bytes.  A correction decodes, walks and
+// encodes millions of events, so their size is its memory traffic.
+// Producers assign fields by name, never positionally.
 struct Event {
-  EventType type{};
   Time local_ts = 0.0;
   Time true_ts = 0.0;
+  std::int64_t msg_id = -1;       ///< pairs Send with its Recv
+  std::int64_t coll_id = -1;      ///< collective instance (same on all ranks)
 
   std::int32_t region = -1;       ///< Enter/Exit: region table index
   Rank peer = -1;                 ///< Send: destination; Recv: source
   Tag tag = -1;                   ///< p2p message tag
   std::uint32_t bytes = 0;        ///< p2p/collective payload size
-  std::int64_t msg_id = -1;       ///< pairs Send with its Recv
-  CollectiveKind coll{};          ///< CollBegin/CollEnd
-  std::int64_t coll_id = -1;      ///< collective instance (same on all ranks)
   Rank root = -1;                 ///< rooted collectives
   std::int32_t omp_instance = -1; ///< parallel-region instance (POMP analysis)
   ThreadId thread = 0;            ///< OpenMP thread within the location
+
+  EventType type{};
+  CollectiveKind coll{};          ///< CollBegin/CollEnd
 };
+static_assert(sizeof(Event) == 64, "Event must stay one cache line");
 
 /// Addresses one event inside a Trace.
 struct EventRef {

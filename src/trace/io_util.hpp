@@ -38,6 +38,9 @@ class ByteSource {
   /// from the construction point otherwise.
   std::uint64_t offset() const { return offset_; }
 
+  /// True when the stream's size is known, i.e. it can seek.
+  bool seekable() const { return end_ >= 0; }
+
   /// Moves to absolute `offset` of a seekable stream.
   void seek(std::uint64_t offset) {
     in_.clear();

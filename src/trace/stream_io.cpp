@@ -31,6 +31,9 @@ constexpr std::uint32_t kMaxEventChunkHead = 30;
 /// Smallest possible encoded event: type byte + 12 one-byte varints.
 constexpr std::uint64_t kMinEncodedEvent = 13;
 
+/// Largest possible encoded event: two enum bytes + 11 ten-byte varints.
+constexpr std::size_t kMaxEncodedEvent = 2 + 11 * kMaxVarintBytes;
+
 constexpr std::uint8_t kMaxEventType = static_cast<std::uint8_t>(EventType::BarrierExit);
 constexpr std::uint8_t kMaxCollKind = static_cast<std::uint8_t>(CollectiveKind::Alltoall);
 
@@ -86,19 +89,17 @@ std::uint64_t get_raw64(const std::uint8_t** p, const std::uint8_t* end, const c
 }
 
 /// Decodes `count` delta-encoded events from [p, end) — the payload after the
-/// chunk head — into `out`.  Shared by the sequential TraceReader and the
-/// random-access ChunkReader so both enforce identical validation.
+/// chunk head — into out[0, count).  Shared by the sequential TraceReader and
+/// the random-access ChunkReader so both enforce identical validation.
 void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t count,
-                   std::vector<Event>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(count));
+                   Event* out) {
   std::uint64_t prev_local = 0;
   std::uint64_t prev_true = 0;
-  std::int64_t prev_msg = 0;
-  std::int64_t prev_coll = 0;
+  std::uint64_t prev_msg = 0;  // ids sum modulo 2^64, as the writer subtracts
+  std::uint64_t prev_coll = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     if (p == end) malformed("event chunk ends mid-event");
-    Event e;
+    Event& e = out[i];
     const std::uint8_t type = *p++;
     if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
     e.type = static_cast<EventType>(type);
@@ -112,18 +113,17 @@ void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t
     const std::uint64_t bytes = get_uv(&p, end, "event bytes");
     if (bytes > std::numeric_limits<std::uint32_t>::max()) malformed("event bytes out of range");
     e.bytes = static_cast<std::uint32_t>(bytes);
-    prev_msg += get_sv(&p, end, "event msg_id");
-    e.msg_id = prev_msg;
+    prev_msg += static_cast<std::uint64_t>(get_sv(&p, end, "event msg_id"));
+    e.msg_id = static_cast<std::int64_t>(prev_msg);
     if (p == end) malformed("event chunk ends mid-event");
     const std::uint8_t coll = *p++;
     if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
     e.coll = static_cast<CollectiveKind>(coll);
-    prev_coll += get_sv(&p, end, "event coll_id");
-    e.coll_id = prev_coll;
+    prev_coll += static_cast<std::uint64_t>(get_sv(&p, end, "event coll_id"));
+    e.coll_id = static_cast<std::int64_t>(prev_coll);
     e.root = get_sv32(&p, end, "event root");
     e.omp_instance = get_sv32(&p, end, "event omp_instance");
     e.thread = get_sv32(&p, end, "event thread");
-    out.push_back(e);
   }
   if (p != end) malformed("trailing bytes in event chunk");
 }
@@ -329,22 +329,31 @@ void TraceWriter::append(Rank rank, const Event& e) {
   const auto coll = static_cast<std::uint8_t>(e.coll);
   CS_REQUIRE(type <= kMaxEventType && coll <= kMaxCollKind, "event with invalid enum value");
 
+  // The chunk buffer keeps room for one worst-case event, so the fields are
+  // written through a plain pointer with no per-byte capacity check.
+  if (body_.size() - body_len_ < kMaxEncodedEvent) {
+    body_.resize(std::max(2 * body_.size(), body_len_ + kMaxEncodedEvent));
+  }
   const std::uint64_t local_bits = std::bit_cast<std::uint64_t>(e.local_ts);
   const std::uint64_t true_bits = std::bit_cast<std::uint64_t>(e.true_ts);
-  body_.push_back(type);
-  put_svarint(body_, static_cast<std::int64_t>(local_bits - prev_.local_bits));
-  put_svarint(body_, static_cast<std::int64_t>(true_bits - prev_.true_bits));
-  put_svarint(body_, e.region);
-  put_svarint(body_, e.peer);
-  put_svarint(body_, e.tag);
-  put_uvarint(body_, e.bytes);
-  put_svarint(body_, e.msg_id - prev_.msg_id);
-  body_.push_back(coll);
-  put_svarint(body_, e.coll_id - prev_.coll_id);
-  put_svarint(body_, e.root);
-  put_svarint(body_, e.omp_instance);
-  put_svarint(body_, e.thread);
-  prev_ = {local_bits, true_bits, e.msg_id, e.coll_id};
+  const auto msg = static_cast<std::uint64_t>(e.msg_id);
+  const auto coll_id = static_cast<std::uint64_t>(e.coll_id);
+  std::uint8_t* p = body_.data() + body_len_;
+  *p++ = type;
+  p = put_svarint(p, static_cast<std::int64_t>(local_bits - prev_.local_bits));
+  p = put_svarint(p, static_cast<std::int64_t>(true_bits - prev_.true_bits));
+  p = put_svarint(p, e.region);
+  p = put_svarint(p, e.peer);
+  p = put_svarint(p, e.tag);
+  p = put_uvarint(p, e.bytes);
+  p = put_svarint(p, static_cast<std::int64_t>(msg - prev_.msg_id));
+  *p++ = coll;
+  p = put_svarint(p, static_cast<std::int64_t>(coll_id - prev_.coll_id));
+  p = put_svarint(p, e.root);
+  p = put_svarint(p, e.omp_instance);
+  p = put_svarint(p, e.thread);
+  body_len_ = static_cast<std::size_t>(p - body_.data());
+  prev_ = {local_bits, true_bits, msg, coll_id};
 
   ++body_events_;
   ++total_events_;
@@ -352,37 +361,36 @@ void TraceWriter::append(Rank rank, const Event& e) {
 }
 
 void TraceWriter::append_chunk(Rank rank, std::uint64_t count,
-                               const std::vector<std::uint8_t>& events) {
+                               std::span<const std::uint8_t> events) {
   CS_REQUIRE(!finished_, "append_chunk on a finished TraceWriter");
   CS_REQUIRE(rank >= 0 && rank < ranks_, "rank outside the placement");
   CS_REQUIRE(count > 0, "an event chunk holds at least one event");
   flush_chunk();
   CS_REQUIRE(rank >= pending_rank_, "events must be appended rank-major");
   pending_rank_ = rank;
-  std::vector<std::uint8_t> head;
-  put_uvarint(head, chunk_seq_);
-  put_uvarint(head, static_cast<std::uint64_t>(rank));
-  put_uvarint(head, count);
-  emit_chunk(kChunkEvents, head, events);
-  ++chunk_seq_;
+  emit_event_chunk(count, events);
   total_events_ += count;
 }
 
 void TraceWriter::flush_chunk() {
   if (body_events_ == 0) return;
-  std::vector<std::uint8_t> head;
-  put_uvarint(head, chunk_seq_);
-  put_uvarint(head, static_cast<std::uint64_t>(pending_rank_));
-  put_uvarint(head, body_events_);
-  emit_chunk(kChunkEvents, head, body_);
-  ++chunk_seq_;
-  body_.clear();
+  emit_event_chunk(body_events_, {body_.data(), body_len_});
+  body_len_ = 0;
   body_events_ = 0;
   prev_ = {};
 }
 
-void TraceWriter::emit_chunk(std::uint8_t kind, const std::vector<std::uint8_t>& head,
-                             const std::vector<std::uint8_t>& body) {
+void TraceWriter::emit_event_chunk(std::uint64_t count, std::span<const std::uint8_t> events) {
+  std::uint8_t head[kMaxEventChunkHead];
+  std::uint8_t* p = put_uvarint(head, chunk_seq_);
+  p = put_uvarint(p, static_cast<std::uint64_t>(pending_rank_));
+  p = put_uvarint(p, count);
+  emit_chunk(kChunkEvents, {head, p}, events);
+  ++chunk_seq_;
+}
+
+void TraceWriter::emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> head,
+                             std::span<const std::uint8_t> body) {
   CS_SPAN("trace.write_chunk");
   const std::uint64_t len64 = head.size() + body.size();
   CS_ENSURE(len64 <= kMaxChunkPayload, "chunk payload exceeds the format limit");
@@ -449,21 +457,22 @@ TraceReader::TraceReader(std::istream& in, bool header_consumed) : src_(in) {
   }
   // The file CRC covers the 8 header bytes; a dispatcher that consumed them
   // already checked them, so the known constants stand in for them.
-  file_crc_ = crc32c(file_crc_, header, 8);
+  at_.file_crc = crc32c(at_.file_crc, header, 8);
 
-  if (read_frame(src_, payload_, &file_crc_) != kChunkMeta) {
+  if (read_frame(src_, payload_, &at_.file_crc) != kChunkMeta) {
     malformed("first chunk must be the meta chunk");
   }
   meta_ = parse_meta_payload(payload_.data(), payload_.data() + payload_.size());
 }
 
 bool TraceReader::next_chunk(ChunkRef& ref) {
-  if (done_) return false;
+  events_ = nullptr;
+  if (at_.done) return false;
   const std::uint64_t offset = src_.offset();
-  const std::uint8_t kind = read_frame(src_, payload_, &file_crc_);
+  const std::uint8_t kind = read_frame(src_, payload_, &at_.file_crc);
   if (kind == kChunkFooter) {
     parse_footer();
-    done_ = true;
+    at_.done = true;
     return false;
   }
   if (kind == kChunkMeta) malformed("duplicate meta chunk");
@@ -472,45 +481,68 @@ bool TraceReader::next_chunk(ChunkRef& ref) {
   }
 
   const EventChunkHead head = parse_event_head(payload_, ranks());
-  if (head.seq != event_chunks_seen_) {
+  if (head.seq != at_.event_chunks_seen) {
     malformed("event chunk out of sequence (duplicated, dropped, or reordered chunk): expected " +
-              std::to_string(event_chunks_seen_) + ", found " + std::to_string(head.seq));
+              std::to_string(at_.event_chunks_seen) + ", found " + std::to_string(head.seq));
   }
-  if (head.rank < last_rank_) malformed("event chunks out of rank order");
+  if (head.rank < at_.last_rank) malformed("event chunks out of rank order");
 
   ref = {offset, static_cast<std::uint32_t>(payload_.size()), head.seq, head.rank, head.count};
   events_ = head.events;
-  ++event_chunks_seen_;
-  events_read_ += head.count;
-  last_rank_ = head.rank;
+  events_count_ = head.count;
+  ++at_.event_chunks_seen;
+  at_.events_read += head.count;
+  at_.last_rank = head.rank;
   return true;
+}
+
+void TraceReader::append_events(std::vector<Event>& out) {
+  CS_REQUIRE(events_ != nullptr, "append_events needs a chunk from next_chunk()");
+  const std::size_t at = out.size();
+  out.resize(at + events_count_);
+  decode_events(events_, payload_.data() + payload_.size(), events_count_, out.data() + at);
+  events_ = nullptr;
 }
 
 bool TraceReader::next(EventBlock& block) {
   ChunkRef ref;
   if (!next_chunk(ref)) return false;
   block.rank = ref.rank;
-  decode_events(events_, payload_.data() + payload_.size(), ref.count, block.events);
+  block.events.resize(ref.count);
+  decode_events(events_, payload_.data() + payload_.size(), ref.count, block.events.data());
+  events_ = nullptr;
   return true;
+}
+
+std::vector<std::uint64_t> TraceReader::count_remaining() {
+  if (!src_.seekable()) return {};
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(ranks()), 0);
+  const std::uint64_t offset = src_.offset();
+  const Progress saved = at_;
+  ChunkRef ref;
+  while (next_chunk(ref)) counts[static_cast<std::size_t>(ref.rank)] += ref.count;
+  at_ = saved;
+  src_.seek(offset);
+  return counts;
 }
 
 void TraceReader::parse_footer() {
   const std::uint8_t* p = payload_.data();
   const std::uint8_t* end = p + payload_.size();
   const std::uint64_t nchunks = get_uv(&p, end, "footer chunk count");
-  if (nchunks != event_chunks_seen_) {
+  if (nchunks != at_.event_chunks_seen) {
     malformed("footer event-chunk count " + std::to_string(nchunks) + " != " +
-              std::to_string(event_chunks_seen_) + " chunks read");
+              std::to_string(at_.event_chunks_seen) + " chunks read");
   }
   const std::uint64_t total = get_uv(&p, end, "footer total");
-  if (total != events_read_) {
+  if (total != at_.events_read) {
     malformed("footer event total " + std::to_string(total) + " != " +
-              std::to_string(events_read_) + " events read");
+              std::to_string(at_.events_read) + " events read");
   }
   if (end - p != 4) malformed("footer payload has wrong size");
   std::uint32_t stored;
   std::memcpy(&stored, p, 4);
-  if (stored != file_crc_) {
+  if (stored != at_.file_crc) {
     throw TraceIoError(TraceIoErrorKind::BadChecksum, "whole-file checksum mismatch");
   }
   if (!src_.exhausted()) malformed("trailing data after trace footer");
@@ -558,7 +590,8 @@ const std::uint8_t* ChunkReader::load(const ChunkRef& ref) {
 void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
   const std::uint8_t* p = load(ref);
   out.rank = ref.rank;
-  decode_events(p, payload_.data() + payload_.size(), ref.count, out.events);
+  out.events.resize(ref.count);
+  decode_events(p, payload_.data() + payload_.size(), ref.count, out.events.data());
 }
 
 void ChunkReader::read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
@@ -627,11 +660,14 @@ Trace read_trace_v2(TraceReader& reader) {
   Trace trace(meta.placement, meta.domain_min_latency, meta.timer_name);
   // parse_meta_payload rejected repeated names, so region i interns as id i.
   for (const std::string& name : meta.regions) trace.intern_region(name);
-  EventBlock block;
-  while (reader.next(block)) {
-    auto& ev = trace.events(block.rank);
-    ev.insert(ev.end(), block.events.begin(), block.events.end());
+  // Seekable streams size every rank up front, so each chunk decodes into
+  // its final place; otherwise the ranks grow as their chunks arrive.
+  const std::vector<std::uint64_t> counts = reader.count_remaining();
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    trace.events(static_cast<Rank>(r)).reserve(static_cast<std::size_t>(counts[r]));
   }
+  ChunkRef ref;
+  while (reader.next_chunk(ref)) reader.append_events(trace.events(ref.rank));
   return trace;
 }
 

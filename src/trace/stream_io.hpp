@@ -100,7 +100,7 @@ class TraceWriter {
   /// events encoded as above (delta state reset), as ChunkReader::read_retimed
   /// produces them.  Events appended one by one before it close their own
   /// chunk first.  The bytes are framed and checksummed, not re-validated.
-  void append_chunk(Rank rank, std::uint64_t count, const std::vector<std::uint8_t>& events);
+  void append_chunk(Rank rank, std::uint64_t count, std::span<const std::uint8_t> events);
   void finish();
 
   bool finished() const { return finished_; }
@@ -108,21 +108,28 @@ class TraceWriter {
   std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  /// The previous event's delta-coded fields, as bit patterns (ids
+  /// subtract modulo 2^64).
   struct DeltaState {
     std::uint64_t local_bits = 0;
     std::uint64_t true_bits = 0;
-    std::int64_t msg_id = 0;
-    std::int64_t coll_id = 0;
+    std::uint64_t msg_id = 0;
+    std::uint64_t coll_id = 0;
   };
 
   void flush_chunk();
-  void emit_chunk(std::uint8_t kind, const std::vector<std::uint8_t>& head,
-                  const std::vector<std::uint8_t>& body);
+  /// Frames `count` encoded events of pending_rank_ as the next event chunk.
+  void emit_event_chunk(std::uint64_t count, std::span<const std::uint8_t> events);
+  void emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> body);
 
   std::ostream& out_;
   int ranks_;
   std::size_t events_per_chunk_;
-  std::vector<std::uint8_t> body_;  // encoded events of the pending chunk
+  /// The pending chunk's encoded events are body_[0, body_len_); append()
+  /// keeps room behind them for one worst-case event.
+  std::vector<std::uint8_t> body_;
+  std::size_t body_len_ = 0;
   std::size_t body_events_ = 0;
   Rank pending_rank_ = 0;
   DeltaState prev_{};
@@ -158,9 +165,10 @@ struct ChunkRef {
 /// Streaming v2 reader, the only parser of the container: validates the
 /// header and meta chunk on construction, then steps through the event
 /// chunks.  next() decodes each into an event block; next_chunk() validates
-/// it without decoding its events (the index pass).  Both return false only
-/// after the footer verified the chunk sequence, the event total, and the
-/// whole-file CRC.
+/// it without decoding its events (the index pass), and append_events() then
+/// decodes them into caller storage.  next() and next_chunk() return false
+/// only after the footer verified the chunk sequence, the event total, and
+/// the whole-file CRC.
 class TraceReader {
  public:
   /// `header_consumed` is for dispatchers that already read the 8-byte
@@ -176,22 +184,37 @@ class TraceReader {
   /// head — and describes it in `ref`, its offset absolute when the stream
   /// is seekable.
   bool next_chunk(ChunkRef& ref);
+  /// Decodes the events of the chunk the last next_chunk() call returned
+  /// and appends them to `out`; at most once per chunk.
+  void append_events(std::vector<Event>& out);
+
+  /// Event count per rank of the chunks not stepped over yet, or an empty
+  /// vector when the stream is not seekable.  A count pass: steps through
+  /// them with next_chunk() — every check, footer and whole-file CRC
+  /// included — then seeks back, leaving the reader where it was.
+  std::vector<std::uint64_t> count_remaining();
 
   /// Events in the chunks stepped over so far.
-  std::uint64_t events_read() const { return events_read_; }
+  std::uint64_t events_read() const { return at_.events_read; }
 
  private:
+  /// Where the reader stands in the chunk sequence.
+  struct Progress {
+    std::uint32_t file_crc = 0;
+    std::uint64_t event_chunks_seen = 0;
+    std::uint64_t events_read = 0;
+    Rank last_rank = 0;
+    bool done = false;
+  };
+
   void parse_footer();
 
   traceio::ByteSource src_;
   TraceMeta meta_;
   std::vector<std::uint8_t> payload_;  // reused chunk buffer
   const std::uint8_t* events_ = nullptr;  // encoded events of the chunk in payload_
-  std::uint32_t file_crc_ = 0;
-  std::uint64_t event_chunks_seen_ = 0;
-  std::uint64_t events_read_ = 0;
-  Rank last_rank_ = 0;
-  bool done_ = false;
+  std::uint32_t events_count_ = 0;        // ... and their number
+  Progress at_;
 };
 
 // -- random access over an indexed v2 file ------------------------------------
@@ -252,7 +275,11 @@ void write_trace_v2(const Trace& trace, std::ostream& out,
 void write_trace_v2_file(const Trace& trace, const std::string& path,
                          std::size_t events_per_chunk = kDefaultEventsPerChunk);
 
-/// Materializes the rest of `reader` into a Trace.
+/// Materializes the rest of `reader` into a Trace.  On a seekable stream a
+/// count pass (TraceReader::count_remaining) sizes each rank's events first,
+/// so every chunk decodes straight into its final place with no growth or
+/// copy; a non-seekable stream is decoded the same way, growing each rank as
+/// its chunks arrive.
 Trace read_trace_v2(TraceReader& reader);
 Trace read_trace_v2(std::istream& in);
 Trace read_trace_v2_file(const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/expect.hpp"
 
@@ -66,7 +67,8 @@ struct Recorder {
 InvariantChecker::InvariantChecker(const Trace& trace, const ReplaySchedule& schedule,
                                    VerifyOptions options)
     : trace_(&trace), schedule_(&schedule), options_(options) {
-  CS_REQUIRE(schedule.events() == trace.total_events(),
+  CS_REQUIRE(schedule.events() == trace.total_events() &&
+                 schedule.rank_offsets().size() == static_cast<std::size_t>(trace.ranks()) + 1,
              "schedule was not built from this trace");
   CS_REQUIRE(options_.clock_condition_slack >= 0.0 && options_.order_slack >= 0.0 &&
                  options_.max_correction >= 0.0,
@@ -83,8 +85,7 @@ VerifyReport InvariantChecker::check(const TimestampArray& ts) const {
   // order is only judged between finite neighbours.
   for (Rank r = 0; r < trace_->ranks(); ++r) {
     const auto& v = ts.of_rank(r);
-    CS_REQUIRE(v.size() == trace_->events(r).size(),
-               "timestamp array shape differs from trace");
+    CS_REQUIRE(v.size() == schedule_->rank_size(r), "timestamp array shape differs from trace");
     bool have_prev = false;
     Time prev = 0.0;
     std::uint32_t prev_i = 0;
@@ -106,21 +107,37 @@ VerifyReport InvariantChecker::check(const TimestampArray& ts) const {
     }
   }
 
-  // Pass 2, over the CSR constraint edges: Eq. 1 with per-edge slack.
-  const auto n = static_cast<std::uint32_t>(schedule_->events());
-  for (std::uint32_t g = 0; g < n; ++g) {
-    const auto in = schedule_->incoming(g);
-    if (in.empty()) continue;
-    const EventRef recv = schedule_->event_ref(g);
-    const Time t_recv = ts.at(recv);
-    for (const auto& edge : in) {
-      ++report.edges_checked;
-      const EventRef send = schedule_->event_ref(edge.source);
-      const Time t_send = ts.at(send);
-      if (!std::isfinite(t_recv) || !std::isfinite(t_send)) continue;  // already counted
-      const Duration gap = t_send + edge.l_min - t_recv;
-      if (gap > options_.clock_condition_slack) {
-        rec.add(InvariantKind::ClockCondition, recv.proc, recv, gap, send, true);
+  // Pass 2, over the CSR constraint edges: Eq. 1 with per-edge slack.  It
+  // reads the schedule's raw arrays and one timestamp row per rank; pass 1
+  // proved every row as long as its rank's extent in the schedule, so no
+  // edge needs a bounds check.
+  const auto ranks_of = schedule_->ranks_of();
+  const auto rank_offsets = schedule_->rank_offsets();
+  const auto in_off = schedule_->incoming_offsets();
+  const auto in_edges = schedule_->incoming_edges();
+  std::vector<const Time*> rows(static_cast<std::size_t>(trace_->ranks()));
+  for (Rank r = 0; r < trace_->ranks(); ++r) {
+    rows[static_cast<std::size_t>(r)] = ts.of_rank(r).data();
+  }
+  for (Rank r = 0; r < trace_->ranks(); ++r) {
+    const std::uint32_t first = rank_offsets[static_cast<std::size_t>(r)];
+    const std::uint32_t size = rank_offsets[static_cast<std::size_t>(r) + 1] - first;
+    const Time* recv_row = rows[static_cast<std::size_t>(r)];
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const std::uint32_t lo = in_off[first + i];
+      const std::uint32_t hi = in_off[first + i + 1];
+      report.edges_checked += hi - lo;
+      const Time t_recv = recv_row[i];
+      for (std::uint32_t k = lo; k < hi; ++k) {
+        const auto& edge = in_edges[k];
+        const Rank sr = ranks_of[edge.source];
+        const std::uint32_t si = edge.source - rank_offsets[static_cast<std::size_t>(sr)];
+        const Time t_send = rows[static_cast<std::size_t>(sr)][si];
+        if (!std::isfinite(t_recv) || !std::isfinite(t_send)) continue;  // already counted
+        const Duration gap = t_send + edge.l_min - t_recv;
+        if (gap > options_.clock_condition_slack) {
+          rec.add(InvariantKind::ClockCondition, r, {r, i}, gap, {sr, si}, true);
+        }
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "topology/cluster.hpp"
 
 namespace chronosync {
@@ -98,6 +100,35 @@ TEST(ReplaySchedule, SelfMessageEdgeHasZeroLatency) {
   EXPECT_EQ(s.incoming(1)[0].source, 0u);
   EXPECT_EQ(s.incoming(1)[0].l_min, 0.0);
   EXPECT_EQ(lamport_clocks(trace, s)[0][1], 2u);
+}
+
+TEST(ReplaySchedule, RejectsEventRefPastItsRank) {
+  // Two ranks with two events each: {0, 3} is not rank 1's event 1, and a
+  // record whose receive index equals the last rank's size names no event.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  for (Rank r = 0; r < 2; ++r) {
+    for (int i = 0; i < 2; ++i) {
+      Event e;
+      e.type = EventType::Enter;
+      e.local_ts = e.true_ts = 1.0 + i;
+      trace.events(r).push_back(e);
+    }
+  }
+  const ReplaySchedule s(trace, {}, {});
+  EXPECT_EQ(s.global_index({1, 1}), 3u);
+  EXPECT_THROW(s.global_index({0, 2}), std::invalid_argument);
+  EXPECT_THROW(s.global_index({0, 3}), std::invalid_argument);
+  EXPECT_THROW(s.global_index({2, 0}), std::invalid_argument);
+
+  MessageRecord past_end;
+  past_end.send = {0, 0};
+  past_end.recv = {1, 2};
+  EXPECT_THROW(ReplaySchedule(trace, {past_end}, {}), std::invalid_argument);
+  LogicalMessage past_end_logical;
+  past_end_logical.send = {1, 2};
+  past_end_logical.recv = {0, 1};
+  EXPECT_THROW(ReplaySchedule(trace, {}, {past_end_logical}), std::invalid_argument);
 }
 
 TEST(LamportClocks, MessageInducesOrdering) {

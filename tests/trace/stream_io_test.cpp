@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "../testutil/random_trace.hpp"
+#include "../testutil/spec_encoder.hpp"
 #include "common/scratch_dir.hpp"
 #include "topology/cluster.hpp"
 
@@ -361,6 +364,81 @@ TEST(StreamIo, V2IsSmallerThanV1) {
   std::stringstream v2;
   write_trace_v2(t, v2);
   EXPECT_LT(v2.str().size(), t.total_events() * 34);
+}
+
+/// Every event type and collective kind, with the values a delta or zigzag
+/// coder gets wrong first: int64 extremes and negative deltas for msg_id and
+/// coll_id, NaN, infinities, denormals and -0 timestamps, 32-bit extremes in
+/// the plain fields, and empty ranks between and after the busy ones.
+Trace edge_value_trace() {
+  using I64 = std::numeric_limits<std::int64_t>;
+  using I32 = std::numeric_limits<std::int32_t>;
+  Trace t(pinning::block(clusters::xeon_rwth(), 5), {1e-7, 1e-6, 5e-6}, "edges");
+  t.intern_region("r");
+  const double stamps[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           1.5};
+  const std::int64_t ids[] = {I64::min(), I64::max(), -1, 0, I64::min(), 7, -9, I64::max(), 1};
+  const std::int32_t smalls[] = {I32::min(), I32::max(), -1, 0, 1};
+  int k = 0;
+  for (Rank r : {0, 2, 3}) {
+    for (int type = 0; type <= static_cast<int>(EventType::BarrierExit); ++type) {
+      for (int coll = 0; coll <= static_cast<int>(CollectiveKind::Alltoall); ++coll, ++k) {
+        Event e;
+        e.type = static_cast<EventType>(type);
+        e.coll = static_cast<CollectiveKind>(coll);
+        e.local_ts = stamps[k % std::size(stamps)];
+        e.true_ts = stamps[(k * 7 + 3) % std::size(stamps)];
+        e.msg_id = ids[k % std::size(ids)];
+        e.coll_id = ids[(k * 5 + 2) % std::size(ids)];
+        e.region = smalls[k % std::size(smalls)];
+        e.peer = smalls[(k + 1) % std::size(smalls)];
+        e.tag = smalls[(k + 2) % std::size(smalls)];
+        e.bytes = k % 3 == 0 ? std::numeric_limits<std::uint32_t>::max()
+                             : static_cast<std::uint32_t>(k);
+        e.root = smalls[(k + 3) % std::size(smalls)];
+        e.omp_instance = smalls[(k + 4) % std::size(smalls)];
+        e.thread = smalls[(k * 3) % std::size(smalls)];
+        t.events(r).push_back(e);
+      }
+    }
+  }
+  return t;
+}
+
+TEST(StreamIo, WriterBytesMatchSpecOracle) {
+  std::vector<Trace> traces;
+  traces.push_back(edge_value_trace());
+  traces.push_back(sample_trace());
+  traces.push_back(Trace(pinning::block(clusters::xeon_rwth(), 3), {1e-7, 1e-6, 5e-6}, "idle"));
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    traces.push_back(testutil::random_trace(seed, seed % 2 == 0));
+  }
+  int compared = 0;
+  for (const Trace& t : traces) {
+    for (const std::size_t per_chunk : {std::size_t{1}, std::size_t{3}, kDefaultEventsPerChunk}) {
+      std::stringstream buf;
+      write_trace_v2(t, buf, per_chunk);
+      const std::string got = buf.str();
+      const std::string want = testutil::encode_v2_spec(t, per_chunk);
+      ASSERT_EQ(got.size(), want.size()) << "trace " << compared / 3 << ", " << per_chunk;
+      EXPECT_TRUE(got == want) << "trace " << compared / 3 << ", " << per_chunk
+                               << " events per chunk: first difference at byte "
+                               << std::mismatch(got.begin(), got.end(), want.begin()).first -
+                                      got.begin();
+      std::stringstream again(got);
+      EXPECT_TRUE(testutil::traces_equal(read_trace_v2(again), t));
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 3 * 43);
 }
 
 TEST(StreamIo, BytesWrittenMatchesStream) {

@@ -9,9 +9,10 @@
 // held to the same rule, and so is the windowed CLC (clc_stream_file), whose
 // merge re-parses raw event bytes; it must also leave no file behind when it
 // fails.  The chunk index is held to the reader on the same corpus: same
-// error kind, and the same events from every indexed chunk.  No mutation may
-// crash, abort, or throw anything else; the suite is also run under ASan/UBSan
-// in CI.
+// error kind, and the same events from every indexed chunk; so is the reader
+// on an unseekable stream, which decodes without the seekable count pass.
+// No mutation may crash, abort, or throw anything else; the suite is also run
+// under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
+#include "../testutil/unseekable_buf.hpp"
 #include "analysis/clock_condition_stream.hpp"
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
@@ -339,18 +341,29 @@ std::optional<TraceIoErrorKind> error_of(Fn&& fn) {
 
 enum class Verdict { Rejected, DecodeRejected, Accepted };
 
-/// Holds the index pass and both event readers to one validator on `blob`:
-/// when index_trace_v2 throws kind K, read_trace_v2 throws K.  When the
-/// index accepts, ChunkReader::read on every ChunkRef yields the events
-/// TraceReader::next decodes, or both throw the kind read_trace_v2 throws.
+/// Holds the index pass and the event readers to one validator on `blob`:
+/// when index_trace_v2 throws kind K, read_trace_v2 throws K, on a seekable
+/// stream (which sizes the trace by a count pass first) and on an unseekable
+/// one alike.  When the index accepts, ChunkReader::read on every ChunkRef
+/// yields the events TraceReader::next decodes, or both throw the kind
+/// read_trace_v2 throws; when nothing throws, both read_trace_v2 streams
+/// yield the same trace.
 Verdict expect_index_agrees(const std::string& blob, const std::string& context) {
   std::stringstream in(blob);
   TraceIndex idx;
   const auto index_kind = error_of([&] { idx = index_trace_v2(in); });
+  Trace whole_trace;
   const auto read_kind = error_of([&] {
     std::stringstream whole(blob);
-    read_trace_v2(whole);
+    whole_trace = read_trace_v2(whole);
   });
+  Trace piped_trace;
+  const auto piped_kind = error_of([&] {
+    testutil::UnseekableStringBuf buf(blob);
+    std::istream pipe(&buf);
+    piped_trace = read_trace_v2(pipe);
+  });
+  EXPECT_EQ(piped_kind, read_kind) << "seekable and unseekable reads disagree: " << context;
   if (index_kind) {
     EXPECT_EQ(read_kind, index_kind) << "index and reader disagree: " << context;
     return Verdict::Rejected;
@@ -375,6 +388,7 @@ Verdict expect_index_agrees(const std::string& blob, const std::string& context)
   }
   EXPECT_FALSE(seq.next(a)) << context;
   EXPECT_EQ(read_kind, std::nullopt) << context;
+  EXPECT_TRUE(testutil::traces_equal(piped_trace, whole_trace)) << context;
   return Verdict::Accepted;
 }
 

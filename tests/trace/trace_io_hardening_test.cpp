@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
+#include "../testutil/unseekable_buf.hpp"
 #include "analysis/clock_condition_stream.hpp"
 #include "common/crc32c.hpp"
 #include "common/scratch_dir.hpp"
@@ -132,27 +133,7 @@ std::string patch_u32(std::string blob, std::size_t off, std::uint32_t v) {
   return blob;
 }
 
-/// A streambuf that refuses to seek: ByteSource cannot learn the stream size
-/// and must fall back to incremental, allocation-bounded reads.
-class UnseekableStringBuf : public std::streambuf {
- public:
-  explicit UnseekableStringBuf(std::string data) : data_(std::move(data)) {}
-
- protected:
-  int_type underflow() override {
-    if (pos_ >= data_.size()) return traits_type::eof();
-    const std::size_t n = std::min<std::size_t>(sizeof buf_, data_.size() - pos_);
-    std::memcpy(buf_, data_.data() + pos_, n);
-    setg(buf_, buf_, buf_ + n);
-    pos_ += n;
-    return traits_type::to_int_type(buf_[0]);
-  }
-
- private:
-  std::string data_;
-  std::size_t pos_ = 0;
-  char buf_[64];
-};
+using testutil::UnseekableStringBuf;
 
 /// The kind of TraceIoError `fn` throws; a test failure when it throws none.
 template <typename Fn>

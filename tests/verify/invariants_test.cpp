@@ -100,6 +100,14 @@ TEST(InvariantChecker, DetectsClockConditionViolation) {
   EXPECT_EQ(report.count(verify::InvariantKind::ClockCondition), 1u);
   // Violation size is exactly the unmet minimum latency.
   EXPECT_NEAR(report.worst_slack(verify::InvariantKind::ClockCondition), 4.29e-6, 1e-12);
+  // Attributed to rank 1's send (event 1) -> rank 0's recv (event 1).
+  ASSERT_EQ(report.violations.size(), 1u);
+  const auto& v = report.violations.front();
+  EXPECT_EQ(v.kind, verify::InvariantKind::ClockCondition);
+  EXPECT_EQ(v.rank, 0);
+  EXPECT_EQ(v.event, (EventRef{0, 1}));
+  EXPECT_TRUE(v.has_other);
+  EXPECT_EQ(v.other, (EventRef{1, 1}));
 }
 
 TEST(InvariantChecker, SlackToleratesSmallViolations) {
@@ -159,6 +167,11 @@ TEST(InvariantChecker, RejectsMismatchedTraceAndSchedule) {
   extra.local_ts = extra.true_ts = 3.0;
   other.events(0).push_back(extra);
   EXPECT_THROW(verify::InvariantChecker(other, fx.schedule), std::invalid_argument);
+  // Same events, one more (empty) rank: the totals agree, the shapes do not.
+  Trace wider(pinning::inter_node(clusters::xeon_rwth(), 3), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  for (Rank r = 0; r < 2; ++r) wider.events(r) = fx.trace.events(r);
+  EXPECT_THROW(verify::InvariantChecker(wider, fx.schedule), std::invalid_argument);
 }
 
 TEST(InvariantChecker, SummaryNamesEveryViolationKind) {
