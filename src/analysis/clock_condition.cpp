@@ -31,6 +31,9 @@ ClockConditionReport check_clock_condition(const Trace& trace,
                                            const TimestampArray& timestamps,
                                            const ReplaySchedule& schedule) {
   CS_SPAN("analysis.clock_condition_csr");
+  CS_REQUIRE(schedule.events() == trace.total_events() &&
+                 schedule.rank_offsets().size() == static_cast<std::size_t>(trace.ranks()) + 1,
+             "schedule was not built from this trace");
   ClockConditionReport rep;
 
   // Flatten the per-rank timestamp rows into global-index order once, so the

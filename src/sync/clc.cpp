@@ -22,7 +22,9 @@ namespace {
 // incoming edges (and the partial Eq. 1 bound over the edges already passed),
 // so a woken rank resumes the scan instead of restarting it: every edge is
 // scanned once, plus once more per park.  The work is O(events + edges) with
-// no per-event dependency counters and no walk over outgoing edges.
+// no per-event dependency counters and no walk over outgoing edges.  A hub
+// end's edges are read from the hub's begin array, skipping the end's own
+// rank; the place kept is then a position inside that array.
 clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& schedule,
                                       const TimestampArray& input, const ClcOptions& options) {
   CS_SPAN("clc.forward_pass");
@@ -32,15 +34,17 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
   const Rank* const ranks_of = schedule.ranks_of().data();
   const std::uint32_t* const rank_off = schedule.rank_offsets().data();
   const std::uint32_t* const in_off = schedule.incoming_offsets().data();
-  const ReplaySchedule::ConstraintEdge* const in_edges = schedule.incoming_edges().data();
+  const ReplaySchedule::ConstraintEdge* const in_recs = schedule.incoming_records().data();
+  const auto total = static_cast<std::uint32_t>(schedule.events());
 
   clc_kernel::ForwardPass fwd;
   fwd.lc.assign(schedule.events(), 0.0);
-  fwd.jump.assign(schedule.events(), 0.0);
+  const Time* const lc = fwd.lc.data();
 
   struct Cursor {
     std::uint32_t next = 0;  ///< global index of the rank's next unprocessed event
-    std::uint32_t edge = 0;  ///< resume point in next's incoming edges
+    std::uint32_t edge = 0;  ///< resume point in next's incoming records
+    std::uint32_t hub_pos = 0;  ///< resume point in a hub record's begins
     Time bound = -kTimeInfinity;  ///< Eq. 1 bound over the edges before `edge`
     clc_kernel::RankClock clock;
   };
@@ -78,36 +82,68 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
     const std::uint32_t base = rank_off[static_cast<std::size_t>(r)];
     const std::uint32_t end = rank_off[static_cast<std::size_t>(r) + 1];
     const Time* const in_row = input.of_rank(r).data();
+    // The drain works on local copies of the cursor, stored back when it
+    // parks or finishes; only c.next is kept current, for the blocked-source
+    // test of a message this rank sent itself.
+    std::uint32_t edge = c.edge;
+    std::uint32_t hub_pos = c.hub_pos;
+    Time bound = c.bound;
+    clc_kernel::RankClock clock = c.clock;
 
-    while (c.next < end) {
-      const std::uint32_t g = c.next;
+    for (std::uint32_t g = c.next; g < end;) {
       const std::uint32_t edge_end = in_off[g + 1];
       Rank blocker = -1;
-      for (; c.edge < edge_end; ++c.edge) {
+      std::uint32_t awaited = 0;
+      for (; edge < edge_end; ++edge) {
+        const auto& rec = in_recs[edge];
+        if (rec.source >= total) {
+          const auto begins = schedule.hub_begins(rec.source - total);
+          std::uint64_t scanned = 0;
+          const std::size_t stop = edge_rules::for_each_other_rank(
+              begins, hub_pos, r, [](const ReplaySchedule::HubMember& b) { return b.rank; },
+              [&](const ReplaySchedule::HubMember& b) {
+                ++scanned;
+                if (b.event >= cursor[static_cast<std::size_t>(b.rank)].next) return false;
+                bound = clc_kernel::eq1_bound(bound, lc[b.event], schedule.hub_l_min(b.rank, r));
+                return true;
+              });
+          edges_scanned += scanned;
+          if (stop < begins.size()) {
+            blocker = begins[stop].rank;
+            awaited = begins[stop].event;
+            hub_pos = static_cast<std::uint32_t>(stop);
+            break;
+          }
+          hub_pos = 0;
+          continue;
+        }
         ++edges_scanned;
-        const auto& edge = in_edges[c.edge];
-        const Rank src_rank = ranks_of[edge.source];
-        if (edge.source >= cursor[static_cast<std::size_t>(src_rank)].next) {
+        const Rank src_rank = ranks_of[rec.source];
+        if (rec.source >= cursor[static_cast<std::size_t>(src_rank)].next) {
           blocker = src_rank;
+          awaited = rec.source;
           break;
         }
-        c.bound = clc_kernel::eq1_bound(c.bound, fwd.lc[edge.source], edge.l_min);
+        bound = clc_kernel::eq1_bound(bound, lc[rec.source], rec.l_min);
       }
       if (blocker >= 0) {
         auto& heap = parked[static_cast<std::size_t>(blocker)];
-        heap.emplace_back(in_edges[c.edge].source, r);
+        heap.emplace_back(awaited, r);
         std::push_heap(heap.begin(), heap.end(), std::greater<>());
         ++rank_parks;
         break;
       }
       const clc_kernel::Step step =
-          clc_kernel::forward_step(c.clock, in_row[g - base], c.bound, options.forward_decay);
-      fwd.lc[g] = step.lc;
-      fwd.jump[g] = step.jump;
-      c.bound = -kTimeInfinity;
-      c.next = g + 1;
-      // c.edge == edge_end == in_off[g + 1]: already the next event's first edge.
+          clc_kernel::forward_step(clock, in_row[g - base], bound, options.forward_decay);
+      fwd.record(g, step);
+      bound = -kTimeInfinity;
+      c.next = ++g;
+      // edge == edge_end == in_off[g]: already the next event's first edge.
     }
+    c.edge = edge;
+    c.hub_pos = hub_pos;
+    c.bound = bound;
+    c.clock = clock;
 
     // Re-queue every rank parked on a send this drain has now processed.
     auto& heap = parked[static_cast<std::size_t>(r)];
@@ -135,94 +171,7 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
   return fwd;
 }
 
-void backward_pass(const Trace& trace, const ReplaySchedule& schedule,
-                   clc_kernel::ForwardPass& fwd, const ClcOptions& options) {
-  CS_SPAN("clc.backward_pass");
-
-  // Upper caps for send events: a send may be raised at most to its
-  // receive's (forward-pass) timestamp minus l_min, or it would introduce a
-  // fresh violation.  Receives and local events have no cap.
-  std::vector<Time> cap(schedule.events(), kTimeInfinity);
-  for (std::uint32_t g = 0; g < schedule.events(); ++g) {
-    for (const auto& edge : schedule.incoming(g)) {
-      cap[edge.source] = std::min(cap[edge.source], clc_kernel::send_cap(fwd.lc[g], edge.l_min));
-    }
-  }
-
-  // Per process, sweep backwards applying the ramp of the nearest following
-  // jump; monotonicity is maintained by clamping against the successor.
-  for (Rank r = 0; r < trace.ranks(); ++r) {
-    const auto n = static_cast<std::uint32_t>(trace.events(r).size());
-    if (n == 0) continue;
-
-    bool have_jump = false;
-    Time jump_at = 0.0;      // corrected timestamp of the jump event
-    Duration jump_size = 0.0;
-    Duration window = 0.0;
-
-    Time successor = kTimeInfinity;
-    for (std::uint32_t i = n; i-- > 0;) {
-      const std::uint32_t g = schedule.global_index({r, i});
-      const Time lc = fwd.lc[g];
-
-      if (fwd.jump[g] > 0.0) {
-        // This event is itself a jump: events before it are smoothed toward
-        // it.  (The jump event keeps its forward-pass value.)
-        have_jump = true;
-        jump_at = lc;
-        jump_size = fwd.jump[g];
-        window = jump_size / options.backward_slope;
-        successor = std::min(successor, lc);
-        continue;
-      }
-
-      if (have_jump) {
-        const Duration dist = jump_at - lc;
-        if (dist >= 0.0 && dist < window) {
-          Time moved = lc + clc_kernel::ramp_shift(jump_size, dist, window);
-          moved = std::min(moved, cap[g]);      // never break a send's condition
-          moved = std::min(moved, successor);   // keep local order
-          fwd.lc[g] = std::max(moved, lc);      // only ever move forward
-        } else if (dist >= window) {
-          have_jump = false;  // out of the amortization window
-        }
-      }
-      successor = std::min(successor, fwd.lc[g]);
-    }
-  }
-}
-
 }  // namespace
-
-namespace clc_kernel {
-
-ClcResult finish(const Trace& trace, const ReplaySchedule& schedule, const TimestampArray& input,
-                 ForwardPass fwd, const ClcOptions& options) {
-  ClcResult result;
-  // Jump aggregates come from the jump[] array in global-index order, so any
-  // visit order that yields the same per-event jumps reports bit-identical
-  // statistics.
-  for (const Duration j : fwd.jump) {
-    if (j > 0.0) {
-      ++result.violations_repaired;
-      result.max_jump = std::max(result.max_jump, j);
-      result.total_jump += j;
-    }
-  }
-  if (options.backward_amortization) backward_pass(trace, schedule, fwd, options);
-
-  result.corrected = input;  // same shape
-  for (Rank r = 0; r < trace.ranks(); ++r) {
-    auto& v = result.corrected.of_rank(r);
-    const std::uint32_t base = schedule.rank_begin(r);
-    for (std::uint32_t i = 0; i < v.size(); ++i) {
-      v[i] = fwd.lc[base + i];
-    }
-  }
-  return result;
-}
-
-}  // namespace clc_kernel
 
 ClcResult controlled_logical_clock(const Trace& trace, const ReplaySchedule& schedule,
                                    const TimestampArray& input, const ClcOptions& options) {
@@ -234,13 +183,16 @@ ClcResult controlled_logical_clock(const Trace& trace, const ReplaySchedule& sch
     return empty;
   }
   clc_kernel::require_valid(options);
+  CS_REQUIRE(schedule.events() == trace.total_events() &&
+                 schedule.rank_offsets().size() == static_cast<std::size_t>(trace.ranks()) + 1,
+             "schedule was not built from this trace");
   CS_REQUIRE(input.ranks() == trace.ranks(), "input timestamps must match the trace's ranks");
   for (Rank r = 0; r < trace.ranks(); ++r) {
     CS_REQUIRE(input.of_rank(r).size() == schedule.rank_size(r),
                "input timestamps must match the trace's event counts");
   }
-  ClcResult result = clc_kernel::finish(
-      trace, schedule, input, drain_forward(trace, schedule, input, options), options);
+  ClcResult result =
+      clc_kernel::finish(trace, schedule, drain_forward(trace, schedule, input, options), options);
   if (obs::metrics_enabled()) {
     static obs::Counter& events = obs::counter("clc.events_processed");
     static obs::Counter& repaired = obs::counter("clc.violations_repaired");

@@ -8,16 +8,45 @@
 //
 // Storage is a flat CSR (compressed sparse row) layout: events are numbered
 // globally with each rank's events contiguous (global = rank_begin(r) + i),
-// and the incoming/outgoing constraint edges of all events live in two flat
+// and the incoming/outgoing constraint records of all events live in two flat
 // arrays sliced by offset tables.  This keeps the replay hot path free of
 // per-event vector indirections and makes rank/index recovery O(1).
+//
+// Collective hubs.  The CLC collective extension maps an N-to-N collective
+// onto logical messages from every begin to every end of another rank: one
+// instance of N ranks is N(N-1) edges.  The schedule stores such an instance
+// once, as a hub: its ordered begin list B and its end list E.  Each end gets
+// one incoming record naming the hub and each begin one outgoing record; an
+// end's edges are the begins of B of another rank, in B order
+// (edge_rules::for_each_other_rank), each with the l_min of its rank pair.
+// The input alone decides the encoding.  The constructor scans `logical` in
+// its given order, and a maximal run of messages sharing one coll_id becomes
+// a hub only if
+//   * expanding the hub reproduces the run edge for edge, in order;
+//   * B and E each hold at least two events (1-to-N and N-to-1 runs have one
+//     begin or one end, so they stay explicit); and
+//   * none of the run's ends and begins takes part in a logical message
+//     outside the run.
+// Every other run stays explicit CSR edges.  incoming(g) and outgoing(g)
+// expand hubs lazily, in the order an all-explicit build lists the edges (p2p
+// first, then logical ones in list order; verify::CsrSchedule is that build),
+// so per-edge consumers need not know hubs exist.  The hot loops walk a
+// hub's arrays directly: the CLC driver's forward pass and the audit read
+// the begins through the raw views, and the CLC's backward caps read a
+// begin's ends through for_each_outgoing.  No per-(begin, end) record is
+// built or stored.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
 #include "common/expect.hpp"
+#include "topology/pinning.hpp"
+#include "trace/edge_rules.hpp"
 #include "trace/logical_messages.hpp"
 #include "trace/trace.hpp"
 
@@ -32,12 +61,98 @@ class ReplaySchedule {
     Duration l_min = 0.0;
   };
 
+  /// One begin or end of a hub.
+  struct HubMember {
+    std::uint32_t event = 0;  ///< global event index
+    Rank rank = 0;            ///< its rank
+  };
+
+  /// The edges of one event with its hub expanded: the explicit records, then
+  /// the hub's members of another rank.  A forward range of values (T is
+  /// ConstraintEdge for incoming edges, the target's global index for
+  /// outgoing ones); size() and operator[] walk it.
+  template <class T>
+  class Edges {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = T;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = T;
+
+      iterator() = default;
+      T operator*() const {
+        return rec_ != rec_end_ ? *rec_ : schedule_->expand(hub_[pos_], self_, T{});
+      }
+      iterator& operator++() {
+        if (rec_ != rec_end_) {
+          ++rec_;
+        } else {
+          ++pos_;
+        }
+        settle();
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return rec_ == o.rec_ && pos_ == o.pos_; }
+
+     private:
+      friend class Edges;
+      /// Past the explicit records, moves to the next member of another rank.
+      void settle() {
+        if (rec_ == rec_end_) pos_ = next_other_rank(hub_, pos_, self_);
+      }
+      const ReplaySchedule* schedule_ = nullptr;
+      const T* rec_ = nullptr;
+      const T* rec_end_ = nullptr;
+      std::span<const HubMember> hub_;
+      std::size_t pos_ = 0;
+      Rank self_ = 0;
+    };
+
+    iterator begin() const {
+      iterator it = end();
+      it.rec_ = rec_;
+      it.pos_ = 0;
+      it.settle();
+      return it;
+    }
+    iterator end() const {
+      iterator it;
+      it.schedule_ = schedule_;
+      it.rec_ = rec_end_;
+      it.rec_end_ = rec_end_;
+      it.hub_ = hub_;
+      it.pos_ = hub_.size();
+      it.self_ = self_;
+      return it;
+    }
+    std::size_t size() const { return static_cast<std::size_t>(std::distance(begin(), end())); }
+    T operator[](std::size_t k) const { return *std::next(begin(), static_cast<std::ptrdiff_t>(k)); }
+
+   private:
+    friend class ReplaySchedule;
+    const ReplaySchedule* schedule_ = nullptr;
+    const T* rec_ = nullptr;
+    const T* rec_end_ = nullptr;
+    std::span<const HubMember> hub_;
+    Rank self_ = 0;
+  };
+
   ReplaySchedule(const Trace& trace, const std::vector<MessageRecord>& messages,
                  const std::vector<LogicalMessage>& logical);
 
   std::size_t events() const { return total_; }
-  /// Total number of constraint edges (p2p + logical).
-  std::size_t edges() const { return in_edges_.size(); }
+  /// Total number of constraint edges (p2p + logical, each hub edge counted).
+  std::size_t edges() const { return edges_; }
+  /// Number of collective hubs.
+  std::size_t hubs() const { return hub_off_.size() / 2; }
 
   /// Global index of `ref`; throws std::invalid_argument unless it names an
   /// event of the trace (rank in range, index below that rank's size).
@@ -59,29 +174,49 @@ class ReplaySchedule {
   }
 
   /// Incoming constraints of one event (empty for non-receives).
-  std::span<const ConstraintEdge> incoming(std::uint32_t gidx) const {
+  Edges<ConstraintEdge> incoming(std::uint32_t gidx) const {
     CS_REQUIRE(gidx < total_, "global index out of range");
-    return {in_edges_.data() + in_off_[gidx], in_off_[gidx + 1] - in_off_[gidx]};
+    return expand_records(in_recs_.data() + in_off_[gidx], in_recs_.data() + in_off_[gidx + 1],
+                          rank_of_[gidx], &ReplaySchedule::hub_begins);
   }
   /// Events constrained by this one.
-  std::span<const std::uint32_t> outgoing(std::uint32_t gidx) const {
+  Edges<std::uint32_t> outgoing(std::uint32_t gidx) const {
     CS_REQUIRE(gidx < total_, "global index out of range");
-    return {out_edges_.data() + out_off_[gidx], out_off_[gidx + 1] - out_off_[gidx]};
+    return expand_records(out_recs_.data() + out_off_[gidx],
+                          out_recs_.data() + out_off_[gidx + 1], rank_of_[gidx],
+                          &ReplaySchedule::ends_of);
   }
 
   // Raw whole-array views for hot loops that index with already-validated
-  // global indexes (the CLC driver's edge scan).  The per-event
-  // accessors above re-check bounds on every call; a forward pass touching
-  // millions of edges streams these flat arrays directly instead.
+  // global indexes (the CLC driver's edge scan).  The per-event accessors
+  // above re-check bounds on every call and expand hubs one edge at a time;
+  // a forward pass touching millions of edges streams these arrays directly.
   /// Owning rank per global index (size events()).
   std::span<const Rank> ranks_of() const { return rank_of_; }
   /// Global index of each rank's event 0, plus a final total-events sentinel
   /// (size ranks + 1).
   std::span<const std::uint32_t> rank_offsets() const { return prefix_; }
-  /// CSR offsets into incoming_edges() (size events() + 1).
+  /// CSR offsets into incoming_records() (size events() + 1).
   std::span<const std::uint32_t> incoming_offsets() const { return in_off_; }
-  /// All incoming constraint edges, CSR order.
-  std::span<const ConstraintEdge> incoming_edges() const { return in_edges_; }
+  /// All incoming records, CSR order: explicit edges, and per hub end one
+  /// final record whose source is events() + the hub's index.
+  std::span<const ConstraintEdge> incoming_records() const { return in_recs_; }
+  /// A hub's begins, in order (hub < hubs()).
+  std::span<const HubMember> hub_begins(std::uint32_t hub) const {
+    return {members_.data() + hub_off_[2 * std::size_t{hub}],
+            members_.data() + hub_off_[2 * std::size_t{hub} + 1]};
+  }
+  /// l_min of a hub edge from rank `from` to rank `to` (ranks differ; the
+  /// constructor proved no hub pairs two ranks of one core).
+  Duration hub_l_min(Rank from, Rank to) const {
+    return edge_rules::domain_latency(latency_, classify(loc_[static_cast<std::size_t>(from)],
+                                                         loc_[static_cast<std::size_t>(to)]));
+  }
+
+  /// Calls fn(target, l_min) for every outgoing edge of event `g`, in
+  /// outgoing(g) order, without bounds checks.
+  template <class Fn>
+  void for_each_outgoing(std::uint32_t g, Fn&& fn) const;
 
   /// Visits every event in a dependency-respecting order.  Throws
   /// std::invalid_argument (see throw_cyclic_constraints) if the constraint
@@ -90,16 +225,63 @@ class ReplaySchedule {
   void replay(Visit&& visit) const;
 
  private:
+  static Rank member_rank(const HubMember& m) { return m.rank; }
+  /// First position at or after `pos` whose member has a rank other than
+  /// `self` (members.size() if none).
+  static std::size_t next_other_rank(std::span<const HubMember> members, std::size_t pos,
+                                     Rank self) {
+    return edge_rules::for_each_other_rank(members, pos, self, member_rank,
+                                           [](const HubMember&) { return false; });
+  }
+  static std::uint32_t ref_of(const ConstraintEdge& e) { return e.source; }
+  static std::uint32_t ref_of(std::uint32_t target) { return target; }
+  ConstraintEdge expand(const HubMember& begin, Rank end_rank, ConstraintEdge) const {
+    return {begin.event, true, hub_l_min(begin.rank, end_rank)};
+  }
+  std::uint32_t expand(const HubMember& end, Rank, std::uint32_t) const { return end.event; }
+  std::span<const HubMember> ends_of(std::uint32_t hub) const {
+    return {members_.data() + hub_off_[2 * std::size_t{hub} + 1],
+            members_.data() + hub_off_[2 * std::size_t{hub} + 2]};
+  }
+  /// The range over records [lo, hi) of an event of rank `self`: a final
+  /// hub record becomes that hub's members (`members_of`) of another rank.
+  template <class T>
+  Edges<T> expand_records(const T* lo, const T* hi, Rank self,
+                          std::span<const HubMember> (ReplaySchedule::*members_of)(std::uint32_t)
+                              const) const {
+    Edges<T> e;
+    e.schedule_ = this;
+    e.rec_ = lo;
+    e.rec_end_ = hi;
+    e.self_ = self;
+    if (lo != hi && ref_of(hi[-1]) >= total_) {
+      e.rec_end_ = hi - 1;
+      e.hub_ = (this->*members_of)(ref_of(hi[-1]) - static_cast<std::uint32_t>(total_));
+    }
+    return e;
+  }
+
   const Trace* trace_;
   std::vector<std::uint32_t> prefix_;  ///< global index of each rank's event 0
   std::size_t total_ = 0;
+  std::size_t edges_ = 0;
   std::vector<Rank> rank_of_;          ///< owning rank per global index
 
-  // CSR adjacency: edges of event g live at [off[g], off[g+1]).
+  // CSR adjacency: records of event g live at [off[g], off[g+1]).  A record
+  // naming events() + h stands for hub h.
   std::vector<std::uint32_t> in_off_;
-  std::vector<ConstraintEdge> in_edges_;
+  std::vector<ConstraintEdge> in_recs_;
   std::vector<std::uint32_t> out_off_;
-  std::vector<std::uint32_t> out_edges_;
+  std::vector<std::uint32_t> out_recs_;
+
+  // Hub h: begins members_[hub_off_[2h], hub_off_[2h+1]), ends up to
+  // hub_off_[2h+2].  hub_off_ holds one leading 0, then two offsets per hub.
+  std::vector<std::uint32_t> hub_off_;
+  std::vector<HubMember> members_;
+
+  // Eq. 1 latency inputs of the hub edges.
+  std::vector<CoreLocation> loc_;  ///< per rank
+  std::array<Duration, 3> latency_{};
 };
 
 /// Reports a cyclic constraint graph — e.g. a receive recorded before its
@@ -108,37 +290,56 @@ class ReplaySchedule {
 /// `blocked`, the first event (lowest rank) that can never become ready.
 [[noreturn]] void throw_cyclic_constraints(const EventRef& blocked);
 
-template <class Visit>
-void ReplaySchedule::replay(Visit&& visit) const {
-  const int n = trace_->ranks();
+template <class Fn>
+void ReplaySchedule::for_each_outgoing(std::uint32_t g, Fn&& fn) const {
+  const Rank r = rank_of_[g];
+  for (std::uint32_t k = out_off_[g]; k < out_off_[g + 1]; ++k) {
+    const std::uint32_t target = out_recs_[k];
+    if (target < total_) {
+      fn(target, trace_->min_latency(r, rank_of_[target]));
+      continue;
+    }
+    edge_rules::for_each_other_rank(ends_of(target - static_cast<std::uint32_t>(total_)), 0, r,
+                                    member_rank, [&](const HubMember& e) {
+                                      fn(e.event, hub_l_min(r, e.rank));
+                                      return true;
+                                    });
+  }
+}
+
+/// Dependency-order replay over any schedule with events(), rank_begin(),
+/// rank_size(), rank_of(), incoming(g).size() and outgoing(g): ranks drain in
+/// FIFO order, each until its next event waits for a constraint source.
+template <class Schedule, class Visit>
+void replay_in_dependency_order(const Schedule& s, int ranks, Visit&& visit) {
+  const auto total = static_cast<std::uint32_t>(s.events());
+  const auto n = static_cast<std::size_t>(ranks);
 
   // Remaining unvisited constraint sources per event.
-  std::vector<std::uint32_t> pending(total_);
-  for (std::uint32_t g = 0; g < total_; ++g) {
-    pending[g] = in_off_[g + 1] - in_off_[g];
+  std::vector<std::uint32_t> pending(total);
+  for (std::uint32_t g = 0; g < total; ++g) {
+    pending[g] = static_cast<std::uint32_t>(s.incoming(g).size());
   }
 
-  std::vector<std::uint32_t> cursor(static_cast<std::size_t>(n), 0);
-  std::vector<char> queued(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint32_t> cursor(n, 0);
+  std::vector<char> queued(n, 0);
   // FIFO of runnable ranks; a plain vector with a head index (total enqueues
   // are bounded by the edge count, so the tail never rewinds).
   std::vector<Rank> ready;
-  ready.reserve(static_cast<std::size_t>(n));
+  ready.reserve(n);
   std::size_t head = 0;
 
-  auto cursor_gidx = [&](Rank r) {
-    return prefix_[static_cast<std::size_t>(r)] + cursor[static_cast<std::size_t>(r)];
-  };
+  auto cursor_gidx = [&](Rank r) { return s.rank_begin(r) + cursor[static_cast<std::size_t>(r)]; };
   auto enqueue_if_ready = [&](Rank r) {
     const auto c = cursor[static_cast<std::size_t>(r)];
-    if (c >= rank_size(r)) return;
+    if (c >= s.rank_size(r)) return;
     if (pending[cursor_gidx(r)] != 0) return;
     if (queued[static_cast<std::size_t>(r)]) return;
     queued[static_cast<std::size_t>(r)] = 1;
     ready.push_back(r);
   };
 
-  for (Rank r = 0; r < n; ++r) enqueue_if_ready(r);
+  for (Rank r = 0; r < ranks; ++r) enqueue_if_ready(r);
 
   std::size_t visited = 0;
   while (head < ready.size()) {
@@ -146,32 +347,37 @@ void ReplaySchedule::replay(Visit&& visit) const {
     queued[static_cast<std::size_t>(r)] = 0;
 
     // Drain this process until its next event is blocked.
-    while (cursor[static_cast<std::size_t>(r)] < rank_size(r) &&
+    while (cursor[static_cast<std::size_t>(r)] < s.rank_size(r) &&
            pending[cursor_gidx(r)] == 0) {
       const std::uint32_t g = cursor_gidx(r);
       const EventRef ref{r, cursor[static_cast<std::size_t>(r)]};
       visit(g, ref);
       ++visited;
       ++cursor[static_cast<std::size_t>(r)];
-      for (std::uint32_t dep : outgoing(g)) {
+      for (std::uint32_t dep : s.outgoing(g)) {
         CS_ENSURE(pending[dep] > 0, "dependency counting corrupted");
         --pending[dep];
         if (pending[dep] == 0) {
           // The dependent becomes processable only once its process cursor
           // reaches it; check and enqueue the owning process.
-          const Rank dr = rank_of_[dep];
+          const Rank dr = s.rank_of(dep);
           if (cursor_gidx(dr) == dep) enqueue_if_ready(dr);
         }
       }
     }
   }
 
-  if (visited == total_) return;
-  for (Rank r = 0; r < n; ++r) {
-    if (cursor[static_cast<std::size_t>(r)] < rank_size(r)) {
+  if (visited == total) return;
+  for (Rank r = 0; r < ranks; ++r) {
+    if (cursor[static_cast<std::size_t>(r)] < s.rank_size(r)) {
       throw_cyclic_constraints({r, cursor[static_cast<std::size_t>(r)]});
     }
   }
+}
+
+template <class Visit>
+void ReplaySchedule::replay(Visit&& visit) const {
+  replay_in_dependency_order(*this, trace_->ranks(), visit);
 }
 
 }  // namespace chronosync

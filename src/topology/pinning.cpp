@@ -7,13 +7,6 @@
 
 namespace chronosync {
 
-CommDomain classify(const CoreLocation& a, const CoreLocation& b) {
-  if (a.node != b.node) return CommDomain::CrossNode;
-  if (a.chip != b.chip) return CommDomain::SameNode;
-  if (a.core != b.core) return CommDomain::SameChip;
-  return CommDomain::SameCore;
-}
-
 std::string to_string(CommDomain d) {
   switch (d) {
     case CommDomain::SameCore: return "same-core";

@@ -22,7 +22,12 @@ struct CoreLocation {
 /// Relative position of two processes in the hierarchy; orders by distance.
 enum class CommDomain { SameCore = 0, SameChip = 1, SameNode = 2, CrossNode = 3 };
 
-CommDomain classify(const CoreLocation& a, const CoreLocation& b);
+inline CommDomain classify(const CoreLocation& a, const CoreLocation& b) {
+  if (a.node != b.node) return CommDomain::CrossNode;
+  if (a.chip != b.chip) return CommDomain::SameNode;
+  if (a.core != b.core) return CommDomain::SameChip;
+  return CommDomain::SameCore;
+}
 
 std::string to_string(CommDomain d);
 

@@ -13,13 +13,15 @@
 //   2. MessageJoin: the online msg_id join over rank-major order, on the
 //      IdTable that also holds the windowed CLC's pairing state.
 //   3. for_each_source / for_each_logical_edge: which begins of a collective
-//      instance constrain which of its ends.
+//      instance constrain which of its ends; for_each_other_rank is their
+//      N-to-N branch, which ReplaySchedule's collective hubs expand with.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -318,6 +320,20 @@ inline bool end_takes_edges(CollectiveKind kind, Rank root, Rank end_rank, bool 
   return true;
 }
 
+/// The N-to-N rule: the begins that constrain an end of rank `end_rank` are
+/// those of another rank, in `begins` order.  Calls fn(begin) for each of
+/// them from position `from` on, until fn returns false; returns the position
+/// it stopped at (begins.size() when it ran through).  ReplaySchedule's
+/// collective hubs are expanded, and resumed, with this.
+template <class Begin, class RankOf, class Fn>
+std::size_t for_each_other_rank(std::span<const Begin> begins, std::size_t from, Rank end_rank,
+                                RankOf rank_of, Fn&& fn) {
+  for (std::size_t k = from; k < begins.size(); ++k) {
+    if (rank_of(begins[k]) != end_rank && !fn(begins[k])) return k;
+  }
+  return begins.size();
+}
+
 /// Calls fn(begin) for every begin of a complete instance that constrains an
 /// end of rank `end_rank`; `rank_of(begin)` projects a begin onto its rank.
 template <class Begin, class RankOf, class Fn>
@@ -334,9 +350,10 @@ void for_each_source(CollectiveKind kind, Rank root, Rank end_rank, bool root_en
     return;
   }
   // N-to-1 (at its root end) and N-to-N alike: every begin of another rank.
-  for (const Begin& b : begins) {
-    if (rank_of(b) != end_rank) fn(b);
-  }
+  for_each_other_rank(std::span<const Begin>(begins), 0, end_rank, rank_of, [&](const Begin& b) {
+    fn(b);
+    return true;
+  });
 }
 
 /// Calls fn(begin, end) for every logical edge of a complete instance, end by

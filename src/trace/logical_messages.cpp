@@ -1,11 +1,13 @@
 #include "trace/logical_messages.hpp"
 
+#include "obs/obs.hpp"
 #include "trace/edge_rules.hpp"
 
 namespace chronosync {
 
 std::vector<LogicalMessage> derive_logical_messages(
     const Trace& /*trace*/, const std::vector<CollectiveInstance>& collectives) {
+  CS_SPAN("trace.derive");
   // Two walks of the same rule: the first counts, so the output is
   // allocated once at its final size.
   const auto proc_of = [](const EventRef& ref) { return ref.proc; };

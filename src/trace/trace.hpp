@@ -90,6 +90,8 @@ class Trace {
 class TimestampArray {
  public:
   TimestampArray() = default;
+  /// `ranks` empty rows, to be filled by the caller.
+  explicit TimestampArray(int ranks) : ts_(static_cast<std::size_t>(ranks)) {}
 
   /// Initializes from the trace's recorded local timestamps.
   static TimestampArray from_local(const Trace& t);

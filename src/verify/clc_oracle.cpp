@@ -8,8 +8,11 @@
 
 namespace chronosync::verify {
 
-ClcResult replay_order_clc(const Trace& trace, const ReplaySchedule& schedule,
-                           const TimestampArray& input, const ClcOptions& options) {
+namespace {
+
+template <class Schedule>
+ClcResult replay_order(const Trace& trace, const Schedule& schedule, const TimestampArray& input,
+                       const ClcOptions& options) {
   CS_SPAN("verify.clc_oracle");
   if (trace.ranks() == 0 || schedule.events() == 0) {
     ClcResult empty;
@@ -20,7 +23,6 @@ ClcResult replay_order_clc(const Trace& trace, const ReplaySchedule& schedule,
 
   clc_kernel::ForwardPass fwd;
   fwd.lc.assign(schedule.events(), 0.0);
-  fwd.jump.assign(schedule.events(), 0.0);
   std::vector<clc_kernel::RankClock> clock(static_cast<std::size_t>(trace.ranks()));
 
   schedule.replay([&](std::uint32_t g, const EventRef& ref) {
@@ -30,11 +32,22 @@ ClcResult replay_order_clc(const Trace& trace, const ReplaySchedule& schedule,
     }
     const clc_kernel::Step step = clc_kernel::forward_step(
         clock[static_cast<std::size_t>(ref.proc)], input.at(ref), bound, options.forward_decay);
-    fwd.lc[g] = step.lc;
-    fwd.jump[g] = step.jump;
+    fwd.record(g, step);
   });
 
-  return clc_kernel::finish(trace, schedule, input, std::move(fwd), options);
+  return clc_kernel::finish(trace, schedule, std::move(fwd), options);
+}
+
+}  // namespace
+
+ClcResult replay_order_clc(const Trace& trace, const ReplaySchedule& schedule,
+                           const TimestampArray& input, const ClcOptions& options) {
+  return replay_order(trace, schedule, input, options);
+}
+
+ClcResult replay_order_clc(const Trace& trace, const CsrSchedule& schedule,
+                           const TimestampArray& input, const ClcOptions& options) {
+  return replay_order(trace, schedule, input, options);
 }
 
 }  // namespace chronosync::verify

@@ -16,7 +16,8 @@
 //     its magnitude stays within a caller-provided bound.
 //
 // InvariantChecker audits a whole array in one pass over the trace plus one
-// pass over the ReplaySchedule's CSR constraint edges and reports *typed*
+// pass over the ReplaySchedule's constraint edges (a collective hub's read
+// from its begin array, never expanded into records) and reports *typed*
 // violations (kind, rank, event refs, slack) instead of a bool, so callers —
 // tests, the chronocheck tool, the --verify bench mode — can decide what is
 // fatal and print actionable diagnostics.

@@ -164,6 +164,22 @@ TEST(ClockCondition, RejectsTimestampsOfAnotherShape) {
                std::invalid_argument);
 }
 
+TEST(ClockCondition, RejectsScheduleOfAnotherTrace) {
+  // A schedule sized for two ranks must not be read for a third: rank_size(2)
+  // would index past the schedule's rank offsets.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Send, 1.0, 0, 1));
+  trace.events(1).push_back(make_event(EventType::Recv, 1.1, 0, 0));
+  Trace wider(pinning::inter_node(clusters::xeon_rwth(), 3), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  wider.events(0) = trace.events(0);
+  wider.events(1) = trace.events(1);
+  const ReplaySchedule schedule(trace, trace.match_messages(), {});
+  EXPECT_THROW(check_clock_condition(wider, TimestampArray::from_local(wider), schedule),
+               std::invalid_argument);
+}
+
 TEST(ClockCondition, EmptyTraceIsClean) {
   Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
               "test");

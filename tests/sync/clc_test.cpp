@@ -7,13 +7,16 @@
 #include <stdexcept>
 #include <string>
 
+#include "../testutil/random_collectives.hpp"
 #include "analysis/clock_condition.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "sync/logical_clock.hpp"
 #include "topology/cluster.hpp"
+#include "trace/logical_messages.hpp"
 #include "verify/clc_oracle.hpp"
+#include "verify/csr_schedule.hpp"
 #include "verify/clock_condition_oracle.hpp"
 
 namespace chronosync {
@@ -427,7 +430,45 @@ TEST(ClcCycle, TwoRanksReceiveBeforeSending) {
   expect_all_reject_cycle(trace, 1, 1);
 }
 
+TEST(ClcCycle, BarrierEndsRecordedBeforeBegins) {
+  // Ranks 1 and 2 each record their barrier end before its begin: each end
+  // waits on the other rank's later begin, through a collective hub.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 3), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Enter, 0.5));
+  for (Rank r = 1; r < 3; ++r) {
+    trace.events(r).push_back(testutil::coll(EventType::CollEnd, CollectiveKind::Barrier, 4, 0, 1.0));
+    trace.events(r).push_back(
+        testutil::coll(EventType::CollBegin, CollectiveKind::Barrier, 4, 0, 2.0));
+  }
+  const auto logical = derive_logical_messages(trace);
+  const ReplaySchedule s(trace, {}, logical);
+  ASSERT_EQ(s.hubs(), 1u);
+  const auto input = TimestampArray::from_local(trace);
+  expect_cycle_error([&] { controlled_logical_clock(trace, s, input); }, 1, 0, "driver");
+  expect_cycle_error([&] { verify::replay_order_clc(trace, s, input); }, 1, 0, "oracle");
+  expect_cycle_error([&] { lamport_clocks(trace, s); }, 1, 0, "lamport");
+  const verify::CsrSchedule csr(trace, {}, logical);
+  expect_cycle_error([&] { verify::replay_order_clc(trace, csr, input); }, 1, 0, "csr oracle");
+}
+
 // ------------------------------------------------------------ driver work
+
+TEST(ClcDriver, RejectsScheduleOfAnotherTrace) {
+  // A schedule sized for two ranks must not be read for a third: rank_size(2)
+  // would index past the schedule's rank offsets.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Send, 1.0, 5, 1));
+  trace.events(1).push_back(make_event(EventType::Recv, 0.9, 5, 0));
+  Trace wider(pinning::inter_node(clusters::xeon_rwth(), 3), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  wider.events(0) = trace.events(0);
+  wider.events(1) = trace.events(1);
+  const ReplaySchedule s(trace, trace.match_messages(), {});
+  EXPECT_THROW(controlled_logical_clock(wider, s, TimestampArray::from_local(wider)),
+               std::invalid_argument);
+}
 
 TEST(ClcDriver, ReversePipelineWorkStaysLinear) {
   // Rank r receives from r+1, then sends to r-1, for a few rounds: every

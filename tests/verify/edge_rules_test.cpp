@@ -17,7 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "../testutil/random_collectives.hpp"
 #include "../testutil/random_trace.hpp"
+#include "../testutil/schedule_edges.hpp"
 #include "analysis/clock_condition.hpp"
 #include "analysis/clock_condition_stream.hpp"
 #include "common/rng.hpp"
@@ -38,21 +40,14 @@
 namespace chronosync {
 namespace {
 
+using testutil::coll;
+using testutil::random_collectives;
+
 Event p2p(EventType type, std::int64_t id, Rank peer, Time ts) {
   Event e;
   e.type = type;
   e.msg_id = id;
   e.peer = peer;
-  e.local_ts = e.true_ts = ts;
-  return e;
-}
-
-Event coll(EventType type, CollectiveKind kind, std::int64_t id, Rank root, Time ts) {
-  Event e;
-  e.type = type;
-  e.coll = kind;
-  e.coll_id = id;
-  e.root = root;
   e.local_ts = e.true_ts = ts;
   return e;
 }
@@ -213,43 +208,6 @@ std::vector<Edge> oracle_edges(const Trace& t) {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-/// Random collective instances over every kind: random roots (sometimes a
-/// rank that never takes part), ranks recording a begin or end twice, and
-/// partial instances with a missing or extra event.
-Trace random_collectives(std::uint64_t seed) {
-  Rng rng(seed);
-  const int ranks = static_cast<int>(rng.uniform_int(2, 5));
-  Trace t(pinning::block(clusters::xeon_rwth(), ranks), {1e-7, 1e-6, 5e-6}, "flavours");
-  std::vector<Time> now(static_cast<std::size_t>(ranks), 0.0);
-  const int instances = static_cast<int>(rng.uniform_int(1, 4));
-  for (int k = 0; k < instances; ++k) {
-    const auto kind = static_cast<CollectiveKind>(rng.uniform_int(0, 7));
-    std::vector<Rank> members;
-    for (Rank r = 0; r < ranks; ++r) {
-      if (rng.bernoulli(0.8)) members.push_back(r);
-    }
-    Rank root = static_cast<Rank>(rng.uniform_int(0, ranks - 1));
-    if (rng.bernoulli(0.2)) {
-      for (Rank r = 0; r < ranks; ++r) {
-        if (std::find(members.begin(), members.end(), r) == members.end()) root = r;
-      }
-    }
-    for (const Rank r : members) {
-      auto count = [&] { return rng.bernoulli(0.15) ? rng.uniform_int(0, 2) : 1; };
-      const auto begins = count();
-      const auto ends = count();
-      auto& ts = now[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < begins; ++i) {
-        t.events(r).push_back(coll(EventType::CollBegin, kind, k, root, ts += rng.uniform()));
-      }
-      for (std::int64_t i = 0; i < ends; ++i) {
-        t.events(r).push_back(coll(EventType::CollEnd, kind, k, root, ts += rng.uniform()));
-      }
-    }
-  }
-  return t;
 }
 
 TEST(EdgeRules, FlavourRuleMatchesBruteForceOracle) {
@@ -579,7 +537,7 @@ void expect_same_messages(const std::vector<MessageRecord>& got,
 }
 
 /// match_messages() equals the oracle matcher field for field and in order,
-/// and the ReplaySchedules built from the two have identical CSR arrays.
+/// and the ReplaySchedules built from the two have identical edges.
 void expect_matcher_and_schedule_match_oracle(const Trace& t, std::size_t min_messages) {
   const std::vector<MessageRecord> got = t.match_messages();
   const std::vector<MessageRecord> want = oracle_match(t);
@@ -589,23 +547,7 @@ void expect_matcher_and_schedule_match_oracle(const Trace& t, std::size_t min_me
   const std::vector<LogicalMessage> logical = derive_logical_messages(t);
   const ReplaySchedule a(t, got, logical);
   const ReplaySchedule b(t, want, logical);
-  ASSERT_EQ(a.events(), b.events());
-  ASSERT_EQ(a.edges(), b.edges());
-  const auto in_a = a.incoming_offsets();
-  const auto in_b = b.incoming_offsets();
-  ASSERT_TRUE(std::equal(in_a.begin(), in_a.end(), in_b.begin(), in_b.end()));
-  const auto ea = a.incoming_edges();
-  const auto eb = b.incoming_edges();
-  for (std::size_t k = 0; k < ea.size(); ++k) {
-    ASSERT_EQ(ea[k].source, eb[k].source) << "in-edge " << k;
-    ASSERT_EQ(ea[k].logical, eb[k].logical) << "in-edge " << k;
-    ASSERT_TRUE(testutil::same_bits(ea[k].l_min, eb[k].l_min)) << "in-edge " << k;
-  }
-  for (std::uint32_t g = 0; g < a.events(); ++g) {
-    const auto oa = a.outgoing(g);
-    const auto ob = b.outgoing(g);
-    ASSERT_TRUE(std::equal(oa.begin(), oa.end(), ob.begin(), ob.end())) << "out-edges of " << g;
-  }
+  testutil::expect_same_edges(a, b);
 }
 
 TEST(EdgeRules, MatcherAndScheduleMatchOracleOnSweep64) {
