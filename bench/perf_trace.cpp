@@ -1,6 +1,5 @@
-// Performance — trace subsystem throughput: serialization (binary v2 and
-// text), logical-message derivation, timeline rendering, and the out-of-core
-// streaming scan.
+// Performance — trace subsystem throughput: v2 serialization, logical-message
+// derivation, timeline rendering, and the out-of-core streaming scan.
 //
 // The streaming section runs FIRST and compares resident memory of the two
 // clock-condition pipelines over the same ≥1M-event v2 file: peak RSS is a
@@ -19,7 +18,6 @@
 #include "common/expect.hpp"
 #include "sync/replay.hpp"
 #include "trace/logical_messages.hpp"
-#include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/timeline.hpp"
 #include "verify/differential.hpp"
@@ -196,27 +194,13 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Encoded-size comparison of the two formats over the same fixture.
+  // Encoded size of the fixture in the v2 container.
   {
     std::stringstream v2;
-    std::stringstream txt;
     write_trace_v2(t, v2);
-    write_text_trace(t, txt);
     harness.metric("format_sizes", base,
                    {{"v2_bytes", static_cast<double>(v2.str().size())},
-                    {"text_bytes", static_cast<double>(txt.str().size())},
                     {"events", static_cast<double>(events)}});
-  }
-
-  {
-    std::stringstream buf;
-    write_text_trace(t, buf);
-    const std::string blob = buf.str();
-    harness.time("text_round_trip", base, events, [&] {
-      std::stringstream in(blob);
-      Trace back = read_text_trace(in);
-      benchkit::do_not_optimize(back.total_events());
-    });
   }
 
   harness.time("derive_logical_messages", base, events, [&] {

@@ -1,6 +1,7 @@
 #include "analysis/clock_condition.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "obs/obs.hpp"
@@ -67,38 +68,6 @@ ClockConditionReport check_clock_condition(const Trace& trace,
   CS_SPAN("analysis.clock_condition_full");
   const ReplaySchedule schedule(trace, trace.match_messages(), derive_logical_messages(trace));
   return check_clock_condition(trace, timestamps, schedule);
-}
-
-std::vector<std::tuple<Rank, Rank, std::size_t>> PairViolationMatrix::worst_pairs() const {
-  std::vector<std::tuple<Rank, Rank, std::size_t>> out;
-  for (std::size_t s = 0; s < violations.size(); ++s) {
-    for (std::size_t d = 0; d < violations[s].size(); ++d) {
-      if (violations[s][d] > 0) {
-        out.emplace_back(static_cast<Rank>(s), static_cast<Rank>(d), violations[s][d]);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return std::get<2>(a) > std::get<2>(b);
-  });
-  return out;
-}
-
-PairViolationMatrix per_pair_violations(const Trace& trace,
-                                        const TimestampArray& timestamps,
-                                        const std::vector<MessageRecord>& messages) {
-  PairViolationMatrix m;
-  const auto n = static_cast<std::size_t>(trace.ranks());
-  m.messages.assign(n, std::vector<std::size_t>(n, 0));
-  m.violations.assign(n, std::vector<std::size_t>(n, 0));
-  for (const auto& msg : messages) {
-    const auto s = static_cast<std::size_t>(msg.send.proc);
-    const auto d = static_cast<std::size_t>(msg.recv.proc);
-    ++m.messages[s][d];
-    const Duration l_min = trace.min_latency(msg.send.proc, msg.recv.proc);
-    if (timestamps.at(msg.recv) < timestamps.at(msg.send) + l_min) ++m.violations[s][d];
-  }
-  return m;
 }
 
 }  // namespace chronosync

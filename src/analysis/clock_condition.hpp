@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <tuple>
-#include <vector>
 
 #include "sync/replay.hpp"
 #include "trace/logical_messages.hpp"
@@ -93,19 +91,5 @@ ClockConditionReport check_clock_condition(const Trace& trace,
 /// schedule, and scans it.
 ClockConditionReport check_clock_condition(const Trace& trace,
                                            const TimestampArray& timestamps);
-
-/// Per-(src, dst) message and violation counts — localizes which links
-/// suffer, as a tool would highlight offending process pairs.
-struct PairViolationMatrix {
-  std::vector<std::vector<std::size_t>> messages;    ///< [src][dst]
-  std::vector<std::vector<std::size_t>> violations;  ///< [src][dst]
-
-  /// Pairs with at least one violation, ordered by violation count.
-  std::vector<std::tuple<Rank, Rank, std::size_t>> worst_pairs() const;
-};
-
-PairViolationMatrix per_pair_violations(const Trace& trace,
-                                        const TimestampArray& timestamps,
-                                        const std::vector<MessageRecord>& messages);
 
 }  // namespace chronosync

@@ -1,17 +1,13 @@
 #include "analysis/clock_condition_stream.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
-#include <istream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "trace/edge_rules.hpp"
-#include "trace/io_util.hpp"
-#include "trace/otf_text.hpp"
 
 namespace chronosync {
 
@@ -93,42 +89,13 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
   return rep;
 }
 
-ClockConditionReport scan_clock_condition(std::istream& in, ScanStats* stats) {
-  // Sniff at most 8 bytes and never seek: a short read just means the input
-  // is smaller than a v2 header (e.g. a tiny text trace), not an error —
-  // clear the stream state and hand everything to the matching reader.
-  char header[8];
-  in.read(header, 8);
-  const auto got = static_cast<std::size_t>(in.gcount());
-  in.clear();
-  std::uint32_t magic = 0;
-  if (got >= 4) std::memcpy(&magic, header, 4);
-
-  if (got >= 4 && magic == kTraceMagic) {
-    if (got < 8) {
-      throw TraceIoError(TraceIoErrorKind::Truncated, "trace header: stream ended mid-read");
-    }
-    check_trace_header(header);
-    TraceReader reader(in, /*header_consumed=*/true);
-    return scan_clock_condition(reader, stats);
-  }
-
-  // Not a binary container: replay the sniffed prefix in front of the
-  // remaining bytes so the text reader sees the stream from offset zero and
-  // reports its own errors (with line numbers).
-  traceio::PrefixedStreambuf replay_buf(std::string(header, got), in);
-  std::istream replay(&replay_buf);
-  const Trace trace = read_text_trace(replay);
-  if (stats) *stats = ScanStats{};
-  return check_clock_condition(trace, TimestampArray::from_local(trace));
-}
-
 ClockConditionReport scan_clock_condition_file(const std::string& path, ScanStats* stats) {
   std::ifstream f(path, std::ios::binary);
   if (!f.good()) {
     throw TraceIoError(TraceIoErrorKind::Io, "cannot open trace file for reading: " + path);
   }
-  return scan_clock_condition(f, stats);
+  TraceReader reader(f);
+  return scan_clock_condition(reader, stats);
 }
 
 }  // namespace chronosync

@@ -2,11 +2,15 @@
 //
 // The in-memory pipeline (read_trace_v2 -> match_messages ->
 // derive_logical_messages -> ReplaySchedule -> check_clock_condition)
-// materializes every event, the constraint edges, and a timestamp array.  The streaming scan consumes a v2
-// trace chunk-by-chunk through TraceReader and keeps only the per-message
-// pairing state (message endpoints by msg_id, collective instances by
-// coll_id), so resident memory is bounded by the number of *messages*, not
-// events — on region-dominated traces orders of magnitude smaller.
+// materializes every event, the constraint edges, and a timestamp array.
+// The streaming scan consumes a v2 trace chunk-by-chunk through TraceReader
+// and keeps only the per-message pairing state (message endpoints by msg_id,
+// collective instances by coll_id), so resident memory is bounded by the
+// number of *messages*, not events — on region-dominated traces orders of
+// magnitude smaller.  v2 is the only container: both entry points below read
+// through TraceReader's one constructor, so any other input (a foreign file,
+// the retired CSTXT text format, a v1 header) raises a typed TraceIoError and
+// is never loaded into memory.
 //
 // The report is identical (same counts, same worst-case slack) to
 //   check_clock_condition(trace, TimestampArray::from_local(trace))
@@ -14,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 
 #include "analysis/clock_condition.hpp"
@@ -38,16 +41,10 @@ struct ScanStats {
 /// and logical messages) without materializing a Trace.
 ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats = nullptr);
 
-/// Scans a trace of any supported format from `in`, sniffing at most the
-/// first 8 bytes and never seeking, so pipe-fed streams work.  v2 streams
-/// with bounded memory.  Any other "CSTR" header raises TraceIoError
-/// (BadVersion, or Truncated below 8 bytes).  Everything else replays the
-/// sniffed prefix into the text reader, which reports its own errors, and is
-/// checked in memory by check_clock_condition.
-ClockConditionReport scan_clock_condition(std::istream& in, ScanStats* stats = nullptr);
-
-/// Opens `path` and scans it.  v2 files stream with bounded memory; text
-/// files fall back to the in-memory check transparently.
+/// Opens the v2 file at `path` through a TraceReader and scans it with
+/// bounded memory.  Anything that is not a v2 trace raises TraceIoError
+/// (Io when the file cannot be opened; Truncated, BadMagic or BadVersion
+/// from the header check).
 ClockConditionReport scan_clock_condition_file(const std::string& path,
                                                ScanStats* stats = nullptr);
 

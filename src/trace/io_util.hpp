@@ -103,34 +103,4 @@ class ByteSource {
   std::int64_t end_ = -1;  ///< the stream's end offset, -1 while unknown
 };
 
-// -- sniffed-prefix replay ----------------------------------------------------
-
-/// Streambuf that replays an already-consumed prefix before handing reads over
-/// to the rest of the underlying stream.  This lets a format dispatcher sniff
-/// the first few bytes of a *non-seekable* stream (a pipe) and still give the
-/// chosen reader the full byte sequence from offset zero — no seekg involved.
-class PrefixedStreambuf : public std::streambuf {
- public:
-  PrefixedStreambuf(std::string prefix, std::istream& rest)
-      : prefix_(std::move(prefix)), rest_(rest) {
-    setg(prefix_.data(), prefix_.data(), prefix_.data() + prefix_.size());
-  }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    const std::streamsize n = rest_.rdbuf() == nullptr
-                                  ? 0
-                                  : rest_.rdbuf()->sgetn(buf_, static_cast<std::streamsize>(sizeof buf_));
-    if (n <= 0) return traits_type::eof();
-    setg(buf_, buf_, buf_ + n);
-    return traits_type::to_int_type(*gptr());
-  }
-
- private:
-  std::string prefix_;
-  std::istream& rest_;
-  char buf_[4096];
-};
-
 }  // namespace chronosync::traceio

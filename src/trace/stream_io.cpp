@@ -250,8 +250,8 @@ EventChunkHead parse_event_head(const std::vector<std::uint8_t>& payload, int ra
   return head;
 }
 
-}  // namespace
-
+/// Checks an 8-byte file header: TraceIoError{BadMagic} unless it starts with
+/// kTraceMagic, {BadVersion} unless the version that follows is kTraceVersion.
 void check_trace_header(const char (&header)[8]) {
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
@@ -265,6 +265,8 @@ void check_trace_header(const char (&header)[8]) {
                        "expected container version 2, found " + std::to_string(version));
   }
 }
+
+}  // namespace
 
 // -- TraceMeta ----------------------------------------------------------------
 
@@ -447,16 +449,10 @@ void TraceWriter::finish() {
 
 // -- TraceReader --------------------------------------------------------------
 
-TraceReader::TraceReader(std::istream& in, bool header_consumed) : src_(in) {
+TraceReader::TraceReader(std::istream& in) : src_(in) {
   char header[8];
-  std::memcpy(header, &kTraceMagic, 4);
-  std::memcpy(header + 4, &kTraceVersion, 4);
-  if (!header_consumed) {
-    src_.read_exact(header, 8, "trace header");
-    check_trace_header(header);
-  }
-  // The file CRC covers the 8 header bytes; a dispatcher that consumed them
-  // already checked them, so the known constants stand in for them.
+  src_.read_exact(header, 8, "trace header");
+  check_trace_header(header);
   at_.file_crc = crc32c(at_.file_crc, header, 8);
 
   if (read_frame(src_, payload_, &at_.file_crc) != kChunkMeta) {
@@ -562,14 +558,6 @@ TraceIndex index_trace_v2(std::istream& in) {
   }
   idx.total_events = reader.events_read();
   return idx;
-}
-
-TraceIndex index_trace_v2_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) {
-    throw TraceIoError(TraceIoErrorKind::Io, "cannot open trace file for reading: " + path);
-  }
-  return index_trace_v2(f);
 }
 
 ChunkReader::ChunkReader(std::istream& in, const TraceIndex& index)

@@ -35,11 +35,14 @@
 // are (near-)monotone, so consecutive bit patterns are close and the zigzag
 // delta is short.  Round trips are bit-exact for every finite double.
 //
-// TraceReader is the one parser of the container.  It validates every
-// length/count against the bytes actually available before allocating,
-// verifies each chunk's CRC before parsing it, and throws TraceIoError on any
-// malformed input — never crashes or UB.  A header with any other version
-// (e.g. the retired fixed-width v1 layout) raises TraceIoError{BadVersion}.
+// TraceReader is the one parser of the container, and its one constructor is
+// the only way into a v2 stream.  It validates every length/count against the
+// bytes actually available before allocating, verifies each chunk's CRC
+// before parsing it, and throws TraceIoError on any malformed input — never
+// crashes or UB.  Input shorter than the 8-byte header raises
+// TraceIoError{Truncated}; any other magic (a foreign file, the retired CSTXT
+// text format) {BadMagic}; a "CSTR" header with any other version (e.g. the
+// retired fixed-width v1 layout) {BadVersion}.
 //
 // The chunk index (index_trace_v2) is that reader stepped with next_chunk(),
 // i.e. without event decoding, and ChunkReader re-reads indexed chunks through
@@ -148,10 +151,6 @@ struct EventBlock {
   std::vector<Event> events;
 };
 
-/// Checks an 8-byte file header: TraceIoError{BadMagic} unless it starts with
-/// kTraceMagic, {BadVersion} unless the version that follows is kTraceVersion.
-void check_trace_header(const char (&header)[8]);
-
 /// Location and shape of one event chunk inside a v2 file, recorded by the
 /// index pass so the chunk can be re-read (and re-verified) out of order.
 struct ChunkRef {
@@ -171,10 +170,10 @@ struct ChunkRef {
 /// the whole-file CRC.
 class TraceReader {
  public:
-  /// `header_consumed` is for dispatchers that already read the 8-byte
-  /// header and passed it through check_trace_header (scan_clock_condition
-  /// does).
-  explicit TraceReader(std::istream& in, bool header_consumed = false);
+  /// Reads and checks the 8-byte header and the meta chunk: fewer than 8
+  /// bytes raise TraceIoError{Truncated}, any other magic {BadMagic} and
+  /// any other version {BadVersion}.
+  explicit TraceReader(std::istream& in);
 
   const TraceMeta& meta() const { return meta_; }
   int ranks() const { return meta_.ranks(); }
@@ -235,7 +234,6 @@ struct TraceIndex {
 /// whose final event chunk is complete but whose footer is missing (a writer
 /// died before finish()) is rejected as Truncated.
 TraceIndex index_trace_v2(std::istream& in);
-TraceIndex index_trace_v2_file(const std::string& path);
 
 /// Re-reads single event chunks of an indexed v2 file in any order, through
 /// TraceReader's framing and head checks, and verifies each chunk against its

@@ -5,12 +5,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "../testutil/error_of.hpp"
 #include "../testutil/random_trace.hpp"
+#include "../testutil/unseekable_buf.hpp"
 #include "common/scratch_dir.hpp"
 #include "analysis/clock_condition.hpp"
 #include "topology/cluster.hpp"
-#include "trace/io_util.hpp"
-#include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
 #include "verify/clock_condition_oracle.hpp"
@@ -19,10 +19,34 @@
 namespace chronosync {
 namespace {
 
+using testutil::error_of;
+
 /// The message-list oracle over the trace's local timestamps.
 ClockConditionReport oracle(const Trace& t) {
   return verify::clock_condition_oracle(t, TimestampArray::from_local(t), t.match_messages(),
                                         derive_logical_messages(t));
+}
+
+/// Holds every scan entry point to one typed error on `blob`: the scan behind
+/// a TraceReader over a seekable stream and over an unseekable one (a pipe),
+/// and scan_clock_condition_file.
+void expect_every_scan_throws(const std::string& blob, TraceIoErrorKind want,
+                              const std::string& what) {
+  auto scan = [](std::istream& in) {
+    TraceReader reader(in);
+    scan_clock_condition(reader);
+  };
+  std::stringstream seekable(blob);
+  EXPECT_EQ(error_of([&] { scan(seekable); }), want) << what << ", seekable stream";
+  testutil::UnseekableStringBuf pipe_buf(blob);
+  std::istream pipe(&pipe_buf);
+  EXPECT_EQ(error_of([&] { scan(pipe); }), want) << what << ", unseekable stream";
+
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("input");
+  std::ofstream(path, std::ios::binary)
+      .write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  EXPECT_EQ(error_of([&] { scan_clock_condition_file(path); }), want) << what << ", file";
 }
 
 TEST(ClockConditionStream, RealWorkloadStreamedEqualsInMemory) {
@@ -54,46 +78,44 @@ TEST(ClockConditionStream, V2FileIsScannedStreamed) {
   EXPECT_EQ(streamed, in_memory);
 }
 
-TEST(ClockConditionStream, TextFileFallsBackToInMemoryLoad) {
-  const ScratchDir scratch(testing::TempDir());
-  const std::string path = scratch.file("trace.txt");
-  const Trace t = testutil::random_trace(10);
-  {
-    std::ofstream f(path);
-    write_text_trace(t, f);
-  }
-  ScanStats stats{1, 1};
-  const auto scanned = scan_clock_condition_file(path, &stats);
-  const auto in_memory = oracle(t);
-  EXPECT_EQ(scanned, in_memory);
-  EXPECT_EQ(stats.peak_outstanding_messages, 0u);  // no streaming state was kept
+TEST(ClockConditionStream, TextAndForeignInputIsBadMagic) {
+  // v2 is the only container: a CSTXT text trace, or any other input of at
+  // least a header's 8 bytes that does not start with "CSTR", is a typed
+  // error on every entry point and is never loaded into memory.
+  expect_every_scan_throws(
+      "CSTXT 1\nTIMER t\nLATENCY 1e-7 1e-6 5e-6\nRANK 0 0 0 0\n"
+      "EV 0 ENTER 1.0 1.0 0 -1 -1 0 -1 0 -1 -1 -1 0\n",
+      TraceIoErrorKind::BadMagic, "CSTXT text trace");
+  expect_every_scan_throws("CSTXT 1\n", TraceIoErrorKind::BadMagic, "8-byte text header");
+  expect_every_scan_throws(std::string(64, '\0'), TraceIoErrorKind::BadMagic, "64 zero bytes");
+  expect_every_scan_throws("not a chronosync trace at all", TraceIoErrorKind::BadMagic,
+                           "foreign text");
 }
 
 TEST(ClockConditionStream, NonV2BinaryHeaderIsBadVersion) {
   // Any "CSTR" header other than version 2 — the retired v1 container among
-  // them — is a typed error and never reaches the text parser.
-  const std::uint32_t v1_header[2] = {kTraceMagic, 1};
-  const std::string blob(reinterpret_cast<const char*>(v1_header), 8);
-  std::stringstream in(blob + "trailing bytes");
-  try {
-    scan_clock_condition(in);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::BadVersion) << e.what();
+  // them — is a typed error on every entry point.
+  for (const std::uint32_t version : {0u, 1u, 3u}) {
+    const std::uint32_t header[2] = {kTraceMagic, version};
+    const std::string blob(reinterpret_cast<const char*>(header), 8);
+    const std::string what = "version " + std::to_string(version);
+    expect_every_scan_throws(blob, TraceIoErrorKind::BadVersion, what);
+    expect_every_scan_throws(blob + "trailing bytes", TraceIoErrorKind::BadVersion, what);
   }
+}
 
-  const ScratchDir scratch(testing::TempDir());
-  const std::string path = scratch.file("v1.bin");
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << blob;
+TEST(ClockConditionStream, ShortInputIsTruncated) {
+  // Fewer than the header's 8 bytes — empty, a tiny text file, or the start
+  // of a real v2 header — is Truncated on every entry point, whatever the
+  // bytes are.
+  std::stringstream v2;
+  write_trace_v2(testutil::random_trace(13), v2);
+  const std::string v2_head = v2.str().substr(0, 8);
+  for (std::size_t n = 0; n < 8; ++n) {
+    expect_every_scan_throws(v2_head.substr(0, n), TraceIoErrorKind::Truncated,
+                             std::to_string(n) + " bytes of a v2 header");
   }
-  try {
-    scan_clock_condition_file(path);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_EQ(e.kind(), TraceIoErrorKind::BadVersion) << e.what();
-  }
+  expect_every_scan_throws("CSTXT", TraceIoErrorKind::Truncated, "5-byte text file");
 }
 
 TEST(ClockConditionStream, BacklogHighWaterTracksPairDistanceNotMessageCount) {
@@ -135,51 +157,15 @@ TEST(ClockConditionStream, BacklogHighWaterTracksPairDistanceNotMessageCount) {
 }
 
 TEST(ClockConditionStream, PipeFedStreamsScanWithoutSeeking) {
-  // A PrefixedStreambuf does not support seeking, like a pipe: dispatch must
-  // sniff the header without tellg/seekg on either format.
+  // An UnseekableStringBuf refuses to seek, like a pipe: the header check
+  // and the scan must work without seeking.
   const Trace t = testutil::random_trace(12);
-
   std::stringstream v2;
   write_trace_v2(t, v2);
-  traceio::PrefixedStreambuf v2_pipe("", v2);
-  std::istream v2_in(&v2_pipe);
-  const auto in_memory = oracle(t);
-  EXPECT_EQ(scan_clock_condition(v2_in), in_memory);
-
-  std::stringstream text;
-  write_text_trace(t, text);
-  traceio::PrefixedStreambuf text_pipe("", text);
-  std::istream text_in(&text_pipe);
-  EXPECT_EQ(scan_clock_condition(text_in), in_memory);
-}
-
-TEST(ClockConditionStream, TinyTextTraceScansFromFile) {
-  const ScratchDir scratch(testing::TempDir());
-  // An event-free text trace is barely larger than the 8-byte sniff window;
-  // the dispatcher used to reject anything it could not re-read from the
-  // start.  It must reach the text reader and return an all-zero report.
-  const std::string path = scratch.file("tiny.txt");
-  {
-    std::ofstream f(path);
-    f << "CSTXT 1\nTIMER t\nLATENCY 1e-7 1e-6 5e-6\nRANK 0 0 0 0\n";
-  }
-  const auto rep = scan_clock_condition_file(path);
-  EXPECT_EQ(rep.total_events, 0u);
-  EXPECT_EQ(rep.p2p_messages, 0u);
-
-  // Sub-8-byte files are no longer misreported as truncated v2 containers:
-  // the text reader sees them from offset zero and reports its own error.
-  const std::string bad = scratch.file("bad.txt");
-  {
-    std::ofstream f(bad);
-    f << "CSTXT";
-  }
-  try {
-    scan_clock_condition_file(bad);
-    FAIL() << "expected TraceIoError";
-  } catch (const TraceIoError& e) {
-    EXPECT_NE(e.kind(), TraceIoErrorKind::Truncated) << e.what();
-  }
+  testutil::UnseekableStringBuf pipe_buf(v2.str());
+  std::istream pipe(&pipe_buf);
+  TraceReader reader(pipe);
+  EXPECT_EQ(scan_clock_condition(reader), oracle(t));
 }
 
 TEST(ClockConditionStream, DuplicateRootEventsAgreeWithInMemory) {

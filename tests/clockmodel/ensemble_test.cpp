@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "clockmodel/timer_spec.hpp"
 #include "topology/cluster.hpp"
@@ -26,6 +28,22 @@ TEST(TimerSpecs, SoftwareClocksAreNtpDisciplined) {
 
 TEST(TimerSpecs, GettimeofdayHasMicrosecondResolution) {
   EXPECT_DOUBLE_EQ(timer_specs::gettimeofday_ntp().resolution, 1e-6);
+}
+
+TEST(TimerRegistry, ByNameAndAliases) {
+  EXPECT_EQ(timer_specs::by_name("intel-tsc").kind, TimerKind::IntelTsc);
+  EXPECT_EQ(timer_specs::by_name("tsc").kind, TimerKind::IntelTsc);
+  EXPECT_EQ(timer_specs::by_name("tb").kind, TimerKind::IbmTimeBase);
+  EXPECT_EQ(timer_specs::by_name("mpi-wtime").kind, TimerKind::MpiWtime);
+  EXPECT_THROW(timer_specs::by_name("sundial"), std::invalid_argument);
+}
+
+TEST(TimerRegistry, AllHasUniqueNames) {
+  const auto specs = timer_specs::all();
+  EXPECT_GE(specs.size(), 8u);
+  std::set<std::string> names;
+  for (const auto& s : specs) names.insert(s.name);
+  EXPECT_EQ(names.size(), specs.size());
 }
 
 TEST(ClockEnsemble, PerfectClocksAgreeExactly) {

@@ -1,7 +1,6 @@
-// Property suite: both trace serializations (binary v2, text) round-trip
-// randomized traces bit-exactly, the formats agree with each other
-// (differential loads), and postmortem analyses — including the streaming
-// out-of-core scan — are invariant under a round trip.
+// Property suite: the v2 container round-trips randomized traces
+// bit-exactly, and postmortem analyses — including the streaming out-of-core
+// scan — are invariant under a round trip.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,7 +8,6 @@
 #include "../testutil/random_trace.hpp"
 #include "analysis/clock_condition.hpp"
 #include "analysis/clock_condition_stream.hpp"
-#include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
 #include "verify/clock_condition_oracle.hpp"
 
@@ -36,36 +34,13 @@ TEST_P(TraceRoundTrip, BinaryV2SmallChunksExact) {
   EXPECT_TRUE(traces_equal(t, read_trace_v2(buf)));
 }
 
-TEST_P(TraceRoundTrip, TextExact) {
-  Trace t = random_trace(GetParam());
-  std::stringstream buf;
-  write_text_trace(t, buf);
-  EXPECT_TRUE(traces_equal(t, read_text_trace(buf)));
-}
-
-TEST_P(TraceRoundTrip, DifferentialBinaryVsText) {
-  // The binary and text loads of one trace must produce identical objects.
-  Trace t = random_trace(GetParam());
-  std::stringstream bin;
-  std::stringstream txt;
-  write_trace_v2(t, bin);
-  write_text_trace(t, txt);
-  EXPECT_TRUE(traces_equal(read_trace_v2(bin), read_text_trace(txt)));
-}
-
 TEST_P(TraceRoundTrip, ExtremeDoublesAllFormats) {
-  // Signed zeros, denormals, and range-end doubles survive every format.
+  // Signed zeros, denormals, and range-end doubles survive every format —
+  // v2 is the only one.
   Trace t = random_trace(GetParam(), /*extreme_doubles=*/true);
-  {
-    std::stringstream buf;
-    write_trace_v2(t, buf);
-    EXPECT_TRUE(traces_equal(t, read_trace_v2(buf)));
-  }
-  {
-    std::stringstream buf;
-    write_text_trace(t, buf);
-    EXPECT_TRUE(traces_equal(t, read_text_trace(buf)));
-  }
+  std::stringstream buf;
+  write_trace_v2(t, buf);
+  EXPECT_TRUE(traces_equal(t, read_trace_v2(buf)));
 }
 
 TEST_P(TraceRoundTrip, AnalysisInvariant) {

@@ -1,13 +1,11 @@
 // Deterministic mutation corpus for the trace readers.  Seeds a set of valid
-// blobs in both formats, then applies structured mutations — single-bit
-// flips, truncations, duplicated/removed/reordered chunks, corrupted CRC
-// fields, and plain garbage — and asserts the readers ALWAYS fail with a
-// typed TraceIoError (v2: every mutation is detectable thanks to the chunk
-// and file checksums) or, for the unchecksummed text format, either parse
-// successfully or throw TraceIoError.  The format-sniffing clock-condition
-// scan, whose text fallback builds a ReplaySchedule from whatever parsed, is
-// held to the same rule, and so is the windowed CLC (clc_stream_file), whose
-// merge re-parses raw event bytes; it must also leave no file behind when it
+// v2 blobs, then applies structured mutations — single-bit flips,
+// truncations, duplicated/removed/reordered chunks, corrupted CRC fields, and
+// plain garbage — and asserts that the reader and the streaming
+// clock-condition scan ALWAYS fail with a typed TraceIoError: every mutation
+// is detectable thanks to the chunk and file checksums.  The windowed CLC
+// (clc_stream_file), whose merge re-parses raw event bytes, must either
+// succeed or throw TraceIoError, and must leave no file behind when it
 // fails.  The chunk index is held to the reader on the same corpus: same
 // error kind, and the same events from every indexed chunk; so is the reader
 // on an unseekable stream, which decodes without the seekable count pass.
@@ -25,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "../testutil/error_of.hpp"
 #include "../testutil/random_trace.hpp"
 #include "../testutil/unseekable_buf.hpp"
 #include "analysis/clock_condition_stream.hpp"
@@ -32,13 +31,13 @@
 #include "common/rng.hpp"
 #include "common/scratch_dir.hpp"
 #include "sync/clc_stream.hpp"
-#include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
 
 namespace chronosync {
 namespace {
 
+using testutil::error_of;
 using testutil::random_trace;
 
 enum class Outcome { Parsed, IoError, WrongException };
@@ -61,31 +60,25 @@ Outcome feed_v2(const std::string& blob) {
 }
 
 Outcome feed_scan(const std::string& blob) {
-  return feed(blob, [](std::istream& in) { scan_clock_condition(in); });
+  return feed(blob, [](std::istream& in) {
+    TraceReader reader(in);
+    scan_clock_condition(reader);
+  });
 }
 
-Outcome feed_text(const std::string& blob) {
-  return feed(blob, [](std::istream& in) { read_text_trace(in); });
-}
-
-/// v2 is fully checksummed: every mutation must yield a TraceIoError.
-void expect_v2_rejected(const std::string& blob, const std::string& context) {
-  const Outcome got = feed_v2(blob);
+void expect_io_error(Outcome got, const char* who, const std::string& context) {
   if (got == Outcome::Parsed) {
-    ADD_FAILURE() << "v2 reader accepted a mutated blob: " << context;
+    ADD_FAILURE() << who << " accepted a mutated blob: " << context;
   } else if (got == Outcome::WrongException) {
-    ADD_FAILURE() << "v2 reader threw something other than TraceIoError: " << context;
+    ADD_FAILURE() << who << " threw something other than TraceIoError: " << context;
   }
 }
 
-/// Text carries no checksums, so a mutation may produce a different but
-/// well-formed blob; the reader must still never crash or throw a foreign
-/// exception type.
-template <typename FeedFn>
-void expect_no_crash(FeedFn&& feed_fn, const std::string& blob, const std::string& context) {
-  if (feed_fn(blob) == Outcome::WrongException) {
-    ADD_FAILURE() << "reader threw something other than TraceIoError: " << context;
-  }
+/// v2 is fully checksummed: every mutation must yield a TraceIoError, from
+/// the reader and from the streaming scan alike.
+void expect_v2_rejected(const std::string& blob, const std::string& context) {
+  expect_io_error(feed_v2(blob), "v2 reader", context);
+  expect_io_error(feed_scan(blob), "clock-condition scan", context);
 }
 
 struct ChunkSpan {
@@ -109,21 +102,11 @@ std::vector<ChunkSpan> chunk_spans(const std::string& blob) {
   return spans;
 }
 
-struct Corpus {
-  std::string v2;
-  std::string text;
-};
-
-Corpus make_corpus(std::uint64_t seed, bool extreme) {
-  const Trace t = random_trace(seed, extreme);
-  Corpus c;
-  std::stringstream b2;
-  std::stringstream bt;
-  write_trace_v2(t, b2, /*events_per_chunk=*/5);  // many chunk boundaries
-  write_text_trace(t, bt);
-  c.v2 = b2.str();
-  c.text = bt.str();
-  return c;
+/// The v2 blob of a random trace, with many chunk boundaries.
+std::string seed_blob(std::uint64_t seed, bool extreme) {
+  std::stringstream buf;
+  write_trace_v2(random_trace(seed, extreme), buf, /*events_per_chunk=*/5);
+  return buf.str();
 }
 
 /// Recomputes every chunk CRC and the footer's whole-file CRC of a blob with
@@ -243,38 +226,24 @@ Visit v2_rejected(const std::string& tag) {
 
 TEST(TraceFuzz, SeedBlobsParseCleanly) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, seed % 2 == 0);
-    EXPECT_EQ(feed_v2(c.v2), Outcome::Parsed);
-    EXPECT_EQ(feed_text(c.text), Outcome::Parsed);
-    EXPECT_EQ(feed_scan(c.v2), Outcome::Parsed);
-    EXPECT_EQ(feed_scan(c.text), Outcome::Parsed);
+    const std::string v2 = seed_blob(seed, seed % 2 == 0);
+    EXPECT_EQ(feed_v2(v2), Outcome::Parsed);
+    EXPECT_EQ(feed_scan(v2), Outcome::Parsed);
   }
 }
 
 TEST(TraceFuzz, BitFlips) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, seed % 2 == 0);
     Rng rng(seed * 7919 + 1);
-    bit_flips(c.v2, rng, 1200, v2_rejected(seed_tag(seed)));
-    bit_flips(c.text, rng, 600, [&](const std::string& m, const std::string& what) {
-      const std::string context = "text " + what + seed_tag(seed);
-      expect_no_crash(feed_text, m, context);
-      expect_no_crash(feed_scan, m, context);
-    });
+    bit_flips(seed_blob(seed, seed % 2 == 0), rng, 1200, v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, Truncations) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, false);
     Rng rng(seed * 104729 + 2);
-    // v2: every strict prefix must throw.
-    prefixes(c.v2, rng, 400, v2_rejected(seed_tag(seed)));
-    // Text may truncate exactly at a line boundary, which legitimately
-    // parses; only the no-crash guarantee applies.
-    prefixes(c.text, rng, 300, [&](const std::string& m, const std::string& what) {
-      expect_no_crash(feed_text, m, "text " + what + seed_tag(seed));
-    });
+    // Every strict prefix must throw.
+    prefixes(seed_blob(seed, false), rng, 400, v2_rejected(seed_tag(seed)));
   }
 }
 
@@ -282,25 +251,25 @@ TEST(TraceFuzz, DuplicatedChunks) {
   // A duplicated chunk is CRC-valid, so only the sequence numbers, the
   // footer counters, and the whole-file CRC can catch it.
   for (std::uint64_t seed : kSeeds) {
-    duplicated_chunks(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
+    duplicated_chunks(seed_blob(seed, false), v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, RemovedChunks) {
   for (std::uint64_t seed : kSeeds) {
-    removed_chunks(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
+    removed_chunks(seed_blob(seed, false), v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, ReorderedChunks) {
   for (std::uint64_t seed : kSeeds) {
-    reordered_chunks(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
+    reordered_chunks(seed_blob(seed, false), v2_rejected(seed_tag(seed)));
   }
 }
 
 TEST(TraceFuzz, CorruptedChunkCrcFields) {
   for (std::uint64_t seed : kSeeds) {
-    corrupted_crcs(make_corpus(seed, false).v2, v2_rejected(seed_tag(seed)));
+    corrupted_crcs(seed_blob(seed, false), v2_rejected(seed_tag(seed)));
   }
 }
 
@@ -310,33 +279,20 @@ TEST(TraceFuzz, RandomGarbage) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 4096));
     const std::string blob = random_bytes(rng, n);
     const std::string context = "garbage #" + std::to_string(i);
-    EXPECT_NE(feed_v2(blob), Outcome::WrongException) << context;
-    EXPECT_NE(feed_scan(blob), Outcome::WrongException) << context;
     // Garbage essentially never reproduces a valid header, but the invariant
     // we assert is typed-failure, not which kind.
-    expect_no_crash(feed_text, blob, context);
+    EXPECT_NE(feed_v2(blob), Outcome::WrongException) << context;
+    EXPECT_NE(feed_scan(blob), Outcome::WrongException) << context;
   }
 }
 
 TEST(TraceFuzz, GarbageAppendedToValidBlob) {
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, false);
     Rng rng(seed + 31);
     const std::string tail = random_bytes(rng, 64);
-    expect_v2_rejected(c.v2 + tail, "v2 with trailing garbage" + seed_tag(seed));
-    expect_no_crash(feed_text, c.text + tail, "text with trailing garbage");
+    expect_v2_rejected(seed_blob(seed, false) + tail,
+                       "v2 with trailing garbage" + seed_tag(seed));
   }
-}
-
-/// The kind of TraceIoError `fn` throws, or nullopt when it returns.
-template <typename Fn>
-std::optional<TraceIoErrorKind> error_of(Fn&& fn) {
-  try {
-    fn();
-  } catch (const TraceIoError& e) {
-    return e.kind();
-  }
-  return std::nullopt;
 }
 
 enum class Verdict { Rejected, DecodeRejected, Accepted };
@@ -396,19 +352,19 @@ TEST(TraceFuzz, IndexAgreesWithReaders) {
   std::size_t verdicts[3] = {};
   Rng rng(20261017);
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, seed % 2 == 0);
+    const std::string v2 = seed_blob(seed, seed % 2 == 0);
     const Visit agree = [&](const std::string& m, const std::string& what) {
       ++verdicts[static_cast<int>(expect_index_agrees(m, what + seed_tag(seed)))];
     };
-    agree(c.v2, "clean blob");
-    agree(c.v2 + random_bytes(rng, 64), "trailing garbage");
-    bit_flips(c.v2, rng, 300, agree);
-    prefixes(c.v2, rng, 100, agree);
-    duplicated_chunks(c.v2, agree);
-    removed_chunks(c.v2, agree);
-    reordered_chunks(c.v2, agree);
-    corrupted_crcs(c.v2, agree);
-    resealed_event_flips(c.v2, rng, 150, agree);
+    agree(v2, "clean blob");
+    agree(v2 + random_bytes(rng, 64), "trailing garbage");
+    bit_flips(v2, rng, 300, agree);
+    prefixes(v2, rng, 100, agree);
+    duplicated_chunks(v2, agree);
+    removed_chunks(v2, agree);
+    reordered_chunks(v2, agree);
+    corrupted_crcs(v2, agree);
+    resealed_event_flips(v2, rng, 150, agree);
   }
   for (int i = 0; i < 100; ++i) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 512));
@@ -458,19 +414,19 @@ TEST(TraceFuzz, WindowedClcSurvivesMutations) {
   const ScratchDir dir(testing::TempDir());
   std::size_t resealed_ok = 0, resealed_rejected = 0;
   for (std::uint64_t seed : kSeeds) {
-    const Corpus c = make_corpus(seed, seed % 2 == 0);
+    const std::string v2 = seed_blob(seed, seed % 2 == 0);
     const std::string tag = seed_tag(seed);
-    EXPECT_TRUE(expect_windowed_clc_typed(dir, c.v2, "clean blob" + tag));
+    EXPECT_TRUE(expect_windowed_clc_typed(dir, v2, "clean blob" + tag));
     Rng rng(seed * 6007 + 5);
     // Caught by the index pass: plain bit flips and truncations.
     const Visit rejected = [&](const std::string& m, const std::string& what) {
       EXPECT_FALSE(expect_windowed_clc_typed(dir, m, what + tag));
     };
-    bit_flips(c.v2, rng, 40, rejected);
-    prefixes(c.v2, rng, 40, rejected);
+    bit_flips(v2, rng, 40, rejected);
+    prefixes(v2, rng, 40, rejected);
     // Resealed flips inside event payloads reach the processing pass and
     // the merge, which must each parse them or reject them typed.
-    resealed_event_flips(c.v2, rng, 150, [&](const std::string& m, const std::string& what) {
+    resealed_event_flips(v2, rng, 150, [&](const std::string& m, const std::string& what) {
       ++(expect_windowed_clc_typed(dir, m, what + tag) ? resealed_ok : resealed_rejected);
     });
   }
