@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,7 +40,7 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
   // join's high-water mark tracks the outstanding backlog, not the message
   // count; half-matched leftovers are dropped.
   edge_rules::MessageJoin<Endpoint> msgs;
-  std::unordered_map<std::int64_t, CollInstance> colls;
+  edge_rules::IdTable<CollInstance> colls;
   auto check_p2p = [&](const Endpoint& send, const Endpoint& recv) {
     rep.add_edge(/*logical=*/false, send.ts, recv.ts, meta.min_latency(send.rank, recv.rank));
   };
@@ -77,23 +76,24 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
   }
   local_stats.peak_outstanding_messages = msgs.peak_outstanding();
 
-  for (const auto& [id, inst] : colls) {
-    if (edge_rules::partial_instance(inst.begins.size(), inst.ends.size())) continue;
+  // One walk over the instances; add_edge is order-independent, so the
+  // table's unspecified order leaves the report unchanged.  Nothing is
+  // removed: the table is dropped whole on return.
+  colls.erase_if([&](std::int64_t, const CollInstance& inst) {
+    if (edge_rules::partial_instance(inst.begins.size(), inst.ends.size())) return false;
     edge_rules::for_each_logical_edge(
         inst.kind, inst.root, inst.begins, inst.ends, [](const Endpoint& ep) { return ep.rank; },
         [&](const Endpoint& begin, const Endpoint& end) {
           rep.add_edge(/*logical=*/true, begin.ts, end.ts, meta.min_latency(begin.rank, end.rank));
         });
-  }
+    return false;
+  });
   if (stats) *stats = local_stats;
   return rep;
 }
 
 ClockConditionReport scan_clock_condition_file(const std::string& path, ScanStats* stats) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) {
-    throw TraceIoError(TraceIoErrorKind::Io, "cannot open trace file for reading: " + path);
-  }
+  std::ifstream f = open_trace_file(path);
   TraceReader reader(f);
   return scan_clock_condition(reader, stats);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/expect.hpp"
 
@@ -66,75 +65,6 @@ double percentile(std::vector<double> samples, double p) {
   const auto hi = std::min(lo + 1, samples.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  CS_REQUIRE(hi > lo, "histogram bounds reversed");
-  CS_REQUIRE(bins > 0, "histogram needs at least one bin");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  if (std::isnan(x)) {
-    // NaN compares false against every bound, so it can neither be clamped
-    // nor binned; it lands in a dedicated counter instead of vanishing.
-    ++invalid_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  // Clamp while still in floating point: casting a value outside
-  // ptrdiff_t's range (e.g. from an infinite or huge sample) is undefined
-  // behavior, flagged by -fsanitize=float-cast-overflow.
-  const double pos =
-      std::clamp((x - lo_) / span * static_cast<double>(counts_.size()), 0.0,
-                 static_cast<double>(counts_.size() - 1));
-  ++counts_[static_cast<std::size_t>(pos)];
-  ++total_;
-}
-
-void Histogram::add_bin_count(std::size_t i, std::size_t n) {
-  CS_REQUIRE(i < counts_.size(), "histogram bin out of range");
-  counts_[i] += n;
-  total_ += n;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  CS_REQUIRE(i < counts_.size(), "histogram bin out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(bar, '#') << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
-}
-
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  if (samples.empty()) return s;
-  RunningStats rs;
-  for (double x : samples) rs.add(x);
-  s.n = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  s.p50 = percentile(samples, 50.0);
-  s.p95 = percentile(samples, 95.0);
-  s.p99 = percentile(samples, 99.0);
-  return s;
 }
 
 }  // namespace chronosync

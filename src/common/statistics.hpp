@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace chronosync {
@@ -36,48 +35,5 @@ class RunningStats {
 /// Batch percentile over a copy of the samples (linear interpolation between
 /// closest ranks, the same convention as numpy's default).
 double percentile(std::vector<double> samples, double p);
-
-/// Fixed-bin histogram over [lo, hi); samples outside are clamped to the
-/// boundary bins so nothing is silently dropped.  NaN samples cannot be
-/// clamped; they are tallied in invalid() instead of a bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  /// Adds `n` samples directly to bin `i` (merging pre-binned data, e.g. a
-  /// sharded histogram's shards).  `i` must be a valid bin index.
-  void add_bin_count(std::size_t i, std::size_t n);
-  std::size_t bin_count(std::size_t i) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  /// NaN samples seen by add(); never counted in total() or any bin.
-  std::size_t invalid() const { return invalid_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Multi-line ASCII rendering (for report output).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t invalid_ = 0;
-};
-
-/// Summary of a sample vector: n, mean, stddev, min, percentiles, max.
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(const std::vector<double>& samples);
 
 }  // namespace chronosync

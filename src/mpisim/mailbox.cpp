@@ -7,26 +7,6 @@
 
 namespace chronosync {
 
-namespace {
-
-/// Occupancy histogram for one of the two mailbox queues, fed on insertion
-/// (the new depth after the push).
-void record_occupancy(obs::Histo& h, std::size_t depth) {
-  h.add(static_cast<double>(depth));
-}
-
-obs::Histo& unexpected_hist() {
-  static obs::Histo& h = obs::histogram("mpisim.unexpected_depth", 0.0, 4096.0, 64);
-  return h;
-}
-
-obs::Histo& posted_hist() {
-  static obs::Histo& h = obs::histogram("mpisim.posted_depth", 0.0, 4096.0, 64);
-  return h;
-}
-
-}  // namespace
-
 void Mailbox::deliver(Message msg, Time t) {
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     if (matches(it->src, it->tag, msg)) {
@@ -45,8 +25,10 @@ void Mailbox::deliver(Message msg, Time t) {
   unexpected_.push_back({std::move(msg), t});
   if (obs::metrics_enabled()) {
     static obs::Counter& unexpected = obs::counter("mpisim.unexpected_msgs");
+    // Queue occupancy after the push, one sample per insertion.
+    static obs::QuantileHisto& depth = obs::quantile_histogram("mpisim.unexpected_depth");
     unexpected.add(1);
-    record_occupancy(unexpected_hist(), unexpected_.size());
+    depth.add(static_cast<double>(unexpected_.size()));
   }
 }
 
@@ -67,8 +49,9 @@ void Mailbox::post(Rank src, Tag tag, Message* out, Time* arrival, Trigger* tr,
   posted_.push_back({src, tag, out, arrival, tr, complete, std::move(keepalive)});
   if (obs::metrics_enabled()) {
     static obs::Counter& posted = obs::counter("mpisim.posted_recvs");
+    static obs::QuantileHisto& depth = obs::quantile_histogram("mpisim.posted_depth");
     posted.add(1);
-    record_occupancy(posted_hist(), posted_.size());
+    depth.add(static_cast<double>(posted_.size()));
   }
 }
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "benchkit/json.hpp"
@@ -15,59 +14,22 @@ namespace chronosync::obs {
 
 namespace {
 
-// %.17g with integral values printed without a decimal point — the same
-// contract as JsonValue::dump(), so parse(write(x)) reproduces x exactly.
-void put_number(std::string& out, double v) {
-  char buf[32];
-  if (v == static_cast<long long>(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out += buf;
-}
-
 // JSON has no literal for non-finite numbers; emit null so a reader sees a
-// typed schema violation instead of silently mangled text.
+// typed schema violation instead of silently mangled text.  Finite values
+// print as %.17g, integral ones without a decimal point — the same contract
+// as JsonValue::dump(), so parse(write(x)) reproduces x exactly.
 void put_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
-  put_number(out, v);
-}
-
-// Prometheus names allow [a-zA-Z_:][a-zA-Z0-9_:]*; everything else (the
-// registry's dots in particular) becomes '_'.
-std::string prom_name(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':' ||
-                    (!out.empty() && c >= '0' && c <= '9');
-    out += ok ? c : '_';
-  }
-  if (out.empty()) return "_";
-  return out;
-}
-
-void put_prom_value(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "NaN";
-  } else if (std::isinf(v)) {
-    out += v > 0 ? "+Inf" : "-Inf";
+  char buf[32];
+  if (std::abs(v) < 1e15 && v == static_cast<long long>(v)) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   } else {
-    put_number(out, v);
+    std::snprintf(buf, sizeof buf, "%.17g", v);
   }
-}
-
-template <class Writer>
-void write_file_or_throw(const std::string& path, Writer&& writer) {
-  std::ofstream out(path, std::ios::trunc);
-  CS_REQUIRE(out.good(), "cannot open metrics output file '" + path + "'");
-  writer(out);
-  out.flush();
-  CS_REQUIRE(out.good(), "writing metrics output file '" + path + "' failed");
+  out += buf;
 }
 
 }  // namespace
@@ -96,68 +58,11 @@ void write_metrics_json(std::ostream& out, const std::string& suite, Level level
 }
 
 void write_metrics_json_file(const std::string& path, const std::string& suite, Level level) {
-  write_file_or_throw(path,
-                      [&](std::ostream& out) { write_metrics_json(out, suite, level); });
-}
-
-void write_metrics_prometheus(std::ostream& out) {
-  const RegistryDump dump = dump_registry();
-  std::string buf;
-
-  for (const auto& [name, value] : dump.counters) {
-    const std::string p = prom_name(name);
-    buf += "# TYPE " + p + " counter\n" + p + " ";
-    put_number(buf, static_cast<double>(value));
-    buf += '\n';
-  }
-  for (const auto& [name, value] : dump.gauges) {
-    const std::string p = prom_name(name);
-    buf += "# TYPE " + p + " gauge\n" + p + " ";
-    put_prom_value(buf, value);
-    buf += '\n';
-  }
-  for (const auto& h : dump.histograms) {
-    const std::string p = prom_name(h.name);
-    buf += "# TYPE " + p + " gauge\n";
-    const std::pair<const char*, double> fields[] = {
-        {"count", static_cast<double>(h.count)}, {"mean", h.mean}, {"min", h.min}, {"max", h.max}};
-    for (const auto& [field, value] : fields) {
-      buf += p + "{stat=\"" + field + "\"} ";
-      put_prom_value(buf, value);
-      buf += '\n';
-    }
-  }
-  for (const auto& q : dump.quantiles) {
-    const std::string p = prom_name(q.name);
-    buf += "# TYPE " + p + " gauge\n";
-    const std::pair<const char*, double> qs[] = {{"0.5", q.snap.quantile(0.50)},
-                                                 {"0.9", q.snap.quantile(0.90)},
-                                                 {"0.99", q.snap.quantile(0.99)},
-                                                 {"0.999", q.snap.quantile(0.999)}};
-    for (const auto& [label, value] : qs) {
-      buf += p + "{quantile=\"" + label + "\"} ";
-      put_prom_value(buf, value);
-      buf += '\n';
-    }
-    buf += p + "_count ";
-    put_number(buf, static_cast<double>(q.snap.count));
-    buf += '\n';
-  }
-  out << buf;
-}
-
-void write_metrics_prometheus_file(const std::string& path) {
-  write_file_or_throw(path, [](std::ostream& out) { write_metrics_prometheus(out); });
-}
-
-void write_metrics_file(const std::string& path, const std::string& suite, Level level) {
-  const auto dot = path.rfind('.');
-  const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
-  if (ext == ".prom" || ext == ".txt") {
-    write_metrics_prometheus_file(path);
-  } else {
-    write_metrics_json_file(path, suite, level);
-  }
+  std::ofstream out(path, std::ios::trunc);
+  CS_REQUIRE(out.good(), "cannot open metrics output file '" + path + "'");
+  write_metrics_json(out, suite, level);
+  out.flush();
+  CS_REQUIRE(out.good(), "writing metrics output file '" + path + "' failed");
 }
 
 std::vector<std::pair<std::string, double>> read_metrics_json(const std::string& text) {

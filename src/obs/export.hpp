@@ -1,12 +1,11 @@
 // Metrics export: serializes one registry snapshot as a standalone JSON
 // document (schema "chronosync-metrics-v1", validated by `chronoscope
-// --metrics` and diffable by `chronoscope --diff`) or as Prometheus text
-// exposition for scrape-style consumers, plus an optional background sampler
-// that records process RSS/CPU gauges at a fixed cadence.
+// --metrics` and diffable by `chronoscope --diff`), plus an optional
+// background sampler that records process RSS/CPU gauges at a fixed cadence.
 //
-// The JSON form is the canonical artifact: values are printed with enough
-// precision that parse(write(snapshot)) reproduces every value bit-for-bit,
-// which the exporter round-trip test pins.
+// Values are printed with enough precision that parse(write(snapshot))
+// reproduces every value bit-for-bit, which the exporter round-trip test
+// pins.
 #pragma once
 
 #include <chrono>
@@ -30,21 +29,11 @@ inline constexpr const char* kMetricsSchema = "chronosync-metrics-v1";
 ///   {"schema":"chronosync-metrics-v1","suite":"...","obs_level":"...",
 ///    "metrics":{"<name>":<number>,...}}
 /// `metrics` carries exactly what registry metrics_snapshot() reports
-/// (histogram/quantile sub-keys included), name-sorted.
+/// (quantile sub-keys included), name-sorted.
 void write_metrics_json(std::ostream& out, const std::string& suite, Level level);
+/// write_metrics_json into `path` (truncated), whatever its extension.
+/// Throws std::invalid_argument when the file cannot be opened or written.
 void write_metrics_json_file(const std::string& path, const std::string& suite, Level level);
-
-/// Prometheus text exposition (version 0.0.4): names sanitized to
-/// [a-zA-Z0-9_:], counters as `# TYPE ... counter`, gauges and histogram
-/// summary fields as gauges, quantile histograms as one gauge family with
-/// `quantile` labels plus a `_count` line.
-void write_metrics_prometheus(std::ostream& out);
-void write_metrics_prometheus_file(const std::string& path);
-
-/// Writes one snapshot to `path`, picking the format from the extension:
-/// ".prom" / ".txt" get Prometheus text exposition, everything else the
-/// canonical JSON document.
-void write_metrics_file(const std::string& path, const std::string& suite, Level level);
 
 /// Parses a JSON snapshot written by write_metrics_json back into its
 /// name-sorted (name, value) pairs.  Throws std::invalid_argument on any

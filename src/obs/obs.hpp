@@ -28,7 +28,7 @@ namespace chronosync::obs {
 
 /// Observability level, ordered: Off < Metrics < Trace.
 ///   Off     - spans and counters compile in but do nothing.
-///   Metrics - the sharded metrics registry accumulates; no timeline.
+///   Metrics - the metrics registry accumulates; no timeline.
 ///   Trace   - metrics plus span/counter-sample recording for trace export.
 enum class Level : int { Off = 0, Metrics = 1, Trace = 2 };
 

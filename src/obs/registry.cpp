@@ -4,13 +4,16 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
+#include <mutex>
 
-#include "common/expect.hpp"
 #include "obs/obs.hpp"
 
 namespace chronosync::obs {
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// min/max maintenance for QuantileHisto: a CAS loop whose result depends
 /// only on the set of values offered, not the order they race in.
@@ -34,20 +37,11 @@ void atomic_fmax(std::atomic<std::uint64_t>& bits, double x) {
   }
 }
 
-/// Sequential id per thread; shard index = id % kMetricShards.  Ids are
-/// assigned lazily so short-lived helper threads don't exhaust anything.
-std::size_t shard_index() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
-  return idx % kMetricShards;
-}
-
 struct RegistryStore {
   std::mutex mu;
   // std::map: stable addresses (node-based) + snapshot already name-sorted.
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histo>> histograms;
   std::map<std::string, std::unique_ptr<QuantileHisto>> quantiles;
 };
 
@@ -60,55 +54,12 @@ RegistryStore& store() {
 
 void Counter::add(std::int64_t delta) {
   if (!metrics_enabled()) return;
-  shards_[shard_index()].v.fetch_add(delta, std::memory_order_relaxed);
-}
-
-std::int64_t Counter::value() const {
-  std::int64_t sum = 0;
-  for (const auto& s : shards_) sum += s.v.load(std::memory_order_relaxed);
-  return sum;
+  v_.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Gauge::set(double value) {
   if (!metrics_enabled()) return;
   bits_.store(std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
-}
-
-Histo::Histo(std::string name, double lo, double hi, std::size_t bins)
-    : name_(std::move(name)), lo_(lo), hi_(hi), nbins_(bins) {
-  CS_REQUIRE(bins > 0 && hi > lo, "histogram needs hi > lo and at least one bin");
-  shards_.reserve(kMetricShards);
-  for (std::size_t i = 0; i < kMetricShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(lo, hi, bins));
-  }
-}
-
-void Histo::add(double x) {
-  if (!metrics_enabled()) return;
-  Shard& s = *shards_[shard_index()];
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.bins.add(x);
-  s.stats.add(x);
-}
-
-Histogram Histo::merged_bins() const {
-  Histogram out(lo_, hi_, nbins_);
-  for (const auto& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s->mu);
-    for (std::size_t b = 0; b < nbins_; ++b) {
-      out.add_bin_count(b, s->bins.bin_count(b));
-    }
-  }
-  return out;
-}
-
-RunningStats Histo::merged_stats() const {
-  RunningStats out;
-  for (const auto& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s->mu);
-    out.merge(s->stats);
-  }
-  return out;
 }
 
 std::size_t QuantileSnapshot::bucket_index(double x) {
@@ -162,25 +113,19 @@ double QuantileSnapshot::quantile(double q) const {
 
 QuantileHisto::QuantileHisto(std::string name)
     : name_(std::move(name)),
-      min_bits_(std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity())),
-      max_bits_(std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity())) {
-  shards_.reserve(kMetricShards);
-  for (std::size_t i = 0; i < kMetricShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+      min_bits_(std::bit_cast<std::uint64_t>(kInf)),
+      max_bits_(std::bit_cast<std::uint64_t>(-kInf)) {}
 
 void QuantileHisto::add(double x) {
   if (!metrics_enabled()) return;
-  Shard& s = *shards_[shard_index()];
   if (std::isnan(x)) {
-    s.invalid.fetch_add(1, std::memory_order_relaxed);
+    invalid_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (x < QuantileSnapshot::bucket_lo(0)) {
-    s.underflow.fetch_add(1, std::memory_order_relaxed);
+    underflow_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    s.buckets[QuantileSnapshot::bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
+    buckets_[QuantileSnapshot::bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
   }
   atomic_fmin(min_bits_, x);
   atomic_fmax(max_bits_, x);
@@ -188,21 +133,27 @@ void QuantileHisto::add(double x) {
 
 QuantileSnapshot QuantileHisto::snapshot() const {
   QuantileSnapshot snap;
-  snap.buckets.assign(kQuantileBuckets, 0);
-  for (const auto& s : shards_) {
-    snap.underflow += s->underflow.load(std::memory_order_relaxed);
-    snap.invalid += s->invalid.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kQuantileBuckets; ++i) {
-      snap.buckets[i] += s->buckets[i].load(std::memory_order_relaxed);
-    }
-  }
+  snap.underflow = underflow_.load(std::memory_order_relaxed);
+  snap.invalid = invalid_.load(std::memory_order_relaxed);
+  snap.buckets.reserve(kQuantileBuckets);
   snap.count = snap.underflow;
-  for (const std::uint64_t c : snap.buckets) snap.count += c;
-  const double lo = std::bit_cast<double>(min_bits_.load(std::memory_order_relaxed));
-  const double hi = std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
-  snap.min = snap.count > 0 ? lo : 0.0;
-  snap.max = snap.count > 0 ? hi : 0.0;
+  for (const auto& bucket : buckets_) {
+    snap.buckets.push_back(bucket.load(std::memory_order_relaxed));
+    snap.count += snap.buckets.back();
+  }
+  if (snap.count > 0) {
+    snap.min = std::bit_cast<double>(min_bits_.load(std::memory_order_relaxed));
+    snap.max = std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
+  }
   return snap;
+}
+
+void QuantileHisto::clear() {
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  underflow_.store(0, std::memory_order_relaxed);
+  invalid_.store(0, std::memory_order_relaxed);
+  min_bits_.store(std::bit_cast<std::uint64_t>(kInf), std::memory_order_relaxed);
+  max_bits_.store(std::bit_cast<std::uint64_t>(-kInf), std::memory_order_relaxed);
 }
 
 Counter& counter(const std::string& name) {
@@ -221,14 +172,6 @@ Gauge& gauge(const std::string& name) {
   return *slot;
 }
 
-Histo& histogram(const std::string& name, double lo, double hi, std::size_t bins) {
-  RegistryStore& s = store();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  auto& slot = s.histograms[name];
-  if (!slot) slot = std::make_unique<Histo>(name, lo, hi, bins);
-  return *slot;
-}
-
 QuantileHisto& quantile_histogram(const std::string& name) {
   RegistryStore& s = store();
   const std::lock_guard<std::mutex> lock(s.mu);
@@ -237,48 +180,26 @@ QuantileHisto& quantile_histogram(const std::string& name) {
   return *slot;
 }
 
-RegistryDump dump_registry() {
-  RegistryStore& s = store();
-  RegistryDump dump;
-  const std::lock_guard<std::mutex> lock(s.mu);
-  dump.counters.reserve(s.counters.size());
-  for (const auto& [name, c] : s.counters) dump.counters.emplace_back(name, c->value());
-  dump.gauges.reserve(s.gauges.size());
-  for (const auto& [name, g] : s.gauges) dump.gauges.emplace_back(name, g->value());
-  dump.histograms.reserve(s.histograms.size());
-  for (const auto& [name, h] : s.histograms) {
-    const RunningStats st = h->merged_stats();
-    dump.histograms.push_back({name, st.count(), st.empty() ? 0.0 : st.mean(),
-                               st.empty() ? 0.0 : st.min(), st.empty() ? 0.0 : st.max()});
-  }
-  dump.quantiles.reserve(s.quantiles.size());
-  for (const auto& [name, q] : s.quantiles) dump.quantiles.push_back({name, q->snapshot()});
-  return dump;
-}
-
 std::vector<std::pair<std::string, double>> metrics_snapshot() {
-  const RegistryDump dump = dump_registry();
+  RegistryStore& s = store();
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(dump.counters.size() + dump.gauges.size() + 4 * dump.histograms.size() +
-              7 * dump.quantiles.size());
-  for (const auto& [name, v] : dump.counters) {
-    out.emplace_back(name, static_cast<double>(v));
-  }
-  for (const auto& [name, v] : dump.gauges) out.emplace_back(name, v);
-  for (const auto& h : dump.histograms) {
-    out.emplace_back(h.name + ".count", static_cast<double>(h.count));
-    out.emplace_back(h.name + ".mean", h.mean);
-    out.emplace_back(h.name + ".min", h.min);
-    out.emplace_back(h.name + ".max", h.max);
-  }
-  for (const auto& q : dump.quantiles) {
-    out.emplace_back(q.name + ".count", static_cast<double>(q.snap.count));
-    out.emplace_back(q.name + ".min", q.snap.min);
-    out.emplace_back(q.name + ".max", q.snap.max);
-    out.emplace_back(q.name + ".p50", q.snap.quantile(0.50));
-    out.emplace_back(q.name + ".p90", q.snap.quantile(0.90));
-    out.emplace_back(q.name + ".p99", q.snap.quantile(0.99));
-    out.emplace_back(q.name + ".p999", q.snap.quantile(0.999));
+  {
+    const std::lock_guard<std::mutex> lock(s.mu);
+    out.reserve(s.counters.size() + s.gauges.size() + 7 * s.quantiles.size());
+    for (const auto& [name, c] : s.counters) {
+      out.emplace_back(name, static_cast<double>(c->value()));
+    }
+    for (const auto& [name, g] : s.gauges) out.emplace_back(name, g->value());
+    for (const auto& [name, q] : s.quantiles) {
+      const QuantileSnapshot snap = q->snapshot();
+      out.emplace_back(name + ".count", static_cast<double>(snap.count));
+      out.emplace_back(name + ".min", snap.min);
+      out.emplace_back(name + ".max", snap.max);
+      out.emplace_back(name + ".p50", snap.quantile(0.50));
+      out.emplace_back(name + ".p90", snap.quantile(0.90));
+      out.emplace_back(name + ".p99", snap.quantile(0.99));
+      out.emplace_back(name + ".p999", snap.quantile(0.999));
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -287,32 +208,11 @@ std::vector<std::pair<std::string, double>> metrics_snapshot() {
 void reset_registry_values() {
   RegistryStore& s = store();
   const std::lock_guard<std::mutex> lock(s.mu);
-  for (auto& [name, c] : s.counters) {
-    for (auto& shard : c->shards_) shard.v.store(0, std::memory_order_relaxed);
-  }
+  for (auto& [name, c] : s.counters) c->v_.store(0, std::memory_order_relaxed);
   for (auto& [name, g] : s.gauges) {
     g->bits_.store(std::bit_cast<std::uint64_t>(0.0), std::memory_order_relaxed);
   }
-  for (auto& [name, h] : s.histograms) {
-    for (auto& shard : h->shards_) {
-      const std::lock_guard<std::mutex> shard_lock(shard->mu);
-      shard->bins = Histogram(h->lo_, h->hi_, h->nbins_);
-      shard->stats = RunningStats();
-    }
-  }
-  for (auto& [name, q] : s.quantiles) {
-    for (auto& shard : q->shards_) {
-      shard->underflow.store(0, std::memory_order_relaxed);
-      shard->invalid.store(0, std::memory_order_relaxed);
-      for (auto& bucket : shard->buckets) bucket.store(0, std::memory_order_relaxed);
-    }
-    q->min_bits_.store(
-        std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity()),
-        std::memory_order_relaxed);
-    q->max_bits_.store(
-        std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity()),
-        std::memory_order_relaxed);
-  }
+  for (auto& [name, q] : s.quantiles) q->clear();
 }
 
 }  // namespace chronosync::obs

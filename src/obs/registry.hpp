@@ -1,38 +1,33 @@
-// Sharded metrics registry: named counters, gauges, and histograms that are
-// cheap to update from many threads and snapshot into a benchkit MetricList.
+// Metrics registry: named counters, gauges, and quantile histograms that
+// snapshot into a flat, name-sorted (name, value) list.
 //
-// Counters spread contended updates over a fixed set of cache-line-padded
-// atomic shards (a thread picks its shard once, from a sequential thread id);
-// gauges are a single atomic last-writer-wins cell; histograms reuse
-// common/statistics.hpp bins, one Histogram + RunningStats per shard merged
-// at snapshot time under per-shard mutexes.  QuantileHisto is the lock-free
-// variant for latency distributions: log-bucketed atomic counts whose merged
-// snapshot (and therefore every extracted quantile) is a pure function of the
-// multiset of added values — deterministic under any concurrent interleaving.
+// Each metric is a single set of relaxed atomics: counters one int64 sum,
+// gauges one last-writer-wins cell, quantile histograms one array of
+// log-bucketed atomic counts plus exact CAS-maintained min/max.  Updates come
+// from the main thread (once per call, chunk or simulated message) and the
+// ResourceSampler thread, so one cell per value suffices; every update is
+// exact and race-free under concurrent add(), and a histogram's snapshot
+// (and therefore every extracted quantile) is a pure function of the
+// multiset of added values, independent of thread interleaving.
 //
-// Handles returned by counter()/gauge()/histogram() are stable for the
-// process lifetime; look them up once (function-local static or member) and
-// update through the handle on the hot path.  All updates are gated on
+// Handles returned by counter()/gauge()/quantile_histogram() are stable for
+// the process lifetime; look them up once (function-local static or member)
+// and update through the handle on the hot path.  All updates are gated on
 // obs::metrics_enabled() internally, so call sites may update
 // unconditionally — with observability off the cost is one relaxed load.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/statistics.hpp"
-
 namespace chronosync::obs {
 
-inline constexpr std::size_t kMetricShards = 16;
-
-/// Monotonically increasing sum, sharded per thread group.
+/// Monotonically increasing sum.
 class Counter {
  public:
   explicit Counter(std::string name) : name_(std::move(name)) {}
@@ -40,15 +35,12 @@ class Counter {
   void add(std::int64_t delta);
   void operator+=(std::int64_t delta) { add(delta); }
 
-  std::int64_t value() const;
+  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::int64_t> v{0};
-  };
   std::string name_;
-  Shard shards_[kMetricShards];
+  std::atomic<std::int64_t> v_{0};
 
   friend void reset_registry_values();
 };
@@ -69,34 +61,6 @@ class Gauge {
   friend void reset_registry_values();
 };
 
-/// Fixed-bin distribution (common/statistics.hpp bins) plus running
-/// mean/min/max, sharded like Counter.
-class Histo {
- public:
-  Histo(std::string name, double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  /// Merged view across shards.
-  Histogram merged_bins() const;
-  RunningStats merged_stats() const;
-  const std::string& name() const { return name_; }
-
- private:
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    Histogram bins;
-    RunningStats stats;
-    explicit Shard(double lo, double hi, std::size_t n) : bins(lo, hi, n) {}
-  };
-  std::string name_;
-  double lo_, hi_;
-  std::size_t nbins_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  friend void reset_registry_values();
-};
-
 /// Log-bucketed quantile layout shared by QuantileHisto and its snapshots:
 /// each power-of-two octave in [2^kQuantileMinExp, 2^kQuantileMaxExp) is
 /// split into kQuantileSubBuckets linear-in-mantissa sub-buckets (HdrHistogram
@@ -112,17 +76,17 @@ inline constexpr int kQuantileMaxExp = 24;
 inline constexpr std::size_t kQuantileBuckets =
     static_cast<std::size_t>(kQuantileMaxExp - kQuantileMinExp) * kQuantileSubBuckets;
 
-/// Merged, immutable view of a QuantileHisto: integer bucket counts plus
-/// exact min/max.  Because the counts are integers, the snapshot — and every
+/// Immutable view of a QuantileHisto: integer bucket counts plus exact
+/// min/max.  Because the counts are integers, the snapshot — and every
 /// quantile read from it — depends only on the multiset of added values,
-/// never on thread interleaving or shard assignment.
+/// never on thread interleaving.
 struct QuantileSnapshot {
   std::uint64_t count = 0;      ///< finite samples (underflow included)
   std::uint64_t underflow = 0;  ///< samples below the bucketed range (<= 0 too)
   std::uint64_t invalid = 0;    ///< NaN samples; never in count or a bucket
   double min = 0.0;             ///< exact smallest finite sample (0 when empty)
   double max = 0.0;             ///< exact largest finite sample (0 when empty)
-  std::vector<std::uint64_t> buckets;  ///< kQuantileBuckets merged counts
+  std::vector<std::uint64_t> buckets;  ///< kQuantileBuckets counts
 
   bool empty() const { return count == 0; }
   /// Quantile by bucket walk: the value returned is the geometric midpoint
@@ -137,10 +101,9 @@ struct QuantileSnapshot {
   static double bucket_mid(std::size_t i);
 };
 
-/// Lock-free sharded quantile histogram: add() is one relaxed fetch_add on
-/// the caller's shard (plus CAS min/max maintenance), snapshot() merges the
-/// integer counts deterministically.  There is deliberately no mean/sum —
-/// a floating-point accumulation would make the merge order-dependent.
+/// Lock-free quantile histogram: add() is one relaxed fetch_add on a bucket
+/// (plus CAS min/max maintenance).  There is deliberately no mean/sum — a
+/// floating-point accumulation would make concurrent adds order-dependent.
 class QuantileHisto {
  public:
   explicit QuantileHisto(std::string name);
@@ -150,14 +113,12 @@ class QuantileHisto {
   const std::string& name() const { return name_; }
 
  private:
-  struct alignas(64) Shard {
-    std::vector<std::atomic<std::uint64_t>> buckets;
-    std::atomic<std::uint64_t> underflow{0};
-    std::atomic<std::uint64_t> invalid{0};
-    Shard() : buckets(kQuantileBuckets) {}
-  };
+  void clear();
+
   std::string name_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<std::atomic<std::uint64_t>, kQuantileBuckets> buckets_{};
+  std::atomic<std::uint64_t> underflow_{0};
+  std::atomic<std::uint64_t> invalid_{0};
   std::atomic<std::uint64_t> min_bits_;
   std::atomic<std::uint64_t> max_bits_;
 
@@ -168,34 +129,11 @@ class QuantileHisto {
 /// reference is valid for the process lifetime.
 Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
-/// lo/hi/bins are fixed by the first registration of `name`; later lookups
-/// with different parameters get the existing histogram.
-Histo& histogram(const std::string& name, double lo, double hi, std::size_t bins);
 QuantileHisto& quantile_histogram(const std::string& name);
 
-/// Typed snapshot of the whole registry (every metric family separately),
-/// the substrate for the JSON/Prometheus exporters in obs/export.hpp.
-struct RegistryDump {
-  std::vector<std::pair<std::string, std::int64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  struct HistoDump {
-    std::string name;
-    std::uint64_t count = 0;
-    double mean = 0.0, min = 0.0, max = 0.0;
-  };
-  std::vector<HistoDump> histograms;
-  struct QuantileDump {
-    std::string name;
-    QuantileSnapshot snap;
-  };
-  std::vector<QuantileDump> quantiles;
-};
-RegistryDump dump_registry();
-
-/// Flat snapshot of every registered metric, sorted by name:
-///   counters as `<name>`, gauges as `<name>`, histograms as
-///   `<name>.count/.mean/.min/.max`, quantile histograms as
-///   `<name>.count/.min/.max/.p50/.p90/.p99/.p999`.
+/// Flat snapshot of every registered metric, sorted by name: counters and
+/// gauges as `<name>`, quantile histograms as
+/// `<name>.count/.min/.max/.p50/.p90/.p99/.p999`.
 std::vector<std::pair<std::string, double>> metrics_snapshot();
 
 /// Zeroes every registered metric's value (registrations survive).

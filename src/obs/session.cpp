@@ -1,7 +1,6 @@
 #include "obs/session.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -15,10 +14,7 @@ namespace {
 
 Level resolve_level(const Cli& cli, const std::string& trace_out,
                     const std::string& metrics_out) {
-  std::string text = cli.get("obs-level", "");
-  if (text.empty()) {
-    if (const char* env = std::getenv("CHRONOSYNC_OBS")) text = env;
-  }
+  const std::string text = cli.get("obs-level", "");
   if (!text.empty()) {
     Level parsed = Level::Off;
     CS_REQUIRE(parse_level(text, parsed),
@@ -62,7 +58,7 @@ void ObsSession::write_artifacts(const std::string& trace_path,
                 << " dropped, " << stats.threads << " threads)";
   }
   if (!metrics_path.empty()) {
-    write_metrics_file(metrics_path, suite_, level_);
+    write_metrics_json_file(metrics_path, suite_, level_);
     CS_LOG_INFO << "obs: wrote " << metrics_path;
   }
 }

@@ -1,4 +1,4 @@
-// CLI/environment glue shared by the bench and tool binaries: one ObsSession
+// CLI glue shared by the bench and tool binaries: one ObsSession
 // per process parses the observability options, sets the global level, and
 // writes the requested outputs at the end of the run.
 //
@@ -6,15 +6,12 @@
 //   --obs-level {off,metrics,trace}   explicit level; unknown values throw
 //   --trace-out <file>                Chrome trace JSON; implies `trace`
 //                                     when --obs-level is absent
-//   --metrics-out <file>              metrics snapshot (chronosync-metrics-v1
-//                                     JSON, or Prometheus text when the file
-//                                     ends in .prom/.txt); implies at least
-//                                     `metrics`
+//   --metrics-out <file>              chronosync-metrics-v1 JSON snapshot
+//                                     (whatever the extension); implies at
+//                                     least `metrics`
 //   --obs-sample-ms <n>               background RSS/CPU sampler period; runs
 //                                     only when the level is at least
 //                                     `metrics` (n must be positive)
-//   CHRONOSYNC_OBS={off,metrics,trace}  fallback when --obs-level is absent
-//                                       (outputs still imply their level)
 #pragma once
 
 #include <memory>
@@ -57,8 +54,6 @@ class ObsSession {
   void write_artifacts(const std::string& trace_path, const std::string& metrics_path) const;
 
   Level level() const { return level_; }
-  const std::string& trace_out() const { return trace_out_; }
-  const std::string& metrics_out() const { return metrics_out_; }
 
  private:
   std::string suite_;

@@ -85,8 +85,7 @@ std::uint64_t Engine::run(std::uint64_t max_events) {
   }
   if (obs::metrics_enabled()) {
     static obs::Counter& events = obs::counter("engine.events_fired");
-    static obs::Histo& depth_peak =
-        obs::histogram("engine.queue_depth_peak", 0.0, static_cast<double>(1 << 20), 64);
+    static obs::QuantileHisto& depth_peak = obs::quantile_histogram("engine.queue_depth_peak");
     events.add(static_cast<std::int64_t>(fired));
     depth_peak.add(static_cast<double>(peak_depth));
   }

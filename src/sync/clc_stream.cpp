@@ -861,10 +861,7 @@ class StreamEngine {
 
 StreamClcStats clc_stream_file(const std::string& in_path, const std::string& out_path,
                                const StreamClcOptions& options) {
-  std::ifstream in(in_path, std::ios::binary);
-  if (!in.good()) {
-    throw TraceIoError(TraceIoErrorKind::Io, "cannot open trace file for reading: " + in_path);
-  }
+  std::ifstream in = open_trace_file(in_path);
   // One sequential validation pass: any input defect — bad CRC, missing
   // footer, reordered chunks — throws here, before any output exists.
   TraceIndex index = index_trace_v2(in);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string_view>
@@ -665,11 +666,18 @@ Trace read_trace_v2(std::istream& in) {
 }
 
 Trace read_trace_v2_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) {
+  std::ifstream f = open_trace_file(path);
+  return read_trace_v2(f);
+}
+
+std::ifstream open_trace_file(const std::string& path) {
+  std::error_code ec;  // a failed stat falls through to open(), which reports it
+  std::ifstream f;
+  if (!std::filesystem::is_directory(path, ec)) f.open(path, std::ios::binary);
+  if (!f.is_open()) {
     throw TraceIoError(TraceIoErrorKind::Io, "cannot open trace file for reading: " + path);
   }
-  return read_trace_v2(f);
+  return f;
 }
 
 }  // namespace chronosync

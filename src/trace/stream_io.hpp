@@ -51,7 +51,7 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
+#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -281,5 +281,11 @@ void write_trace_v2_file(const Trace& trace, const std::string& path,
 Trace read_trace_v2(TraceReader& reader);
 Trace read_trace_v2(std::istream& in);
 Trace read_trace_v2_file(const std::string& path);
+
+/// Opens `path` for binary reading: the one way every `*_file` entry point
+/// opens its input.  Throws TraceIoError{Io} for a missing or unreadable
+/// path and for a directory (which std::ifstream would open and then read as
+/// an empty stream).
+std::ifstream open_trace_file(const std::string& path);
 
 }  // namespace chronosync

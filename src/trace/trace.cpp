@@ -189,9 +189,10 @@ std::vector<MessageRecord> Trace::match_messages() const {
     }
     if (obs::metrics_enabled()) {
       static obs::Counter& half_matched = obs::counter("trace.match.half_matched");
-      static obs::Counter& peak = obs::counter("trace.match.peak_outstanding");
+      // One sample per call: the histogram's .max is the peak over calls.
+      static obs::QuantileHisto& peak = obs::quantile_histogram("trace.match.peak_outstanding");
       half_matched.add(static_cast<std::int64_t>(join.outstanding()));
-      peak.add(static_cast<std::int64_t>(join.peak_outstanding()));
+      peak.add(static_cast<double>(join.peak_outstanding()));
     }
   }
   // Ascending msg_id; the rare duplicate-id repeats stay in completion order.

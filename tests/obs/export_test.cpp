@@ -1,7 +1,6 @@
-// Tests for the metrics exporters (obs/export.hpp): JSON snapshot
-// round-trip (write -> parse -> bit-identical values), Prometheus text
-// shape, schema validation failure modes, extension dispatch, and the
-// background resource sampler.
+// Tests for the metrics exporter (obs/export.hpp): JSON snapshot round-trip
+// (write -> parse -> bit-identical values), schema validation failure modes,
+// the --metrics-out file, and the background resource sampler.
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
@@ -18,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
+#include "obs/session.hpp"
 
 namespace chronosync::obs {
 namespace {
@@ -42,11 +43,11 @@ void populate_registry() {
   counter("test.exp_counter").add(7);
   gauge("test.exp_gauge").set(0.1);
   gauge("test.exp_tiny").set(4.9406564584124654e-324);  // min subnormal
-  Histo& h = histogram("test.exp_histo", 0.0, 10.0, 5);
-  h.add(1.0 / 3.0);
-  h.add(2.0 / 3.0);
+  gauge("test.exp_huge").set(1e300);  // beyond long long: must not be cast to it
   QuantileHisto& q = quantile_histogram("test.exp_quant");
   for (int i = 1; i <= 100; ++i) q.add(static_cast<double>(i) * 1e-3);
+  q.add(1.0 / 3.0);
+  q.add(2.0 / 3.0);
 }
 
 TEST_F(ExportTest, JsonSnapshotRoundTripsBitForBit) {
@@ -95,49 +96,28 @@ TEST_F(ExportTest, ReadRejectsEverySchemaViolation) {
       read_metrics_json("{\"schema\":\"chronosync-metrics-v1\",\"metrics\":{}}").empty());
 }
 
-TEST_F(ExportTest, PrometheusTextShape) {
-  set_level(Level::Metrics);
-  populate_registry();
-
-  std::ostringstream os;
-  write_metrics_prometheus(os);
-  const std::string text = os.str();
-
-  // Names sanitized to [a-zA-Z0-9_:]; counters typed counter, the rest gauge.
-  EXPECT_NE(text.find("# TYPE test_exp_counter counter\ntest_exp_counter 7\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_exp_gauge gauge\ntest_exp_gauge 0.1"), std::string::npos);
-  EXPECT_NE(text.find("test_exp_histo{stat=\"count\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("test_exp_quant{quantile=\"0.5\"} "), std::string::npos);
-  EXPECT_NE(text.find("test_exp_quant{quantile=\"0.999\"} "), std::string::npos);
-  EXPECT_NE(text.find("test_exp_quant_count 100\n"), std::string::npos);
-  // The registry's dotted names never leak into an exposition name.
-  EXPECT_EQ(text.find("test.exp"), std::string::npos);
-}
-
-TEST_F(ExportTest, FileDispatchPicksFormatFromExtension) {
-  set_level(Level::Metrics);
-  counter("test.exp_dispatch").add(1);
-
-  const std::string json_path = "export_test_dispatch.json";
-  const std::string prom_path = "export_test_dispatch.prom";
-  write_metrics_file(json_path, "export-test", Level::Metrics);
-  write_metrics_file(prom_path, "export-test", Level::Metrics);
-
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  const std::string json_text = slurp(json_path);
-  const std::string prom_text = slurp(prom_path);
-  std::remove(json_path.c_str());
+TEST_F(ExportTest, MetricsFileIsAlwaysJson) {
+  // The extension picks nothing: --metrics-out with a ".prom" path gets the
+  // JSON document too.
+  const std::string prom_path = "export_test_file.prom";
+  const char* argv[] = {"export_test", "--metrics-out", prom_path.c_str()};
+  ObsSession session(Cli(3, argv), "export-test");
+  counter("test.exp_file").add(1);
+  session.finish();
+  std::ifstream in(prom_path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  in.close();
   std::remove(prom_path.c_str());
 
-  EXPECT_NE(json_text.find("\"schema\":\"chronosync-metrics-v1\""), std::string::npos);
-  EXPECT_FALSE(read_metrics_json(json_text).empty());
-  EXPECT_EQ(prom_text.rfind("# TYPE ", 0), 0u);  // Prometheus exposition, not JSON
+  const std::string text = buf.str();
+  EXPECT_EQ(text.rfind("{\"schema\":\"chronosync-metrics-v1\"", 0), 0u);
+  std::ostringstream direct;
+  write_metrics_json(direct, "export-test", Level::Metrics);
+  EXPECT_EQ(text, direct.str());
+  std::map<std::string, double> parsed;
+  for (const auto& [name, value] : read_metrics_json(text)) parsed[name] = value;
+  EXPECT_EQ(parsed.at("test.exp_file"), 1.0);
 
   EXPECT_THROW(write_metrics_json_file("no_such_dir/x.json", "export-test", Level::Metrics),
                std::invalid_argument);

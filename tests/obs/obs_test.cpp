@@ -273,7 +273,7 @@ TEST_F(ObsTest, RegistryAggregatesAcrossThreadsAndSnapshots) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([] {
       Counter& c = counter("test.reg_counter");
-      Histo& h = histogram("test.reg_histo", 0.0, 100.0, 10);
+      QuantileHisto& h = quantile_histogram("test.reg_histo");
       for (int i = 0; i < kAdds; ++i) {
         c.add(1);
         h.add(static_cast<double>(i % 100));
@@ -285,10 +285,10 @@ TEST_F(ObsTest, RegistryAggregatesAcrossThreadsAndSnapshots) {
 
   EXPECT_EQ(counter("test.reg_counter").value(), kThreads * kAdds);
   EXPECT_EQ(gauge("test.reg_gauge").value(), 42.5);
-  const RunningStats merged = histogram("test.reg_histo", 0.0, 100.0, 10).merged_stats();
-  EXPECT_EQ(merged.count(), static_cast<std::size_t>(kThreads) * kAdds);
-  EXPECT_EQ(merged.min(), 0.0);
-  EXPECT_EQ(merged.max(), 99.0);
+  const QuantileSnapshot merged = quantile_histogram("test.reg_histo").snapshot();
+  EXPECT_EQ(merged.count, static_cast<std::uint64_t>(kThreads) * kAdds);
+  EXPECT_EQ(merged.min, 0.0);
+  EXPECT_EQ(merged.max, 99.0);
 
   std::map<std::string, double> snap;
   for (const auto& [name, value] : metrics_snapshot()) snap[name] = value;
@@ -301,7 +301,7 @@ TEST_F(ObsTest, RegistryAggregatesAcrossThreadsAndSnapshots) {
   // reset() zeroes values but keeps registrations (and handles) alive.
   reset();
   EXPECT_EQ(counter("test.reg_counter").value(), 0);
-  EXPECT_EQ(histogram("test.reg_histo", 0.0, 100.0, 10).merged_stats().count(), 0u);
+  EXPECT_EQ(quantile_histogram("test.reg_histo").snapshot().count, 0u);
 }
 
 TEST_F(ObsTest, QuantileHistoGoldenQuantilesOnKnownDistributions) {
@@ -354,7 +354,7 @@ TEST_F(ObsTest, QuantileHistoEdgeSemantics) {
   EXPECT_EQ(snap.invalid, 1u);
   EXPECT_EQ(snap.count, 2u);
 
-  // reset() zeroes the shards and the exact min/max.
+  // reset() zeroes the buckets and the exact min/max.
   reset();
   snap = quantile_histogram("test.q_edges").snapshot();
   EXPECT_TRUE(snap.empty());

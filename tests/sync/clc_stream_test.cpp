@@ -8,7 +8,9 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "../testutil/error_of.hpp"
 #include "../testutil/random_trace.hpp"
 #include "common/scratch_dir.hpp"
 #include "analysis/clock_condition_stream.hpp"
@@ -262,6 +264,29 @@ TEST(ClcStream, FailedMergeLeavesNoTempFile) {
   }
   EXPECT_TRUE(std::filesystem::is_directory(out_path));
   EXPECT_TRUE(std::filesystem::is_empty(out_path));
+}
+
+// Regression: std::ifstream opens a directory and then reads it as an empty
+// stream, so every file entry point reported a directory as a truncated trace
+// instead of an unopenable path.
+TEST(ClcStream, DirectoryInputIsIoErrorAtEveryFileEntryPoint) {
+  const ScratchDir scratch(testing::TempDir());
+  const std::string dir = scratch.file("not_a_trace");
+  std::filesystem::create_directory(dir);
+  const std::string out_path = scratch.file("out.cstr");
+  StreamClcOptions opt;
+  opt.max_outstanding_msgs = 1;  // would open the message spill file too
+
+  using testutil::error_of;
+  EXPECT_EQ(error_of([&] { read_trace_v2_file(dir); }), TraceIoErrorKind::Io);
+  EXPECT_EQ(error_of([&] { scan_clock_condition_file(dir); }), TraceIoErrorKind::Io);
+  EXPECT_EQ(error_of([&] { clc_stream_file(dir, out_path, opt); }), TraceIoErrorKind::Io);
+  // Only the input directory remains: no output, temporary or spill file.
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(scratch.path())) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"not_a_trace"});
 }
 
 TEST(ClcStream, MissingInputThrowsIoError) {

@@ -688,15 +688,18 @@ TEST(EdgeRules, MatcherCountsHalfMatchedAndPeakOutstanding) {
 
   const obs::Level saved = obs::level();
   obs::set_level(obs::Level::Metrics);
-  obs::Counter& half = obs::counter("trace.match.half_matched");
-  obs::Counter& peak = obs::counter("trace.match.peak_outstanding");
-  const std::int64_t half0 = half.value();
-  const std::int64_t peak0 = peak.value();
+  obs::reset_registry_values();
   const std::size_t matched = t.match_messages().size();
+  t.match_messages();
   obs::set_level(saved);
   EXPECT_EQ(matched, 2u);
-  EXPECT_EQ(half.value() - half0, 2);
-  EXPECT_EQ(peak.value() - peak0, 3);
+  // half_matched sums over calls; peak_outstanding is one sample per call,
+  // so its max stays the per-call peak (a counter would read 6).
+  EXPECT_EQ(obs::counter("trace.match.half_matched").value(), 4);
+  const obs::QuantileSnapshot peak =
+      obs::quantile_histogram("trace.match.peak_outstanding").snapshot();
+  EXPECT_EQ(peak.count, 2u);
+  EXPECT_EQ(peak.max, 3.0);
 }
 
 }  // namespace

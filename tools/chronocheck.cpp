@@ -57,7 +57,7 @@
 //
 // Observability (every mode): --obs-level {off,metrics,trace} selects the
 // level, --trace-out F writes a Chrome trace, --metrics-out F writes a
-// chronosync-metrics-v1 snapshot (Prometheus text when F ends in .prom/.txt),
+// chronosync-metrics-v1 JSON snapshot (whatever F's extension), and
 // --obs-sample-ms N runs the background RSS/CPU sampler.  Battery mode
 // derives one artifact pair per scenario from the requested paths and resets
 // the recorded state between entries.  Invalid values for any of these exit 2
