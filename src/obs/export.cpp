@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "benchkit/json.hpp"
-#include "benchkit/metrics.hpp"
 #include "common/expect.hpp"
 
 namespace chronosync::obs {
@@ -92,40 +91,5 @@ std::vector<std::pair<std::string, double>> read_metrics_json(const std::string&
   }
   return out;
 }
-
-ResourceSampler::ResourceSampler(std::chrono::milliseconds period) {
-  if (period < std::chrono::milliseconds(1)) period = std::chrono::milliseconds(1);
-  worker_ = std::thread([this, period] {
-    Gauge& rss = gauge("process.rss_bytes");
-    Gauge& peak = gauge("process.peak_rss_bytes");
-    Gauge& cpu_user = gauge("process.cpu_user_s");
-    Gauge& cpu_sys = gauge("process.cpu_sys_s");
-    Counter& ticks = counter("obs.sampler_ticks");
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      lock.unlock();
-      const benchkit::ResourceUsage u = benchkit::sample_resource_usage();
-      rss.set(static_cast<double>(u.current_rss_bytes));
-      peak.set(static_cast<double>(u.peak_rss_bytes));
-      cpu_user.set(static_cast<double>(u.cpu_user_ns) * 1e-9);
-      cpu_sys.set(static_cast<double>(u.cpu_sys_ns) * 1e-9);
-      ticks.add(1);
-      lock.lock();
-      if (cv_.wait_for(lock, period, [this] { return stopping_; })) return;
-    }
-  });
-}
-
-void ResourceSampler::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
-ResourceSampler::~ResourceSampler() { stop(); }
 
 }  // namespace chronosync::obs

@@ -4,9 +4,9 @@
 // Each metric is a single set of relaxed atomics: counters one int64 sum,
 // gauges one last-writer-wins cell, quantile histograms one array of
 // log-bucketed atomic counts plus exact CAS-maintained min/max.  Updates come
-// from the main thread (once per call, chunk or simulated message) and the
-// ResourceSampler thread, so one cell per value suffices; every update is
-// exact and race-free under concurrent add(), and a histogram's snapshot
+// from the main thread (once per call, chunk or simulated message), so one
+// cell per value suffices; every update is exact and race-free under
+// concurrent add() from any thread, and a histogram's snapshot
 // (and therefore every extracted quantile) is a pure function of the
 // multiset of added values, independent of thread interleaving.
 //

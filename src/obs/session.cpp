@@ -1,8 +1,8 @@
 #include "obs/session.hpp"
 
-#include <chrono>
 #include <utility>
 
+#include "benchkit/metrics.hpp"
 #include "common/expect.hpp"
 #include "common/log.hpp"
 #include "obs/export.hpp"
@@ -35,13 +35,6 @@ ObsSession::ObsSession(const Cli& cli, std::string suite)
       metrics_out_(cli.get("metrics-out", "")) {
   level_ = resolve_level(cli, trace_out_, metrics_out_);
   set_level(level_);
-
-  const std::int64_t sample_ms = cli.get_int("obs-sample-ms", 0);
-  CS_REQUIRE(sample_ms >= 0, "invalid --obs-sample-ms " + std::to_string(sample_ms) +
-                                 " (expected a positive period in milliseconds)");
-  if (sample_ms > 0 && level_ >= Level::Metrics) {
-    sampler_ = std::make_unique<ResourceSampler>(std::chrono::milliseconds(sample_ms));
-  }
 }
 
 std::pair<std::string, std::string> ObsSession::claim_outputs() {
@@ -58,6 +51,13 @@ void ObsSession::write_artifacts(const std::string& trace_path,
                 << " dropped, " << stats.threads << " threads)";
   }
   if (!metrics_path.empty()) {
+    // Gauges are last-writer-wins and peak RSS is a high-water mark, so one
+    // sample taken just before the write is exact.
+    const benchkit::ResourceUsage u = benchkit::sample_resource_usage();
+    gauge("process.rss_bytes").set(static_cast<double>(u.current_rss_bytes));
+    gauge("process.peak_rss_bytes").set(static_cast<double>(u.peak_rss_bytes));
+    gauge("process.cpu_user_s").set(static_cast<double>(u.cpu_user_ns) * 1e-9);
+    gauge("process.cpu_sys_s").set(static_cast<double>(u.cpu_sys_ns) * 1e-9);
     write_metrics_json_file(metrics_path, suite_, level_);
     CS_LOG_INFO << "obs: wrote " << metrics_path;
   }
@@ -66,7 +66,6 @@ void ObsSession::write_artifacts(const std::string& trace_path,
 void ObsSession::finish() {
   if (finished_) return;
   finished_ = true;
-  sampler_.reset();  // joins the sampler thread; its last tick lands first
   write_artifacts(trace_out_, metrics_out_);
 }
 

@@ -8,13 +8,11 @@
 //                                     when --obs-level is absent
 //   --metrics-out <file>              chronosync-metrics-v1 JSON snapshot
 //                                     (whatever the extension); implies at
-//                                     least `metrics`
-//   --obs-sample-ms <n>               background RSS/CPU sampler period; runs
-//                                     only when the level is at least
-//                                     `metrics` (n must be positive)
+//                                     least `metrics`.  Every snapshot carries
+//                                     the process.* RSS/CPU gauges, sampled
+//                                     once just before it is written.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -23,17 +21,15 @@
 
 namespace chronosync::obs {
 
-class ResourceSampler;
-
 class ObsSession {
  public:
   /// Parses the options above and calls obs::set_level().  `suite` names the
   /// metrics records written by finish() (conventionally the binary name).
   ObsSession(const Cli& cli, std::string suite);
 
-  /// Stops the sampler and writes --trace-out and --metrics-out if still
-  /// owned (see claim_outputs); idempotent, so an explicit call (preferred:
-  /// it propagates I/O errors) makes the destructor a no-op.
+  /// Writes --trace-out and --metrics-out if still owned (see
+  /// claim_outputs); idempotent, so an explicit call (preferred: it
+  /// propagates I/O errors) makes the destructor a no-op.
   void finish();
 
   /// finish() swallowing exceptions (logged), for abnormal exits.
@@ -49,8 +45,9 @@ class ObsSession {
   std::pair<std::string, std::string> claim_outputs();
 
   /// Writes the trace and/or metrics artifacts for the current registry/ring
-  /// state to the given paths (either may be empty to skip).  `suite` tags
-  /// the metrics document; used by battery mode between scenarios.
+  /// state to the given paths (either may be empty to skip).  A metrics
+  /// document first refreshes the process.* gauges.  `suite` tags the
+  /// metrics document; used by battery mode between scenarios.
   void write_artifacts(const std::string& trace_path, const std::string& metrics_path) const;
 
   Level level() const { return level_; }
@@ -61,7 +58,6 @@ class ObsSession {
   std::string metrics_out_;
   Level level_ = Level::Off;
   bool finished_ = false;
-  std::unique_ptr<ResourceSampler> sampler_;
 };
 
 }  // namespace chronosync::obs

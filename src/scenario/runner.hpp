@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "scenario/scenario.hpp"
-#include "sync/clc_stream.hpp"
 #include "verify/differential.hpp"
 
 namespace chronosync::scenario {
@@ -44,9 +43,7 @@ struct ScenarioOutcome {
   bool differential_clean = false;       ///< full suite contract-clean
   std::size_t clc_repairs = 0;           ///< receive events the CLC moved
   std::size_t clc_audit_violations = 0;  ///< zero-slack audit of CLC output
-  bool stream_checked = false;
   bool stream_identical = false;         ///< windowed CLC bit-identical
-  StreamClcStats stream;
   /// Ground-truth accuracy of every method the differential suite ran (RMS
   /// vs the master clock at each event's true timestamp); feeds the
   /// expect.accuracy[] races and the EXPERIMENTS.md tables.

@@ -284,20 +284,6 @@ NetworkSpec parse_network(const JsonValue& v, const std::string& origin) {
   return n;
 }
 
-StreamSpec parse_stream(const JsonValue& v, const std::string& origin) {
-  StreamSpec s;
-  ObjectReader r(v, origin, "stream");
-  s.enabled = r.boolean("enabled", s.enabled);
-  s.backward_window = r.number("backward_window", s.backward_window);
-  s.horizon = r.number("horizon", s.horizon);
-  s.emit_batch = static_cast<int>(r.integer("emit_batch", s.emit_batch));
-  r.finish();
-  require(s.backward_window > 0.0, origin, "stream.\"backward_window\" must be > 0");
-  require(s.horizon > 0.0, origin, "stream.\"horizon\" must be > 0");
-  require(s.emit_batch >= 1, origin, "stream.\"emit_batch\" must be >= 1");
-  return s;
-}
-
 bool known_method_name(const std::string& name) {
   const auto& names = verify::all_method_names();
   return std::find(names.begin(), names.end(), name) != names.end();
@@ -370,7 +356,6 @@ ScenarioSpec parse_scenario(const std::string& text, const std::string& origin) 
     spec.clock = parse_clock(*c, origin, spec.workload.ranks);
   }
   if (const JsonValue* n = r.object("network")) spec.network = parse_network(*n, origin);
-  if (const JsonValue* s = r.object("stream")) spec.stream = parse_stream(*s, origin);
   if (const JsonValue* e = r.object("expect")) spec.expect = parse_expect(*e, origin);
   r.finish();
   return spec;

@@ -10,7 +10,10 @@
 // violation", "streaming == in-memory bit-for-bit").  The committed files
 // under scenarios/ are the repository's enumerable answer to "what inputs is
 // the correction stack actually guaranteed on?": every one of them runs as a
-// `ctest -L scenario` case and in the scenario-battery CI job.
+// `ctest -L scenario` case and in the scenario-battery CI job.  Every
+// scenario also cross-checks the windowed streaming CLC against the in-memory
+// one, with fixed divergence-free bounds (runner.cpp); the schema has no
+// setting for it.
 //
 // Parsing is strict: unknown keys, wrong types, and out-of-range values all
 // raise a typed ScenarioError, never a crash — the config parser is fuzzed by
@@ -121,13 +124,6 @@ struct NetworkSpec {
   Duration varying_period = 20.0;
 };
 
-struct StreamSpec {
-  bool enabled = true;
-  Duration backward_window = 1e4;  ///< generous: divergence-free by default
-  Duration horizon = 1e4;
-  int emit_batch = 256;
-};
-
 /// One declared accuracy race: `method`'s RMS error vs the simulator's
 /// ground-truth master time must satisfy
 ///
@@ -162,7 +158,6 @@ struct ScenarioSpec {
   WorkloadSpec workload;
   ClockSpec clock;
   NetworkSpec network;
-  StreamSpec stream;
   ExpectSpec expect;
 };
 

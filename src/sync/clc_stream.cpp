@@ -91,8 +91,9 @@ class BlockQueue {
 /// Pairing state of one point-to-point message.  Entries are created when an
 /// endpoint's chunk is *read* (so processability can distinguish "send not
 /// yet seen" from "send later in the file") and die when the receive has
-/// consumed the edge — or, for receive-less sends past the horizon, when the
-/// entry spills to disk.
+/// consumed the edge.  A send whose receive never comes (a trace cut
+/// mid-run) keeps its entry until the run ends; its backward hold is released
+/// at the horizon by sweep_and_emit.
 struct MsgState {
   Time send_ts = 0.0;
   Time send_lc = 0.0;
@@ -192,7 +193,6 @@ class StreamEngine {
     }
 
     ts_spill_path_ = out_path_ + ".ts-spill";
-    msg_spill_path_ = out_path_ + ".msg-spill";
     ts_spill_.open(ts_spill_path_, std::ios::binary | std::ios::in | std::ios::out |
                                        std::ios::trunc);
     if (!ts_spill_.good()) {
@@ -204,9 +204,7 @@ class StreamEngine {
 
   ~StreamEngine() {
     ts_spill_.close();
-    msg_spill_.close();
     std::remove(ts_spill_path_.c_str());
-    std::remove(msg_spill_path_.c_str());
   }
 
   StreamClcStats run(std::istream& raw_in) {
@@ -288,7 +286,6 @@ class StreamEngine {
     resident_ += block_.events.size();
     stats_.peak_resident_events = std::max(stats_.peak_resident_events, resident_);
     update_read_frontier();
-    maybe_spill_msgs();
     closure_scan();
   }
 
@@ -404,7 +401,7 @@ class StreamEngine {
   bool head_processable(Rank r, const Event& e) {
     switch (e.type) {
       case EventType::Recv: {
-        const MsgState* m = msgs_find(e.msg_id);
+        const MsgState* m = msgs_.find(e.msg_id);
         if (m != nullptr && m->send_processed) return true;
         if (m != nullptr && m->send_registered) return false;  // send is coming
         return all_read_eof_ || read_low_ > e.local_ts + opts_.horizon;
@@ -440,7 +437,7 @@ class StreamEngine {
     std::uint32_t send_seq = 0;
     switch (e.type) {
       case EventType::Recv: {
-        MsgState* m = msgs_find(e.msg_id);
+        MsgState* m = msgs_.find(e.msg_id);
         if (m != nullptr && m->send_processed) {
           const Duration l_min = index_.meta.min_latency(m->send_rank, r);
           bound = clc_kernel::eq1_bound(bound, m->send_lc, l_min);
@@ -518,7 +515,7 @@ class StreamEngine {
       const Duration l_min = index_.meta.min_latency(send_rank, r);
       cap_apply(send_rank, send_seq, clc_kernel::send_cap(lc, l_min));
       hold_release(send_rank, send_seq);
-      msgs_erase(e.msg_id);
+      msgs_.erase(e.msg_id);
     }
     if (e.type == EventType::Send) {
       MsgState& m = msgs_[e.msg_id];
@@ -567,77 +564,6 @@ class StreamEngine {
     if (seq < rs.front_seq) return;  // already emitted (cap was a no-op)
     Pending& p = rs.pend[seq - rs.front_seq];
     if (p.holds > 0) --p.holds;
-  }
-
-  // -- message table spill ----------------------------------------------------
-
-  struct SpillRecord {
-    std::int64_t id;
-    Time send_ts;
-    Time send_lc;
-    std::int32_t send_rank;
-    std::uint32_t send_seq;
-  };
-
-  void maybe_spill_msgs() {
-    if (msgs_.size() <= opts_.max_outstanding_msgs) return;
-    if (!msg_spill_.is_open()) {
-      msg_spill_.open(msg_spill_path_, std::ios::binary | std::ios::in | std::ios::out |
-                                           std::ios::trunc);
-      if (!msg_spill_.good()) {
-        throw TraceIoError(TraceIoErrorKind::Io,
-                           "cannot open spill file for writing: " + msg_spill_path_);
-      }
-    }
-    // Spill processed sends whose receive is both unseen and already beyond
-    // the horizon: no receive can legitimately appear anymore, so the
-    // backward hold is released and only the compact send record is kept on
-    // disk in case a (contract-breaking) receive shows up after all.
-    msgs_.erase_if([&](std::int64_t id, const MsgState& m) {
-      if (!m.send_processed || m.recv_registered || m.recv_dropped ||
-          read_low_ <= m.send_ts + opts_.horizon) {
-        return false;
-      }
-      hold_release(m.send_rank, m.send_seq);
-      SpillRecord rec{id, m.send_ts, m.send_lc, m.send_rank, m.send_seq};
-      msg_spill_.seekp(0, std::ios::end);
-      const auto off = static_cast<std::uint64_t>(msg_spill_.tellp());
-      msg_spill_.write(reinterpret_cast<const char*>(&rec), sizeof rec);
-      if (!msg_spill_.good()) {
-        throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + msg_spill_path_);
-      }
-      spill_index_[id] = off;
-      ++stats_.spilled_msgs;
-      return true;
-    });
-  }
-
-  /// The message's pairing state, brought back from the spill file if it was
-  /// spilled, or null.  The pointer lives until msgs_ next changes.
-  MsgState* msgs_find(std::int64_t id) {
-    if (MsgState* m = msgs_.find(id)) return m;
-    const std::uint64_t* off = spill_index_.find(id);
-    if (off == nullptr) return nullptr;
-    msg_spill_.seekg(static_cast<std::streamoff>(*off));
-    SpillRecord rec;
-    msg_spill_.read(reinterpret_cast<char*>(&rec), sizeof rec);
-    if (!msg_spill_.good()) {
-      throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + msg_spill_path_);
-    }
-    spill_index_.erase(id);
-    MsgState& m = msgs_[id];
-    m.send_ts = rec.send_ts;
-    m.send_lc = rec.send_lc;
-    m.send_rank = rec.send_rank;
-    m.send_seq = rec.send_seq;
-    m.send_registered = true;
-    m.send_processed = true;
-    return &m;
-  }
-
-  void msgs_erase(std::int64_t id) {
-    msgs_.erase(id);
-    spill_index_.erase(id);
   }
 
   // -- backward amortization & emission ---------------------------------------
@@ -689,7 +615,7 @@ class StreamEngine {
         // Horizon release of send holds: once the read frontier proves no
         // receive is coming, the cap is settled at +inf.
         if (p.holds > 0 && p.is_send) {
-          const MsgState* m = msgs_find(p.id);
+          const MsgState* m = msgs_.find(p.id);
           if ((m == nullptr || !m->recv_registered || m->recv_dropped) &&
               read_low_ > p.ts + opts_.horizon) {
             p.holds = 0;
@@ -839,14 +765,11 @@ class StreamEngine {
   StreamClcOptions opts_;
   std::string out_path_;
   std::string ts_spill_path_;
-  std::string msg_spill_path_;
   std::fstream ts_spill_;
-  std::fstream msg_spill_;
   BlockPool<Event> event_blocks_;
   BlockPool<Pending> pending_blocks_;
   std::vector<RankState> ranks_;
   edge_rules::IdTable<MsgState> msgs_;
-  edge_rules::IdTable<std::uint64_t> spill_index_;  ///< spilled msg_id -> file offset
   edge_rules::IdTable<CollInst> colls_;
   EventBlock block_;
   std::vector<double> emit_buf_;

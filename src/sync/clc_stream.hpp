@@ -19,8 +19,16 @@
 // sealed v2 output: it re-reads each input chunk (CRC and head checked
 // against the index again), rewrites only the local_ts deltas, copies every
 // other field's bytes, and appends the chunk whole, so the output keeps the
-// input's chunk layout.  Peak RSS is bounded by window size plus edge
-// backlog — never by trace length.
+// input's chunk layout.
+//
+// Memory model: what stays resident is the window (read-ahead plus
+// retention), the collective backlog, and every processed send still waiting
+// for its receive.  A send leaves the message table when its receive takes
+// the edge.  A send whose receive never comes — only a trace cut mid-run
+// produces one — stays until the run ends, one table slot each; its backward
+// hold is released once the read frontier passes the horizon, so it delays
+// no emission.  Peak RSS is therefore bounded by window size plus edge
+// backlog plus orphan sends, and never by the number of matched messages.
 //
 // -- Equivalence contract -----------------------------------------------------
 //
@@ -68,9 +76,6 @@ struct StreamClcOptions {
   /// larger sweeps less often.  Purely a performance knob — emitted values
   /// are independent of batching.
   std::size_t emit_batch = 4096;
-  /// In-memory message-table high-water before processed half-open entries
-  /// (sends still awaiting their receive) spill to the on-disk side file.
-  std::size_t max_outstanding_msgs = std::size_t{1} << 20;
 };
 
 struct StreamClcStats {
@@ -86,7 +91,9 @@ struct StreamClcStats {
   std::uint64_t horizon_dropped = 0; ///< edges abandoned past the horizon
   std::uint64_t forced = 0;          ///< events force-processed (cyclic input)
   // Resource telemetry.
-  std::uint64_t spilled_msgs = 0;       ///< message entries moved to disk
+  /// Always 0: message entries stay in memory (see the memory model above).
+  /// Kept so existing readers of the stats record keep their field.
+  std::uint64_t spilled_msgs = 0;
   std::size_t peak_resident_events = 0; ///< read-ahead + retention high-water
   std::size_t peak_outstanding_msgs = 0;///< in-memory message-table high-water
 };
@@ -95,7 +102,7 @@ struct StreamClcStats {
 /// and chunk layout with local_ts replaced by the corrected timestamps; every
 /// other field preserved byte for byte).  The output is written to
 /// `out_path` + ".tmp" and atomically renamed on success; a thrown error
-/// removes the temporary and the spill files, so it never leaves a silently
+/// removes the temporary and the timestamp side file, so it never leaves a silently
 /// truncated trace at `out_path` nor litter beside it.  Throws TraceIoError
 /// on any input defect — including a missing footer — before the output file
 /// is created.

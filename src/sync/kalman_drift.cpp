@@ -10,6 +10,24 @@ namespace chronosync {
 
 namespace {
 
+/// Drift-rate random-walk intensity: rate change per sqrt-second.  q_d in the
+/// process model is this squared.  The value brackets the simulated wander
+/// presets (intel-tsc ~1.1e-9/sqrt(s), the random-walk-wander scenario
+/// ~1.6e-8/sqrt(s)).
+constexpr double kDriftProcessSigma = 1e-8;
+/// White offset jitter per sqrt-second (read noise, OS noise): q_o.
+constexpr double kOffsetProcessSigma = 1e-8;
+/// Prior standard deviations at the first measurement.  Offsets between
+/// unsynchronized nodes reach seconds (counters start at reset); drift priors
+/// span the hardware range (100 ppm).
+constexpr double kInitOffsetSigma = 1.0;
+constexpr double kInitDriftSigma = 1e-4;
+/// Measurement noise: sigma = max(floor, rtt_excess_scale * (rtt - best rtt
+/// of the rank)).  Min-RTT probe batches land near the floor; stray high-RTT
+/// samples are de-weighted by their asymmetry bound.
+constexpr Duration kMeasurementSigmaFloor = 0.5e-6;
+constexpr double kRttExcessScale = 0.5;
+
 /// Symmetric 2x2 covariance; the state is small enough that spelling the
 /// algebra out beats a matrix library and keeps every operation deterministic.
 struct Cov {
@@ -33,11 +51,11 @@ struct Step {
 };
 
 /// Predict across dt: x -> F x, P -> F P F^T + Q with F = [[1, dt], [0, 1]].
-void predict(Vec& x, Cov& p, Duration dt, const KalmanOptions& opt) {
+void predict(Vec& x, Cov& p, Duration dt) {
   if (dt <= 0.0) return;
   x.o += x.d * dt;
-  const double q_d = opt.drift_process_sigma * opt.drift_process_sigma;
-  const double q_o = opt.offset_process_sigma * opt.offset_process_sigma;
+  const double q_d = kDriftProcessSigma * kDriftProcessSigma;
+  const double q_o = kOffsetProcessSigma * kOffsetProcessSigma;
   const double oo = p.oo + 2.0 * dt * p.od + dt * dt * p.dd;
   const double od = p.od + dt * p.dd;
   p.oo = oo + q_o * dt + q_d * dt * dt * dt / 3.0;
@@ -75,12 +93,7 @@ KalmanDriftCorrection::KalmanDriftCorrection(std::vector<RankModel> models)
   CS_REQUIRE(!models_.empty(), "kalman drift correction needs at least one rank");
 }
 
-KalmanDriftCorrection KalmanDriftCorrection::from_store(const OffsetStore& store,
-                                                        const KalmanOptions& options) {
-  CS_REQUIRE(options.drift_process_sigma > 0.0 && options.offset_process_sigma > 0.0,
-             "kalman process noise must be positive");
-  CS_REQUIRE(options.measurement_sigma_floor > 0.0,
-             "kalman measurement noise floor must be positive");
+KalmanDriftCorrection KalmanDriftCorrection::from_store(const OffsetStore& store) {
   std::vector<RankModel> models(static_cast<std::size_t>(store.ranks()));
   for (Rank r = 0; r < store.ranks(); ++r) {
     const auto& samples = store.of(r);
@@ -110,13 +123,11 @@ KalmanDriftCorrection KalmanDriftCorrection::from_store(const OffsetStore& store
         continue;
       }
       const Duration excess = std::max(0.0, m.rtt - best_rtt);
-      const double sigma = std::max(options.measurement_sigma_floor,
-                                    options.rtt_excess_scale * excess);
+      const double sigma = std::max(kMeasurementSigmaFloor, kRttExcessScale * excess);
       const double r2 = sigma * sigma;
       if (!started) {
         x = {m.offset, 0.0};
-        p = {options.init_offset_sigma * options.init_offset_sigma, 0.0,
-             options.init_drift_sigma * options.init_drift_sigma};
+        p = {kInitOffsetSigma * kInitOffsetSigma, 0.0, kInitDriftSigma * kInitDriftSigma};
         Step s;
         s.worker_time = m.worker_time;
         s.dt = 0.0;
@@ -140,7 +151,7 @@ KalmanDriftCorrection KalmanDriftCorrection::from_store(const OffsetStore& store
         s.filt_p = p;
         continue;
       }
-      predict(x, p, dt, options);
+      predict(x, p, dt);
       Step s;
       s.worker_time = m.worker_time;
       s.dt = dt;

@@ -33,7 +33,7 @@
 // with a single usable sample falls back to pure offset alignment, and a
 // rank with none falls back to identity.
 //
-// The whole construction is deterministic: same store, same options ->
+// The whole construction is deterministic: same store ->
 // bit-identical filter states and corrections (no RNG, fixed iteration
 // order), which the determinism regression test pins down.
 #pragma once
@@ -45,26 +45,6 @@
 #include "sync/correction.hpp"
 
 namespace chronosync {
-
-struct KalmanOptions {
-  /// Drift-rate random-walk intensity: rate change per sqrt-second.  q_d in
-  /// the process model is this squared.  The default brackets the simulated
-  /// wander presets (intel-tsc ~1.1e-9/sqrt(s), the random-walk-wander
-  /// scenario ~1.6e-8/sqrt(s)).
-  double drift_process_sigma = 1e-8;
-  /// White offset jitter per sqrt-second (read noise, OS noise): q_o.
-  double offset_process_sigma = 1e-8;
-  /// Prior standard deviations at the first measurement.  Offsets between
-  /// unsynchronized nodes reach seconds (counters start at reset); drift
-  /// priors span the hardware range (100 ppm).
-  double init_offset_sigma = 1.0;
-  double init_drift_sigma = 1e-4;
-  /// Measurement noise: sigma = max(floor, rtt_excess_scale * (rtt - best
-  /// rtt of the rank)).  Min-RTT probe batches land near the floor; stray
-  /// high-RTT samples are de-weighted by their asymmetry bound.
-  Duration measurement_sigma_floor = 0.5e-6;
-  double rtt_excess_scale = 0.5;
-};
 
 class KalmanDriftCorrection final : public TimestampCorrection {
  public:
@@ -80,8 +60,7 @@ class KalmanDriftCorrection final : public TimestampCorrection {
   /// Runs the filter + RTS smoother over every rank of the store.  Skips
   /// non-finite and time-reversed samples with a warning; never throws on
   /// degenerate stores (see header comment).
-  static KalmanDriftCorrection from_store(const OffsetStore& store,
-                                          const KalmanOptions& options = {});
+  static KalmanDriftCorrection from_store(const OffsetStore& store);
 
   Time correct(Rank r, Time local_ts) const override;
 

@@ -181,10 +181,10 @@ std::vector<MethodAccuracy> ground_truth_accuracy(const Trace& trace,
 }
 
 DifferentialReport compare_methods(const Trace& trace,
-                                   const std::vector<MethodOutput>& outputs,
-                                   double tolerance) {
+                                   const std::vector<MethodOutput>& outputs) {
   CS_SPAN("verify.compare_methods");
-  CS_REQUIRE(tolerance >= 0.0, "tolerance must be non-negative");
+  // Informational pairs only: feeds the above_tolerance count, never a failure.
+  constexpr double kTolerance = 1e-9;
   DifferentialReport report;
   for (std::size_t a = 0; a < outputs.size(); ++a) {
     for (std::size_t b = a + 1; b < outputs.size(); ++b) {
@@ -201,7 +201,7 @@ DifferentialReport compare_methods(const Trace& trace,
           const bool identical = std::bit_cast<std::uint64_t>(ta[i]) ==
                                  std::bit_cast<std::uint64_t>(tb[i]);
           const double diff = identical ? 0.0 : std::abs(ta[i] - tb[i]);
-          const double limit = d.must_match ? 0.0 : tolerance;
+          const double limit = d.must_match ? 0.0 : kTolerance;
           if (!identical && !(diff <= limit)) ++d.above_tolerance;
           if (diff > d.max_abs_diff || (d.events == 1)) {
             d.max_abs_diff = diff;
@@ -452,15 +452,14 @@ std::string DifferentialReport::summary() const {
   return os.str();
 }
 
-DifferentialReport run_differential_suite(const Trace& trace, const OffsetStore& offsets,
-                                          double tolerance) {
+DifferentialReport run_differential_suite(const Trace& trace, const OffsetStore& offsets) {
   CS_SPAN("verify.run_differential_suite");
   const auto messages = trace.match_messages();
   const auto logical = derive_logical_messages(trace);
   const ReplaySchedule schedule(trace, messages, logical);
 
   const auto outputs = run_all_methods(trace, offsets, messages, schedule);
-  DifferentialReport report = compare_methods(trace, outputs, tolerance);
+  DifferentialReport report = compare_methods(trace, outputs);
   report.accuracy = ground_truth_accuracy(trace, outputs);
   cross_check_scans(trace, schedule, report.failures);
 

@@ -54,7 +54,7 @@ struct PairDivergence {
   std::string method_a;
   std::string method_b;
   std::size_t events = 0;
-  std::size_t above_tolerance = 0;  ///< events where |a - b| > tolerance
+  std::size_t above_tolerance = 0;  ///< events where |a - b| > 1e-9 s (0 s if must_match)
   double max_abs_diff = 0.0;
   EventRef worst{};                 ///< event attaining max_abs_diff
   /// True when the pair is contracted to agree within tolerance (e.g. the CLC
@@ -90,12 +90,12 @@ struct DifferentialReport {
   std::string summary() const;
 };
 
-/// Compares every pair of method outputs.  `tolerance` applies to
-/// informational pairs; must-match pairs (identical `name` prefix rules are
-/// not used — the caller's contract list below is) are compared exactly.
+/// Compares every pair of method outputs.  Informational pairs count the
+/// events that differ by more than 1e-9 s; must-match pairs (identical `name`
+/// prefix rules are not used — the caller's contract list below is) are
+/// compared exactly.
 DifferentialReport compare_methods(const Trace& trace,
-                                   const std::vector<MethodOutput>& outputs,
-                                   double tolerance);
+                                   const std::vector<MethodOutput>& outputs);
 
 /// Cross-checks the clock-condition scanners on the trace's local timestamps
 /// against the message-list oracle (clock_condition_oracle.hpp, over freshly
@@ -133,9 +133,8 @@ std::size_t cross_check_omp_clc(const Trace& omp_trace, const Placement& thread_
                                 std::vector<std::string>& failures);
 
 /// The full differential suite: run_all_methods + compare_methods +
-/// cross_check_scans + an invariant audit of every CLC output (zero slack)
-/// with `audit_slack` applied to the non-exact methods.
-DifferentialReport run_differential_suite(const Trace& trace, const OffsetStore& offsets,
-                                          double tolerance = 1e-9);
+/// cross_check_scans + an invariant audit of every CLC output (zero slack);
+/// the non-exact methods are audited for finiteness and local order only.
+DifferentialReport run_differential_suite(const Trace& trace, const OffsetStore& offsets);
 
 }  // namespace chronosync::verify

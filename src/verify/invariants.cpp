@@ -14,7 +14,6 @@ std::string to_string(InvariantKind kind) {
     case InvariantKind::LocalOrderInversion: return "local order inversion";
     case InvariantKind::ClockCondition: return "clock condition (Eq. 1)";
     case InvariantKind::BackwardCorrection: return "backward correction";
-    case InvariantKind::CorrectionMagnitude: return "correction magnitude";
     case InvariantKind::kCount: break;
   }
   return "?";
@@ -48,7 +47,6 @@ namespace {
 
 struct Recorder {
   VerifyReport& report;
-  std::size_t cap;
 
   void add(InvariantKind kind, Rank rank, EventRef event, Duration slack,
            EventRef other = {}, bool has_other = false) {
@@ -56,7 +54,7 @@ struct Recorder {
     auto& worst = report.worst[static_cast<std::size_t>(kind)];
     ++count;
     if (slack > worst) worst = slack;
-    if (report.violations.size() < cap) {
+    if (report.violations.size() < kMaxRecordedViolations) {
       report.violations.push_back({kind, rank, event, other, has_other, slack});
     }
   }
@@ -70,15 +68,13 @@ InvariantChecker::InvariantChecker(const Trace& trace, const ReplaySchedule& sch
   CS_REQUIRE(schedule.events() == trace.total_events() &&
                  schedule.rank_offsets().size() == static_cast<std::size_t>(trace.ranks()) + 1,
              "schedule was not built from this trace");
-  CS_REQUIRE(options_.clock_condition_slack >= 0.0 && options_.order_slack >= 0.0 &&
-                 options_.max_correction >= 0.0,
-             "verify tolerances must be non-negative");
+  CS_REQUIRE(options_.clock_condition_slack >= 0.0, "verify tolerances must be non-negative");
 }
 
 VerifyReport InvariantChecker::check(const TimestampArray& ts) const {
   CS_REQUIRE(ts.ranks() == trace_->ranks(), "timestamp array rank count mismatch");
   VerifyReport report;
-  Recorder rec{report, options_.max_recorded};
+  Recorder rec{report};
 
   // Pass 1, per rank in event order: finiteness and local order.  A
   // non-finite timestamp also poisons every comparison it takes part in, so
@@ -97,7 +93,7 @@ VerifyReport InvariantChecker::check(const TimestampArray& ts) const {
                 std::isnan(t) ? 0.0 : kTimeInfinity);
         continue;
       }
-      if (have_prev && t < prev - options_.order_slack) {
+      if (have_prev && t < prev) {
         rec.add(InvariantKind::LocalOrderInversion, r, {r, i}, prev - t, {r, prev_i},
                 true);
       }
@@ -175,7 +171,7 @@ VerifyReport InvariantChecker::check_correction(const TimestampArray& input,
                                                 const TimestampArray& corrected) const {
   VerifyReport report = check(corrected);
   CS_REQUIRE(input.ranks() == trace_->ranks(), "input array rank count mismatch");
-  Recorder rec{report, options_.max_recorded};
+  Recorder rec{report};
 
   for (Rank r = 0; r < trace_->ranks(); ++r) {
     const auto& in = input.of_rank(r);
@@ -184,13 +180,7 @@ VerifyReport InvariantChecker::check_correction(const TimestampArray& input,
     for (std::uint32_t i = 0; i < in.size(); ++i) {
       if (!std::isfinite(in[i]) || !std::isfinite(out[i])) continue;
       const Duration moved = out[i] - in[i];
-      if (moved < -options_.order_slack) {
-        rec.add(InvariantKind::BackwardCorrection, r, {r, i}, -moved);
-      }
-      if (std::abs(moved) > options_.max_correction) {
-        rec.add(InvariantKind::CorrectionMagnitude, r, {r, i},
-                std::abs(moved) - options_.max_correction);
-      }
+      if (moved < 0.0) rec.add(InvariantKind::BackwardCorrection, r, {r, i}, -moved);
     }
   }
   return report;

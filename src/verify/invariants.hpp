@@ -12,8 +12,7 @@
 //     constraint edges — exactly for CLC output, up to a method-dependent
 //     tolerance otherwise;
 //   * a correction pass never moves an event backward relative to its input
-//     (the CLC, including backward amortization, only advances events), and
-//     its magnitude stays within a caller-provided bound.
+//     (the CLC, including backward amortization, only advances events).
 //
 // InvariantChecker audits a whole array in one pass over the trace plus one
 // pass over the ReplaySchedule's constraint edges (a collective hub's read
@@ -39,7 +38,6 @@ enum class InvariantKind {
   LocalOrderInversion,  ///< rank-local timestamp order broken
   ClockCondition,       ///< t_recv < t_send + l_min - slack (Eq. 1)
   BackwardCorrection,   ///< corrected timestamp moved behind its input
-  CorrectionMagnitude,  ///< |corrected - input| above the configured bound
   kCount,               ///< sentinel, not a kind
 };
 
@@ -64,14 +62,12 @@ struct VerifyOptions {
   /// exactly (appropriate for CLC output), larger values audit pre-sync
   /// methods that only promise approximate synchronization.
   Duration clock_condition_slack = 0.0;
-  /// Tolerance for local-order inversions and backward corrections.
-  Duration order_slack = 0.0;
-  /// Bound for |corrected - input| when checking against an input array.
-  Duration max_correction = kTimeInfinity;
-  /// At most this many violation instances are materialized per report; the
-  /// per-kind counts stay exact beyond the cap.
-  std::size_t max_recorded = 64;
 };
+
+/// At most this many violation instances are materialized per report; the
+/// per-kind counts stay exact beyond the cap.  Local-order inversions and
+/// backward corrections are judged exactly, with no tolerance.
+inline constexpr std::size_t kMaxRecordedViolations = 64;
 
 struct VerifyReport {
   std::size_t events_checked = 0;
@@ -79,7 +75,7 @@ struct VerifyReport {
   std::array<std::size_t, static_cast<std::size_t>(InvariantKind::kCount)> counts{};
   /// Worst observed violation size per kind (0 when the kind is clean).
   std::array<Duration, static_cast<std::size_t>(InvariantKind::kCount)> worst{};
-  /// First `max_recorded` violations in audit order.
+  /// First kMaxRecordedViolations violations in audit order.
   std::vector<InvariantViolation> violations;
 
   std::size_t count(InvariantKind kind) const {
@@ -106,8 +102,7 @@ class InvariantChecker {
   VerifyReport check(const TimestampArray& ts) const;
 
   /// Audits a correction pass `input -> corrected`: everything check() does
-  /// on `corrected`, plus the backward-movement and magnitude invariants
-  /// against `input`.
+  /// on `corrected`, plus the backward-movement invariant against `input`.
   VerifyReport check_correction(const TimestampArray& input,
                                 const TimestampArray& corrected) const;
 

@@ -1,12 +1,11 @@
 // Tests for the metrics exporter (obs/export.hpp): JSON snapshot round-trip
 // (write -> parse -> bit-identical values), schema validation failure modes,
-// the --metrics-out file, and the background resource sampler.
+// the --metrics-out file, and the process gauges every session snapshot carries.
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -14,7 +13,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -123,26 +121,26 @@ TEST_F(ExportTest, MetricsFileIsAlwaysJson) {
                std::invalid_argument);
 }
 
-TEST_F(ExportTest, ResourceSamplerRecordsGaugesAndTicks) {
-  set_level(Level::Metrics);
-  {
-    ResourceSampler sampler(std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    sampler.stop();  // idempotent with the destructor
-  }
-  EXPECT_GE(counter("obs.sampler_ticks").value(), 1);
-  EXPECT_GT(gauge("process.peak_rss_bytes").value(), 0.0);
-  EXPECT_GE(gauge("process.cpu_user_s").value(), 0.0);
+TEST_F(ExportTest, SessionMetricsCarryProcessGauges) {
+  const std::string path = "export_test_process.json";
+  const char* argv[] = {"export_test", "--metrics-out", path.c_str()};
+  ObsSession session(Cli(3, argv), "export-test");
+  session.finish();
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
 
-  // With metrics off the sampler thread runs but every update is gated off.
-  set_level(Level::Off);
-  reset();
-  {
-    ResourceSampler sampler(std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::map<std::string, double> parsed;
+  for (const auto& [name, value] : read_metrics_json(buf.str())) parsed[name] = value;
+  for (const char* key : {"process.rss_bytes", "process.peak_rss_bytes", "process.cpu_user_s",
+                          "process.cpu_sys_s"}) {
+    ASSERT_EQ(parsed.count(key), 1u) << key;
+    EXPECT_GE(parsed.at(key), 0.0) << key;
   }
-  set_level(Level::Metrics);
-  EXPECT_EQ(counter("obs.sampler_ticks").value(), 0);
+  EXPECT_GT(parsed.at("process.rss_bytes"), 0.0);
+  EXPECT_GT(parsed.at("process.peak_rss_bytes"), 0.0);
 }
 
 }  // namespace

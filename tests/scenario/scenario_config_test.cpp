@@ -34,7 +34,6 @@ TEST(ScenarioConfig, MinimalDocumentGetsDefaults) {
   EXPECT_EQ(spec.workload.ranks, 8);
   EXPECT_EQ(spec.clock.timer, "intel-tsc");
   EXPECT_LT(spec.clock.base_drift_max, 0.0);  // sentinel: keep the preset
-  EXPECT_TRUE(spec.stream.enabled);
   EXPECT_TRUE(spec.expect.clc_clean_audit);
   EXPECT_EQ(spec.expect.raw_violations_min, -1);
 }
@@ -59,8 +58,6 @@ TEST(ScenarioConfig, FullDocumentRoundTrips) {
     },
     "network": {"asymmetry_extra": 1e-5, "varying_amplitude": 2e-5,
                 "varying_period": 3.0},
-    "stream": {"enabled": true, "backward_window": 500.0, "horizon": 600.0,
-               "emit_batch": 64},
     "expect": {"raw_violations_min": 3, "raw_violations_max": 5000,
                "clc_repairs_min": 2, "structural_clean": true,
                "differential_clean": true, "clc_clean_audit": true,
@@ -78,7 +75,6 @@ TEST(ScenarioConfig, FullDocumentRoundTrips) {
   EXPECT_EQ(spec.clock.steps[0].rank, 1);
   EXPECT_EQ(spec.clock.leap_second_ranks, (std::vector<Rank>{4}));
   EXPECT_DOUBLE_EQ(spec.network.asymmetry_extra, 1e-5);
-  EXPECT_EQ(spec.stream.emit_batch, 64);
   EXPECT_EQ(spec.expect.raw_violations_min, 3);
   EXPECT_EQ(spec.expect.clc_repairs_min, 2);
 }
@@ -96,6 +92,9 @@ TEST(ScenarioConfig, UnknownKeysAreRejectedAtEveryLevel) {
   EXPECT_EQ(kind_of(R"({"name": "x", "clock": {"overrides": {"wander": 1}}})"),
             ScenarioErrorKind::Schema);
   EXPECT_EQ(kind_of(R"({"name": "x", "expect": {"raw_min": 1}})"),
+            ScenarioErrorKind::Schema);
+  // The streaming cross-check has fixed bounds; a "stream" block is unknown.
+  EXPECT_EQ(kind_of(R"({"name": "x", "stream": {"enabled": true}})"),
             ScenarioErrorKind::Schema);
 }
 

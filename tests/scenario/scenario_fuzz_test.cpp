@@ -49,7 +49,6 @@ std::vector<std::string> seed_corpus() {
                     "steps": [{"rank": 0, "at_fraction": 0.5, "step": 0.001}],
                     "leap_second_ranks": [2]},
           "network": {"asymmetry_extra": 1e-5, "varying_amplitude": 2e-5},
-          "stream": {"backward_window": 100.0, "horizon": 200.0, "emit_batch": 32},
           "expect": {"raw_violations_min": 1, "clc_repairs_min": 1}})",
       R"({"name": "edge", "workload": {"ranks": 2, "rounds": 1, "gap_spread": 0.0}})",
       R"({"name": "race", "workload": {"ranks": 4, "rounds": 50, "probe_every": 10},

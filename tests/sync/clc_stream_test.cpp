@@ -103,6 +103,32 @@ TEST(ClcStream, SweepWorkloadBitIdenticalToInMemory) {
   expect_bit_identical(trace, out_path, stats, in_memory_clc(trace, opt.clc));
 }
 
+// A trace cut mid-run leaves sends whose receive never comes.  Their entries
+// stay in the message table until the run ends, and their backward holds are
+// released at the horizon, so the output still equals the in-memory CLC.
+TEST(ClcStream, OrphanSendsMatchInMemory) {
+  const ScratchDir scratch(testing::TempDir());
+  Trace trace = sweep_fixture(3);
+  std::size_t orphans = 0;
+  for (Rank r = 0; r < trace.ranks(); ++r) {
+    orphans += std::erase_if(trace.events(r), [](const Event& e) {
+      return e.type == EventType::Recv && e.msg_id % 7 == 0;
+    });
+  }
+  ASSERT_GT(orphans, 0u);
+  const std::string in_path = scratch.file("orphan_in.cstr");
+  const std::string out_path = scratch.file("orphan_out.cstr");
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/64);
+
+  StreamClcOptions opt;
+  opt.emit_batch = 16;
+  opt.backward_window = 1e3;  // no clamping: the in-memory CLC is exact
+  const StreamClcStats stats = clc_stream_file(in_path, out_path, opt);
+
+  EXPECT_EQ(stats.events, trace.total_events());
+  expect_bit_identical(trace, out_path, stats, in_memory_clc(trace, opt.clc));
+}
+
 TEST(ClcStream, EmitBatchingDoesNotChangeTheOutput) {
   const ScratchDir scratch(testing::TempDir());
   const Trace trace = sweep_fixture(11, /*rounds=*/20);
@@ -251,10 +277,8 @@ TEST(ClcStream, FailedMergeLeavesNoTempFile) {
   const std::string out_path = scratch.file("merge_out.cstr");
   std::filesystem::create_directory(out_path);
 
-  StreamClcOptions opt;
-  opt.max_outstanding_msgs = 1;  // opens the message spill file as well
   try {
-    clc_stream_file(in_path, out_path, opt);
+    clc_stream_file(in_path, out_path);
     FAIL() << "expected TraceIoError";
   } catch (const TraceIoError& e) {
     EXPECT_EQ(e.kind(), TraceIoErrorKind::Io) << e.what();
@@ -274,13 +298,11 @@ TEST(ClcStream, DirectoryInputIsIoErrorAtEveryFileEntryPoint) {
   const std::string dir = scratch.file("not_a_trace");
   std::filesystem::create_directory(dir);
   const std::string out_path = scratch.file("out.cstr");
-  StreamClcOptions opt;
-  opt.max_outstanding_msgs = 1;  // would open the message spill file too
 
   using testutil::error_of;
   EXPECT_EQ(error_of([&] { read_trace_v2_file(dir); }), TraceIoErrorKind::Io);
   EXPECT_EQ(error_of([&] { scan_clock_condition_file(dir); }), TraceIoErrorKind::Io);
-  EXPECT_EQ(error_of([&] { clc_stream_file(dir, out_path, opt); }), TraceIoErrorKind::Io);
+  EXPECT_EQ(error_of([&] { clc_stream_file(dir, out_path); }), TraceIoErrorKind::Io);
   // Only the input directory remains: no output, temporary or spill file.
   std::vector<std::string> left;
   for (const auto& entry : std::filesystem::directory_iterator(scratch.path())) {

@@ -388,7 +388,6 @@ bool expect_windowed_clc_typed(const ScratchDir& dir, const std::string& blob,
   std::filesystem::remove(out_path);
   StreamClcOptions opt;
   opt.emit_batch = 8;
-  opt.max_outstanding_msgs = 4;  // the message spill file takes part too
   bool ok = false;
   try {
     clc_stream_file(in_path, out_path, opt);

@@ -142,7 +142,7 @@ TEST(Differential, SeededDivergenceInContractPairIsCaught) {
       }
     }
   }
-  const auto report = verify::compare_methods(res.trace, outputs, 1e-9);
+  const auto report = verify::compare_methods(res.trace, outputs);
   EXPECT_FALSE(report.ok());
   ASSERT_FALSE(report.failures.empty());
   EXPECT_NE(report.failures.front().find("clc"), std::string::npos)
@@ -158,11 +158,6 @@ TEST(Differential, ScannersAgreeOnFixture) {
   const std::size_t comparisons = verify::cross_check_scans(res.trace, schedule, failures);
   EXPECT_EQ(comparisons, 2u);
   EXPECT_TRUE(failures.empty()) << failures.front();
-}
-
-TEST(Differential, ToleranceMustBeNonNegative) {
-  const AppRunResult res = small_fixture();
-  EXPECT_THROW(verify::compare_methods(res.trace, {}, -1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ verify::VerifyReport oracle_audit(const Trace& t, const verify::CsrSchedule& s,
     const auto i = static_cast<std::size_t>(k);
     ++rep.counts[i];
     if (slack > rep.worst[i]) rep.worst[i] = slack;
-    if (rep.violations.size() < o.max_recorded) {
+    if (rep.violations.size() < verify::kMaxRecordedViolations) {
       rep.violations.push_back({k, r, ev, other, has_other, slack});
     }
   };
@@ -82,7 +82,7 @@ verify::VerifyReport oracle_audit(const Trace& t, const verify::CsrSchedule& s,
         add(InvariantKind::NonFiniteTimestamp, r, {r, i}, std::isnan(v[i]) ? 0.0 : kTimeInfinity);
         continue;
       }
-      if (have_prev && v[i] < prev - o.order_slack) {
+      if (have_prev && v[i] < prev) {
         add(InvariantKind::LocalOrderInversion, r, {r, i}, prev - v[i], {r, prev_i}, true);
       }
       have_prev = true;
@@ -113,10 +113,7 @@ verify::VerifyReport oracle_audit(const Trace& t, const verify::CsrSchedule& s,
     for (std::uint32_t i = 0; i < in.size(); ++i) {
       if (!std::isfinite(in[i]) || !std::isfinite(out[i])) continue;
       const Duration moved = out[i] - in[i];
-      if (moved < -o.order_slack) add(InvariantKind::BackwardCorrection, r, {r, i}, -moved);
-      if (std::abs(moved) > o.max_correction) {
-        add(InvariantKind::CorrectionMagnitude, r, {r, i}, std::abs(moved) - o.max_correction);
-      }
+      if (moved < 0.0) add(InvariantKind::BackwardCorrection, r, {r, i}, -moved);
     }
   }
   return rep;
@@ -157,7 +154,7 @@ void expect_same_clc(const ClcResult& a, const ClcResult& b, const std::string& 
 
 /// Every consumer of `logical`'s hub schedule against the oracle CSR:
 /// expansions, Lamport clocks, the CLC driver and the audit (with and
-/// without tolerances, on the input and on the correction).  Returns the
+/// without a clock-condition slack, on the input and on the correction).  Returns the
 /// schedule's hub count.
 std::size_t expect_matches_oracle(const Trace& t, const std::vector<MessageRecord>& msgs,
                                   const std::vector<LogicalMessage>& logical,
@@ -174,8 +171,6 @@ std::size_t expect_matches_oracle(const Trace& t, const std::vector<MessageRecor
 
   verify::VerifyOptions loose;
   loose.clock_condition_slack = 1e-7;
-  loose.max_correction = 1e-3;
-  loose.max_recorded = 5;
   for (const verify::VerifyOptions& o : {verify::VerifyOptions{}, loose}) {
     const verify::InvariantChecker checker(t, hub, o);
     expect_same_report(checker.check(input), oracle_audit(t, csr, nullptr, input, o),

@@ -131,32 +131,28 @@ TEST(InvariantChecker, CorrectionMustNotMoveEventsBackward) {
   EXPECT_NEAR(report.worst_slack(verify::InvariantKind::BackwardCorrection), 1e-3, 1e-12);
 }
 
-TEST(InvariantChecker, CorrectionMagnitudeIsBounded) {
-  Fixture fx;
-  const auto input = TimestampArray::from_local(fx.trace);
-  auto corrected = input;
-  corrected.of_rank(0)[1] += 1.0;
-  verify::VerifyOptions opt;
-  opt.max_correction = 1e-6;
-  const verify::InvariantChecker checker(fx.trace, fx.schedule, opt);
-  const auto report = checker.check_correction(input, corrected);
-  EXPECT_EQ(report.count(verify::InvariantKind::CorrectionMagnitude), 1u);
-  EXPECT_EQ(report.count(verify::InvariantKind::BackwardCorrection), 0u);
-}
-
 TEST(InvariantChecker, RecordedViolationsAreCappedCountsStayExact) {
-  Fixture fx;
-  auto ts = TimestampArray::from_local(fx.trace);
-  for (Rank r = 0; r < fx.trace.ranks(); ++r) {
+  // The fixture's four events plus 70 local ones: 74 violations, more than
+  // the recording cap.
+  Trace trace = make_trace();
+  for (int k = 0; k < 70; ++k) {
+    Event e;
+    e.type = EventType::Enter;
+    e.local_ts = e.true_ts = 3.0 + k;
+    trace.events(0).push_back(e);
+  }
+  const auto msgs = trace.match_messages();
+  const auto logical = derive_logical_messages(trace);
+  const ReplaySchedule schedule(trace, msgs, logical);
+  auto ts = TimestampArray::from_local(trace);
+  for (Rank r = 0; r < trace.ranks(); ++r) {
     for (auto& t : ts.of_rank(r)) t = std::nan("");
   }
-  verify::VerifyOptions opt;
-  opt.max_recorded = 2;
-  const verify::InvariantChecker checker(fx.trace, fx.schedule, opt);
+  const verify::InvariantChecker checker(trace, schedule);
   const auto report = checker.check(ts);
-  EXPECT_EQ(report.count(verify::InvariantKind::NonFiniteTimestamp), 4u);
-  EXPECT_EQ(report.violations.size(), 2u);
-  EXPECT_EQ(report.total(), 4u);
+  EXPECT_EQ(report.count(verify::InvariantKind::NonFiniteTimestamp), 74u);
+  EXPECT_EQ(report.violations.size(), verify::kMaxRecordedViolations);
+  EXPECT_EQ(report.total(), 74u);
 }
 
 TEST(InvariantChecker, RejectsMismatchedTraceAndSchedule) {

@@ -9,7 +9,7 @@
 //       it.  Violations of Eq. 1 are expected on raw traces — that is the
 //       paper's point — so they fail the run only under --strict.
 //
-//   chronocheck --synthetic [--ranks N --rounds R --seed S --tolerance T]
+//   chronocheck --synthetic [--ranks N --rounds R --seed S]
 //       Simulates a drifting-clock run, executes every correction method on
 //       it, audits each output, compares all outputs pairwise (the CLC driver
 //       and its replay-order oracle must be bit-identical), and cross-checks
@@ -34,8 +34,7 @@
 //       verify/fault_injection.hpp.  Every class must complete with a clean
 //       report — degenerate inputs are handled, not crashed on.
 //
-//   chronocheck --stream [--ranks N --rounds R --seed S --emit-batch B
-//                         --backward-window W --work-dir D --input F]
+//   chronocheck --stream [--ranks N --rounds R --seed S --work-dir D --input F]
 //       Cross-checks the out-of-core windowed streaming CLC against the
 //       in-memory CLC on the synthetic fixture (or on the v2 trace file F):
 //       the corrected trace and the jump statistics must be bit-identical
@@ -57,8 +56,8 @@
 //
 // Observability (every mode): --obs-level {off,metrics,trace} selects the
 // level, --trace-out F writes a Chrome trace, --metrics-out F writes a
-// chronosync-metrics-v1 JSON snapshot (whatever F's extension), and
-// --obs-sample-ms N runs the background RSS/CPU sampler.  Battery mode
+// chronosync-metrics-v1 JSON snapshot (whatever F's extension) that also
+// carries the process RSS/CPU gauges, sampled as it is written.  Battery mode
 // derives one artifact pair per scenario from the requested paths and resets
 // the recorded state between entries.  Invalid values for any of these exit 2
 // with one typed line, like every other usage error.
@@ -144,8 +143,7 @@ int run_synthetic(const Cli& cli) {
   const AppRunResult res = make_fixture(cli);
   std::cout << "chronocheck: synthetic fixture with " << res.trace.ranks() << " ranks, "
             << res.trace.total_events() << " events\n";
-  const auto report =
-      verify::run_differential_suite(res.trace, res.offsets, cli.get_double("tolerance", 1e-9));
+  const auto report = verify::run_differential_suite(res.trace, res.offsets);
   std::cout << report.summary();
   if (!report.ok()) return 1;
   std::cout << "ok: differential suite clean\n";
@@ -278,11 +276,11 @@ int run_stream(const Cli& cli) {
   std::cout << "chronocheck: windowed streaming CLC vs in-memory on "
             << trace.ranks() << " ranks, " << trace.total_events() << " events\n";
   StreamClcOptions opt;
-  opt.emit_batch = static_cast<std::size_t>(cli.get_int("emit-batch", 256));
+  opt.emit_batch = 256;
   // The fixture's drift offsets reach hundreds of milliseconds, so their
   // amortization ramps span seconds; a generous window keeps the run
   // divergence-free, which the cross-check demands.
-  opt.backward_window = cli.get_double("backward-window", 1e4);
+  opt.backward_window = 1e4;
   std::vector<std::string> failures;
   const std::size_t n = verify::cross_check_windowed_clc(
       trace, cli.get("work-dir", "."), opt, failures);
@@ -407,14 +405,13 @@ int main(int argc, char** argv) {
     }
     if (!ran) {
       std::cerr << "usage: chronocheck <trace-file> [--slack S] [--strict]\n"
-                   "       chronocheck --synthetic [--ranks N --rounds R --seed S "
-                   "--tolerance T]\n"
+                   "       chronocheck --synthetic [--ranks N --rounds R --seed S]\n"
                    "       chronocheck --method <name> [--ranks N --rounds R --seed S "
                    "--probe-every K --slack S]\n"
                    "       chronocheck --omp [--threads T --rounds R --seed S]\n"
                    "       chronocheck --faults [--ranks N --rounds R --seed S]\n"
                    "       chronocheck --stream [--ranks N --rounds R --seed S "
-                   "--emit-batch B --backward-window W --work-dir D --input F]\n"
+                   "--work-dir D --input F]\n"
                    "       chronocheck --scenario <file> [--work-dir D]\n"
                    "       chronocheck --scenario-battery <dir> [--work-dir D]\n"
                    "       chronocheck --write-fixture <file> [--ranks N --rounds R "
