@@ -1,11 +1,15 @@
 #include "analysis/clock_condition_stream.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "trace/edge_rules.hpp"
 
 namespace chronosync {
@@ -19,81 +23,189 @@ struct Endpoint {
   Time ts = 0.0;
 };
 
-/// One collective instance, keyed by coll_id: kind/root overwritten by every
-/// participating event (last one wins), begins/ends in rank-major order.
+/// One collective instance, keyed by coll_id.  begins/ends collect in read
+/// order: each rank's own events in trace order, the ranks interleaved in any
+/// way.  That is enough, because the edge rules look at the order of one
+/// rank's events only (first-match roots).  kind/root come from the
+/// participant that is last in rank-major order (the highest rank, its last
+/// event), as in a rank-major read where every participant overwrites them.
 struct CollInstance {
   CollectiveKind kind{};
   Rank root = -1;
+  Rank kind_rank = -1;  ///< rank of the event kind/root were taken from
   std::vector<Endpoint> begins;
   std::vector<Endpoint> ends;
 };
+
+/// The (msg_id, side) pairs read so far: 2 bits per id, in 8 KiB pages of
+/// 2^15 consecutive ids.
+class SeenEndpoints {
+ public:
+  static constexpr int kPageBits = 15;
+  static constexpr std::size_t kPageBytes = (std::size_t{1} << kPageBits) / 4;
+
+  /// Marks side `side` (0 send, 1 receive) of `id`; false if it was marked.
+  bool mark(std::int64_t id, int side) {
+    const std::int64_t key = id >> kPageBits;
+    if (page_ == nullptr || key != key_) {
+      std::unique_ptr<Page>& page = pages_[key];
+      if (page == nullptr) page = std::make_unique<Page>();  // zeroed
+      key_ = key;
+      page_ = page.get();
+    }
+    const auto bit = 2 * static_cast<std::size_t>(id & ((std::int64_t{1} << kPageBits) - 1)) +
+                     static_cast<std::size_t>(side);
+    std::uint8_t& byte = (*page_)[bit / 8];
+    const auto m = static_cast<std::uint8_t>(1u << (bit % 8));
+    if ((byte & m) != 0) return false;
+    byte = static_cast<std::uint8_t>(byte | m);
+    return true;
+  }
+
+  std::size_t bytes() const { return pages_.size() * kPageBytes; }
+
+ private:
+  using Page = std::array<std::uint8_t, kPageBytes>;
+  edge_rules::IdTable<std::unique_ptr<Page>> pages_;
+  std::int64_t key_ = 0;
+  Page* page_ = nullptr;  ///< the page of key_; pages never move
+};
+
+/// The scan's per-event state, fed one event chunk at a time.  A rank's
+/// chunks must come in file order; ranks may interleave in any order.  With
+/// `seen`, add() refuses the chunk that repeats a (msg_id, side) pair.
+class Scan {
+ public:
+  Scan(const TraceMeta& meta, SeenEndpoints* seen) : meta_(meta), seen_(seen) {}
+
+  /// Feeds one chunk; false (the scan then unusable) when `seen` refuses it.
+  bool add(const EventBlock& block) {
+    auto check_p2p = [&](const Endpoint& send, const Endpoint& recv) {
+      rep_.add_edge(/*logical=*/false, send.ts, recv.ts, meta_.min_latency(send.rank, recv.rank));
+    };
+    for (const Event& e : block.events) {
+      rep_.add_event(e.type);
+      const Endpoint ep{block.rank, e.local_ts};
+      switch (e.type) {
+        case EventType::Send:
+          if (seen_ != nullptr && !seen_->mark(e.msg_id, 0)) return false;
+          msgs_.send(e.msg_id, ep, check_p2p);
+          break;
+        case EventType::Recv:
+          if (seen_ != nullptr && !seen_->mark(e.msg_id, 1)) return false;
+          msgs_.recv(e.msg_id, ep, check_p2p);
+          break;
+        case EventType::CollBegin:
+        case EventType::CollEnd: {
+          CollInstance& inst = colls_[e.coll_id];
+          if (block.rank >= inst.kind_rank) {
+            inst.kind = e.coll;
+            inst.root = e.root;
+            inst.kind_rank = block.rank;
+          }
+          (e.type == EventType::CollBegin ? inst.begins : inst.ends).push_back(ep);
+          peak_colls_ = std::max(peak_colls_, colls_.size());
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    return true;
+  }
+
+  /// Checks the logical edges of every complete instance and returns the
+  /// report; half-matched messages are dropped.
+  ClockConditionReport finish(ScanStats* stats) {
+    // One walk over the instances; add_edge is order-independent, so the
+    // table's unspecified order leaves the report unchanged.  Nothing is
+    // removed: the table is dropped whole with the scan.
+    colls_.erase_if([&](std::int64_t, const CollInstance& inst) {
+      if (edge_rules::partial_instance(inst.begins.size(), inst.ends.size())) return false;
+      edge_rules::for_each_logical_edge(
+          inst.kind, inst.root, inst.begins, inst.ends, [](const Endpoint& ep) { return ep.rank; },
+          [&](const Endpoint& begin, const Endpoint& end) {
+            rep_.add_edge(/*logical=*/true, begin.ts, end.ts,
+                          meta_.min_latency(begin.rank, end.rank));
+          });
+      return false;
+    });
+    if (stats) *stats = {msgs_.peak_outstanding(), peak_colls_};
+    return rep_;
+  }
+
+ private:
+  const TraceMeta& meta_;
+  SeenEndpoints* seen_;
+  ClockConditionReport rep_;
+  // Messages are checked the moment their second endpoint arrives, so the
+  // join's high-water mark tracks the outstanding backlog, not the message
+  // count.
+  edge_rules::MessageJoin<Endpoint> msgs_;
+  edge_rules::IdTable<CollInstance> colls_;
+  std::size_t peak_colls_ = 0;
+};
+
+void count(const char* name, std::int64_t n) {
+  if (obs::metrics_enabled()) obs::counter(name).add(n);
+}
+
+/// The scan in frontier order over an indexed file, or nothing when an id
+/// repeats a side or the seen-set outgrows its budget.
+std::optional<ClockConditionReport> scan_frontier(std::istream& in, const TraceIndex& index,
+                                                  ScanStats* stats) {
+  CS_SPAN("analysis.scan.read");
+  // 1 byte per event, but at least one page: a seen-set that small bounds
+  // nothing worth a second pass.
+  const std::size_t budget =
+      std::max<std::size_t>(index.total_events, SeenEndpoints::kPageBytes);
+  SeenEndpoints seen;
+  Scan scan(index.meta, &seen);
+  FrontierReader reader(in, index);
+  EventBlock block;
+  std::int64_t chunks = 0;
+  bool ok = true;
+  while (ok && reader.next(block)) {
+    ++chunks;
+    ok = scan.add(block) && seen.bytes() <= budget;
+  }
+  count("analysis.scan.chunks_read", chunks);
+  if (!ok) return std::nullopt;
+  return scan.finish(stats);
+}
 
 }  // namespace
 
 ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats) {
   CS_SPAN("analysis.clock_condition_scan");
-  const TraceMeta& meta = reader.meta();
-  ClockConditionReport rep;
-  ScanStats local_stats;
-
-  // Messages are checked the moment their second endpoint arrives, so the
-  // join's high-water mark tracks the outstanding backlog, not the message
-  // count; half-matched leftovers are dropped.
-  edge_rules::MessageJoin<Endpoint> msgs;
-  edge_rules::IdTable<CollInstance> colls;
-  auto check_p2p = [&](const Endpoint& send, const Endpoint& recv) {
-    rep.add_edge(/*logical=*/false, send.ts, recv.ts, meta.min_latency(send.rank, recv.rank));
-  };
-  auto add_coll = [&](const Event& e, const Endpoint& ep) {
-    auto& inst = colls[e.coll_id];
-    inst.kind = e.coll;
-    inst.root = e.root;
-    (e.type == EventType::CollBegin ? inst.begins : inst.ends).push_back(ep);
-    local_stats.peak_outstanding_collectives =
-        std::max(local_stats.peak_outstanding_collectives, colls.size());
-  };
-
+  Scan scan(reader.meta(), nullptr);
   EventBlock block;
+  std::int64_t chunks = 0;
   while (reader.next(block)) {
-    for (const Event& e : block.events) {
-      rep.add_event(e.type);
-      const Endpoint ep{block.rank, e.local_ts};
-      switch (e.type) {
-        case EventType::Send:
-          msgs.send(e.msg_id, ep, check_p2p);
-          break;
-        case EventType::Recv:
-          msgs.recv(e.msg_id, ep, check_p2p);
-          break;
-        case EventType::CollBegin:
-        case EventType::CollEnd:
-          add_coll(e, ep);
-          break;
-        default:
-          break;
-      }
-    }
+    ++chunks;
+    scan.add(block);
   }
-  local_stats.peak_outstanding_messages = msgs.peak_outstanding();
-
-  // One walk over the instances; add_edge is order-independent, so the
-  // table's unspecified order leaves the report unchanged.  Nothing is
-  // removed: the table is dropped whole on return.
-  colls.erase_if([&](std::int64_t, const CollInstance& inst) {
-    if (edge_rules::partial_instance(inst.begins.size(), inst.ends.size())) return false;
-    edge_rules::for_each_logical_edge(
-        inst.kind, inst.root, inst.begins, inst.ends, [](const Endpoint& ep) { return ep.rank; },
-        [&](const Endpoint& begin, const Endpoint& end) {
-          rep.add_edge(/*logical=*/true, begin.ts, end.ts, meta.min_latency(begin.rank, end.rank));
-        });
-    return false;
-  });
-  if (stats) *stats = local_stats;
-  return rep;
+  count("analysis.scan.chunks_read", chunks);
+  return scan.finish(stats);
 }
 
 ClockConditionReport scan_clock_condition_file(const std::string& path, ScanStats* stats) {
   std::ifstream f = open_trace_file(path);
+  if (f.tellg() < 0) {
+    // A pipe or other unseekable file cannot be re-read out of order.
+    TraceReader reader(f);
+    return scan_clock_condition(reader, stats);
+  }
+  TraceIndex index;
+  {
+    CS_SPAN("analysis.scan.index");
+    index = index_trace_v2(f);
+  }
+  if (auto rep = scan_frontier(f, index, stats)) return *rep;
+
+  count("analysis.scan.rank_major_restarts", 1);
+  f.clear();
+  f.seekg(0);
   TraceReader reader(f);
   return scan_clock_condition(reader, stats);
 }

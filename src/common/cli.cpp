@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <string_view>
@@ -91,6 +92,15 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
     out.push_back(v);
     if (comma == std::string::npos) break;
     pos = comma + 1;
+  }
+  return out;
+}
+
+std::vector<std::string> Cli::unknown_options(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) out.push_back(name);
   }
   return out;
 }

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace chronosync {
@@ -23,6 +25,10 @@ class Cli {
   std::vector<std::int64_t> get_int_list(const std::string& name,
                                          std::vector<std::int64_t> fallback) const;
   std::uint64_t get_seed(std::uint64_t fallback = 42) const;
+
+  /// The given options whose names are not in `known`, in name order: lets a
+  /// tool refuse a misspelled or retired flag instead of ignoring it.
+  std::vector<std::string> unknown_options(std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

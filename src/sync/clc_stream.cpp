@@ -147,8 +147,6 @@ struct RankState {
   RankState(BlockPool<Event>& events, BlockPool<Pending>& pending)
       : ahead(events), pend(pending) {}
 
-  std::vector<std::uint32_t> chunks;  ///< indices into TraceIndex::chunks
-  std::size_t next_chunk = 0;
   BlockQueue<Event> ahead;  ///< read but not yet processed
 
   clc_kernel::RankClock clock;  ///< forward-pass state
@@ -158,22 +156,18 @@ struct RankState {
   std::uint32_t front_seq = 0;  ///< seq of pend.front()
   std::uint64_t emitted = 0;
   std::size_t sweep_trigger = 0;
-  Time read_ts = -kTimeInfinity;  ///< read frontier (max local_ts read)
   std::uint64_t base = 0;         ///< rank's first slot in the ts side file
 
   // Sweep scratch, reused across sweeps.
   std::vector<double> val;
   std::vector<char> fin;
-
-  bool read_eof() const { return next_chunk >= chunks.size(); }
-  bool done() const { return read_eof() && ahead.empty(); }
 };
 
 class StreamEngine {
  public:
   StreamEngine(std::istream& in, TraceIndex index, const std::string& out_path,
                const StreamClcOptions& opts)
-      : reader_(in, index), index_(std::move(index)), opts_(opts), out_path_(out_path) {
+      : index_(std::move(index)), reader_(in, index_), opts_(opts), out_path_(out_path) {
     clc_kernel::require_valid(opts_.clc);
     CS_REQUIRE(opts_.horizon > 0.0, "horizon must be positive");
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
@@ -182,9 +176,6 @@ class StreamEngine {
     ranks_.reserve(static_cast<std::size_t>(index_.meta.ranks()));
     for (Rank r = 0; r < index_.meta.ranks(); ++r) {
       ranks_.emplace_back(event_blocks_, pending_blocks_);
-    }
-    for (std::uint32_t c = 0; c < index_.chunks.size(); ++c) {
-      ranks_[static_cast<std::size_t>(index_.chunks[c].rank)].chunks.push_back(c);
     }
     std::uint64_t base = 0;
     for (Rank r = 0; r < index_.meta.ranks(); ++r) {
@@ -199,7 +190,6 @@ class StreamEngine {
       throw TraceIoError(TraceIoErrorKind::Io,
                          "cannot open spill file for writing: " + ts_spill_path_);
     }
-    update_read_frontier();
   }
 
   ~StreamEngine() {
@@ -214,7 +204,7 @@ class StreamEngine {
       for (;;) {
         drain();
         if (all_done()) break;
-        if (!all_read_eof_) {
+        if (!reader_.eof()) {
           read_next_chunk();
           continue;
         }
@@ -251,41 +241,17 @@ class StreamEngine {
  private:
   // -- read side --------------------------------------------------------------
 
-  void update_read_frontier() {
-    read_low_ = kTimeInfinity;
-    all_read_eof_ = true;
-    for (const RankState& rs : ranks_) {
-      if (rs.read_eof()) continue;
-      all_read_eof_ = false;
-      read_low_ = std::min(read_low_, rs.read_ts);
-    }
-    if (all_read_eof_) read_low_ = kTimeInfinity;
-  }
-
   void read_next_chunk() {
     CS_SPAN("clc.stream.read");
-    Rank pick = -1;
-    Time lowest = kTimeInfinity;
-    for (Rank r = 0; r < index_.meta.ranks(); ++r) {
-      const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-      if (rs.read_eof()) continue;
-      if (pick < 0 || rs.read_ts < lowest) {
-        pick = r;
-        lowest = rs.read_ts;
-      }
-    }
-    CS_ENSURE(pick >= 0, "read_next_chunk called with all ranks at EOF");
-    RankState& rs = ranks_[static_cast<std::size_t>(pick)];
-    reader_.read(index_.chunks[rs.chunks[rs.next_chunk]], block_);
-    ++rs.next_chunk;
+    const bool read = reader_.next(block_);
+    CS_ENSURE(read, "read_next_chunk called with all ranks at EOF");
+    RankState& rs = ranks_[static_cast<std::size_t>(block_.rank)];
     for (const Event& e : block_.events) {
-      register_event(pick, e);
-      rs.read_ts = std::max(rs.read_ts, e.local_ts);
+      register_event(block_.rank, e);
       rs.ahead.push_back(e);
     }
     resident_ += block_.events.size();
     stats_.peak_resident_events = std::max(stats_.peak_resident_events, resident_);
-    update_read_frontier();
     closure_scan();
   }
 
@@ -324,7 +290,7 @@ class StreamEngine {
 
   void closure_scan() {
     colls_.erase_if([&](std::int64_t, CollInst& inst) {
-      if (!inst.closed && read_low_ > inst.last_ts + opts_.horizon) inst.closed = true;
+      if (!inst.closed && reader_.low() > inst.last_ts + opts_.horizon) inst.closed = true;
       if (!inst.closed || !instance_done(inst)) return false;
       release_instance(inst);
       return true;
@@ -359,9 +325,14 @@ class StreamEngine {
 
   // -- processing -------------------------------------------------------------
 
+  /// Whether rank r has every event read and processed.
+  bool rank_done(Rank r) const {
+    return reader_.rank_eof(r) && ranks_[static_cast<std::size_t>(r)].ahead.empty();
+  }
+
   bool all_done() const {
-    for (const RankState& rs : ranks_) {
-      if (!rs.done()) return false;
+    for (Rank r = 0; r < index_.meta.ranks(); ++r) {
+      if (!rank_done(r)) return false;
     }
     return true;
   }
@@ -404,7 +375,7 @@ class StreamEngine {
         const MsgState* m = msgs_.find(e.msg_id);
         if (m != nullptr && m->send_processed) return true;
         if (m != nullptr && m->send_registered) return false;  // send is coming
-        return all_read_eof_ || read_low_ > e.local_ts + opts_.horizon;
+        return reader_.eof() || reader_.low() > e.local_ts + opts_.horizon;
       }
       case EventType::CollEnd: {
         const CollInst* inst = colls_.find(e.coll_id);
@@ -449,7 +420,7 @@ class StreamEngine {
           // Going ahead without the edge: the matching send (seen or future)
           // must neither expect a cap nor hold its emission for one.
           m->recv_dropped = true;
-        } else if (!all_read_eof_) {
+        } else if (!reader_.eof()) {
           msgs_[e.msg_id].recv_dropped = true;
         }
         break;
@@ -464,7 +435,7 @@ class StreamEngine {
         p.id = e.msg_id;
         // The receive will cap this send's backward motion; hold until the
         // cap arrives (or the horizon proves no receive is coming).
-        p.holds = (m.recv_registered || !all_read_eof_) && !m.recv_dropped ? 1 : 0;
+        p.holds = (m.recv_registered || !reader_.eof()) && !m.recv_dropped ? 1 : 0;
         break;
       }
       case EventType::CollBegin: {
@@ -593,7 +564,7 @@ class StreamEngine {
 
     rs.val.resize(n);
     rs.fin.resize(n);
-    const bool rank_final = rs.done();
+    const bool rank_final = rank_done(r);
 
     if (!opts_.clc.backward_amortization) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -617,7 +588,7 @@ class StreamEngine {
         if (p.holds > 0 && p.is_send) {
           const MsgState* m = msgs_.find(p.id);
           if ((m == nullptr || !m->recv_registered || m->recv_dropped) &&
-              read_low_ > p.ts + opts_.horizon) {
+              reader_.low() > p.ts + opts_.horizon) {
             p.holds = 0;
           }
         }
@@ -760,8 +731,8 @@ class StreamEngine {
     tmp.armed = false;
   }
 
-  ChunkReader reader_;
   TraceIndex index_;
+  FrontierReader reader_;
   StreamClcOptions opts_;
   std::string out_path_;
   std::string ts_spill_path_;
@@ -774,8 +745,6 @@ class StreamEngine {
   EventBlock block_;
   std::vector<double> emit_buf_;
   StreamClcStats stats_;
-  Time read_low_ = kTimeInfinity;
-  bool all_read_eof_ = false;
   bool drained_something_ = false;
   std::size_t resident_ = 0;
 };

@@ -4,7 +4,10 @@
 // CSR replay schedule, and two Time arrays — ~150+ bytes per event.  The
 // long-run regime the paper cares about (1800–3600 s, 10^7–10^9 events) does
 // not fit that budget, so this variant consumes a v2 trace file chunk by
-// chunk and keeps only a sliding window resident:
+// chunk, in the frontier order of stream_io.hpp's FrontierReader (the read
+// order it shares with scan_clock_condition_file: next, the rank whose
+// largest local timestamp read so far is lowest), and keeps only a sliding
+// window resident:
 //
 //   * one read-ahead chunk queue per rank (events read but not processed),
 //   * the forward-pass scalar state per rank,

@@ -625,6 +625,45 @@ void ChunkReader::read_retimed(const ChunkRef& ref, std::span<const Time> local_
   }
 }
 
+FrontierReader::FrontierReader(std::istream& in, const TraceIndex& index)
+    : index_(index), chunks_(in, index), ranks_(static_cast<std::size_t>(index.meta.ranks())) {
+  for (std::uint32_t c = 0; c < index.chunks.size(); ++c) {
+    ranks_[static_cast<std::size_t>(index.chunks[c].rank)].chunks.push_back(c);
+  }
+  update_low();
+}
+
+bool FrontierReader::next(EventBlock& block) {
+  Rank pick = -1;
+  Time lowest = kTimeInfinity;
+  for (Rank r = 0; r < static_cast<Rank>(ranks_.size()); ++r) {
+    if (rank_eof(r)) continue;
+    const Time ts = ranks_[static_cast<std::size_t>(r)].read_ts;
+    if (pick < 0 || ts < lowest) {
+      pick = r;
+      lowest = ts;
+    }
+  }
+  if (pick < 0) return false;
+  Cursor& c = ranks_[static_cast<std::size_t>(pick)];
+  chunks_.read(index_.chunks[c.chunks[c.next]], block);
+  ++c.next;
+  for (const Event& e : block.events) c.read_ts = std::max(c.read_ts, e.local_ts);
+  update_low();
+  return true;
+}
+
+void FrontierReader::update_low() {
+  low_ = kTimeInfinity;
+  eof_ = true;
+  for (Rank r = 0; r < static_cast<Rank>(ranks_.size()); ++r) {
+    if (rank_eof(r)) continue;
+    eof_ = false;
+    low_ = std::min(low_, ranks_[static_cast<std::size_t>(r)].read_ts);
+  }
+  if (eof_) low_ = kTimeInfinity;
+}
+
 // -- conveniences -------------------------------------------------------------
 
 void write_trace_v2(const Trace& trace, std::ostream& out, std::size_t events_per_chunk) {

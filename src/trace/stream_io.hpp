@@ -47,6 +47,10 @@
 // The chunk index (index_trace_v2) is that reader stepped with next_chunk(),
 // i.e. without event decoding, and ChunkReader re-reads indexed chunks through
 // the same chunk framing and head checks; neither has validation of its own.
+// FrontierReader walks an indexed file through a ChunkReader in frontier
+// order, rank by rank as their local timestamps advance: the read order of
+// both out-of-core consumers, the windowed CLC (clc_stream.hpp) and the file
+// scan of Eq. 1 (clock_condition_stream.hpp).
 #pragma once
 
 #include <array>
@@ -264,6 +268,50 @@ class ChunkReader {
   traceio::ByteSource src_;
   int ranks_;
   std::vector<std::uint8_t> payload_;
+};
+
+/// Reads the event chunks of an indexed v2 file in frontier order, the read
+/// order of both out-of-core consumers (the windowed CLC and the file-fed
+/// Eq. 1 scan).  A rank's chunks come in file order; the next chunk is the
+/// one of the rank whose read frontier — the largest local_ts read from it so
+/// far, -inf before its first chunk — is lowest, ties going to the lowest
+/// rank.  The ranks thus advance together in local time, so a consumer that
+/// pairs events across ranks holds only the pairs open around the frontier,
+/// where a rank-major read holds every pair whose second endpoint lies on a
+/// later rank.  Each chunk goes through ChunkReader, so it is verified
+/// against its index entry again.  `index` must outlive the reader.
+class FrontierReader {
+ public:
+  FrontierReader(std::istream& in, const TraceIndex& index);
+
+  /// Reads the next chunk in frontier order into `block`; false once every
+  /// rank is at EOF.
+  bool next(EventBlock& block);
+
+  /// Whether rank `r` has no chunk left to read.
+  bool rank_eof(Rank r) const {
+    const Cursor& c = ranks_[static_cast<std::size_t>(r)];
+    return c.next >= c.chunks.size();
+  }
+  /// Whether every rank is at EOF.
+  bool eof() const { return eof_; }
+  /// The lowest read frontier over the ranks not at EOF; +inf once all are.
+  Time low() const { return low_; }
+
+ private:
+  struct Cursor {
+    std::vector<std::uint32_t> chunks;  ///< indices into TraceIndex::chunks, file order
+    std::size_t next = 0;
+    Time read_ts = -kTimeInfinity;
+  };
+
+  void update_low();
+
+  const TraceIndex& index_;
+  ChunkReader chunks_;
+  std::vector<Cursor> ranks_;
+  Time low_ = 0.0;
+  bool eof_ = false;
 };
 
 // -- whole-trace conveniences -------------------------------------------------

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 
 #include "analysis/clock_condition.hpp"
@@ -266,7 +267,12 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
   TraceReader reader(v2);
   const ClockConditionReport streamed = scan_clock_condition(reader);
   compare_reports("oracle vs streaming scan", oracle, streamed, failures);
-  return 2;
+
+  const ScratchDir scratch(std::filesystem::temp_directory_path().string());
+  const std::string path = scratch.file("scan.cstr");
+  write_trace_v2_file(trace, path);
+  compare_reports("oracle vs file scan", oracle, scan_clock_condition_file(path), failures);
+  return 3;
 }
 
 std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work_dir,

@@ -99,9 +99,11 @@ DifferentialReport compare_methods(const Trace& trace,
 
 /// Cross-checks the clock-condition scanners on the trace's local timestamps
 /// against the message-list oracle (clock_condition_oracle.hpp, over freshly
-/// re-matched messages): the CSR scan over `schedule` and the streaming v2
-/// scan over an in-memory serialization.  Appends any field mismatch to
-/// `failures` and returns the number of comparisons made.
+/// re-matched messages): the CSR scan over `schedule`, the streaming v2 scan
+/// over an in-memory serialization (rank-major order) and the file scan over
+/// a v2 file in a private ScratchDir under the system temporary directory
+/// (frontier order).  Appends any field mismatch to `failures` and returns
+/// the number of comparisons made.
 std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule,
                               std::vector<std::string>& failures);
 

@@ -1,15 +1,20 @@
 #include "analysis/clock_condition_stream.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "../testutil/error_of.hpp"
 #include "../testutil/random_trace.hpp"
 #include "../testutil/unseekable_buf.hpp"
 #include "common/scratch_dir.hpp"
 #include "analysis/clock_condition.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "topology/cluster.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
@@ -211,6 +216,190 @@ TEST(ClockConditionStream, DuplicateRootEventsAgreeWithInMemory) {
   EXPECT_EQ(streamed, in_memory);
   // Pins first-match: the late duplicates would yield zero reversed edges.
   EXPECT_EQ(streamed.logical_reversed, 4u);
+}
+
+/// An event of `type` at local time `ts`; `id` is the msg_id of a send or
+/// receive and the coll_id of a collective event.
+Event event(EventType type, Time ts, std::int64_t id = -1) {
+  Event e;
+  e.type = type;
+  e.local_ts = e.true_ts = ts;
+  if (type == EventType::Send || type == EventType::Recv) e.msg_id = id;
+  if (type == EventType::CollBegin || type == EventType::CollEnd) e.coll_id = id;
+  return e;
+}
+
+Event collective(EventType type, Time ts, CollectiveKind kind, Rank root) {
+  Event e = event(type, ts, /*id=*/1);
+  e.coll = kind;
+  e.root = root;
+  return e;
+}
+
+/// scan_clock_condition_file over `t` written with `events_per_chunk`, with
+/// the number of rank-major restarts it made.
+struct FileScan {
+  ClockConditionReport report;
+  ScanStats stats;
+  std::int64_t restarts = 0;
+};
+
+FileScan scan_file(const Trace& t, std::size_t events_per_chunk) {
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("scan.cstr");
+  write_trace_v2_file(t, path, events_per_chunk);
+  obs::set_level(obs::Level::Metrics);
+  obs::reset();
+  FileScan out;
+  out.report = scan_clock_condition_file(path, &out.stats);
+  out.restarts = obs::counter("analysis.scan.rank_major_restarts").value();
+  obs::set_level(obs::Level::Off);
+  obs::reset();
+  return out;
+}
+
+TEST(ClockConditionStream, FileScanBacklogStaysWithinAFewChunks) {
+  // A two-rank ring: each round, every rank sends to the other and then
+  // receives from it.  Read rank-major, every message stays half-matched
+  // until rank 1 is read, so the backlog is the whole message count.  Read
+  // in frontier order, with the trace cut into many small chunks, a message
+  // is paired within a chunk or two of its send.
+  constexpr int kRanks = 2;
+  constexpr int kRounds = 2000;
+  constexpr std::size_t kEventsPerChunk = 16;
+  Trace t(pinning::block(clusters::xeon_rwth(), kRanks), {1e-7, 1e-6, 5e-6}, "ring");
+  for (int k = 0; k < kRounds; ++k) {
+    for (Rank r = 0; r < kRanks; ++r) {
+      const Rank from = (r + kRanks - 1) % kRanks;
+      Event send = event(EventType::Send, 1e-3 * k, kRanks * k + r);
+      send.peer = (r + 1) % kRanks;
+      Event recv = event(EventType::Recv, 1e-3 * k + 5e-4, kRanks * k + from);
+      recv.peer = from;
+      t.events(r).push_back(send);
+      t.events(r).push_back(recv);
+    }
+  }
+  constexpr std::size_t kMessages = std::size_t{kRanks} * kRounds;
+
+  const FileScan file = scan_file(t, kEventsPerChunk);
+  EXPECT_EQ(file.report, oracle(t));
+  EXPECT_EQ(file.report.p2p_messages, kMessages);
+  EXPECT_EQ(file.restarts, 0);
+  EXPECT_LE(file.stats.peak_outstanding_messages, 2 * kEventsPerChunk);
+
+  std::stringstream buf;
+  write_trace_v2(t, buf, kEventsPerChunk);
+  TraceReader reader(buf);
+  ScanStats rank_major;
+  EXPECT_EQ(scan_clock_condition(reader, &rank_major), file.report);
+  EXPECT_EQ(rank_major.peak_outstanding_messages, kMessages);
+}
+
+TEST(ClockConditionStream, FileScanOfRealWorkloadPairsInFrontierOrder) {
+  // Simulated traffic has unique message ids, so the file scan keeps its
+  // frontier order to the end and still equals the oracle, with a smaller
+  // backlog than the rank-major scan.
+  SweepConfig cfg;
+  cfg.rounds = 40;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::intel_tsc();
+  job.seed = 7;
+  const AppRunResult res = run_sweep(cfg, std::move(job));
+
+  const FileScan file = scan_file(res.trace, /*events_per_chunk=*/64);
+  EXPECT_EQ(file.report, oracle(res.trace));
+  EXPECT_EQ(file.restarts, 0);
+  std::stringstream buf;
+  write_trace_v2(res.trace, buf, /*events_per_chunk=*/64);
+  TraceReader reader(buf);
+  ScanStats rank_major;
+  scan_clock_condition(reader, &rank_major);
+  EXPECT_LT(file.stats.peak_outstanding_messages, rank_major.peak_outstanding_messages);
+}
+
+TEST(ClockConditionStream, RepeatedIdRestartsTheFileScanRankMajor) {
+  // One msg_id with endpoints s0, r1, s2, r3.  Ranks 0 and 1 open with a
+  // late local event, so frontier order reads s2 and r3 before s0 and r1;
+  // the second send of the id makes the scan restart rank-major, whose
+  // join pairs (s0, r1) and (s2, r3).
+  Trace t(pinning::block(clusters::xeon_rwth(), 4), {1e-7, 1e-6, 5e-6}, "repeat");
+  t.events(0).push_back(event(EventType::Enter, 10.0));
+  t.events(0).push_back(event(EventType::Send, 11.0, 7));
+  t.events(1).push_back(event(EventType::Enter, 10.0));
+  t.events(1).push_back(event(EventType::Recv, 10.5, 7));  // before its send
+  t.events(2).push_back(event(EventType::Send, 1.0, 7));
+  t.events(3).push_back(event(EventType::Recv, 2.0, 7));
+
+  const FileScan file = scan_file(t, /*events_per_chunk=*/1);
+  EXPECT_EQ(file.report, oracle(t));
+  EXPECT_EQ(file.report.p2p_messages, 2u);
+  EXPECT_EQ(file.report.p2p_reversed, 1u);
+  EXPECT_EQ(file.restarts, 1);
+}
+
+TEST(ClockConditionStream, SparseIdsRestartTheFileScanRankMajor) {
+  // Unique ids, but 2^20 apart: each takes its own 8 KiB page of the
+  // seen-set, past its budget of one byte per event (and at least one page),
+  // so the file scan gives up frontier order instead of holding the pages.
+  Trace t(pinning::block(clusters::xeon_rwth(), 2), {1e-7, 1e-6, 5e-6}, "sparse");
+  for (int k = 0; k < 3; ++k) {
+    const std::int64_t id = std::int64_t{k} << 20;
+    t.events(0).push_back(event(EventType::Send, 1.0 + k, id));
+    t.events(1).push_back(event(EventType::Recv, 1.5 + k, id));
+  }
+  const FileScan file = scan_file(t, /*events_per_chunk=*/1);
+  EXPECT_EQ(file.report, oracle(t));
+  EXPECT_EQ(file.report.p2p_messages, 3u);
+  EXPECT_EQ(file.restarts, 1);
+}
+
+TEST(ClockConditionStream, MalformedCollectiveReadOutOfRankOrderAgreesWithOracle) {
+  // One instance whose ranks disagree on kind and root.  Rank-major, rank 2
+  // is read last, so its Bcast rooted at 0 decides; the root's first begin
+  // (t=11, not its duplicate at t=20) feeds the non-root ends at t=13 and
+  // t=2.  Ranks 0 and 1 open with a late local event, so frontier order
+  // reads rank 2's begin first and a Reduce event of rank 0 last.
+  Trace t(pinning::block(clusters::xeon_rwth(), 3), {1e-7, 1e-6, 5e-6}, "mixed");
+  using K = CollectiveKind;
+  t.events(0).push_back(event(EventType::Enter, 10.0));
+  t.events(0).push_back(collective(EventType::CollBegin, 11.0, K::Reduce, 1));
+  t.events(0).push_back(collective(EventType::CollBegin, 20.0, K::Reduce, 1));
+  t.events(0).push_back(collective(EventType::CollEnd, 21.0, K::Reduce, 1));
+  t.events(0).push_back(collective(EventType::CollEnd, 22.0, K::Reduce, 1));
+  t.events(1).push_back(event(EventType::Enter, 10.0));
+  t.events(1).push_back(collective(EventType::CollBegin, 11.5, K::Allreduce, 2));
+  t.events(1).push_back(collective(EventType::CollEnd, 13.0, K::Allreduce, 2));
+  t.events(2).push_back(collective(EventType::CollBegin, 1.0, K::Bcast, 0));
+  t.events(2).push_back(collective(EventType::CollEnd, 2.0, K::Bcast, 0));
+
+  const FileScan file = scan_file(t, /*events_per_chunk=*/1);
+  EXPECT_EQ(file.report, oracle(t));
+  EXPECT_EQ(file.report.logical_messages, 2u);
+  EXPECT_EQ(file.report.logical_reversed, 1u);
+  EXPECT_EQ(file.restarts, 0);
+}
+
+TEST(ClockConditionStream, NamedPipeIsScannedRankMajor) {
+  // A named pipe opens like a file but cannot seek, so the file scan reads
+  // it rank-major in one pass instead of indexing it first.
+  const Trace t = testutil::random_trace(12);
+  std::stringstream v2;
+  write_trace_v2(t, v2);
+  const std::string blob = v2.str();
+  const ScratchDir scratch(testing::TempDir());
+  const std::string path = scratch.file("pipe");
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream(path, std::ios::binary)
+        .write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  });
+  ClockConditionReport rep;
+  const std::optional<TraceIoErrorKind> error =
+      error_of([&] { rep = scan_clock_condition_file(path); });
+  writer.join();
+  EXPECT_EQ(error, std::nullopt);
+  EXPECT_EQ(rep, oracle(t));
 }
 
 TEST(ClockConditionStream, MissingFileThrowsIoError) {

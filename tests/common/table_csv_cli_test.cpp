@@ -104,6 +104,16 @@ TEST(Cli, Defaults) {
   EXPECT_EQ(cli.get_seed(42), 42u);
 }
 
+// Regression: a tool used to ignore any option it did not know, so a
+// misspelled or retired flag looked as if it took effect.
+TEST(Cli, UnknownOptionsAreNamed) {
+  const char* argv[] = {"prog", "--seed", "7", "--emit-batch=3", "in.v2", "--strict", "--zz"};
+  Cli cli(7, argv);
+  EXPECT_EQ(cli.unknown_options({"seed", "strict"}),
+            (std::vector<std::string>{"emit-batch", "zz"}));
+  EXPECT_TRUE(cli.unknown_options({"seed", "strict", "emit-batch", "zz"}).empty());
+}
+
 TEST(Cli, SeedOption) {
   const char* argv[] = {"prog", "--seed=99"};
   Cli cli(2, argv);

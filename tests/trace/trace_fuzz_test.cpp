@@ -3,7 +3,9 @@
 // truncations, duplicated/removed/reordered chunks, corrupted CRC fields, and
 // plain garbage — and asserts that the reader and the streaming
 // clock-condition scan ALWAYS fail with a typed TraceIoError: every mutation
-// is detectable thanks to the chunk and file checksums.  The windowed CLC
+// is detectable thanks to the chunk and file checksums.  The scan is fed both
+// ways: through a TraceReader (rank-major) and as a file through
+// scan_clock_condition_file (indexed, then read in frontier order).  The windowed CLC
 // (clc_stream_file), whose merge re-parses raw event bytes, must either
 // succeed or throw TraceIoError, and must leave no file behind when it
 // fails.  The chunk index is held to the reader on the same corpus: same
@@ -66,6 +68,28 @@ Outcome feed_scan(const std::string& blob) {
   });
 }
 
+/// Writes `blob` to the one file the file-fed scans read, in a scratch
+/// directory shared by the whole test program; returns its path.
+std::string scan_file_of(const std::string& blob) {
+  static const ScratchDir dir(testing::TempDir());
+  const std::string path = dir.file("fuzz_scan.cstr");
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  return path;
+}
+
+Outcome feed_file_scan(const std::string& blob) {
+  const std::string path = scan_file_of(blob);
+  try {
+    scan_clock_condition_file(path);
+    return Outcome::Parsed;
+  } catch (const TraceIoError&) {
+    return Outcome::IoError;
+  } catch (...) {
+    return Outcome::WrongException;
+  }
+}
+
 void expect_io_error(Outcome got, const char* who, const std::string& context) {
   if (got == Outcome::Parsed) {
     ADD_FAILURE() << who << " accepted a mutated blob: " << context;
@@ -75,10 +99,11 @@ void expect_io_error(Outcome got, const char* who, const std::string& context) {
 }
 
 /// v2 is fully checksummed: every mutation must yield a TraceIoError, from
-/// the reader and from the streaming scan alike.
+/// the reader and from the streaming scan in either order alike.
 void expect_v2_rejected(const std::string& blob, const std::string& context) {
   expect_io_error(feed_v2(blob), "v2 reader", context);
   expect_io_error(feed_scan(blob), "clock-condition scan", context);
+  expect_io_error(feed_file_scan(blob), "clock-condition file scan", context);
 }
 
 struct ChunkSpan {
@@ -229,6 +254,7 @@ TEST(TraceFuzz, SeedBlobsParseCleanly) {
     const std::string v2 = seed_blob(seed, seed % 2 == 0);
     EXPECT_EQ(feed_v2(v2), Outcome::Parsed);
     EXPECT_EQ(feed_scan(v2), Outcome::Parsed);
+    EXPECT_EQ(feed_file_scan(v2), Outcome::Parsed);
   }
 }
 
@@ -283,6 +309,7 @@ TEST(TraceFuzz, RandomGarbage) {
     // we assert is typed-failure, not which kind.
     EXPECT_NE(feed_v2(blob), Outcome::WrongException) << context;
     EXPECT_NE(feed_scan(blob), Outcome::WrongException) << context;
+    EXPECT_NE(feed_file_scan(blob), Outcome::WrongException) << context;
   }
 }
 
@@ -303,8 +330,19 @@ enum class Verdict { Rejected, DecodeRejected, Accepted };
 /// one alike.  When the index accepts, ChunkReader::read on every ChunkRef
 /// yields the events TraceReader::next decodes, or both throw the kind
 /// read_trace_v2 throws; when nothing throws, both read_trace_v2 streams
-/// yield the same trace.
+/// yield the same trace.  The scan is held to the reader too: in rank-major
+/// order and read from a file in frontier order, it throws the kind
+/// read_trace_v2 throws, and otherwise both orders give one report.
 Verdict expect_index_agrees(const std::string& blob, const std::string& context) {
+  ClockConditionReport rank_major;
+  const auto scan_kind = error_of([&] {
+    std::stringstream scan_in(blob);
+    TraceReader reader(scan_in);
+    rank_major = scan_clock_condition(reader);
+  });
+  ClockConditionReport frontier;
+  const auto file_scan_kind =
+      error_of([&] { frontier = scan_clock_condition_file(scan_file_of(blob)); });
   std::stringstream in(blob);
   TraceIndex idx;
   const auto index_kind = error_of([&] { idx = index_trace_v2(in); });
@@ -320,6 +358,9 @@ Verdict expect_index_agrees(const std::string& blob, const std::string& context)
     piped_trace = read_trace_v2(pipe);
   });
   EXPECT_EQ(piped_kind, read_kind) << "seekable and unseekable reads disagree: " << context;
+  EXPECT_EQ(scan_kind, read_kind) << "scan and reader disagree: " << context;
+  EXPECT_EQ(file_scan_kind, read_kind) << "file scan and reader disagree: " << context;
+  if (!read_kind) EXPECT_EQ(frontier, rank_major) << "scan orders disagree: " << context;
   if (index_kind) {
     EXPECT_EQ(read_kind, index_kind) << "index and reader disagree: " << context;
     return Verdict::Rejected;

@@ -156,7 +156,7 @@ TEST(Differential, ScannersAgreeOnFixture) {
   const ReplaySchedule schedule(res.trace, msgs, logical);
   std::vector<std::string> failures;
   const std::size_t comparisons = verify::cross_check_scans(res.trace, schedule, failures);
-  EXPECT_EQ(comparisons, 2u);
+  EXPECT_EQ(comparisons, 3u);
   EXPECT_TRUE(failures.empty()) << failures.front();
 }
 

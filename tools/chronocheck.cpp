@@ -63,14 +63,16 @@
 // with one typed line, like every other usage error.
 //
 // Exit codes: 0 all checks passed; 1 a requested check failed; 2 usage or
-// unexpected error; 3 trace i/o error (missing/truncated/corrupt trace file);
-// 4 scenario config error (missing file, malformed JSON, schema violation).
+// unexpected error (an unknown option among them, refused before any work);
+// 3 trace i/o error (missing/truncated/corrupt trace file); 4 scenario config
+// error (missing file, malformed JSON, schema violation).
 // Every error path prints exactly one "chronocheck: ..." line on stderr.
 #include <algorithm>
 #include <chrono>
 #include <exception>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "obs/obs.hpp"
@@ -361,6 +363,16 @@ int write_fixture(const std::string& path, const Cli& cli) {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  const std::vector<std::string> unknown = cli.unknown_options(
+      {"synthetic", "method", "omp", "faults", "stream", "scenario", "scenario-battery",
+       "write-fixture", "ranks", "rounds", "gap", "probe-every", "seed", "threads", "slack",
+       "strict", "input", "work-dir", "obs-level", "trace-out", "metrics-out"});
+  if (!unknown.empty()) {
+    std::cerr << "chronocheck: unknown option";
+    for (const std::string& name : unknown) std::cerr << " --" << name;
+    std::cerr << "\n";
+    return 2;
+  }
   try {
     chronosync::obs::ObsSession obs_session(cli, "chronocheck");
     int rc = 0;

@@ -26,8 +26,9 @@
 //                                       wall time for traces
 //
 // Validation is strict in every mode: a malformed file fails the run (exit
-// 1; usage errors exit 2).  The summary relies on well-nested per-thread B/E
-// sequences in array order, which is what the obs writer guarantees.
+// 1; usage errors, an unknown option among them, exit 2).  The summary relies
+// on well-nested per-thread B/E sequences in array order, which is what the
+// obs writer guarantees.
 
 #include <algorithm>
 #include <cmath>
@@ -496,6 +497,14 @@ std::vector<std::string> mode_paths(const chronosync::Cli& cli, const char* flag
 
 int main(int argc, char** argv) {
   const chronosync::Cli cli(argc, argv);
+  const std::vector<std::string> unknown =
+      cli.unknown_options({"check", "top", "phases", "metrics", "diff", "threshold"});
+  if (!unknown.empty()) {
+    std::cerr << "chronoscope: unknown option";
+    for (const std::string& name : unknown) std::cerr << " --" << name;
+    std::cerr << "\n";
+    return 2;
+  }
 
   if (cli.has("diff")) {
     const std::vector<std::string> paths = mode_paths(cli, "diff");
