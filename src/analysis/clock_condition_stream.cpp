@@ -5,6 +5,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,37 +72,52 @@ class SeenEndpoints {
   Page* page_ = nullptr;  ///< the page of key_; pages never move
 };
 
-/// The scan's per-event state, fed one event chunk at a time.  A rank's
-/// chunks must come in file order; ranks may interleave in any order.  With
-/// `seen`, add() refuses the chunk that repeats a (msg_id, side) pair.
+/// The scan's per-event state, fed a rank's events a piece at a time.  A
+/// rank's events must come in file order; ranks may interleave in any order.
+/// With `seen`, add() refuses the piece that repeats a (msg_id, side) pair.
 class Scan {
  public:
   Scan(const TraceMeta& meta, SeenEndpoints* seen) : meta_(meta), seen_(seen) {}
 
-  /// Feeds one chunk; false (the scan then unusable) when `seen` refuses it.
-  bool add(const EventBlock& block) {
+  /// Feeds the events left in rank `rank`'s chunk — an EventCursor, or a
+  /// FrontierReader over the chunk it read — decoded a piece at a time, so
+  /// no decoded chunk is held; false as add().
+  template <class Chunk>
+  bool add_chunk(Rank rank, Chunk& chunk) {
+    while (chunk.left() > 0) {
+      const std::span<EdgeRecord> events(piece_.data(),
+                                         std::min<std::size_t>(chunk.left(), piece_.size()));
+      chunk.decode(events);
+      if (!add(rank, events)) return false;
+    }
+    return true;
+  }
+
+  /// Feeds rank `rank`'s next events; false (the scan then unusable) when
+  /// `seen` refuses them.
+  bool add(Rank rank, std::span<const EdgeRecord> events) {
     auto check_p2p = [&](const Endpoint& send, const Endpoint& recv) {
       rep_.add_edge(/*logical=*/false, send.ts, recv.ts, meta_.min_latency(send.rank, recv.rank));
     };
-    for (const Event& e : block.events) {
+    for (const EdgeRecord& e : events) {
       rep_.add_event(e.type);
-      const Endpoint ep{block.rank, e.local_ts};
+      const Endpoint ep{rank, e.local_ts};
       switch (e.type) {
         case EventType::Send:
-          if (seen_ != nullptr && !seen_->mark(e.msg_id, 0)) return false;
-          msgs_.send(e.msg_id, ep, check_p2p);
+          if (seen_ != nullptr && !seen_->mark(e.id, 0)) return false;
+          msgs_.send(e.id, ep, check_p2p);
           break;
         case EventType::Recv:
-          if (seen_ != nullptr && !seen_->mark(e.msg_id, 1)) return false;
-          msgs_.recv(e.msg_id, ep, check_p2p);
+          if (seen_ != nullptr && !seen_->mark(e.id, 1)) return false;
+          msgs_.recv(e.id, ep, check_p2p);
           break;
         case EventType::CollBegin:
         case EventType::CollEnd: {
-          CollInstance& inst = colls_[e.coll_id];
-          if (block.rank >= inst.kind_rank) {
+          CollInstance& inst = colls_[e.id];
+          if (rank >= inst.kind_rank) {
             inst.kind = e.coll;
             inst.root = e.root;
-            inst.kind_rank = block.rank;
+            inst.kind_rank = rank;
           }
           (e.type == EventType::CollBegin ? inst.begins : inst.ends).push_back(ep);
           peak_colls_ = std::max(peak_colls_, colls_.size());
@@ -137,6 +153,7 @@ class Scan {
  private:
   const TraceMeta& meta_;
   SeenEndpoints* seen_;
+  std::array<EdgeRecord, 512> piece_;
   ClockConditionReport rep_;
   // Messages are checked the moment their second endpoint arrives, so the
   // join's high-water mark tracks the outstanding backlog, not the message
@@ -162,12 +179,11 @@ std::optional<ClockConditionReport> scan_frontier(std::istream& in, const TraceI
   SeenEndpoints seen;
   Scan scan(index.meta, &seen);
   FrontierReader reader(in, index);
-  EventBlock block;
   std::int64_t chunks = 0;
   bool ok = true;
-  while (ok && reader.next(block)) {
+  for (Rank r; ok && (r = reader.next()) >= 0;) {
     ++chunks;
-    ok = scan.add(block) && seen.bytes() <= budget;
+    ok = scan.add_chunk(r, reader) && seen.bytes() <= budget;
   }
   count("analysis.scan.chunks_read", chunks);
   if (!ok) return std::nullopt;
@@ -179,11 +195,11 @@ std::optional<ClockConditionReport> scan_frontier(std::istream& in, const TraceI
 ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats) {
   CS_SPAN("analysis.clock_condition_scan");
   Scan scan(reader.meta(), nullptr);
-  EventBlock block;
   std::int64_t chunks = 0;
-  while (reader.next(block)) {
+  ChunkRef ref;
+  while (reader.next_chunk(ref)) {
     ++chunks;
-    scan.add(block);
+    scan.add_chunk(ref.rank, reader.events());
   }
   count("analysis.scan.chunks_read", chunks);
   return scan.finish(stats);

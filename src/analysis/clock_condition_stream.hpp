@@ -42,8 +42,10 @@
 //     (`analysis.scan.rank_major_restarts`).
 //
 // Memory model: the pairing backlog, the collective instances (kept to the
-// end: a rank may still join an instance in a later chunk), one decoded chunk
-// and, in the file scan, the chunk index and the seen-set.  Spans
+// end: a rank may still join an instance in a later chunk), one encoded chunk
+// with at most 512 of its events decoded — as EdgeRecords (stream_io.hpp),
+// the fields an edge reads — and, in the file scan, the chunk index and the
+// seen-set.  Both orders feed the scan the same records.  Spans
 // `analysis.scan.index` and `analysis.scan.read` time the file scan's two
 // passes; `analysis.scan.chunks_read` counts the chunks either order decoded.
 #pragma once

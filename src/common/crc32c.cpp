@@ -38,8 +38,6 @@ const Tables& tables() {
   return t;
 }
 
-#ifdef CHRONOSYNC_CRC32C_SSE42
-
 // GF(2) polynomials modulo the CRC polynomial, in the CRC's reflected bit
 // order (bit 31 holds the x^0 coefficient).
 
@@ -54,15 +52,22 @@ std::uint32_t mul_mod(std::uint32_t a, std::uint32_t b) {
 }
 
 /// x^(8n) mod P(x): multiplying a CRC register by it appends n zero bytes.
+/// Squarings of x^8, one per bit of n, are computed once.
 std::uint32_t zero_bytes_operator(std::size_t n) {
-  std::uint32_t power = 1u << 23;  // x^8
+  static const auto powers = [] {
+    std::array<std::uint32_t, 64> p{};  // p[k] = x^(8 * 2^k)
+    p[0] = 1u << 23;                    // x^8
+    for (std::size_t k = 1; k < p.size(); ++k) p[k] = mul_mod(p[k - 1], p[k - 1]);
+    return p;
+  }();
   std::uint32_t result = 1u << 31;  // x^0
-  for (; n != 0; n >>= 1) {
-    if (n & 1u) result = mul_mod(power, result);
-    power = mul_mod(power, power);
+  for (std::size_t k = 0; n != 0; n >>= 1, ++k) {
+    if (n & 1u) result = mul_mod(powers[k], result);
   }
   return result;
 }
+
+#ifdef CHRONOSYNC_CRC32C_SSE42
 
 /// Bytes per stream of the interleaved loop.
 constexpr std::size_t kStripe = 8192;
@@ -139,6 +144,12 @@ std::uint32_t crc32c_table(std::uint32_t crc, const void* data, std::size_t n) {
 }
 
 }  // namespace detail
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b) {
+  // The register is affine in the bytes and the init/final inversions
+  // cancel: crc(A B) = crc(A) * x^(8|B|) ^ crc(B).
+  return mul_mod(zero_bytes_operator(len_b), crc_a) ^ crc_b;
+}
 
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) {
 #ifdef CHRONOSYNC_CRC32C_SSE42

@@ -18,6 +18,12 @@ namespace chronosync {
 ///   crc32c(crc32c(0, a, na), b, nb) == crc32c(0, ab, na + nb).
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n);
 
+/// The CRC32C of A followed by B, from `crc_a` (of A, or any running value
+/// ending where B starts) and crc_b = crc32c(0, B, len_b), without reading B:
+///   crc32c_combine(crc_a, crc32c(0, b, nb), nb) == crc32c(crc_a, b, nb).
+/// Costs O(log len_b) polynomial multiplications.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b);
+
 namespace detail {
 
 /// The slicing-by-8 software path, same contract as crc32c(): the fallback

@@ -71,8 +71,13 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
   for (std::size_t r = 0; r < ranks; ++r) enqueue(static_cast<Rank>(r));
 
   // Hot-loop tallies stay in locals; the registry is touched once per call.
+  // A stint is one rank's drain from a wake-up to its next park or its end;
+  // their lengths, in events, are kept only when metrics are on.
   std::uint64_t edges_scanned = 0;
   std::uint64_t rank_parks = 0;
+  std::uint64_t stints = 0;
+  const bool metered = obs::metrics_enabled();
+  std::vector<std::uint32_t> stint_events;
 
   while (queued > 0) {
     const Rank r = ready[head];
@@ -89,6 +94,7 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
     std::uint32_t hub_pos = c.hub_pos;
     Time bound = c.bound;
     clc_kernel::RankClock clock = c.clock;
+    const std::uint32_t first = c.next;
 
     for (std::uint32_t g = c.next; g < end;) {
       const std::uint32_t edge_end = in_off[g + 1];
@@ -144,6 +150,8 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
     c.hub_pos = hub_pos;
     c.bound = bound;
     c.clock = clock;
+    ++stints;
+    if (metered) stint_events.push_back(c.next - first);
 
     // Re-queue every rank parked on a send this drain has now processed.
     auto& heap = parked[static_cast<std::size_t>(r)];
@@ -162,11 +170,15 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
     }
   }
 
-  if (obs::metrics_enabled()) {
+  if (metered) {
     static obs::Counter& scanned = obs::counter("clc.edges_scanned");
     static obs::Counter& parks = obs::counter("clc.rank_parks");
+    static obs::Counter& drain_stints = obs::counter("clc.drain_stints");
+    static obs::QuantileHisto& stint_len = obs::quantile_histogram("clc.drain_stint_events");
     scanned.add(static_cast<std::int64_t>(edges_scanned));
     parks.add(static_cast<std::int64_t>(rank_parks));
+    drain_stints.add(static_cast<std::int64_t>(stints));
+    for (const std::uint32_t n : stint_events) stint_len.add(n);
   }
   return fwd;
 }

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "benchkit/metrics.hpp"
 #include "common/expect.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
@@ -60,11 +62,15 @@ class BlockQueue {
   T& operator[](std::size_t i) { return at(head_ + i); }
   const T& operator[](std::size_t i) const { return at(head_ + i); }
 
-  void push_back(const T& v) {
+  void push_back(const T& v) { append(1)[0] = v; }
+  /// Appends up to n elements, as many as the tail block has room for, and
+  /// returns them for the caller to fill.
+  std::span<T> append(std::size_t n) {
     const std::size_t k = head_ + size_;
     if (k == blocks_.size() * kB) blocks_.push_back(pool_->get());
-    at(k) = v;
-    ++size_;
+    const std::size_t m = std::min(n, kB - k % kB);
+    size_ += m;
+    return {&at(k), m};
   }
   /// Drops the first n elements, returning emptied blocks to the pool.
   void pop_front(std::size_t n = 1) {
@@ -95,7 +101,6 @@ class BlockQueue {
 /// mid-run) keeps its entry until the run ends; its backward hold is released
 /// at the horizon by sweep_and_emit.
 struct MsgState {
-  Time send_ts = 0.0;
   Time send_lc = 0.0;
   Rank send_rank = -1;
   std::uint32_t send_seq = 0;
@@ -122,7 +127,7 @@ struct CollInst {
   CollectiveKind kind{};
   Rank root = -1;
   Time last_ts = -kTimeInfinity;
-  std::vector<BeginRec> begins;  ///< processed begins, processing order
+  std::vector<BeginRec> begins;  ///< processed begins, processing order (recycled)
   std::uint32_t begins_registered = 0;
   std::uint32_t ends_registered = 0;
   std::uint32_t ends_processed = 0;
@@ -144,10 +149,10 @@ struct Pending {
 };
 
 struct RankState {
-  RankState(BlockPool<Event>& events, BlockPool<Pending>& pending)
-      : ahead(events), pend(pending) {}
+  RankState(BlockPool<EdgeRecord>& records, BlockPool<Pending>& pending)
+      : ahead(records), pend(pending) {}
 
-  BlockQueue<Event> ahead;  ///< read but not yet processed
+  BlockQueue<EdgeRecord> ahead;  ///< read but not yet processed
 
   clc_kernel::RankClock clock;  ///< forward-pass state
 
@@ -175,7 +180,7 @@ class StreamEngine {
 
     ranks_.reserve(static_cast<std::size_t>(index_.meta.ranks()));
     for (Rank r = 0; r < index_.meta.ranks(); ++r) {
-      ranks_.emplace_back(event_blocks_, pending_blocks_);
+      ranks_.emplace_back(record_blocks_, pending_blocks_);
     }
     std::uint64_t base = 0;
     for (Rank r = 0; r < index_.meta.ranks(); ++r) {
@@ -199,6 +204,7 @@ class StreamEngine {
 
   StreamClcStats run(std::istream& raw_in) {
     CS_SPAN("clc.stream");
+    const std::uint64_t alloc0 = benchkit::allocation_totals().bytes;
     {
       CS_SPAN("clc.stream.correct");
       for (;;) {
@@ -226,13 +232,25 @@ class StreamEngine {
     }
     CS_ENSURE(stats_.events == index_.total_events,
               "streaming CLC processed a different event count than the index");
+    const std::uint64_t alloc1 = benchkit::allocation_totals().bytes;
     merge_output(raw_in);
+    const std::uint64_t alloc2 = benchkit::allocation_totals().bytes;
 
     if (obs::metrics_enabled()) {
       static obs::Counter& events = obs::counter("clc.events_processed");
       static obs::Counter& repaired = obs::counter("clc.violations_repaired");
+      // The two windows' own high-water marks, which together explain
+      // peak_resident_events (they need not peak at the same moment).
+      static obs::Gauge& peak_ahead = obs::gauge("clc.stream.peak_ahead_events");
+      static obs::Gauge& peak_pending = obs::gauge("clc.stream.peak_pending_events");
+      static obs::Counter& correct_alloc = obs::counter("clc.stream.correct.alloc_bytes");
+      static obs::Counter& merge_alloc = obs::counter("clc.stream.merge.alloc_bytes");
       events.add(static_cast<std::int64_t>(stats_.events));
       repaired.add(static_cast<std::int64_t>(stats_.violations_repaired));
+      peak_ahead.set(static_cast<double>(peak_ahead_));
+      peak_pending.set(static_cast<double>(peak_pending_));
+      correct_alloc.add(static_cast<std::int64_t>(alloc1 - alloc0));
+      merge_alloc.add(static_cast<std::int64_t>(alloc2 - alloc1));
     }
 
     return stats_;
@@ -241,36 +259,45 @@ class StreamEngine {
  private:
   // -- read side --------------------------------------------------------------
 
+  /// Reads the next chunk in frontier order, decoding it straight into its
+  /// rank's read-ahead queue a block's room at a time.
   void read_next_chunk() {
     CS_SPAN("clc.stream.read");
-    const bool read = reader_.next(block_);
-    CS_ENSURE(read, "read_next_chunk called with all ranks at EOF");
-    RankState& rs = ranks_[static_cast<std::size_t>(block_.rank)];
-    for (const Event& e : block_.events) {
-      register_event(block_.rank, e);
-      rs.ahead.push_back(e);
+    const Rank r = reader_.next();
+    CS_ENSURE(r >= 0, "read_next_chunk called with all ranks at EOF");
+    RankState& rs = ranks_[static_cast<std::size_t>(r)];
+    while (reader_.left() > 0) {
+      const std::span<EdgeRecord> room = rs.ahead.append(reader_.left());
+      reader_.decode(room);
+      for (const EdgeRecord& e : room) register_event(r, e);
+      ahead_ += room.size();
     }
-    resident_ += block_.events.size();
-    stats_.peak_resident_events = std::max(stats_.peak_resident_events, resident_);
+    peak_ahead_ = std::max(peak_ahead_, ahead_);
+    stats_.peak_resident_events = std::max(stats_.peak_resident_events, ahead_ + pending_);
     closure_scan();
   }
 
-  void register_event(Rank r, const Event& e) {
+  void register_event(Rank r, const EdgeRecord& e) {
     switch (e.type) {
       case EventType::Send: {
-        MsgState& m = msgs_[e.msg_id];
+        MsgState& m = msgs_[e.id];
         if (m.recv_dropped) ++stats_.horizon_dropped;  // edge already abandoned
         m.send_registered = true;
-        m.send_ts = e.local_ts;
         m.send_rank = r;
         break;
       }
       case EventType::Recv:
-        msgs_[e.msg_id].recv_registered = true;
+        msgs_[e.id].recv_registered = true;
         break;
       case EventType::CollBegin:
       case EventType::CollEnd: {
-        CollInst& inst = colls_[e.coll_id];
+        edge_rules::IdTable<CollInst>::Slot slot = colls_.probe(e.id);
+        if (!slot.found()) {
+          CollInst fresh;
+          fresh.begins = take_begins();
+          slot.insert(std::move(fresh));
+        }
+        CollInst& inst = slot.value();
         if (inst.closed) ++stats_.horizon_dropped;  // straggler past closure
         inst.kind = e.coll;
         inst.root = e.root;
@@ -297,6 +324,15 @@ class StreamEngine {
     });
   }
 
+  /// An empty begins vector for a new instance, with the capacity of a
+  /// retired one when there is one.
+  std::vector<BeginRec> take_begins() {
+    if (free_begins_.empty()) return {};
+    std::vector<BeginRec> v = std::move(free_begins_.back());
+    free_begins_.pop_back();
+    return v;
+  }
+
   static bool instance_done(const CollInst& inst) {
     return inst.ends_processed == inst.ends_registered &&
            inst.begins.size() == inst.begins_registered;
@@ -310,8 +346,12 @@ class StreamEngine {
                                 [](const BeginRec& b) { return b.rank; }, fn);
   }
 
-  void release_instance(const CollInst& inst) {
+  /// Releases the holds of a retired instance's begins and recycles its
+  /// begins vector; the caller then erases the instance.
+  void release_instance(CollInst& inst) {
     for (const BeginRec& b : inst.begins) hold_release(b.rank, b.seq);
+    inst.begins.clear();
+    free_begins_.push_back(std::move(inst.begins));
   }
 
   /// Safety valve for malformed inputs: whatever pairing state survived the
@@ -369,16 +409,16 @@ class StreamEngine {
     ++stats_.forced;
   }
 
-  bool head_processable(Rank r, const Event& e) {
+  bool head_processable(Rank r, const EdgeRecord& e) {
     switch (e.type) {
       case EventType::Recv: {
-        const MsgState* m = msgs_.find(e.msg_id);
+        const MsgState* m = msgs_.find(e.id);
         if (m != nullptr && m->send_processed) return true;
         if (m != nullptr && m->send_registered) return false;  // send is coming
         return reader_.eof() || reader_.low() > e.local_ts + opts_.horizon;
       }
       case EventType::CollEnd: {
-        const CollInst* inst = colls_.find(e.coll_id);
+        const CollInst* inst = colls_.find(e.id);
         if (inst == nullptr) return true;  // retired instance straggler
         if (!edge_rules::end_takes_edges(inst->kind, inst->root, r, inst->root_end_seen)) {
           return true;
@@ -394,8 +434,9 @@ class StreamEngine {
 
   void process_head(Rank r, bool force) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const Event e = rs.ahead.front();
+    const EdgeRecord e = rs.ahead.front();
     rs.ahead.pop_front();
+    --ahead_;
 
     const Time t = e.local_ts;
     Time bound = -kTimeInfinity;
@@ -408,7 +449,7 @@ class StreamEngine {
     std::uint32_t send_seq = 0;
     switch (e.type) {
       case EventType::Recv: {
-        MsgState* m = msgs_.find(e.msg_id);
+        MsgState* m = msgs_.find(e.id);
         if (m != nullptr && m->send_processed) {
           const Duration l_min = index_.meta.min_latency(m->send_rank, r);
           bound = clc_kernel::eq1_bound(bound, m->send_lc, l_min);
@@ -421,33 +462,32 @@ class StreamEngine {
           // must neither expect a cap nor hold its emission for one.
           m->recv_dropped = true;
         } else if (!reader_.eof()) {
-          msgs_[e.msg_id].recv_dropped = true;
+          msgs_[e.id].recv_dropped = true;
         }
         break;
       }
       case EventType::Send: {
-        MsgState& m = msgs_[e.msg_id];
+        MsgState& m = msgs_[e.id];
         m.send_registered = true;  // forced paths may reach here unregistered
         m.send_rank = r;
-        m.send_ts = t;
         m.send_seq = rs.seq;
         p.is_send = true;
-        p.id = e.msg_id;
+        p.id = e.id;
         // The receive will cap this send's backward motion; hold until the
         // cap arrives (or the horizon proves no receive is coming).
         p.holds = (m.recv_registered || !reader_.eof()) && !m.recv_dropped ? 1 : 0;
         break;
       }
       case EventType::CollBegin: {
-        inst = colls_.find(e.coll_id);
+        inst = colls_.find(e.id);
         if (inst != nullptr) {
           p.holds = 1;  // released when the instance's edges are all applied
-          p.id = e.coll_id;
+          p.id = e.id;
         }
         break;
       }
       case EventType::CollEnd: {
-        inst = colls_.find(e.coll_id);
+        inst = colls_.find(e.id);
         if (inst != nullptr) {
           coll_edges = inst->closed && !force &&
                        !edge_rules::partial_instance(inst->begins_registered,
@@ -486,10 +526,10 @@ class StreamEngine {
       const Duration l_min = index_.meta.min_latency(send_rank, r);
       cap_apply(send_rank, send_seq, clc_kernel::send_cap(lc, l_min));
       hold_release(send_rank, send_seq);
-      msgs_.erase(e.msg_id);
+      msgs_.erase(e.id);
     }
     if (e.type == EventType::Send) {
-      MsgState& m = msgs_[e.msg_id];
+      MsgState& m = msgs_[e.id];
       m.send_lc = lc;
       m.send_processed = true;
     }
@@ -506,13 +546,15 @@ class StreamEngine {
       ++inst->ends_processed;
       if (inst->closed && instance_done(*inst)) {
         release_instance(*inst);
-        colls_.erase(e.coll_id);
+        colls_.erase(e.id);
       }
     }
 
     ++rs.seq;
     ++stats_.events;
     rs.pend.push_back(p);
+    ++pending_;
+    peak_pending_ = std::max(peak_pending_, pending_);
     if (rs.pend.size() >= std::max(opts_.emit_batch, rs.sweep_trigger)) sweep_and_emit(r);
   }
 
@@ -654,7 +696,7 @@ class StreamEngine {
       rs.pend.pop_front(k);
       rs.front_seq += static_cast<std::uint32_t>(k);
       rs.emitted += k;
-      resident_ -= k;
+      pending_ -= k;
       rs.sweep_trigger = rs.pend.size() + opts_.emit_batch;
     } else {
       // Nothing was emittable: back off so a long-blocked window does not
@@ -737,16 +779,19 @@ class StreamEngine {
   std::string out_path_;
   std::string ts_spill_path_;
   std::fstream ts_spill_;
-  BlockPool<Event> event_blocks_;
+  BlockPool<EdgeRecord> record_blocks_;
   BlockPool<Pending> pending_blocks_;
   std::vector<RankState> ranks_;
   edge_rules::IdTable<MsgState> msgs_;
   edge_rules::IdTable<CollInst> colls_;
-  EventBlock block_;
+  std::vector<std::vector<BeginRec>> free_begins_;  ///< retired instances' begins, emptied
   std::vector<double> emit_buf_;
   StreamClcStats stats_;
   bool drained_something_ = false;
-  std::size_t resident_ = 0;
+  std::size_t ahead_ = 0;    ///< events in the read-ahead queues
+  std::size_t pending_ = 0;  ///< events in the retention windows
+  std::size_t peak_ahead_ = 0;
+  std::size_t peak_pending_ = 0;
 };
 
 }  // namespace

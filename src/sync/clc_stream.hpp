@@ -9,7 +9,9 @@
 // largest local timestamp read so far is lowest), and keeps only a sliding
 // window resident:
 //
-//   * one read-ahead chunk queue per rank (events read but not processed),
+//   * one read-ahead queue per rank of events read but not processed, each
+//     a 24-byte EdgeRecord (stream_io.hpp: local_ts, type, and the id, kind
+//     and root that pair it), decoded straight into the queue,
 //   * the forward-pass scalar state per rank,
 //   * the outstanding message/collective pairing backlog (half-open edges),
 //     in edge_rules::IdTable,
@@ -24,14 +26,20 @@
 // other field's bytes, and appends the chunk whole, so the output keeps the
 // input's chunk layout.
 //
-// Memory model: what stays resident is the window (read-ahead plus
-// retention), the collective backlog, and every processed send still waiting
-// for its receive.  A send leaves the message table when its receive takes
-// the edge.  A send whose receive never comes — only a trace cut mid-run
+// Memory model: what stays resident is the window (read-ahead at 24 bytes
+// per event plus retention at 48), the collective backlog, and every
+// processed send still waiting for its receive (one 24-byte message-table
+// slot each).  A send leaves the message table when its receive takes the
+// edge.  A send whose receive never comes — only a trace cut mid-run
 // produces one — stays until the run ends, one table slot each; its backward
 // hold is released once the read frontier passes the horizon, so it delays
 // no emission.  Peak RSS is therefore bounded by window size plus edge
 // backlog plus orphan sends, and never by the number of matched messages.
+// The read-ahead is usually most of the window: a rank's events wait there
+// until the sends and collective begins they depend on are processed.  The
+// gauges clc.stream.peak_ahead_events and clc.stream.peak_pending_events
+// give each window's high-water mark, and clc.stream.correct.alloc_bytes and
+// clc.stream.merge.alloc_bytes the heap bytes each phase requests.
 //
 // -- Equivalence contract -----------------------------------------------------
 //

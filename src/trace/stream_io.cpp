@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 
 #include "common/crc32c.hpp"
 #include "common/expect.hpp"
@@ -89,46 +90,6 @@ std::uint64_t get_raw64(const std::uint8_t** p, const std::uint8_t* end, const c
   return v;
 }
 
-/// Decodes `count` delta-encoded events from [p, end) — the payload after the
-/// chunk head — into out[0, count).  Shared by the sequential TraceReader and
-/// the random-access ChunkReader so both enforce identical validation.
-void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t count,
-                   Event* out) {
-  std::uint64_t prev_local = 0;
-  std::uint64_t prev_true = 0;
-  std::uint64_t prev_msg = 0;  // ids sum modulo 2^64, as the writer subtracts
-  std::uint64_t prev_coll = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (p == end) malformed("event chunk ends mid-event");
-    Event& e = out[i];
-    const std::uint8_t type = *p++;
-    if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
-    e.type = static_cast<EventType>(type);
-    prev_local += static_cast<std::uint64_t>(get_sv(&p, end, "event local_ts"));
-    prev_true += static_cast<std::uint64_t>(get_sv(&p, end, "event true_ts"));
-    e.local_ts = std::bit_cast<double>(prev_local);
-    e.true_ts = std::bit_cast<double>(prev_true);
-    e.region = get_sv32(&p, end, "event region");
-    e.peer = get_sv32(&p, end, "event peer");
-    e.tag = get_sv32(&p, end, "event tag");
-    const std::uint64_t bytes = get_uv(&p, end, "event bytes");
-    if (bytes > std::numeric_limits<std::uint32_t>::max()) malformed("event bytes out of range");
-    e.bytes = static_cast<std::uint32_t>(bytes);
-    prev_msg += static_cast<std::uint64_t>(get_sv(&p, end, "event msg_id"));
-    e.msg_id = static_cast<std::int64_t>(prev_msg);
-    if (p == end) malformed("event chunk ends mid-event");
-    const std::uint8_t coll = *p++;
-    if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
-    e.coll = static_cast<CollectiveKind>(coll);
-    prev_coll += static_cast<std::uint64_t>(get_sv(&p, end, "event coll_id"));
-    e.coll_id = static_cast<std::int64_t>(prev_coll);
-    e.root = get_sv32(&p, end, "event root");
-    e.omp_instance = get_sv32(&p, end, "event omp_instance");
-    e.thread = get_sv32(&p, end, "event thread");
-  }
-  if (p != end) malformed("trailing bytes in event chunk");
-}
-
 /// Parses and validates the meta-chunk payload.
 TraceMeta parse_meta_payload(const std::uint8_t* p, const std::uint8_t* end) {
   TraceMeta meta;
@@ -179,7 +140,9 @@ TraceMeta parse_meta_payload(const std::uint8_t* p, const std::uint8_t* end) {
 /// Reads one chunk frame — kind, payload length (capped before allocation),
 /// payload, CRC32C — into `payload` and verifies the chunk CRC.  Unless
 /// `file_crc` is null or the chunk is the footer, whose CRC field covers every
-/// byte before it, folds the whole frame into `*file_crc`.  Returns the kind.
+/// byte before it, folds the whole frame into `*file_crc`: the verified chunk
+/// CRC stands for the bytes it covers, so each byte is read once.  Returns
+/// the kind.
 std::uint8_t read_frame(traceio::ByteSource& src, std::vector<std::uint8_t>& payload,
                         std::uint32_t* file_crc) {
   CS_SPAN("trace.read_chunk");
@@ -204,8 +167,7 @@ std::uint8_t read_frame(traceio::ByteSource& src, std::vector<std::uint8_t>& pay
   hdr[0] = static_cast<char>(kind);
   std::memcpy(hdr + 1, &len, 4);
   obs::Span crc_span("trace.crc");
-  std::uint32_t crc = crc32c(0, hdr, 5);
-  crc = crc32c(crc, payload.data(), payload.size());
+  const std::uint32_t crc = crc32c(crc32c(0, hdr, 5), payload.data(), payload.size());
   if (crc != stored) {
     throw TraceIoError(TraceIoErrorKind::BadChecksum,
                        "chunk checksum mismatch (kind '" + std::string(1, static_cast<char>(kind)) +
@@ -214,9 +176,7 @@ std::uint8_t read_frame(traceio::ByteSource& src, std::vector<std::uint8_t>& pay
   if (file_crc != nullptr && kind != kChunkFooter) {
     char crc_bytes[4];
     std::memcpy(crc_bytes, &stored, 4);
-    *file_crc = crc32c(*file_crc, hdr, 5);
-    *file_crc = crc32c(*file_crc, payload.data(), payload.size());
-    *file_crc = crc32c(*file_crc, crc_bytes, 4);
+    *file_crc = crc32c(crc32c_combine(*file_crc, crc, 5 + std::size_t{len}), crc_bytes, 4);
   }
   return kind;
 }
@@ -230,7 +190,7 @@ struct EventChunkHead {
 
 /// Parses the head of an event-chunk payload of a trace with `ranks` ranks:
 /// the rank lies in the placement, and the count is positive and fits the
-/// payload, so a forged one is caught before decode_events reserves for it.
+/// payload, so a forged one is caught before a decoder sizes storage for it.
 EventChunkHead parse_event_head(const std::vector<std::uint8_t>& payload, int ranks) {
   const std::uint8_t* p = payload.data();
   const std::uint8_t* end = p + payload.size();
@@ -268,6 +228,74 @@ void check_trace_header(const char (&header)[8]) {
 }
 
 }  // namespace
+
+// -- EventCursor --------------------------------------------------------------
+
+/// The one event decoder.  Both record forms run the same parse and the same
+/// checks; an EdgeRecord stores five of the fields, an Event all of them.
+template <class Rec>
+void EventCursor::decode_as(std::span<Rec> out) {
+  constexpr bool kFull = std::is_same_v<Rec, Event>;
+  static_assert(kFull || std::is_same_v<Rec, EdgeRecord>);
+  CS_REQUIRE(out.size() <= left_, "decode past the end of the event chunk");
+  const std::uint8_t* p = p_;
+  const std::uint8_t* const end = end_;
+  std::uint64_t prev_local = prev_local_;
+  std::uint64_t prev_true = prev_true_;
+  std::uint64_t prev_msg = prev_msg_;
+  std::uint64_t prev_coll = prev_coll_;
+  for (Rec& e : out) {
+    if (p == end) malformed("event chunk ends mid-event");
+    const std::uint8_t type = *p++;
+    if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
+    e.type = static_cast<EventType>(type);
+    prev_local += static_cast<std::uint64_t>(get_sv(&p, end, "event local_ts"));
+    prev_true += static_cast<std::uint64_t>(get_sv(&p, end, "event true_ts"));
+    e.local_ts = std::bit_cast<double>(prev_local);
+    const std::int32_t region = get_sv32(&p, end, "event region");
+    const std::int32_t peer = get_sv32(&p, end, "event peer");
+    const std::int32_t tag = get_sv32(&p, end, "event tag");
+    if constexpr (kFull) {
+      e.true_ts = std::bit_cast<double>(prev_true);
+      e.region = region;
+      e.peer = peer;
+      e.tag = tag;
+    }
+    const std::uint64_t bytes = get_uv(&p, end, "event bytes");
+    if (bytes > std::numeric_limits<std::uint32_t>::max()) malformed("event bytes out of range");
+    prev_msg += static_cast<std::uint64_t>(get_sv(&p, end, "event msg_id"));
+    if constexpr (kFull) {
+      e.bytes = static_cast<std::uint32_t>(bytes);
+      e.msg_id = static_cast<std::int64_t>(prev_msg);
+    }
+    if (p == end) malformed("event chunk ends mid-event");
+    const std::uint8_t coll = *p++;
+    if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
+    e.coll = static_cast<CollectiveKind>(coll);
+    prev_coll += static_cast<std::uint64_t>(get_sv(&p, end, "event coll_id"));
+    e.root = get_sv32(&p, end, "event root");
+    const std::int32_t omp_instance = get_sv32(&p, end, "event omp_instance");
+    const std::int32_t thread = get_sv32(&p, end, "event thread");
+    if constexpr (kFull) {
+      e.coll_id = static_cast<std::int64_t>(prev_coll);
+      e.omp_instance = omp_instance;
+      e.thread = thread;
+    } else {
+      const bool collective = e.type == EventType::CollBegin || e.type == EventType::CollEnd;
+      e.id = static_cast<std::int64_t>(collective ? prev_coll : prev_msg);
+    }
+  }
+  p_ = p;
+  prev_local_ = prev_local;
+  prev_true_ = prev_true;
+  prev_msg_ = prev_msg;
+  prev_coll_ = prev_coll;
+  left_ -= static_cast<std::uint32_t>(out.size());
+  if (left_ == 0 && p != end) malformed("trailing bytes in event chunk");
+}
+
+template void EventCursor::decode_as(std::span<Event>);
+template void EventCursor::decode_as(std::span<EdgeRecord>);
 
 // -- TraceMeta ----------------------------------------------------------------
 
@@ -421,10 +449,9 @@ void TraceWriter::emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> he
   out_.write(crc_bytes, 4);
   if (!out_.good()) throw TraceIoError(TraceIoErrorKind::Io, "trace write failed");
 
-  file_crc_ = crc32c(file_crc_, hdr, 5);
-  file_crc_ = crc32c(file_crc_, head.data(), head.size());
-  file_crc_ = crc32c(file_crc_, body.data(), body.size());
-  file_crc_ = crc32c(file_crc_, crc_bytes, 4);
+  // The chunk CRC covers the frame up to its CRC field; combined into the
+  // whole-file CRC, it spares a second pass over the payload.
+  file_crc_ = crc32c(crc32c_combine(file_crc_, crc, 5 + len64), crc_bytes, 4);
   bytes_written_ += 5 + len64 + 4;
 
   if (obs::metrics_enabled()) {
@@ -463,7 +490,7 @@ TraceReader::TraceReader(std::istream& in) : src_(in) {
 }
 
 bool TraceReader::next_chunk(ChunkRef& ref) {
-  events_ = nullptr;
+  events_ = {};
   if (at_.done) return false;
   const std::uint64_t offset = src_.offset();
   const std::uint8_t kind = read_frame(src_, payload_, &at_.file_crc);
@@ -485,8 +512,7 @@ bool TraceReader::next_chunk(ChunkRef& ref) {
   if (head.rank < at_.last_rank) malformed("event chunks out of rank order");
 
   ref = {offset, static_cast<std::uint32_t>(payload_.size()), head.seq, head.rank, head.count};
-  events_ = head.events;
-  events_count_ = head.count;
+  events_ = {head.events, payload_.data() + payload_.size(), head.count};
   ++at_.event_chunks_seen;
   at_.events_read += head.count;
   at_.last_rank = head.rank;
@@ -494,21 +520,10 @@ bool TraceReader::next_chunk(ChunkRef& ref) {
 }
 
 void TraceReader::append_events(std::vector<Event>& out) {
-  CS_REQUIRE(events_ != nullptr, "append_events needs a chunk from next_chunk()");
+  CS_REQUIRE(events_.left() > 0, "append_events needs a chunk from next_chunk()");
   const std::size_t at = out.size();
-  out.resize(at + events_count_);
-  decode_events(events_, payload_.data() + payload_.size(), events_count_, out.data() + at);
-  events_ = nullptr;
-}
-
-bool TraceReader::next(EventBlock& block) {
-  ChunkRef ref;
-  if (!next_chunk(ref)) return false;
-  block.rank = ref.rank;
-  block.events.resize(ref.count);
-  decode_events(events_, payload_.data() + payload_.size(), ref.count, block.events.data());
-  events_ = nullptr;
-  return true;
+  out.resize(at + events_.left());
+  events_.decode(std::span(out).subspan(at));
 }
 
 std::vector<std::uint64_t> TraceReader::count_remaining() {
@@ -576,11 +591,8 @@ const std::uint8_t* ChunkReader::load(const ChunkRef& ref) {
   malformed("event chunk does not match its index entry");
 }
 
-void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
-  const std::uint8_t* p = load(ref);
-  out.rank = ref.rank;
-  out.events.resize(ref.count);
-  decode_events(p, payload_.data() + payload_.size(), ref.count, out.events.data());
+EventCursor ChunkReader::read(const ChunkRef& ref) {
+  return {load(ref), payload_.data() + payload_.size(), ref.count};
 }
 
 void ChunkReader::read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
@@ -633,7 +645,8 @@ FrontierReader::FrontierReader(std::istream& in, const TraceIndex& index)
   update_low();
 }
 
-bool FrontierReader::next(EventBlock& block) {
+Rank FrontierReader::next() {
+  CS_REQUIRE(events_.left() == 0, "the previous chunk is not fully decoded");
   Rank pick = -1;
   Time lowest = kTimeInfinity;
   for (Rank r = 0; r < static_cast<Rank>(ranks_.size()); ++r) {
@@ -644,13 +657,19 @@ bool FrontierReader::next(EventBlock& block) {
       lowest = ts;
     }
   }
-  if (pick < 0) return false;
+  if (pick < 0) return -1;
   Cursor& c = ranks_[static_cast<std::size_t>(pick)];
-  chunks_.read(index_.chunks[c.chunks[c.next]], block);
+  events_ = chunks_.read(index_.chunks[c.chunks[c.next]]);
+  rank_ = pick;
   ++c.next;
-  for (const Event& e : block.events) c.read_ts = std::max(c.read_ts, e.local_ts);
-  update_low();
-  return true;
+  return pick;
+}
+
+void FrontierReader::decode(std::span<EdgeRecord> out) {
+  events_.decode(out);
+  Cursor& c = ranks_[static_cast<std::size_t>(rank_)];
+  for (const EdgeRecord& e : out) c.read_ts = std::max(c.read_ts, e.local_ts);
+  if (events_.left() == 0) update_low();
 }
 
 void FrontierReader::update_low() {

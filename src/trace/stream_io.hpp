@@ -51,6 +51,13 @@
 // order, rank by rank as their local timestamps advance: the read order of
 // both out-of-core consumers, the windowed CLC (clc_stream.hpp) and the file
 // scan of Eq. 1 (clock_condition_stream.hpp).
+//
+// Every reader hands a chunk's events out through one decoder, EventCursor,
+// in pieces of any size and in one of two forms: the 64-byte Event, which
+// read_trace_v2 materializes, or the 24-byte EdgeRecord, the fields an Eq. 1
+// edge reads, which both out-of-core consumers keep.  Every field is parsed
+// and range-checked in either form, so a malformed chunk raises the same
+// error whichever form decodes it.
 #pragma once
 
 #include <array>
@@ -147,12 +154,51 @@ class TraceWriter {
   bool finished_ = false;
 };
 
-/// One decoded event chunk: `events` holds rank `rank`'s next events in trace
-/// order.  The vector's capacity is reused across next() calls, so a reader's
-/// resident set stays bounded by the largest chunk, not the trace.
-struct EventBlock {
-  Rank rank = -1;
-  std::vector<Event> events;
+/// The fields of an event that an Eq. 1 edge reads: its local timestamp and
+/// type, and the id, kind and root that pair it with its peers.  `id` is
+/// coll_id for CollBegin/CollEnd and msg_id otherwise.  The out-of-core
+/// consumers hold events in this form, 24 bytes where an Event takes 64.
+struct EdgeRecord {
+  Time local_ts = 0.0;
+  std::int64_t id = -1;
+  Rank root = -1;
+  EventType type{};
+  CollectiveKind coll{};
+};
+static_assert(sizeof(EdgeRecord) <= 24, "EdgeRecord must stay at most 24 bytes");
+
+/// Decodes the events of one verified event chunk front to back, in pieces
+/// of any size, as Events or as EdgeRecords.  Both forms parse and
+/// range-check every field, so a malformed event raises the same
+/// TraceIoError{Malformed} in either.  A cursor points into its reader's
+/// chunk buffer: it is valid until that reader moves to another chunk.
+class EventCursor {
+ public:
+  EventCursor() = default;
+  EventCursor(const std::uint8_t* p, const std::uint8_t* end, std::uint32_t count)
+      : p_(p), end_(end), left_(count) {}
+
+  /// Events not decoded yet.
+  std::uint32_t left() const { return left_; }
+
+  /// Decodes the next out.size() (at most left()) events into `out`.  The
+  /// call that decodes the chunk's last event also rejects bytes after it.
+  void decode(std::span<Event> out) { decode_as(out); }
+  void decode(std::span<EdgeRecord> out) { decode_as(out); }
+
+ private:
+  template <class Rec>
+  void decode_as(std::span<Rec> out);
+
+  const std::uint8_t* p_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
+  // The previous event's delta-coded fields, as bit patterns (ids sum
+  // modulo 2^64, as the writer subtracts).
+  std::uint64_t prev_local_ = 0;
+  std::uint64_t prev_true_ = 0;
+  std::uint64_t prev_msg_ = 0;
+  std::uint64_t prev_coll_ = 0;
+  std::uint32_t left_ = 0;
 };
 
 /// Location and shape of one event chunk inside a v2 file, recorded by the
@@ -167,11 +213,11 @@ struct ChunkRef {
 
 /// Streaming v2 reader, the only parser of the container: validates the
 /// header and meta chunk on construction, then steps through the event
-/// chunks.  next() decodes each into an event block; next_chunk() validates
-/// it without decoding its events (the index pass), and append_events() then
-/// decodes them into caller storage.  next() and next_chunk() return false
-/// only after the footer verified the chunk sequence, the event total, and
-/// the whole-file CRC.
+/// chunks.  next_chunk() validates the next chunk without decoding its
+/// events (the index pass); events() then decodes them in pieces, and
+/// append_events() decodes them whole into caller storage.  next_chunk()
+/// returns false only after the footer verified the chunk sequence, the
+/// event total, and the whole-file CRC.
 class TraceReader {
  public:
   /// Reads and checks the 8-byte header and the meta chunk: fewer than 8
@@ -182,13 +228,14 @@ class TraceReader {
   const TraceMeta& meta() const { return meta_; }
   int ranks() const { return meta_.ranks(); }
 
-  bool next(EventBlock& block);
   /// Reads and validates the next event chunk — CRC, sequence, rank order,
   /// head — and describes it in `ref`, its offset absolute when the stream
   /// is seekable.
   bool next_chunk(ChunkRef& ref);
-  /// Decodes the events of the chunk the last next_chunk() call returned
-  /// and appends them to `out`; at most once per chunk.
+  /// The events of the chunk the last next_chunk() call returned, not
+  /// decoded yet; valid until the next next_chunk() call.
+  EventCursor& events() { return events_; }
+  /// Decodes the rest of those events and appends them to `out`.
   void append_events(std::vector<Event>& out);
 
   /// Event count per rank of the chunks not stepped over yet, or an empty
@@ -215,8 +262,7 @@ class TraceReader {
   traceio::ByteSource src_;
   TraceMeta meta_;
   std::vector<std::uint8_t> payload_;  // reused chunk buffer
-  const std::uint8_t* events_ = nullptr;  // encoded events of the chunk in payload_
-  std::uint32_t events_count_ = 0;        // ... and their number
+  EventCursor events_;                 // the events of the chunk in payload_
   Progress at_;
 };
 
@@ -247,10 +293,11 @@ class ChunkReader {
  public:
   ChunkReader(std::istream& in, const TraceIndex& index);
 
-  /// Decodes the chunk at `ref` into `out` (events + owning rank).  The
-  /// payload buffer is reused across calls, so resident memory stays at one
-  /// chunk regardless of how many are visited.
-  void read(const ChunkRef& ref, EventBlock& out);
+  /// Reads the chunk at `ref` and returns its events, to decode; the cursor
+  /// is valid until the next call.  The payload buffer is reused across
+  /// calls, so resident memory stays at one chunk regardless of how many are
+  /// visited.
+  EventCursor read(const ChunkRef& ref);
 
   /// Re-reads the chunk at `ref`, verified as read() does, without decoding
   /// its events: writes to `out` the chunk's encoded events with event i's
@@ -280,13 +327,22 @@ class ChunkReader {
 /// where a rank-major read holds every pair whose second endpoint lies on a
 /// later rank.  Each chunk goes through ChunkReader, so it is verified
 /// against its index entry again.  `index` must outlive the reader.
+///
+/// A chunk's events are decoded through the reader, in pieces straight into
+/// the consumer's storage, so that it can advance the rank's frontier:
+/// next() picks the chunk, decode() hands out its events as EdgeRecords, and
+/// the decode() that empties the chunk moves low() and eof().
 class FrontierReader {
  public:
   FrontierReader(std::istream& in, const TraceIndex& index);
 
-  /// Reads the next chunk in frontier order into `block`; false once every
-  /// rank is at EOF.
-  bool next(EventBlock& block);
+  /// Reads the next chunk in frontier order and returns its rank, or -1 once
+  /// every rank is at EOF.  The previous chunk must be fully decoded.
+  Rank next();
+  /// Events of the chunk last read that are not decoded yet.
+  std::uint32_t left() const { return events_.left(); }
+  /// Decodes the next out.size() (at most left()) events of that chunk.
+  void decode(std::span<EdgeRecord> out);
 
   /// Whether rank `r` has no chunk left to read.
   bool rank_eof(Rank r) const {
@@ -310,6 +366,8 @@ class FrontierReader {
   const TraceIndex& index_;
   ChunkReader chunks_;
   std::vector<Cursor> ranks_;
+  EventCursor events_;  ///< the events of the chunk last read
+  Rank rank_ = -1;      ///< ... and its rank
   Time low_ = 0.0;
   bool eof_ = false;
 };

@@ -62,6 +62,38 @@ TEST(Crc32c, HardwareMatchesTablePath) {
   }
 }
 
+// crc32c_combine joins the CRCs of two pieces without reading the second
+// again.  Both pieces' CRCs come from each path in turn, at random splits of
+// inputs from empty through shorter than one 8 KiB stripe to several
+// three-stripe blocks, and from a running value as well as from zero.
+TEST(Crc32c, CombineMatchesConcatenation) {
+  using Crc = std::uint32_t (*)(std::uint32_t, const void*, std::size_t);
+  const Crc paths[] = {&crc32c, &detail::crc32c_table};
+  Rng rng(0xC0B1);
+  std::vector<std::uint8_t> buf(3 * 24576 + 17);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (const Crc crc : paths) {
+    for (const std::size_t len : {0, 1, 2, 7, 8, 9, 100, 4095, 8192, 24575, 24576, 24577,
+                                  static_cast<int>(buf.size())}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const auto split = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(len)));
+        const std::uint32_t seed = trial % 2 == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+        const std::uint32_t want = crc(seed, buf.data(), len);
+        const std::uint32_t head = crc(seed, buf.data(), split);
+        const std::uint32_t tail = crc(0, buf.data() + split, len - split);
+        ASSERT_EQ(crc32c_combine(head, tail, len - split), want)
+            << "len " << len << " split " << split;
+      }
+    }
+  }
+  // The splits that empty one side.
+  EXPECT_EQ(crc32c_combine(0, 0, 0), 0u);
+  const std::uint32_t whole = crc32c(0, buf.data(), buf.size());
+  EXPECT_EQ(crc32c_combine(whole, 0, 0), whole);
+  EXPECT_EQ(crc32c_combine(0, whole, buf.size()), whole);
+}
+
 TEST(Crc32c, PartialUpdatesCompose) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
   const std::uint32_t whole = crc32c(0, data.data(), data.size());

@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "topology/cluster.hpp"
+#include "trace/stream_io.hpp"
 #include "trace/trace.hpp"
 
 namespace chronosync::testutil {
@@ -111,6 +112,18 @@ inline bool same_event(const Event& x, const Event& y) {
          x.tag == y.tag && x.bytes == y.bytes && x.msg_id == y.msg_id && x.coll == y.coll &&
          x.coll_id == y.coll_id && x.root == y.root && x.omp_instance == y.omp_instance &&
          x.thread == y.thread;
+}
+
+/// An event's EdgeRecord, as the readers' compact decode projects it.
+inline EdgeRecord edge_record_of(const Event& e) {
+  const bool collective = e.type == EventType::CollBegin || e.type == EventType::CollEnd;
+  return {e.local_ts, collective ? e.coll_id : e.msg_id, e.root, e.type, e.coll};
+}
+
+/// Field-by-field record equality, bit-exact on the timestamp.
+inline bool same_record(const EdgeRecord& x, const EdgeRecord& y) {
+  return same_bits(x.local_ts, y.local_ts) && x.id == y.id && x.root == y.root &&
+         x.type == y.type && x.coll == y.coll;
 }
 
 /// Field-by-field trace equality, bit-exact on timestamps.

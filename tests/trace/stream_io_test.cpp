@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "../testutil/random_trace.hpp"
@@ -99,20 +100,33 @@ TEST(StreamIo, StreamsRankByRank) {
   std::stringstream buf;
   write_trace_v2(t, buf, /*events_per_chunk=*/32);
   TraceReader reader(buf);
-  EventBlock block;
+  ChunkRef ref;
+  std::vector<EdgeRecord> records;
   Rank last = 0;
   std::uint64_t total = 0;
-  while (reader.next(block)) {
-    EXPECT_GE(block.rank, last);
-    EXPECT_FALSE(block.events.empty());
-    EXPECT_LE(block.events.size(), 32u);
-    last = block.rank;
-    total += block.events.size();
+  std::vector<std::size_t> next(4, 0);
+  while (reader.next_chunk(ref)) {
+    EXPECT_GE(ref.rank, last);
+    EXPECT_GT(ref.count, 0u);
+    EXPECT_LE(ref.count, 32u);
+    // Decoded in two pieces, as the compact records of the chunk's events.
+    ASSERT_EQ(reader.events().left(), ref.count);
+    records.resize(ref.count);
+    const std::span<EdgeRecord> all(records);
+    reader.events().decode(all.first(ref.count / 2));
+    reader.events().decode(all.subspan(ref.count / 2));
+    EXPECT_EQ(reader.events().left(), 0u);
+    const auto& events = t.events(ref.rank);
+    for (const EdgeRecord& rec : records) {
+      EXPECT_TRUE(testutil::same_record(rec, testutil::edge_record_of(events[next[ref.rank]++])));
+    }
+    last = ref.rank;
+    total += ref.count;
   }
   EXPECT_EQ(total, 400u);
   EXPECT_EQ(reader.events_read(), 400u);
-  // After the footer, next() keeps returning false.
-  EXPECT_FALSE(reader.next(block));
+  // After the footer, next_chunk() keeps returning false.
+  EXPECT_FALSE(reader.next_chunk(ref));
 }
 
 TEST(StreamIo, EmptyRanksAndZeroRankTraces) {
@@ -187,9 +201,9 @@ TEST(StreamIo, WriterDestroyedMidChunkIsTypedTruncation) {
   }
   try {
     TraceReader reader(buf);
-    EventBlock block;
-    while (reader.next(block)) {
-    }
+    ChunkRef ref;
+    std::vector<Event> events;
+    while (reader.next_chunk(ref)) reader.append_events(events);
     FAIL() << "expected TraceIoError";
   } catch (const TraceIoError& e) {
     EXPECT_EQ(e.kind(), TraceIoErrorKind::Truncated);
@@ -237,15 +251,15 @@ TEST(StreamIo, IndexAndChunkReaderGiveRandomAccess) {
 
   // Chunks decode out of order and bit-exactly through the random-access path.
   ChunkReader reader(f, idx);
-  EventBlock block;
+  std::vector<EdgeRecord> records;
   for (std::size_t c = idx.chunks.size(); c-- > 0;) {
     const ChunkRef& ref = idx.chunks[c];
-    reader.read(ref, block);
-    ASSERT_EQ(block.events.size(), ref.count);
-    EXPECT_EQ(block.rank, ref.rank);
-    const Event& first = block.events.front();
+    EventCursor events = reader.read(ref);
+    ASSERT_EQ(events.left(), ref.count);
+    records.resize(ref.count);
+    events.decode(records);
     const std::size_t base = (c % 4) * 128;
-    EXPECT_TRUE(testutil::same_bits(first.local_ts, t.events(ref.rank)[base].local_ts));
+    EXPECT_TRUE(testutil::same_bits(records.front().local_ts, t.events(ref.rank)[base].local_ts));
   }
 }
 
@@ -267,16 +281,17 @@ TEST(StreamIo, IndexOffsetsStartFromStreamPosition) {
   EXPECT_GT(idx.chunks.front().offset, junk.size());
 
   ChunkReader reader(f, idx);
-  EventBlock block;
+  std::vector<Event> block;
   std::vector<std::size_t> next(3, 0);
   for (const ChunkRef& ref : idx.chunks) {
-    reader.read(ref, block);
+    block.resize(ref.count);
+    reader.read(ref).decode(block);
     const auto& events = t.events(ref.rank);
-    ASSERT_LE(next[ref.rank] + block.events.size(), events.size());
-    EXPECT_TRUE(std::equal(block.events.begin(), block.events.end(),
+    ASSERT_LE(next[ref.rank] + block.size(), events.size());
+    EXPECT_TRUE(std::equal(block.begin(), block.end(),
                            events.begin() + static_cast<std::ptrdiff_t>(next[ref.rank]),
                            testutil::same_event));
-    next[ref.rank] += block.events.size();
+    next[ref.rank] += block.size();
   }
   for (Rank r = 0; r < 3; ++r) EXPECT_EQ(next[r], t.events(r).size());
 }

@@ -328,8 +328,9 @@ enum class Verdict { Rejected, DecodeRejected, Accepted };
 /// when index_trace_v2 throws kind K, read_trace_v2 throws K, on a seekable
 /// stream (which sizes the trace by a count pass first) and on an unseekable
 /// one alike.  When the index accepts, ChunkReader::read on every ChunkRef
-/// yields the events TraceReader::next decodes, or both throw the kind
-/// read_trace_v2 throws; when nothing throws, both read_trace_v2 streams
+/// decodes, as Events, the events TraceReader::append_events decodes, and as
+/// EdgeRecords their projection, or all three throw the kind read_trace_v2
+/// throws; when nothing throws, both read_trace_v2 streams
 /// yield the same trace.  The scan is held to the reader too: in rank-major
 /// order and read from a file in frontier order, it throws the kind
 /// read_trace_v2 throws, and otherwise both orders give one report.
@@ -368,22 +369,45 @@ Verdict expect_index_agrees(const std::string& blob, const std::string& context)
   std::stringstream seq_in(blob);
   TraceReader seq(seq_in);
   ChunkReader random(in, idx);
-  EventBlock a;
-  EventBlock b;
+  ChunkRef seq_ref;
+  std::vector<Event> a;
+  std::vector<Event> b;
+  std::vector<EdgeRecord> c;
   for (const ChunkRef& ref : idx.chunks) {
-    const auto seq_kind = error_of([&] { EXPECT_TRUE(seq.next(a)) << context; });
-    const auto random_kind = error_of([&] { random.read(ref, b); });
+    const auto seq_kind = error_of([&] {
+      a.clear();
+      EXPECT_TRUE(seq.next_chunk(seq_ref)) << context;
+      seq.append_events(a);
+    });
+    // One read, decoded in both forms: a cursor copy decodes independently.
+    EventCursor full;
+    const auto read_chunk_kind = error_of([&] { full = random.read(ref); });
+    EventCursor compact = full;
+    const auto random_kind = error_of([&] {
+      b.resize(ref.count);
+      full.decode(b);
+    });
+    const auto compact_kind = error_of([&] {
+      c.resize(ref.count);
+      compact.decode(c);
+    });
+    EXPECT_EQ(read_chunk_kind, std::nullopt) << "chunk " << ref.seq << ": " << context;
     EXPECT_EQ(random_kind, seq_kind) << "chunk " << ref.seq << ": " << context;
+    EXPECT_EQ(compact_kind, seq_kind) << "compact, chunk " << ref.seq << ": " << context;
     if (seq_kind) {
       EXPECT_EQ(read_kind, seq_kind) << context;
       return Verdict::DecodeRejected;
     }
-    EXPECT_EQ(a.rank, b.rank) << context;
-    EXPECT_TRUE(std::equal(a.events.begin(), a.events.end(), b.events.begin(), b.events.end(),
-                           testutil::same_event))
+    EXPECT_EQ(seq_ref.rank, ref.rank) << context;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end(), testutil::same_event))
         << "chunk " << ref.seq << ": " << context;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), c.begin(), c.end(),
+                           [](const Event& x, const EdgeRecord& y) {
+                             return testutil::same_record(testutil::edge_record_of(x), y);
+                           }))
+        << "compact, chunk " << ref.seq << ": " << context;
   }
-  EXPECT_FALSE(seq.next(a)) << context;
+  EXPECT_FALSE(seq.next_chunk(seq_ref)) << context;
   EXPECT_EQ(read_kind, std::nullopt) << context;
   EXPECT_TRUE(testutil::traces_equal(piped_trace, whole_trace)) << context;
   return Verdict::Accepted;

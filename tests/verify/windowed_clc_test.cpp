@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <exception>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/crc32c.hpp"
+#include "common/rng.hpp"
+#include "common/scratch_dir.hpp"
+#include "sync/clc_stream.hpp"
 #include "topology/cluster.hpp"
+#include "trace/stream_io.hpp"
 #include "verify/differential.hpp"
 #include "workload/smg2000.hpp"
 #include "workload/sweep.hpp"
@@ -67,6 +75,126 @@ TEST(WindowedClc, CollectiveHeavyWorkloadMatchesInMemory) {
   no_ba.clc.backward_amortization = false;
   no_ba.emit_batch = 16;
   for (const std::string& f : check(trace, no_ba)) ADD_FAILURE() << f;
+}
+
+/// A collective-heavy trace whose clocks disagree: each of 400 rounds every
+/// rank joins one collective, of a kind cycling through all eight with a
+/// rotating root, then passes a message to its right-hand neighbour.  Even
+/// ranks' clocks run 250 us behind, odd ranks' ahead, so receives and
+/// collective ends precede their sources in local time.  The timestamps come
+/// from the integer generator and additions only, so the trace is the same
+/// on every platform.
+Trace collective_fixture() {
+  constexpr int kRanks = 6;
+  constexpr int kRounds = 400;
+  Rng rng(2026);
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), kRanks), {1e-7, 1e-6, 5e-6}, "fixture");
+  for (int k = 0; k < kRounds; ++k) {
+    const auto kind = static_cast<CollectiveKind>(k % 8);
+    const Rank root = k % kRanks;
+    for (Rank r = 0; r < kRanks; ++r) {
+      const Time round = 1e-3 * k;
+      const Time offset = r % 2 == 0 ? -2.5e-4 : 2.5e-4;
+      auto at = [&](EventType type, Time step) {
+        Event e;
+        e.type = type;
+        e.true_ts = round + step + 5e-5 * rng.uniform();
+        e.local_ts = e.true_ts + offset;
+        return e;
+      };
+      Event begin = at(EventType::CollBegin, 0.0);
+      Event end = at(EventType::CollEnd, 2e-4);
+      for (Event* e : {&begin, &end}) {
+        e->coll = kind;
+        e->coll_id = k;
+        e->root = root;
+      }
+      Event send = at(EventType::Send, 4e-4);
+      send.peer = (r + 1) % kRanks;
+      send.msg_id = std::int64_t{k} * kRanks + r;
+      Event recv = at(EventType::Recv, 6e-4);
+      recv.peer = (r + kRanks - 1) % kRanks;
+      recv.msg_id = std::int64_t{k} * kRanks + recv.peer;
+      for (const Event& e : {begin, end, send, recv}) t.events(r).push_back(e);
+    }
+  }
+  return t;
+}
+
+/// What one clc_stream_file run leaves: the output's size and CRC32C, and
+/// every field of its stats, timestamps as bit patterns.
+struct StreamRun {
+  std::size_t bytes = 0;
+  std::uint32_t crc = 0;
+  std::uint64_t events = 0, p2p_edges = 0, logical_edges = 0, repaired = 0;
+  std::uint64_t max_jump_bits = 0, total_jump_bits = 0;
+  std::uint64_t ramp_clamped = 0, horizon_dropped = 0, forced = 0;
+  std::size_t peak_resident = 0, peak_msgs = 0;
+
+  bool operator==(const StreamRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StreamRun& r) {
+  return os << "bytes " << r.bytes << " crc " << std::hex << r.crc << " max_jump "
+            << r.max_jump_bits << " total_jump " << r.total_jump_bits << std::dec << " events "
+            << r.events << " p2p " << r.p2p_edges << " logical " << r.logical_edges
+            << " repaired " << r.repaired << " divergences " << r.ramp_clamped << '/'
+            << r.horizon_dropped << '/' << r.forced << " peaks " << r.peak_resident << '/'
+            << r.peak_msgs;
+}
+
+StreamRun stream_run(const std::string& in, const std::string& out,
+                     const StreamClcOptions& opt) {
+  const StreamClcStats st = clc_stream_file(in, out, opt);
+  std::ifstream f(out, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(f)), {});
+  return {bytes.size(),
+          crc32c(0, bytes.data(), bytes.size()),
+          st.events,
+          st.p2p_edges,
+          st.logical_edges,
+          st.violations_repaired,
+          std::bit_cast<std::uint64_t>(st.max_jump),
+          std::bit_cast<std::uint64_t>(st.total_jump),
+          st.ramp_clamped,
+          st.horizon_dropped,
+          st.forced,
+          st.peak_resident_events,
+          st.peak_outstanding_msgs};
+}
+
+// The read-ahead keeps 24-byte EdgeRecords, decoded straight into it, where
+// it kept 64-byte Events copied from a decoded chunk.  The golden values
+// below were recorded with the Event read-ahead: the output bytes, the jump
+// statistics and the window high-water marks must not move.  Small chunks
+// interleave the ranks finely; a short horizon and window let collectives
+// close and entries emit while reading, so the window stays small.
+TEST(WindowedClc, CompactReadAheadKeepsOutputAndStats) {
+  const ScratchDir scratch(testing::TempDir());
+  const std::string in = scratch.file("in.v2");
+  const std::string out = scratch.file("out.v2");
+  write_trace_v2_file(collective_fixture(), in, /*events_per_chunk=*/64);
+
+  StreamClcOptions windowed;
+  windowed.emit_batch = 16;
+  windowed.horizon = 5e-3;
+  windowed.backward_window = 2e-2;
+  EXPECT_EQ(stream_run(in, out, windowed),
+            (StreamRun{251307, 0x98881CCFu, 9600, 2400, 7000, 1747, 0x3F363C7A10A80B9Full,
+                       0x3FAF24EBAC5FFE82ull, 0, 0, 0, 1152, 128}));
+
+  StreamClcOptions no_ba = windowed;
+  no_ba.backward_window = StreamClcOptions{}.backward_window;
+  no_ba.clc.backward_amortization = false;
+  EXPECT_EQ(stream_run(in, out, no_ba),
+            (StreamRun{251319, 0x72A454B2u, 9600, 2400, 7000, 1747, 0x3F363C7A10A80B9Full,
+                       0x3FAF24EBAC5FFE82ull, 0, 0, 0, 576, 128}));
+
+  // Default options: a 10 s horizon outlasts the 0.4 s trace, so every
+  // event and message stays resident until the end.
+  EXPECT_EQ(stream_run(in, out, {}),
+            (StreamRun{251307, 0x98881CCFu, 9600, 2400, 7000, 1747, 0x3F363C7A10A80B9Full,
+                       0x3FAF24EBAC5FFE82ull, 0, 0, 0, 9600, 2400}));
 }
 
 TEST(WindowedClc, ConcurrentCrossChecksShareOneWorkDir) {
