@@ -88,6 +88,8 @@ BenchRecord record_from_json(const JsonValue& value) {
   if (version >= 3) {
     rec.wall_ns_ci_lo = field(value, "wall_ns_ci_lo").as_number();
     rec.wall_ns_ci_hi = field(value, "wall_ns_ci_hi").as_number();
+    CS_REQUIRE(rec.wall_ns_ci_lo <= rec.wall_ns_ci_hi,
+               "bench record has wall_ns_ci_lo > wall_ns_ci_hi");
     rec.boot_resamples =
         static_cast<std::int64_t>(field(value, "boot_resamples").as_number());
     rec.boot_confidence = field(value, "boot_confidence").as_number();

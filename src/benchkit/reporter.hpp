@@ -58,8 +58,8 @@ struct BenchRecord {
 
 JsonValue to_json(const BenchRecord& record);
 
-/// Parses one JSON-lines record back; throws on schema_version mismatch or
-/// missing keys (used by tests and trajectory tooling).
+/// Parses one JSON-lines record back (for chronoscope --bench-gate); throws on
+/// schema_version mismatch, missing keys or wall_ns_ci_lo > wall_ns_ci_hi.
 BenchRecord record_from_json(const JsonValue& value);
 
 /// Appends records to a JSON-lines file, creating parent directories.  Each

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <atomic>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -37,7 +37,7 @@ namespace detail {
 class LogLine {
  public:
   explicit LogLine(LogLevel level) : level_(level) {
-    if (log_enabled(level)) os_.emplace();
+    if (log_enabled(level)) os_ = std::make_unique<std::ostringstream>();
   }
   ~LogLine() {
     if (os_) log_message(level_, os_->str());
@@ -50,7 +50,8 @@ class LogLine {
 
  private:
   LogLevel level_;
-  std::optional<std::ostringstream> os_;
+  // Not std::optional: GCC 12 warns -Wmaybe-uninitialized at each inlined site.
+  std::unique_ptr<std::ostringstream> os_;
 };
 }  // namespace detail
 

@@ -187,14 +187,6 @@ decltype(auto) timed_phase(const char* name, Fn&& fn) {
   return fn();
 }
 
-bool probes_usable(const Trace& trace, const OffsetStore& offsets) {
-  if (offsets.ranks() != trace.ranks()) return false;
-  for (Rank r = 0; r < offsets.ranks(); ++r) {
-    if (offsets.of(r).size() < 2) return false;
-  }
-  return offsets.ranks() > 0;
-}
-
 }  // namespace
 
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
@@ -236,7 +228,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions&
   // The headline repair path: interpolated input -> CLC -> zero-slack audit.
   auto [input, clc] = timed_phase("scenario.repair", [&] {
     TimestampArray in =
-        probes_usable(trace, res.offsets)
+        verify::probes_usable(trace, res.offsets)
             ? apply_correction(trace, LinearInterpolation::from_store(res.offsets))
             : TimestampArray::from_local(trace);
     ClcResult result = controlled_logical_clock(trace, schedule, in);

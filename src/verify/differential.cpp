@@ -41,13 +41,6 @@ bool must_match_exactly(const std::string& a, const std::string& b) {
   return false;
 }
 
-bool store_has_two_samples_per_rank(const OffsetStore& offsets) {
-  for (Rank r = 0; r < offsets.ranks(); ++r) {
-    if (offsets.of(r).size() < 2) return false;
-  }
-  return offsets.ranks() > 0;
-}
-
 // Builds one MethodOutput under a span named for the method (span names must
 // be string literals — the obs ring stores the pointer, hence the explicit
 // `span_name` beside the owned `name`), feeding the method's wall time into
@@ -67,6 +60,14 @@ MethodOutput timed_method(const char* span_name, std::string name, bool restores
 
 }  // namespace
 
+bool probes_usable(const Trace& trace, const OffsetStore& offsets) {
+  if (offsets.ranks() != trace.ranks()) return false;
+  for (Rank r = 0; r < offsets.ranks(); ++r) {
+    if (offsets.of(r).size() < 2) return false;
+  }
+  return offsets.ranks() > 0;
+}
+
 std::vector<MethodOutput> run_all_methods(const Trace& trace, const OffsetStore& offsets,
                                           const std::vector<MessageRecord>& messages,
                                           const ReplaySchedule& schedule) {
@@ -75,8 +76,8 @@ std::vector<MethodOutput> run_all_methods(const Trace& trace, const OffsetStore&
   out.push_back(timed_method("verify.method.raw", "raw", false,
                              [&] { return TimestampArray::from_local(trace); }));
 
-  const bool have_probes = store_has_two_samples_per_rank(offsets);
-  if (offsets.ranks() == trace.ranks() && have_probes) {
+  const bool have_probes = probes_usable(trace, offsets);
+  if (have_probes) {
     out.push_back(timed_method("verify.method.offset-alignment", "offset-alignment", false, [&] {
       return apply_correction(trace, OffsetAlignment::from_store(offsets));
     }));
@@ -111,9 +112,8 @@ std::vector<MethodOutput> run_all_methods(const Trace& trace, const OffsetStore&
   }
 
   const TimestampArray input =
-      have_probes && offsets.ranks() == trace.ranks()
-          ? apply_correction(trace, LinearInterpolation::from_store(offsets))
-          : TimestampArray::from_local(trace);
+      have_probes ? apply_correction(trace, LinearInterpolation::from_store(offsets))
+                  : TimestampArray::from_local(trace);
   out.push_back(
       timed_method("verify.method.interpolation+clc", "interpolation+clc", true,
                    [&] { return controlled_logical_clock(trace, schedule, input).corrected; }));

@@ -33,6 +33,10 @@ struct MethodOutput {
   bool restores_clock_condition = false;
 };
 
+/// True when `offsets` holds two or more samples for every rank of `trace`:
+/// the precondition of the probe-based corrections.
+bool probes_usable(const Trace& trace, const OffsetStore& offsets);
+
 /// Runs every available correction method on one trace: offset alignment,
 /// linear/piecewise interpolation, Kalman drift estimation, the three
 /// error-estimation variants, and the CLC over the interpolated input — once

@@ -176,6 +176,16 @@ TEST(BenchRecordSchema, RejectsWrongVersionAndMissingKeys) {
   EXPECT_THROW(record_from_json(missing), std::invalid_argument);
 
   EXPECT_THROW(record_from_json(JsonValue(3.0)), std::invalid_argument);
+
+  // A v3 interval must be ordered; a zero-width one (lo == hi) is valid.
+  BenchRecord with_ci = sample_record();
+  with_ci.wall_ns_ci_lo = 1500.0;
+  with_ci.wall_ns_ci_hi = 1500.0;
+  with_ci.boot_resamples = 1000;
+  with_ci.boot_confidence = 0.95;
+  EXPECT_NO_THROW(record_from_json(to_json(with_ci)));
+  with_ci.wall_ns_ci_lo = 1501.0;
+  EXPECT_THROW(record_from_json(to_json(with_ci)), std::invalid_argument);
 }
 
 TEST(JsonReporter, AppendsOneLinePerRecordAndCreatesDirectories) {

@@ -87,12 +87,16 @@ std::size_t expect_well_formed(const JsonValue& doc) {
       EXPECT_NE(args, nullptr);
       const JsonValue* value = args == nullptr ? nullptr : args->find("value");
       EXPECT_NE(value, nullptr);
-      if (value != nullptr) EXPECT_TRUE(value->is_number());
+      if (value != nullptr) {
+        EXPECT_TRUE(value->is_number());
+      }
       continue;
     }
     // B/E on one thread must come out in non-decreasing timestamp order.
     auto [it, fresh] = last_ts.try_emplace(tid, ts);
-    if (!fresh) EXPECT_GE(ts, it->second);
+    if (!fresh) {
+      EXPECT_GE(ts, it->second);
+    }
     it->second = ts;
     const std::string name = ev.find("name")->as_string();
     if (ph == "B") {

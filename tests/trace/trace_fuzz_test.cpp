@@ -361,7 +361,9 @@ Verdict expect_index_agrees(const std::string& blob, const std::string& context)
   EXPECT_EQ(piped_kind, read_kind) << "seekable and unseekable reads disagree: " << context;
   EXPECT_EQ(scan_kind, read_kind) << "scan and reader disagree: " << context;
   EXPECT_EQ(file_scan_kind, read_kind) << "file scan and reader disagree: " << context;
-  if (!read_kind) EXPECT_EQ(frontier, rank_major) << "scan orders disagree: " << context;
+  if (!read_kind) {
+    EXPECT_EQ(frontier, rank_major) << "scan orders disagree: " << context;
+  }
   if (index_kind) {
     EXPECT_EQ(read_kind, index_kind) << "index and reader disagree: " << context;
     return Verdict::Rejected;

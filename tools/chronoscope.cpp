@@ -24,6 +24,9 @@
 //                                       more than PCT percent (default 25):
 //                                       quantile keys for metrics, per-span
 //                                       wall time for traces
+//   chronoscope --bench-gate <records> | <baseline> <current>
+//                                       validate benchkit records; given two
+//                                       files, gate the second on the first
 //
 // Validation is strict in every mode: a malformed file fails the run (exit
 // 1; usage errors, an unknown option among them, exit 2).  The summary relies
@@ -35,12 +38,15 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchkit/json.hpp"
+#include "benchkit/reporter.hpp"
 #include "common/cli.hpp"
 #include "common/statistics.hpp"
 #include "common/table.hpp"
@@ -50,6 +56,7 @@ namespace {
 
 using chronosync::AsciiTable;
 using chronosync::RunningStats;
+using chronosync::benchkit::BenchRecord;
 using chronosync::benchkit::JsonValue;
 
 struct SpanAgg {
@@ -474,6 +481,128 @@ int run_diff(const std::string& path_a, const std::string& path_b, double thresh
   return 0;
 }
 
+// --bench-gate rules.  A timing record in both files regresses when its CI
+// for the median lies entirely above the baseline's, a slowdown beyond both
+// runs' measured noise that one unlucky rep cannot fake.  Without CIs the p50
+// ratio rules (a zero baseline p50 regresses).  Keys in one file never fail.
+constexpr double kP50Tolerance = 1.25;
+// perf_clc's disabled_pct_bound (EXPERIMENTS.md) = measured per-call disabled
+// cost x gated sites run per rep x 2, over the uninstrumented p50: unlike the
+// A/A percentages it is deterministic, so it cannot flake on runner noise.
+constexpr double kObsDisabledPctBound = 1.0;
+// The windowed CLC holds its window and message backlog, never the trace: at
+// 10^6 events its resident events stay under this share of the trace and its
+// peak RSS under kStreamRssFraction of the in-memory pass's (~7% measured, the
+// rest is runner variance; streaming is sampled first, free of in-memory pages).
+constexpr double kStreamResidentShare = 0.5;
+constexpr double kStreamRssFraction = 0.35;
+
+/// Reads a benchkit JSON-lines file; a line that is not JSON or that
+/// record_from_json rejects fails the run.
+std::vector<BenchRecord> read_bench_records(const std::string& path) {
+  std::istringstream in(slurp(path));
+  std::vector<BenchRecord> records;
+  std::string line;
+  for (std::size_t n = 1; std::getline(in, line); ++n) {
+    try {
+      records.push_back(chronosync::benchkit::record_from_json(JsonValue::parse(line)));
+    } catch (const std::exception& e) {
+      fail("'" + path + "' line " + std::to_string(n) + ": " + e.what());
+    }
+  }
+  return records;
+}
+
+/// Timing records by (suite, name, config sorted by knob); the last record
+/// with a key wins.
+using BenchKey = std::tuple<std::string, std::string, chronosync::benchkit::ConfigList>;
+std::map<BenchKey, BenchRecord> timing_records(const std::vector<BenchRecord>& records) {
+  std::map<BenchKey, BenchRecord> out;
+  for (const BenchRecord& r : records) {
+    if (r.kind != "timing") continue;
+    BenchKey key{r.suite, r.name, r.config};
+    std::sort(std::get<2>(key).begin(), std::get<2>(key).end());
+    out.insert_or_assign(std::move(key), r);
+  }
+  return out;
+}
+
+/// Metric `key` of the last perf_clc record called `name`; a missing record
+/// or metric fails the gate.
+double perf_clc_metric(const std::vector<BenchRecord>& records, const std::string& name,
+                       const std::string& key) {
+  const BenchRecord* rec = nullptr;
+  for (const BenchRecord& r : records) {
+    if (r.suite == "perf_clc" && r.name == name) rec = &r;
+  }
+  if (rec == nullptr) fail("perf_clc emitted no " + name + " record");
+  for (const auto& [k, v] : rec->metrics) {
+    if (k == key) return v;
+  }
+  fail(name + " has no metric '" + key + "'");
+}
+
+/// Gates `cur_path` against `base_path`, one table row per timing key and per
+/// bound; exits 1 when a row fails.
+int run_bench_gate(const std::string& base_path, const std::string& cur_path) {
+  const std::map<BenchKey, BenchRecord> base = timing_records(read_bench_records(base_path));
+  const std::vector<BenchRecord> records = read_bench_records(cur_path);
+  const std::map<BenchKey, BenchRecord> cur = timing_records(records);
+  AsciiTable table({"check", "baseline", "current", "rule", "verdict"});
+  std::size_t failed = 0;
+  const auto row = [&](const std::string& check, const std::string& b, const std::string& c,
+                       const std::string& rule, bool bad) {
+    table.add_row({check, b, c, rule, bad ? "FAILED" : "ok"});
+    failed += bad ? 1 : 0;
+  };
+  const auto ns = [](double v) { return AsciiTable::num(v, 0); };
+  const auto ci = [&](const BenchRecord& r) {
+    return "[" + ns(r.wall_ns_ci_lo) + ", " + ns(r.wall_ns_ci_hi) + "]";
+  };
+
+  std::size_t compared = 0;
+  std::size_t unmatched = 0;
+  for (const auto& [key, b] : base) ++(cur.count(key) != 0 ? compared : unmatched);
+  for (const auto& [key, c] : cur) {
+    std::string label = std::get<0>(key) + "/" + std::get<1>(key);
+    for (const auto& [k, v] : std::get<2>(key)) label += " " + k + "=" + v;
+    const auto it = base.find(key);
+    if (it == base.end()) {
+      ++unmatched;
+      table.add_row({label, "-", ns(c.wall_ns_p50), "", "no baseline"});
+    } else if (const BenchRecord& b = it->second; b.boot_resamples > 0 && c.boot_resamples > 0) {
+      row(label, ci(b), ci(c), "CI overlap", c.wall_ns_ci_lo > b.wall_ns_ci_hi);
+    } else {
+      const double ratio = b.wall_ns_p50 != 0.0 ? c.wall_ns_p50 / b.wall_ns_p50
+                                                : std::numeric_limits<double>::infinity();
+      row(label, ns(b.wall_ns_p50), ns(c.wall_ns_p50), "p50 " + AsciiTable::num(ratio, 2) + "x",
+          ratio > kP50Tolerance);
+    }
+  }
+
+  const double bound = perf_clc_metric(records, "obs_overhead", "disabled_pct_bound");
+  row("obs_overhead disabled_pct_bound", "", AsciiTable::num(bound, 4) + "%",
+      "<= " + AsciiTable::num(kObsDisabledPctBound, 1) + "%", bound > kObsDisabledPctBound);
+  const double resident = perf_clc_metric(records, "clc_stream_memory", "peak_resident_events");
+  const double limit =
+      perf_clc_metric(records, "clc_stream_memory", "events") * kStreamResidentShare;
+  row("clc_stream_memory peak_resident_events", "", ns(resident), "< " + ns(limit),
+      resident >= limit);
+  const double rss = perf_clc_metric(records, "clc_stream_memory", "peak_rss_bytes");
+  const double inmemory_rss = perf_clc_metric(records, "clc_inmemory_memory", "peak_rss_bytes");
+  const double fraction = rss / inmemory_rss;
+  // Negated so that a zero in-memory peak (inf or NaN) fails too.
+  row("clc_stream_memory peak_rss_bytes", ns(inmemory_rss) + " in memory",
+      ns(rss) + " (" + AsciiTable::num(100.0 * fraction, 1) + "%)",
+      "<= " + ns(100.0 * kStreamRssFraction) + "%", !(fraction <= kStreamRssFraction));
+
+  std::cout << "bench-gate: " << compared << " timing key(s) compared, " << unmatched
+            << " unmatched, " << failed << " check(s) failed\n"
+            << table.render();
+  if (failed > 0) std::cerr << "chronoscope: " << failed << " bench gate check(s) failed\n";
+  return failed > 0 ? 1 : 0;
+}
+
 /// The Cli swallows the token after a bare flag as its value, so a mode's
 /// file arguments may land in the flag's value, in positional(), or split
 /// across both; collect them in order.
@@ -489,7 +618,8 @@ std::vector<std::string> mode_paths(const chronosync::Cli& cli, const char* flag
   std::cerr << "usage: chronoscope [--check] [--top N] <trace.json>\n"
                "       chronoscope --phases <trace.json>\n"
                "       chronoscope --metrics <metrics.json>\n"
-               "       chronoscope --diff <A> <B> [--threshold PCT]\n";
+               "       chronoscope --diff <A> <B> [--threshold PCT]\n"
+               "       chronoscope --bench-gate <records> | <baseline> <current>\n";
   std::exit(2);
 }
 
@@ -498,7 +628,8 @@ std::vector<std::string> mode_paths(const chronosync::Cli& cli, const char* flag
 int main(int argc, char** argv) {
   const chronosync::Cli cli(argc, argv);
   const std::vector<std::string> unknown =
-      cli.unknown_options({"check", "top", "phases", "metrics", "diff", "threshold"});
+      cli.unknown_options({"check", "top", "phases", "metrics", "diff", "threshold",
+                           "bench-gate"});
   if (!unknown.empty()) {
     std::cerr << "chronoscope: unknown option";
     for (const std::string& name : unknown) std::cerr << " --" << name;
@@ -510,6 +641,16 @@ int main(int argc, char** argv) {
     const std::vector<std::string> paths = mode_paths(cli, "diff");
     if (paths.size() != 2) usage();
     return run_diff(paths[0], paths[1], cli.get_double("threshold", 25.0));
+  }
+  if (cli.has("bench-gate")) {
+    const std::vector<std::string> paths = mode_paths(cli, "bench-gate");
+    if (paths.size() == 1) {
+      const std::size_t n = read_bench_records(paths[0]).size();
+      std::cout << "chronoscope: " << n << " bench record(s) OK\n";
+      return 0;
+    }
+    if (paths.size() != 2) usage();
+    return run_bench_gate(paths[0], paths[1]);
   }
   if (cli.has("metrics")) {
     const std::vector<std::string> paths = mode_paths(cli, "metrics");
