@@ -88,9 +88,7 @@ std::uint64_t write_synthetic_stream(const std::string& path, int ranks,
 
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   CS_REQUIRE(f.good(), "cannot open streaming bench file: " + path);
-  // Small chunks keep the correction's read-ahead window (whole chunks) a
-  // tiny fraction of the trace, so the resident-memory bound is visible.
-  TraceWriter w(f, meta, /*events_per_chunk=*/4096);
+  TraceWriter w(f, meta);
   const std::uint64_t per_rank = total / static_cast<std::uint64_t>(ranks);
   constexpr double kStep = 1e-5;  // > inter-node l_min, so matched pairs obey Eq. 1
   for (int r = 0; r < ranks; ++r) {

@@ -148,6 +148,13 @@ struct Pending {
   bool is_send = false;
 };
 
+/// A sweep's verdict on one retained entry: final, or the reason it is not.
+enum Finality : char {
+  kFinal,
+  kWindowed,  ///< not B-safe yet, or an in-ramp value a successor may still clamp
+  kHeld,      ///< an in-ramp entry whose caps may still change (holds > 0)
+};
+
 struct RankState {
   RankState(BlockPool<EdgeRecord>& records, BlockPool<Pending>& pending)
       : ahead(records), pend(pending) {}
@@ -165,14 +172,40 @@ struct RankState {
 
   // Sweep scratch, reused across sweeps.
   std::vector<double> val;
-  std::vector<char> fin;
+  std::vector<Finality> fin;
 };
 
+/// The corrected-timestamp side file: (corrected_ts, jump) per event, at the
+/// event's rank-major slot.  The correct pass writes it as entries become
+/// final and the merge reads it back in file order.  Removed when it goes out
+/// of scope.
+struct SideFile {
+  explicit SideFile(std::string p) : path(std::move(p)) {
+    f.open(path, std::ios::binary | std::ios::in | std::ios::out | std::ios::trunc);
+    if (!f.good()) {
+      throw TraceIoError(TraceIoErrorKind::Io, "cannot open spill file for writing: " + path);
+    }
+  }
+  ~SideFile() {
+    f.close();
+    std::remove(path.c_str());
+  }
+  SideFile(const SideFile&) = delete;
+  SideFile& operator=(const SideFile&) = delete;
+
+  std::string path;
+  std::fstream f;
+};
+
+/// The correct pass: reads the input in frontier order, runs the forward pass
+/// and the backward sweeps over the window, and writes each entry to the side
+/// file once it is final.  Everything it holds is the window's, so it is
+/// destroyed before the merge.
 class StreamEngine {
  public:
-  StreamEngine(std::istream& in, TraceIndex index, const std::string& out_path,
+  StreamEngine(std::istream& in, const TraceIndex& index, SideFile& side,
                const StreamClcOptions& opts)
-      : index_(std::move(index)), reader_(in, index_), opts_(opts), out_path_(out_path) {
+      : index_(index), reader_(in, index_), opts_(opts), side_(side) {
     clc_kernel::require_valid(opts_.clc);
     CS_REQUIRE(opts_.horizon > 0.0, "horizon must be positive");
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
@@ -187,23 +220,10 @@ class StreamEngine {
       ranks_[static_cast<std::size_t>(r)].base = base;
       base += index_.rank_events[static_cast<std::size_t>(r)];
     }
-
-    ts_spill_path_ = out_path_ + ".ts-spill";
-    ts_spill_.open(ts_spill_path_, std::ios::binary | std::ios::in | std::ios::out |
-                                       std::ios::trunc);
-    if (!ts_spill_.good()) {
-      throw TraceIoError(TraceIoErrorKind::Io,
-                         "cannot open spill file for writing: " + ts_spill_path_);
-    }
   }
 
-  ~StreamEngine() {
-    ts_spill_.close();
-    std::remove(ts_spill_path_.c_str());
-  }
-
-  StreamClcStats run(std::istream& raw_in) {
-    CS_SPAN("clc.stream");
+  /// Runs the correct pass to its end; the side file then holds every event.
+  StreamClcStats run() {
     const std::uint64_t alloc0 = benchkit::allocation_totals().bytes;
     {
       CS_SPAN("clc.stream.correct");
@@ -233,8 +253,6 @@ class StreamEngine {
     CS_ENSURE(stats_.events == index_.total_events,
               "streaming CLC processed a different event count than the index");
     const std::uint64_t alloc1 = benchkit::allocation_totals().bytes;
-    merge_output(raw_in);
-    const std::uint64_t alloc2 = benchkit::allocation_totals().bytes;
 
     if (obs::metrics_enabled()) {
       static obs::Counter& events = obs::counter("clc.events_processed");
@@ -243,14 +261,19 @@ class StreamEngine {
       // peak_resident_events (they need not peak at the same moment).
       static obs::Gauge& peak_ahead = obs::gauge("clc.stream.peak_ahead_events");
       static obs::Gauge& peak_pending = obs::gauge("clc.stream.peak_pending_events");
+      // What keeps the retention window: summed over sweeps, the entries
+      // each sweep left pending, by why its first non-final entry is not
+      // final (Finality).
+      static obs::Counter& pending_held = obs::counter("clc.stream.pending_held_events");
+      static obs::Counter& pending_window = obs::counter("clc.stream.pending_window_events");
       static obs::Counter& correct_alloc = obs::counter("clc.stream.correct.alloc_bytes");
-      static obs::Counter& merge_alloc = obs::counter("clc.stream.merge.alloc_bytes");
       events.add(static_cast<std::int64_t>(stats_.events));
       repaired.add(static_cast<std::int64_t>(stats_.violations_repaired));
       peak_ahead.set(static_cast<double>(peak_ahead_));
       peak_pending.set(static_cast<double>(peak_pending_));
+      pending_held.add(static_cast<std::int64_t>(pending_held_));
+      pending_window.add(static_cast<std::int64_t>(pending_window_));
       correct_alloc.add(static_cast<std::int64_t>(alloc1 - alloc0));
-      merge_alloc.add(static_cast<std::int64_t>(alloc2 - alloc1));
     }
 
     return stats_;
@@ -611,7 +634,7 @@ class StreamEngine {
     if (!opts_.clc.backward_amortization) {
       for (std::size_t i = 0; i < n; ++i) {
         rs.val[i] = rs.pend[i].lc;
-        rs.fin[i] = 1;
+        rs.fin[i] = kFinal;
       }
     } else {
       const double slope = opts_.clc.backward_slope;
@@ -641,7 +664,7 @@ class StreamEngine {
           jump_size = p.jump;
           window = std::min(jump_size / slope, B);
           rs.val[i] = p.lc;
-          rs.fin[i] = 1;
+          rs.fin[i] = kFinal;
           succ_est = std::min(succ_est, p.lc);
           succ_lb = std::min(succ_lb, p.lc);
           continue;
@@ -661,15 +684,15 @@ class StreamEngine {
           }
         }
         const bool b_safe = rank_final || p.lc < rs.clock.prev_lc - B;
-        bool final_entry;
-        if (!in_ramp) {
-          final_entry = b_safe;
-        } else {
-          final_entry =
-              b_safe && p.holds == 0 && (uncapped <= succ_lb || suffix_exact);
+        Finality fin = b_safe ? kFinal : kWindowed;
+        if (in_ramp && p.holds > 0) {
+          fin = kHeld;
+        } else if (in_ramp && b_safe && !(uncapped <= succ_lb || suffix_exact)) {
+          fin = kWindowed;
         }
+        const bool final_entry = fin == kFinal;
         rs.val[i] = v;
-        rs.fin[i] = final_entry ? 1 : 0;
+        rs.fin[i] = fin;
         suffix_exact = suffix_exact && final_entry;
         succ_est = std::min(succ_est, v);
         succ_lb = std::min(succ_lb, final_entry ? v : p.lc);
@@ -677,7 +700,8 @@ class StreamEngine {
     }
 
     std::size_t k = 0;
-    while (k < n && rs.fin[k]) ++k;
+    while (k < n && rs.fin[k] == kFinal) ++k;
+    if (k < n) (rs.fin[k] == kHeld ? pending_held_ : pending_window_) += n - k;
     if (k > 0) {
       // Records are (corrected_ts, jump) pairs: the jump rides along so the
       // merge pass can fold total_jump in global (rank-major) order, giving
@@ -687,11 +711,11 @@ class StreamEngine {
         emit_buf_[2 * i] = rs.val[i];
         emit_buf_[2 * i + 1] = rs.pend[i].jump;
       }
-      ts_spill_.seekp(static_cast<std::streamoff>((rs.base + rs.emitted) * 16));
-      ts_spill_.write(reinterpret_cast<const char*>(emit_buf_.data()),
-                      static_cast<std::streamsize>(k * 16));
-      if (!ts_spill_.good()) {
-        throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + ts_spill_path_);
+      side_.f.seekp(static_cast<std::streamoff>((rs.base + rs.emitted) * 16));
+      side_.f.write(reinterpret_cast<const char*>(emit_buf_.data()),
+                    static_cast<std::streamsize>(k * 16));
+      if (!side_.f.good()) {
+        throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + side_.path);
       }
       rs.pend.pop_front(k);
       rs.front_seq += static_cast<std::uint32_t>(k);
@@ -705,80 +729,10 @@ class StreamEngine {
     }
   }
 
-  // -- output merge -----------------------------------------------------------
-
-  /// Deletes a file when it goes out of scope, unless disarmed.
-  struct RemoveOnExit {
-    std::string path;
-    bool armed = true;
-    ~RemoveOnExit() {
-      if (armed) std::remove(path.c_str());
-    }
-  };
-
-  /// Second pass over the input: re-reads every chunk in file order (its CRC
-  /// and head checked against the index again), rewrites only the local_ts
-  /// deltas from the corrected timestamps in the side file, copies every
-  /// other field's bytes, and appends the chunk whole to out_path + ".tmp".
-  /// The output keeps the input's chunk layout.  The temporary is renamed
-  /// into place only after finish() sealed the footer, and removed on any
-  /// error, so a failed merge leaves neither a half-written trace under the
-  /// output name nor the temporary behind.
-  void merge_output(std::istream& raw_in) {
-    CS_SPAN("clc.stream.merge");
-    ts_spill_.flush();
-    ts_spill_.seekg(0);
-
-    RemoveOnExit tmp{out_path_ + ".tmp"};
-    std::ofstream outf(tmp.path, std::ios::binary | std::ios::trunc);
-    if (!outf.good()) {
-      throw TraceIoError(TraceIoErrorKind::Io,
-                         "cannot open trace file for writing: " + tmp.path);
-    }
-    {
-      TraceWriter writer(outf, index_.meta);
-      ChunkReader merge_reader(raw_in, index_);
-      std::vector<double> vals;
-      std::vector<Time> ts;
-      std::vector<std::uint8_t> events;
-      // File order is rank-major (the writer enforces it), so this fold over
-      // the per-event jumps reproduces finalize_stats' accumulation exactly.
-      double total_jump = 0.0;
-      for (const ChunkRef& ref : index_.chunks) {
-        vals.resize(2 * std::size_t{ref.count});
-        ts_spill_.read(reinterpret_cast<char*>(vals.data()),
-                       static_cast<std::streamsize>(vals.size() * 8));
-        if (static_cast<std::size_t>(ts_spill_.gcount()) != vals.size() * 8) {
-          throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + ts_spill_path_);
-        }
-        ts.resize(ref.count);
-        for (std::size_t i = 0; i < ts.size(); ++i) {
-          ts[i] = vals[2 * i];
-          if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
-        }
-        merge_reader.read_retimed(ref, ts, events);
-        writer.append_chunk(ref.rank, ref.count, events);
-      }
-      stats_.total_jump = total_jump;
-      writer.finish();
-    }
-    outf.close();
-    if (!outf.good()) {
-      throw TraceIoError(TraceIoErrorKind::Io, "trace write failed: " + tmp.path);
-    }
-    if (std::rename(tmp.path.c_str(), out_path_.c_str()) != 0) {
-      throw TraceIoError(TraceIoErrorKind::Io,
-                         "cannot move corrected trace into place: " + out_path_);
-    }
-    tmp.armed = false;
-  }
-
-  TraceIndex index_;
+  const TraceIndex& index_;
   FrontierReader reader_;
   StreamClcOptions opts_;
-  std::string out_path_;
-  std::string ts_spill_path_;
-  std::fstream ts_spill_;
+  SideFile& side_;
   BlockPool<EdgeRecord> record_blocks_;
   BlockPool<Pending> pending_blocks_;
   std::vector<RankState> ranks_;
@@ -792,7 +746,76 @@ class StreamEngine {
   std::size_t pending_ = 0;  ///< events in the retention windows
   std::size_t peak_ahead_ = 0;
   std::size_t peak_pending_ = 0;
+  std::uint64_t pending_held_ = 0;    ///< see clc.stream.pending_held_events
+  std::uint64_t pending_window_ = 0;  ///< see clc.stream.pending_window_events
 };
+
+/// Deletes a file when it goes out of scope, unless disarmed.
+struct RemoveOnExit {
+  std::string path;
+  bool armed = true;
+  ~RemoveOnExit() {
+    if (armed) std::remove(path.c_str());
+  }
+};
+
+/// Second pass over the input: re-reads every chunk in file order (its CRC
+/// and head checked against the index again), rewrites only the local_ts
+/// deltas from the corrected timestamps in the side file, copies every
+/// other field's bytes, and appends the chunk whole to out_path + ".tmp".
+/// The output keeps the input's chunk layout.  The temporary is renamed
+/// into place only after finish() sealed the footer, and removed on any
+/// error, so a failed merge leaves neither a half-written trace under the
+/// output name nor the temporary behind.  Folds the side file's jumps into
+/// stats.total_jump.
+void merge_output(std::istream& raw_in, const TraceIndex& index, SideFile& side,
+                  const std::string& out_path, StreamClcStats& stats) {
+  CS_SPAN("clc.stream.merge");
+  side.f.flush();
+  side.f.seekg(0);
+
+  RemoveOnExit tmp{out_path + ".tmp"};
+  std::ofstream outf(tmp.path, std::ios::binary | std::ios::trunc);
+  if (!outf.good()) {
+    throw TraceIoError(TraceIoErrorKind::Io, "cannot open trace file for writing: " + tmp.path);
+  }
+  {
+    TraceWriter writer(outf, index.meta);
+    ChunkReader merge_reader(raw_in, index);
+    std::vector<double> vals;
+    std::vector<Time> ts;
+    std::vector<std::uint8_t> events;
+    // File order is rank-major (the writer enforces it), so this fold over
+    // the per-event jumps reproduces finalize_stats' accumulation exactly.
+    double total_jump = 0.0;
+    for (const ChunkRef& ref : index.chunks) {
+      vals.resize(2 * std::size_t{ref.count});
+      side.f.read(reinterpret_cast<char*>(vals.data()),
+                  static_cast<std::streamsize>(vals.size() * 8));
+      if (static_cast<std::size_t>(side.f.gcount()) != vals.size() * 8) {
+        throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + side.path);
+      }
+      ts.resize(ref.count);
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        ts[i] = vals[2 * i];
+        if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
+      }
+      merge_reader.read_retimed(ref, ts, events);
+      writer.append_chunk(ref.rank, ref.count, events);
+    }
+    stats.total_jump = total_jump;
+    writer.finish();
+  }
+  outf.close();
+  if (!outf.good()) {
+    throw TraceIoError(TraceIoErrorKind::Io, "trace write failed: " + tmp.path);
+  }
+  if (std::rename(tmp.path.c_str(), out_path.c_str()) != 0) {
+    throw TraceIoError(TraceIoErrorKind::Io,
+                       "cannot move corrected trace into place: " + out_path);
+  }
+  tmp.armed = false;
+}
 
 }  // namespace
 
@@ -801,9 +824,20 @@ StreamClcStats clc_stream_file(const std::string& in_path, const std::string& ou
   std::ifstream in = open_trace_file(in_path);
   // One sequential validation pass: any input defect — bad CRC, missing
   // footer, reordered chunks — throws here, before any output exists.
-  TraceIndex index = index_trace_v2(in);
-  StreamEngine engine(in, std::move(index), out_path, options);
-  return engine.run(in);
+  const TraceIndex index = index_trace_v2(in);
+  CS_SPAN("clc.stream");
+  SideFile side(out_path + ".ts-spill");
+  // The engine is a temporary: the window, the pairing tables and the sweep
+  // scratch go with it, so the merge's buffers reuse their memory instead of
+  // adding to its peak.
+  StreamClcStats stats = StreamEngine(in, index, side, options).run();
+  const std::uint64_t alloc0 = benchkit::allocation_totals().bytes;
+  merge_output(in, index, side, out_path, stats);
+  if (obs::metrics_enabled()) {
+    static obs::Counter& merge_alloc = obs::counter("clc.stream.merge.alloc_bytes");
+    merge_alloc.add(static_cast<std::int64_t>(benchkit::allocation_totals().bytes - alloc0));
+  }
+  return stats;
 }
 
 }  // namespace chronosync

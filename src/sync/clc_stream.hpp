@@ -36,10 +36,20 @@
 // no emission.  Peak RSS is therefore bounded by window size plus edge
 // backlog plus orphan sends, and never by the number of matched messages.
 // The read-ahead is usually most of the window: a rank's events wait there
-// until the sends and collective begins they depend on are processed.  The
-// gauges clc.stream.peak_ahead_events and clc.stream.peak_pending_events
-// give each window's high-water mark, and clc.stream.correct.alloc_bytes and
-// clc.stream.merge.alloc_bytes the heap bytes each phase requests.
+// until the sends and collective begins they depend on are processed.  Its
+// floor is one whole chunk per rank, the CRC unit the reader must verify
+// before it hands out any event: ranks × events_per_chunk × 24 bytes, which
+// at the writer's 4096-event default is a quarter of what files cut at 16384
+// events by older writers still cost.  The gauges
+// clc.stream.peak_ahead_events and clc.stream.peak_pending_events give each
+// window's high-water mark.  The counters clc.stream.pending_held_events and
+// clc.stream.pending_window_events say what keeps the retention window: each
+// sweep adds the entries it leaves pending to the first one's reason, a hold
+// (an unmatched send inside the horizon, or an open collective) or the
+// backward window.  clc.stream.correct.alloc_bytes and
+// clc.stream.merge.alloc_bytes give the heap bytes each phase requests.  The
+// correct pass's state is freed before the merge, whose buffers (one chunk
+// each) therefore do not add to the window's peak.
 //
 // -- Equivalence contract -----------------------------------------------------
 //

@@ -137,6 +137,26 @@ TraceMeta parse_meta_payload(const std::uint8_t* p, const std::uint8_t* end) {
   return meta;
 }
 
+/// Tallies one chunk frame read, `len` its payload bytes.
+void count_chunk_in(std::uint32_t len) {
+  if (obs::metrics_enabled()) {
+    static obs::Counter& chunks = obs::counter("trace.chunks_in");
+    static obs::Counter& bytes_in = obs::counter("trace.bytes_in");
+    chunks.add(1);
+    bytes_in.add(static_cast<std::int64_t>(5 + static_cast<std::uint64_t>(len) + 4));
+  }
+}
+
+/// Throws TraceIoError{BadChecksum} unless the CRC32C `crc` computed over a
+/// chunk of `kind` equals the `stored` one.
+void check_chunk_crc(std::uint8_t kind, std::uint32_t crc, std::uint32_t stored) {
+  if (crc != stored) {
+    throw TraceIoError(TraceIoErrorKind::BadChecksum,
+                       "chunk checksum mismatch (kind '" + std::string(1, static_cast<char>(kind)) +
+                           "')");
+  }
+}
+
 /// Reads one chunk frame — kind, payload length (capped before allocation),
 /// payload, CRC32C — into `payload` and verifies the chunk CRC.  Unless
 /// `file_crc` is null or the chunk is the footer, whose CRC field covers every
@@ -155,24 +175,14 @@ std::uint8_t read_frame(traceio::ByteSource& src, std::vector<std::uint8_t>& pay
   payload.resize(len);
   src.read_exact(payload.data(), len, "chunk payload");
   const std::uint32_t stored = src.get_u32("chunk checksum");
-
-  if (obs::metrics_enabled()) {
-    static obs::Counter& chunks = obs::counter("trace.chunks_in");
-    static obs::Counter& bytes_in = obs::counter("trace.bytes_in");
-    chunks.add(1);
-    bytes_in.add(static_cast<std::int64_t>(5 + static_cast<std::uint64_t>(len) + 4));
-  }
+  count_chunk_in(len);
 
   char hdr[5];
   hdr[0] = static_cast<char>(kind);
   std::memcpy(hdr + 1, &len, 4);
   obs::Span crc_span("trace.crc");
   const std::uint32_t crc = crc32c(crc32c(0, hdr, 5), payload.data(), payload.size());
-  if (crc != stored) {
-    throw TraceIoError(TraceIoErrorKind::BadChecksum,
-                       "chunk checksum mismatch (kind '" + std::string(1, static_cast<char>(kind)) +
-                           "')");
-  }
+  check_chunk_crc(kind, crc, stored);
   if (file_crc != nullptr && kind != kChunkFooter) {
     char crc_bytes[4];
     std::memcpy(crc_bytes, &stored, 4);
@@ -188,12 +198,11 @@ struct EventChunkHead {
   const std::uint8_t* events = nullptr;  ///< the encoded events after the head
 };
 
-/// Parses the head of an event-chunk payload of a trace with `ranks` ranks:
-/// the rank lies in the placement, and the count is positive and fits the
-/// payload, so a forged one is caught before a decoder sizes storage for it.
-EventChunkHead parse_event_head(const std::vector<std::uint8_t>& payload, int ranks) {
-  const std::uint8_t* p = payload.data();
-  const std::uint8_t* end = p + payload.size();
+/// Parses the head of the event-chunk payload [p, end) of a trace with
+/// `ranks` ranks: the rank lies in the placement, and the count is positive
+/// and fits the payload, so a forged one is caught before a decoder sizes
+/// storage for it.
+EventChunkHead parse_event_head(const std::uint8_t* p, const std::uint8_t* end, int ranks) {
   EventChunkHead head;
   head.seq = get_uv(&p, end, "event chunk sequence");
   const std::uint64_t rank = get_uv(&p, end, "event chunk rank");
@@ -504,7 +513,8 @@ bool TraceReader::next_chunk(ChunkRef& ref) {
     malformed("unknown chunk kind '" + std::string(1, static_cast<char>(kind)) + "'");
   }
 
-  const EventChunkHead head = parse_event_head(payload_, ranks());
+  const EventChunkHead head =
+      parse_event_head(payload_.data(), payload_.data() + payload_.size(), ranks());
   if (head.seq != at_.event_chunks_seen) {
     malformed("event chunk out of sequence (duplicated, dropped, or reordered chunk): expected " +
               std::to_string(at_.event_chunks_seen) + ", found " + std::to_string(head.seq));
@@ -579,27 +589,50 @@ TraceIndex index_trace_v2(std::istream& in) {
 ChunkReader::ChunkReader(std::istream& in, const TraceIndex& index)
     : src_(in), ranks_(index.meta.ranks()) {}
 
-const std::uint8_t* ChunkReader::load(const ChunkRef& ref) {
+std::span<const std::uint8_t> ChunkReader::load(const ChunkRef& ref) {
+  CS_SPAN("trace.read_chunk");
   CS_REQUIRE(ref.rank >= 0 && ref.rank < ranks_, "chunk ref outside the placement");
+  const std::uint32_t len = ref.payload_len;
+  if (len > kMaxChunkPayload) {
+    malformed("chunk payload length " + std::to_string(len) + " exceeds the 64 MiB limit");
+  }
+  // The index knows the frame's length, so kind, length, payload and CRC
+  // come in one read.
   src_.seek(ref.offset);
-  if (read_frame(src_, payload_, nullptr) == kChunkEvents && payload_.size() == ref.payload_len) {
-    const EventChunkHead head = parse_event_head(payload_, ranks_);
-    if (head.seq == ref.seq && head.rank == ref.rank && head.count == ref.count) {
-      return head.events;
+  frame_.resize(5 + std::size_t{len} + 4);
+  src_.read_exact(frame_.data(), frame_.size(), "event chunk");
+  count_chunk_in(len);
+  const std::uint8_t* payload = frame_.data() + 5;
+  std::uint32_t stored_len;
+  std::memcpy(&stored_len, frame_.data() + 1, 4);
+  if (stored_len == len) {
+    std::uint32_t stored;
+    std::memcpy(&stored, payload + len, 4);
+    {
+      CS_SPAN("trace.crc");
+      check_chunk_crc(frame_[0], crc32c(0, frame_.data(), 5 + std::size_t{len}), stored);
+    }
+    if (frame_[0] == kChunkEvents) {
+      const EventChunkHead head = parse_event_head(payload, payload + len, ranks_);
+      if (head.seq == ref.seq && head.rank == ref.rank && head.count == ref.count) {
+        return {head.events, payload + len};
+      }
     }
   }
   malformed("event chunk does not match its index entry");
 }
 
 EventCursor ChunkReader::read(const ChunkRef& ref) {
-  return {load(ref), payload_.data() + payload_.size(), ref.count};
+  const std::span<const std::uint8_t> events = load(ref);
+  return {events.data(), events.data() + events.size(), ref.count};
 }
 
 void ChunkReader::read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
                                std::vector<std::uint8_t>& out) {
   CS_REQUIRE(local_ts.size() == ref.count, "one timestamp per event of the chunk");
-  const std::uint8_t* p = load(ref);
-  const std::uint8_t* end = payload_.data() + payload_.size();
+  const std::span<const std::uint8_t> events = load(ref);
+  const std::uint8_t* p = events.data();
+  const std::uint8_t* const end = p + events.size();
   out.clear();
   std::uint64_t prev_local = 0;
   for (const Time t : local_ts) {

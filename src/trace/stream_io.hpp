@@ -45,8 +45,9 @@
 // retired fixed-width v1 layout) {BadVersion}.
 //
 // The chunk index (index_trace_v2) is that reader stepped with next_chunk(),
-// i.e. without event decoding, and ChunkReader re-reads indexed chunks through
-// the same chunk framing and head checks; neither has validation of its own.
+// i.e. without event decoding, and ChunkReader re-reads an indexed chunk's
+// whole frame in one read, through the same payload cap, CRC and head checks;
+// neither has validation of its own.
 // FrontierReader walks an indexed file through a ChunkReader in frontier
 // order, rank by rank as their local timestamps advance: the read order of
 // both out-of-core consumers, the windowed CLC (clc_stream.hpp) and the file
@@ -95,7 +96,14 @@ struct TraceMeta {
   static TraceMeta of(const Trace& trace);
 };
 
-inline constexpr std::size_t kDefaultEventsPerChunk = 16384;
+/// Events per chunk the writer cuts at by default.  The chunk is the CRC
+/// unit, so a reader can use none of a chunk's events before it has read and
+/// verified all of them: FrontierReader holds one whole chunk per rank, and
+/// ranks × events_per_chunk is the floor of the out-of-core read-ahead.  At
+/// 4096 events that floor is a quarter of 16384's, for ~0.03% more file
+/// bytes (one ~12-byte frame per chunk).  Readers accept any chunk size, so
+/// files cut at 16384 by older writers still read, at their old floor.
+inline constexpr std::size_t kDefaultEventsPerChunk = 4096;
 
 /// Incremental v2 writer.  Events must be appended rank-major (all of rank 0,
 /// then rank 1, ...); chunks are cut every `events_per_chunk` events or on a
@@ -285,8 +293,9 @@ struct TraceIndex {
 /// died before finish()) is rejected as Truncated.
 TraceIndex index_trace_v2(std::istream& in);
 
-/// Re-reads single event chunks of an indexed v2 file in any order, through
-/// TraceReader's framing and head checks, and verifies each chunk against its
+/// Re-reads single event chunks of an indexed v2 file in any order, one read
+/// per chunk frame (the ChunkRef gives its length), through TraceReader's
+/// payload cap, CRC and head checks, and verifies each chunk against its
 /// ChunkRef before decoding.  The stream must be seekable (the index pass
 /// already proved it readable).
 class ChunkReader {
@@ -294,7 +303,7 @@ class ChunkReader {
   ChunkReader(std::istream& in, const TraceIndex& index);
 
   /// Reads the chunk at `ref` and returns its events, to decode; the cursor
-  /// is valid until the next call.  The payload buffer is reused across
+  /// is valid until the next call.  The frame buffer is reused across
   /// calls, so resident memory stays at one chunk regardless of how many are
   /// visited.
   EventCursor read(const ChunkRef& ref);
@@ -308,13 +317,13 @@ class ChunkReader {
                     std::vector<std::uint8_t>& out);
 
  private:
-  /// Reads and verifies the chunk at `ref` into payload_; returns where its
-  /// events start.
-  const std::uint8_t* load(const ChunkRef& ref);
+  /// Reads the chunk frame at `ref` into frame_ in one read and verifies it;
+  /// returns its encoded events.
+  std::span<const std::uint8_t> load(const ChunkRef& ref);
 
   traceio::ByteSource src_;
   int ranks_;
-  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> frame_;  ///< kind, length, payload and CRC of the chunk last read
 };
 
 /// Reads the event chunks of an indexed v2 file in frontier order, the read

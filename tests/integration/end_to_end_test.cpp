@@ -3,11 +3,14 @@
 // claims hold in the reproduction.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "analysis/clock_condition.hpp"
+#include "common/scratch_dir.hpp"
 #include "analysis/interval_stats.hpp"
 #include "sync/clc.hpp"
+#include "sync/clc_stream.hpp"
 #include "sync/error_estimation.hpp"
 #include "sync/interpolation.hpp"
 #include "sync/offset_alignment.hpp"
@@ -192,6 +195,61 @@ TEST(EndToEnd, TraceSurvivesSerializationPipeline) {
   const auto a = check_clock_condition(res.trace, TimestampArray::from_local(res.trace));
   const auto b = check_clock_condition(back, TimestampArray::from_local(back));
   EXPECT_EQ(a, b);
+}
+
+// The out-of-core CLC's read-ahead holds one whole chunk per rank, so its
+// floor is ranks × events_per_chunk.  On 256 ranks of 16,384 events, written
+// with the default chunking, that floor must stay well under the trace: a
+// writer that cut one chunk per rank would put the whole trace in the
+// read-ahead.  The trace is a ring: every tenth event pair is a message from
+// rank r to r + 1, and one message in 16 arrives before it was sent.
+TEST(EndToEnd, StreamingReadAheadStaysUnderHalfTheTraceOn256Ranks) {
+  constexpr int kRanks = 256;
+  constexpr std::int64_t kPerRank = 16384;
+  constexpr double kStep = 1e-5;  // > inter-node l_min, so matched pairs obey Eq. 1
+  const ScratchDir scratch(testing::TempDir());
+  const std::string in_path = scratch.file("ring_in.cstr");
+  {
+    TraceMeta meta;
+    meta.placement = pinning::inter_node(clusters::powerpc_marenostrum(), kRanks);
+    meta.domain_min_latency = {0.47e-6, 0.86e-6, 4.29e-6};
+    meta.timer_name = "ring";
+    meta.regions = {"compute"};
+    std::ofstream f(in_path, std::ios::binary);
+    TraceWriter w(f, meta);
+    for (int r = 0; r < kRanks; ++r) {
+      const int prev = (r + kRanks - 1) % kRanks;
+      for (std::int64_t i = 0; i < kPerRank; ++i) {
+        Event e;
+        e.local_ts = static_cast<double>(i) * kStep;
+        if (i % 10 == 8) {
+          e.type = EventType::Send;
+          e.peer = (r + 1) % kRanks;
+          e.msg_id = kPerRank * r + i;
+        } else if (i % 10 == 9) {
+          e.type = EventType::Recv;
+          e.peer = prev;
+          e.msg_id = kPerRank * prev + i - 1;
+          if ((i / 10) % 16 == 0) e.local_ts = static_cast<double>(i - 1) * kStep - 1e-7;
+        } else {
+          e.type = i % 2 == 0 ? EventType::Enter : EventType::Exit;
+          e.region = 0;
+        }
+        e.true_ts = e.local_ts;
+        w.append(r, e);
+      }
+    }
+    w.finish();
+  }
+
+  StreamClcOptions opt;
+  opt.backward_window = 1e-3;  // covers the reversals' ramps; keeps retention small
+  const StreamClcStats stats = clc_stream_file(in_path, scratch.file("ring_out.cstr"), opt);
+  const std::uint64_t total = std::uint64_t{kRanks} * kPerRank;
+  ASSERT_EQ(stats.events, total);
+  EXPECT_GT(stats.violations_repaired, 0u);
+  EXPECT_EQ(stats.ramp_clamped + stats.horizon_dropped + stats.forced, 0u);
+  EXPECT_LT(stats.peak_resident_events, total / 2);
 }
 
 }  // namespace

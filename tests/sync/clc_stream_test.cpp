@@ -14,6 +14,8 @@
 #include "../testutil/random_trace.hpp"
 #include "common/scratch_dir.hpp"
 #include "analysis/clock_condition_stream.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "sync/clc.hpp"
 #include "sync/replay.hpp"
 #include "topology/cluster.hpp"
@@ -249,7 +251,9 @@ TEST(ClcStream, OutputBytesEqualWriterAtInputChunking) {
     }
   }
 
-  for (const std::size_t epc : {std::size_t{3}, std::size_t{64}, kDefaultEventsPerChunk}) {
+  // 16384 is the default of older writers, whose files stay readable.
+  for (const std::size_t epc :
+       {std::size_t{3}, std::size_t{64}, kDefaultEventsPerChunk, std::size_t{16384}}) {
     const std::string in_path = scratch.file("chunking_in_" + std::to_string(epc));
     const std::string out_path = scratch.file("chunking_out_" + std::to_string(epc));
     write_trace_v2_file(trace, in_path, epc);
@@ -263,6 +267,79 @@ TEST(ClcStream, OutputBytesEqualWriterAtInputChunking) {
     ASSERT_EQ(got.size(), want.str().size()) << "events_per_chunk " << epc;
     EXPECT_TRUE(got == want.str()) << "events_per_chunk " << epc;
   }
+}
+
+/// Corrects `trace` (4-event chunks) with metrics on and returns the
+/// counters that explain the retention window: {held, window}.
+std::pair<std::int64_t, std::int64_t> pending_reasons(const Trace& trace,
+                                                      const StreamClcOptions& opt) {
+  const ScratchDir scratch(testing::TempDir());
+  const std::string in_path = scratch.file("pending_in.cstr");
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/4);
+  obs::set_level(obs::Level::Metrics);
+  obs::reset();
+  clc_stream_file(in_path, scratch.file("pending_out.cstr"), opt);
+  const std::int64_t held = obs::counter("clc.stream.pending_held_events").value();
+  const std::int64_t window = obs::counter("clc.stream.pending_window_events").value();
+  obs::set_level(obs::Level::Off);
+  obs::reset();
+  return {held, window};
+}
+
+Event local_event(Time t) {
+  Event e;
+  e.type = EventType::Enter;
+  e.region = 0;
+  e.local_ts = e.true_ts = t;
+  return e;
+}
+
+Event p2p_event(EventType type, Time t, Rank peer, std::int64_t msg_id) {
+  Event e;
+  e.type = type;
+  e.peer = peer;
+  e.tag = 0;
+  e.msg_id = msg_id;
+  e.local_ts = e.true_ts = t;
+  return e;
+}
+
+// The entries a sweep leaves pending are counted by why the first of them is
+// not final: a hold (its cap may still change) or the backward window.
+TEST(ClcStream, PendingCountersNameWhatKeepsTheWindow) {
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {1e-7, 1e-6, 5e-6}, "pending");
+  trace.intern_region("work");
+  // Held: rank 0's first event is a send whose receive comes 0.2 s later.
+  // The receive after it jumps (its send on rank 1 is 0.5 ms later), which
+  // puts the send inside the jump's ramp, where only its receive settles
+  // its cap: the send is held however far rank 0 moves on.
+  auto& r0 = trace.events(0);
+  r0.push_back(p2p_event(EventType::Send, 1.0, 1, 1));
+  r0.push_back(p2p_event(EventType::Recv, 1.0001, 1, 2));
+  for (int j = 0; j < 100; ++j) r0.push_back(local_event(1.0002 + j * 1e-3));
+  auto& r1 = trace.events(1);
+  r1.push_back(p2p_event(EventType::Send, 1.0005, 0, 2));
+  for (int j = 0; j < 150; ++j) r1.push_back(local_event(1.001 + j * 1e-3));
+  r1.push_back(p2p_event(EventType::Recv, 1.2, 0, 1));
+
+  StreamClcOptions opt;
+  opt.emit_batch = 4;
+  opt.backward_window = 1e-2;  // longer than the jump's 8 ms ramp
+  const auto [held, window] = pending_reasons(trace, opt);
+  EXPECT_GT(held, 0);
+
+  // Window: local events 1 ms apart over 0.1 s, inside the default 1 s
+  // backward window, stay pending until their rank ends; nothing holds them.
+  Trace quiet(pinning::inter_node(clusters::xeon_rwth(), 2), {1e-7, 1e-6, 5e-6}, "pending");
+  quiet.intern_region("work");
+  for (Rank r = 0; r < 2; ++r) {
+    for (int j = 0; j < 100; ++j) quiet.events(r).push_back(local_event(j * 1e-3));
+  }
+  StreamClcOptions quiet_opt;
+  quiet_opt.emit_batch = 4;
+  const auto [quiet_held, quiet_window] = pending_reasons(quiet, quiet_opt);
+  EXPECT_EQ(quiet_held, 0);
+  EXPECT_GT(quiet_window, 0);
 }
 
 // Regression: when the final rename failed, the sealed temporary output

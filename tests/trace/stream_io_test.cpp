@@ -9,6 +9,7 @@
 #include <span>
 #include <sstream>
 
+#include "../testutil/error_of.hpp"
 #include "../testutil/random_trace.hpp"
 #include "../testutil/spec_encoder.hpp"
 #include "common/scratch_dir.hpp"
@@ -263,6 +264,47 @@ TEST(StreamIo, IndexAndChunkReaderGiveRandomAccess) {
   }
 }
 
+// ChunkReader reads a chunk's whole frame in one read, at the length its
+// index entry gives, and still checks that length, the CRC, the kind and the
+// head against the entry, and the payload cap before it reads.
+TEST(StreamIo, ChunkReaderChecksEachFrameAgainstItsIndexEntry) {
+  const Trace t = bulk_trace(2, 300);
+  std::stringstream v2;
+  write_trace_v2(t, v2, /*events_per_chunk=*/100);
+  const std::string bytes = v2.str();
+  const TraceIndex idx = index_trace_v2(v2);
+  ASSERT_EQ(idx.chunks.size(), 6u);
+  const ChunkRef good = idx.chunks[2];
+  using testutil::error_of;
+  const auto read_with = [&](const std::string& blob, const ChunkRef& ref) {
+    return error_of([&] {
+      std::stringstream in(blob);
+      ChunkReader(in, idx).read(ref);
+    });
+  };
+  EXPECT_EQ(read_with(bytes, good), std::nullopt);
+
+  std::string flipped = bytes;  // one payload byte changed after indexing
+  flipped[good.offset + 5 + good.payload_len / 2] ^= 0x10;
+  EXPECT_EQ(read_with(flipped, good), TraceIoErrorKind::BadChecksum);
+
+  ChunkRef ref = good;
+  ref.payload_len -= 1;  // the frame's stored length disagrees
+  EXPECT_EQ(read_with(bytes, ref), TraceIoErrorKind::Malformed);
+  ref = good;
+  ref.seq += 1;
+  EXPECT_EQ(read_with(bytes, ref), TraceIoErrorKind::Malformed);
+  ref = good;
+  ref.offset = idx.chunks[3].offset;  // a valid chunk, but not this entry's
+  EXPECT_EQ(read_with(bytes, ref), TraceIoErrorKind::Malformed);
+  ref = good;
+  ref.payload_len = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(read_with(bytes, ref), TraceIoErrorKind::Malformed);
+  ref = idx.chunks.back();
+  ref.offset = bytes.size() - 8;  // runs past the end of the file
+  EXPECT_EQ(read_with(bytes, ref), TraceIoErrorKind::Truncated);
+}
+
 TEST(StreamIo, IndexOffsetsStartFromStreamPosition) {
   // A stream handed over mid-file: the chunk offsets must still be absolute,
   // so that ChunkReader's seeks land on the chunks.
@@ -438,13 +480,15 @@ TEST(StreamIo, WriterBytesMatchSpecOracle) {
   }
   int compared = 0;
   for (const Trace& t : traces) {
-    for (const std::size_t per_chunk : {std::size_t{1}, std::size_t{3}, kDefaultEventsPerChunk}) {
+    // 16384 is the default of older writers, whose files stay readable.
+    for (const std::size_t per_chunk :
+         {std::size_t{1}, std::size_t{3}, kDefaultEventsPerChunk, std::size_t{16384}}) {
       std::stringstream buf;
       write_trace_v2(t, buf, per_chunk);
       const std::string got = buf.str();
       const std::string want = testutil::encode_v2_spec(t, per_chunk);
-      ASSERT_EQ(got.size(), want.size()) << "trace " << compared / 3 << ", " << per_chunk;
-      EXPECT_TRUE(got == want) << "trace " << compared / 3 << ", " << per_chunk
+      ASSERT_EQ(got.size(), want.size()) << "trace " << compared / 4 << ", " << per_chunk;
+      EXPECT_TRUE(got == want) << "trace " << compared / 4 << ", " << per_chunk
                                << " events per chunk: first difference at byte "
                                << std::mismatch(got.begin(), got.end(), want.begin()).first -
                                       got.begin();
@@ -453,7 +497,7 @@ TEST(StreamIo, WriterBytesMatchSpecOracle) {
       ++compared;
     }
   }
-  EXPECT_EQ(compared, 3 * 43);
+  EXPECT_EQ(compared, 4 * 43);
 }
 
 TEST(StreamIo, BytesWrittenMatchesStream) {
