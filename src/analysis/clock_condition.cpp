@@ -48,13 +48,13 @@ ClockConditionReport check_clock_condition(const Trace& trace,
     std::copy(row.begin(), row.end(), flat.begin() + schedule.rank_begin(r));
   }
 
-  // One pass over the CSR incoming-edge arrays; each constraint edge is
+  // One pass over every event's incoming edges; each constraint edge is
   // exactly one matched p2p or derived logical message.
   for (std::uint32_t g = 0; g < total; ++g) {
     const Time tr = flat[g];
-    for (const auto& edge : schedule.incoming(g)) {
+    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
       rep.add_edge(edge.logical, flat[edge.source], tr, edge.l_min);
-    }
+    });
   }
 
   for (Rank r = 0; r < trace.ranks(); ++r) {

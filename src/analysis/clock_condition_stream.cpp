@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -38,46 +37,12 @@ struct CollInstance {
   std::vector<Endpoint> ends;
 };
 
-/// The (msg_id, side) pairs read so far: 2 bits per id, in 8 KiB pages of
-/// 2^15 consecutive ids.
-class SeenEndpoints {
- public:
-  static constexpr int kPageBits = 15;
-  static constexpr std::size_t kPageBytes = (std::size_t{1} << kPageBits) / 4;
-
-  /// Marks side `side` (0 send, 1 receive) of `id`; false if it was marked.
-  bool mark(std::int64_t id, int side) {
-    const std::int64_t key = id >> kPageBits;
-    if (page_ == nullptr || key != key_) {
-      std::unique_ptr<Page>& page = pages_[key];
-      if (page == nullptr) page = std::make_unique<Page>();  // zeroed
-      key_ = key;
-      page_ = page.get();
-    }
-    const auto bit = 2 * static_cast<std::size_t>(id & ((std::int64_t{1} << kPageBits) - 1)) +
-                     static_cast<std::size_t>(side);
-    std::uint8_t& byte = (*page_)[bit / 8];
-    const auto m = static_cast<std::uint8_t>(1u << (bit % 8));
-    if ((byte & m) != 0) return false;
-    byte = static_cast<std::uint8_t>(byte | m);
-    return true;
-  }
-
-  std::size_t bytes() const { return pages_.size() * kPageBytes; }
-
- private:
-  using Page = std::array<std::uint8_t, kPageBytes>;
-  edge_rules::IdTable<std::unique_ptr<Page>> pages_;
-  std::int64_t key_ = 0;
-  Page* page_ = nullptr;  ///< the page of key_; pages never move
-};
-
 /// The scan's per-event state, fed a rank's events a piece at a time.  A
 /// rank's events must come in file order; ranks may interleave in any order.
 /// With `seen`, add() refuses the piece that repeats a (msg_id, side) pair.
 class Scan {
  public:
-  Scan(const TraceMeta& meta, SeenEndpoints* seen) : meta_(meta), seen_(seen) {}
+  Scan(const TraceMeta& meta, edge_rules::SeenEndpoints* seen) : meta_(meta), seen_(seen) {}
 
   /// Feeds the events left in rank `rank`'s chunk — an EventCursor, or a
   /// FrontierReader over the chunk it read — decoded a piece at a time, so
@@ -152,7 +117,7 @@ class Scan {
 
  private:
   const TraceMeta& meta_;
-  SeenEndpoints* seen_;
+  edge_rules::SeenEndpoints* seen_;
   std::array<EdgeRecord, 512> piece_;
   ClockConditionReport rep_;
   // Messages are checked the moment their second endpoint arrives, so the
@@ -172,18 +137,14 @@ void count(const char* name, std::int64_t n) {
 std::optional<ClockConditionReport> scan_frontier(std::istream& in, const TraceIndex& index,
                                                   ScanStats* stats) {
   CS_SPAN("analysis.scan.read");
-  // 1 byte per event, but at least one page: a seen-set that small bounds
-  // nothing worth a second pass.
-  const std::size_t budget =
-      std::max<std::size_t>(index.total_events, SeenEndpoints::kPageBytes);
-  SeenEndpoints seen;
+  edge_rules::SeenEndpoints seen(index.total_events);
   Scan scan(index.meta, &seen);
   FrontierReader reader(in, index);
   std::int64_t chunks = 0;
   bool ok = true;
   for (Rank r; ok && (r = reader.next()) >= 0;) {
     ++chunks;
-    ok = scan.add_chunk(r, reader) && seen.bytes() <= budget;
+    ok = scan.add_chunk(r, reader) && !seen.over_budget();
   }
   count("analysis.scan.chunks_read", chunks);
   if (!ok) return std::nullopt;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -205,7 +206,7 @@ class StreamEngine {
  public:
   StreamEngine(std::istream& in, const TraceIndex& index, SideFile& side,
                const StreamClcOptions& opts)
-      : index_(index), reader_(in, index_), opts_(opts), side_(side) {
+      : index_(index), reader_(in, index_), opts_(opts), side_(side), seen_(index_.total_events) {
     clc_kernel::require_valid(opts_.clc);
     CS_REQUIRE(opts_.horizon > 0.0, "horizon must be positive");
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
@@ -267,6 +268,7 @@ class StreamEngine {
       static obs::Counter& pending_held = obs::counter("clc.stream.pending_held_events");
       static obs::Counter& pending_window = obs::counter("clc.stream.pending_window_events");
       static obs::Counter& correct_alloc = obs::counter("clc.stream.correct.alloc_bytes");
+      static obs::Counter& repeated = obs::counter("clc.stream.repeated_ids");
       events.add(static_cast<std::int64_t>(stats_.events));
       repaired.add(static_cast<std::int64_t>(stats_.violations_repaired));
       peak_ahead.set(static_cast<double>(peak_ahead_));
@@ -274,6 +276,7 @@ class StreamEngine {
       pending_held.add(static_cast<std::int64_t>(pending_held_));
       pending_window.add(static_cast<std::int64_t>(pending_window_));
       correct_alloc.add(static_cast<std::int64_t>(alloc1 - alloc0));
+      repeated.add(static_cast<std::int64_t>(stats_.repeated_ids));
     }
 
     return stats_;
@@ -303,6 +306,7 @@ class StreamEngine {
   void register_event(Rank r, const EdgeRecord& e) {
     switch (e.type) {
       case EventType::Send: {
+        see(e.id, 0);
         MsgState& m = msgs_[e.id];
         if (m.recv_dropped) ++stats_.horizon_dropped;  // edge already abandoned
         m.send_registered = true;
@@ -310,6 +314,7 @@ class StreamEngine {
         break;
       }
       case EventType::Recv:
+        see(e.id, 1);
         msgs_[e.id].recv_registered = true;
         break;
       case EventType::CollBegin:
@@ -336,6 +341,19 @@ class StreamEngine {
         break;
     }
     stats_.peak_outstanding_msgs = std::max(stats_.peak_outstanding_msgs, msgs_.size());
+  }
+
+  /// Marks a message endpoint as read.  The frontier-order join pairs as the
+  /// in-memory rank-major one only while no (msg_id, side) pair repeats:
+  /// each repeat counts in repeated_ids, and so does the seen-set outgrowing
+  /// its budget, which drops the set.
+  void see(std::int64_t id, int side) {
+    if (!seen_) return;
+    if (!seen_->mark(id, side)) ++stats_.repeated_ids;
+    if (seen_->over_budget()) {
+      ++stats_.repeated_ids;
+      seen_.reset();
+    }
   }
 
   void closure_scan() {
@@ -737,6 +755,7 @@ class StreamEngine {
   BlockPool<Pending> pending_blocks_;
   std::vector<RankState> ranks_;
   edge_rules::IdTable<MsgState> msgs_;
+  std::optional<edge_rules::SeenEndpoints> seen_;  ///< dropped past its budget
   edge_rules::IdTable<CollInst> colls_;
   std::vector<std::vector<BeginRec>> free_begins_;  ///< retired instances' begins, emptied
   std::vector<double> emit_buf_;

@@ -27,9 +27,10 @@
 // input's chunk layout.
 //
 // Memory model: what stays resident is the window (read-ahead at 24 bytes
-// per event plus retention at 48), the collective backlog, and every
-// processed send still waiting for its receive (one 24-byte message-table
-// slot each).  A send leaves the message table when its receive takes the
+// per event plus retention at 48), the collective backlog, every processed
+// send still waiting for its receive (one 24-byte message-table slot each),
+// and the seen-set of message endpoints (2 bits per msg_id, at most one byte
+// per event; see the equivalence contract).  A send leaves the message table when its receive takes the
 // edge.  A send whose receive never comes — only a trace cut mid-run
 // produces one — stays until the run ends, one table slot each; its backward
 // hold is released once the read frontier passes the horizon, so it delays
@@ -56,9 +57,9 @@
 // The forward pass is replayed in a dependency-respecting order, and the
 // forward correction of an event depends only on its same-rank predecessor
 // and a max over its incoming edges, so forward values are bit-identical to
-// controlled_logical_clock() on the materialized trace in every case.  Two
-// bounds make the windowed run finite, and each is a documented divergence
-// source when exceeded (never silent — counted in StreamClcStats):
+// controlled_logical_clock() on the materialized trace whenever both pair
+// the same edges.  Three conditions can break that, and each is a documented
+// divergence source (never silent — counted in StreamClcStats):
 //
 //   * `horizon` (seconds of local time): an edge whose endpoints record
 //     timestamps further apart than the horizon may be dropped
@@ -68,9 +69,18 @@
 //   * `backward_window` (seconds): backward-amortization ramps are clamped
 //     to min(jump / backward_slope, backward_window).  Jumps whose natural
 //     ramp exceeds the window are counted in `ramp_clamped`.
+//   * Repeated message ids: the in-memory join (edge_rules::MessageJoin)
+//     pairs in rank-major order, this one in frontier order, and the two
+//     agree only while no (msg_id, side) pair occurs twice (a malformed
+//     trace).  edge_rules::SeenEndpoints, the file scan's seen-set, checks
+//     that; each repeated endpoint counts in `repeated_ids`, and so does the
+//     set outgrowing its budget (ids too sparse for its pages), after which
+//     it is dropped and nothing is proven.
+// A cyclic or dangling constraint graph forces progress (`forced`).
 //
-// With ramp_clamped == horizon_dropped == forced == 0 the emitted trace is
-// bit-identical — timestamps and jump statistics — to the in-memory
+// With ramp_clamped == horizon_dropped == forced == repeated_ids == 0 the
+// emitted trace is bit-identical — timestamps and jump statistics — to the
+// in-memory
 //   controlled_logical_clock(trace, schedule, TimestampArray::from_local(t)).
 // src/verify/differential.hpp::cross_check_windowed_clc asserts exactly this.
 #pragma once
@@ -111,6 +121,9 @@ struct StreamClcStats {
   std::uint64_t ramp_clamped = 0;    ///< jumps whose ramp hit backward_window
   std::uint64_t horizon_dropped = 0; ///< edges abandoned past the horizon
   std::uint64_t forced = 0;          ///< events force-processed (cyclic input)
+  /// Message endpoints whose (msg_id, side) pair was read before, plus one if
+  /// the seen-set outgrew its budget (see the equivalence contract).
+  std::uint64_t repeated_ids = 0;
   // Resource telemetry.
   /// Always 0: message entries stay in memory (see the memory model above).
   /// Kept so existing readers of the stats record keep their field.

@@ -14,9 +14,9 @@ std::vector<std::vector<std::uint64_t>> lamport_clocks(const Trace& trace,
   schedule.replay([&](std::uint32_t g, const EventRef& ref) {
     // LC = 1 + max(previous local event, all constraining sends).
     std::uint64_t lc = proc_last[static_cast<std::size_t>(ref.proc)];
-    for (const auto& edge : schedule.incoming(g)) {
+    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
       lc = std::max(lc, by_gidx[edge.source]);
-    }
+    });
     by_gidx[g] = lc + 1;
     proc_last[static_cast<std::size_t>(ref.proc)] = lc + 1;
   });
@@ -42,10 +42,10 @@ VectorClockIndex::VectorClockIndex(const Trace& trace, const ReplaySchedule& sch
     auto& vc = clocks_[g];
     const auto p = static_cast<std::size_t>(ref.proc);
     if (proc_prev[p] != UINT32_MAX) vc = clocks_[proc_prev[p]];
-    for (const auto& edge : schedule.incoming(g)) {
+    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
       const auto& src = clocks_[edge.source];
       for (std::size_t i = 0; i < src.size(); ++i) vc[i] = std::max(vc[i], src[i]);
-    }
+    });
     ++vc[p];  // local step
     proc_prev[p] = g;
   });

@@ -70,11 +70,10 @@ NodeCoupledClcResult node_coupled_clc(const Trace& trace, const ReplaySchedule& 
   // by coupling, since receives move forward too).
   std::vector<Time> cap(schedule.events(), kTimeInfinity);
   for (std::uint32_t g = 0; g < schedule.events(); ++g) {
-    for (const auto& edge : schedule.incoming(g)) {
-      cap[edge.source] =
-          std::min(cap[edge.source],
-                   clc_kernel::send_cap(result.clc.corrected.at(schedule.event_ref(g)), edge.l_min));
-    }
+    const Time recv = result.clc.corrected.at(schedule.event_ref(g));
+    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
+      cap[edge.source] = std::min(cap[edge.source], clc_kernel::send_cap(recv, edge.l_min));
+    });
   }
 
   for (const auto& [node, ranks] : nodes) {

@@ -27,20 +27,21 @@
 //     begin or one end, so they stay explicit); and
 //   * none of the run's ends and begins takes part in a logical message
 //     outside the run.
-// Every other run stays explicit CSR edges.  incoming(g) and outgoing(g)
-// expand hubs lazily, in the order an all-explicit build lists the edges (p2p
-// first, then logical ones in list order; verify::CsrSchedule is that build),
-// so per-edge consumers need not know hubs exist.  The hot loops walk a
-// hub's arrays directly: the CLC driver's forward pass and the audit read
-// the begins through the raw views, and the CLC's backward caps read a
-// begin's ends through for_each_outgoing.  No per-(begin, end) record is
-// built or stored.
+// Every other run stays explicit CSR edges.  Hub expansion lives in two
+// callbacks, one per direction: for_each_incoming(g, fn) and
+// for_each_outgoing(g, fn) visit an event's edges in the order an
+// all-explicit build lists them (p2p first, then logical ones in list order;
+// verify::CsrSchedule is that build), so per-edge consumers need not know
+// hubs exist, and no per-edge iterator state is kept.  incoming(g) and
+// outgoing(g) copy the same edges into a vector, for callers that want one.
+// The hottest loops walk a hub's arrays directly: the CLC driver's forward
+// pass and the audit read the begins through the raw views.  No
+// per-(begin, end) record is built or stored.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <vector>
 
@@ -65,84 +66,6 @@ class ReplaySchedule {
   struct HubMember {
     std::uint32_t event = 0;  ///< global event index
     Rank rank = 0;            ///< its rank
-  };
-
-  /// The edges of one event with its hub expanded: the explicit records, then
-  /// the hub's members of another rank.  A forward range of values (T is
-  /// ConstraintEdge for incoming edges, the target's global index for
-  /// outgoing ones); size() and operator[] walk it.
-  template <class T>
-  class Edges {
-   public:
-    class iterator {
-     public:
-      using iterator_category = std::forward_iterator_tag;
-      using value_type = T;
-      using difference_type = std::ptrdiff_t;
-      using pointer = void;
-      using reference = T;
-
-      iterator() = default;
-      T operator*() const {
-        return rec_ != rec_end_ ? *rec_ : schedule_->expand(hub_[pos_], self_, T{});
-      }
-      iterator& operator++() {
-        if (rec_ != rec_end_) {
-          ++rec_;
-        } else {
-          ++pos_;
-        }
-        settle();
-        return *this;
-      }
-      iterator operator++(int) {
-        iterator old = *this;
-        ++*this;
-        return old;
-      }
-      bool operator==(const iterator& o) const { return rec_ == o.rec_ && pos_ == o.pos_; }
-
-     private:
-      friend class Edges;
-      /// Past the explicit records, moves to the next member of another rank.
-      void settle() {
-        if (rec_ == rec_end_) pos_ = next_other_rank(hub_, pos_, self_);
-      }
-      const ReplaySchedule* schedule_ = nullptr;
-      const T* rec_ = nullptr;
-      const T* rec_end_ = nullptr;
-      std::span<const HubMember> hub_;
-      std::size_t pos_ = 0;
-      Rank self_ = 0;
-    };
-
-    iterator begin() const {
-      iterator it = end();
-      it.rec_ = rec_;
-      it.pos_ = 0;
-      it.settle();
-      return it;
-    }
-    iterator end() const {
-      iterator it;
-      it.schedule_ = schedule_;
-      it.rec_ = rec_end_;
-      it.rec_end_ = rec_end_;
-      it.hub_ = hub_;
-      it.pos_ = hub_.size();
-      it.self_ = self_;
-      return it;
-    }
-    std::size_t size() const { return static_cast<std::size_t>(std::distance(begin(), end())); }
-    T operator[](std::size_t k) const { return *std::next(begin(), static_cast<std::ptrdiff_t>(k)); }
-
-   private:
-    friend class ReplaySchedule;
-    const ReplaySchedule* schedule_ = nullptr;
-    const T* rec_ = nullptr;
-    const T* rec_end_ = nullptr;
-    std::span<const HubMember> hub_;
-    Rank self_ = 0;
   };
 
   ReplaySchedule(const Trace& trace, const std::vector<MessageRecord>& messages,
@@ -173,24 +96,26 @@ class ReplaySchedule {
     return prefix_[static_cast<std::size_t>(r) + 1] - prefix_[static_cast<std::size_t>(r)];
   }
 
-  /// Incoming constraints of one event (empty for non-receives).
-  Edges<ConstraintEdge> incoming(std::uint32_t gidx) const {
+  /// Incoming constraints of one event (empty for non-receives), in
+  /// for_each_incoming order.
+  std::vector<ConstraintEdge> incoming(std::uint32_t gidx) const {
     CS_REQUIRE(gidx < total_, "global index out of range");
-    return expand_records(in_recs_.data() + in_off_[gidx], in_recs_.data() + in_off_[gidx + 1],
-                          rank_of_[gidx], &ReplaySchedule::hub_begins);
+    std::vector<ConstraintEdge> edges;
+    for_each_incoming(gidx, [&](const ConstraintEdge& e) { edges.push_back(e); });
+    return edges;
   }
-  /// Events constrained by this one.
-  Edges<std::uint32_t> outgoing(std::uint32_t gidx) const {
+  /// Events constrained by this one, in for_each_outgoing order.
+  std::vector<std::uint32_t> outgoing(std::uint32_t gidx) const {
     CS_REQUIRE(gidx < total_, "global index out of range");
-    return expand_records(out_recs_.data() + out_off_[gidx],
-                          out_recs_.data() + out_off_[gidx + 1], rank_of_[gidx],
-                          &ReplaySchedule::ends_of);
+    std::vector<std::uint32_t> targets;
+    for_each_outgoing(gidx, [&](std::uint32_t target, Duration) { targets.push_back(target); });
+    return targets;
   }
 
   // Raw whole-array views for hot loops that index with already-validated
   // global indexes (the CLC driver's edge scan).  The per-event accessors
-  // above re-check bounds on every call and expand hubs one edge at a time;
-  // a forward pass touching millions of edges streams these arrays directly.
+  // above re-check bounds and copy each event's edges; a forward pass
+  // touching millions of edges streams these arrays directly.
   /// Owning rank per global index (size events()).
   std::span<const Rank> ranks_of() const { return rank_of_; }
   /// Global index of each rank's event 0, plus a final total-events sentinel
@@ -206,15 +131,22 @@ class ReplaySchedule {
     return {members_.data() + hub_off_[2 * std::size_t{hub}],
             members_.data() + hub_off_[2 * std::size_t{hub} + 1]};
   }
-  /// l_min of a hub edge from rank `from` to rank `to` (ranks differ; the
-  /// constructor proved no hub pairs two ranks of one core).
+  /// l_min of an edge from rank `from` to rank `to`, two distinct ranks;
+  /// throws for two ranks of one core, as Trace::min_latency does (the
+  /// constructor proved no hub pairs such ranks).
   Duration hub_l_min(Rank from, Rank to) const {
     return edge_rules::domain_latency(latency_, classify(loc_[static_cast<std::size_t>(from)],
                                                          loc_[static_cast<std::size_t>(to)]));
   }
 
-  /// Calls fn(target, l_min) for every outgoing edge of event `g`, in
-  /// outgoing(g) order, without bounds checks.
+  /// Calls fn(edge) for every incoming edge of event `g`, without bounds
+  /// checks: the explicit records in CSR order, then a hub's begins of
+  /// another rank, in begin order.
+  template <class Fn>
+  void for_each_incoming(std::uint32_t g, Fn&& fn) const;
+  /// Calls fn(target, l_min) for every outgoing edge of event `g`, without
+  /// bounds checks: the explicit records in CSR order, then a hub's ends of
+  /// another rank, in end order.
   template <class Fn>
   void for_each_outgoing(std::uint32_t g, Fn&& fn) const;
 
@@ -226,39 +158,9 @@ class ReplaySchedule {
 
  private:
   static Rank member_rank(const HubMember& m) { return m.rank; }
-  /// First position at or after `pos` whose member has a rank other than
-  /// `self` (members.size() if none).
-  static std::size_t next_other_rank(std::span<const HubMember> members, std::size_t pos,
-                                     Rank self) {
-    return edge_rules::for_each_other_rank(members, pos, self, member_rank,
-                                           [](const HubMember&) { return false; });
-  }
-  static std::uint32_t ref_of(const ConstraintEdge& e) { return e.source; }
-  static std::uint32_t ref_of(std::uint32_t target) { return target; }
-  ConstraintEdge expand(const HubMember& begin, Rank end_rank, ConstraintEdge) const {
-    return {begin.event, true, hub_l_min(begin.rank, end_rank)};
-  }
-  std::uint32_t expand(const HubMember& end, Rank, std::uint32_t) const { return end.event; }
   std::span<const HubMember> ends_of(std::uint32_t hub) const {
     return {members_.data() + hub_off_[2 * std::size_t{hub} + 1],
             members_.data() + hub_off_[2 * std::size_t{hub} + 2]};
-  }
-  /// The range over records [lo, hi) of an event of rank `self`: a final
-  /// hub record becomes that hub's members (`members_of`) of another rank.
-  template <class T>
-  Edges<T> expand_records(const T* lo, const T* hi, Rank self,
-                          std::span<const HubMember> (ReplaySchedule::*members_of)(std::uint32_t)
-                              const) const {
-    Edges<T> e;
-    e.schedule_ = this;
-    e.rec_ = lo;
-    e.rec_end_ = hi;
-    e.self_ = self;
-    if (lo != hi && ref_of(hi[-1]) >= total_) {
-      e.rec_end_ = hi - 1;
-      e.hub_ = (this->*members_of)(ref_of(hi[-1]) - static_cast<std::uint32_t>(total_));
-    }
-    return e;
   }
 
   const Trace* trace_;
@@ -279,7 +181,8 @@ class ReplaySchedule {
   std::vector<std::uint32_t> hub_off_;
   std::vector<HubMember> members_;
 
-  // Eq. 1 latency inputs of the hub edges.
+  // Eq. 1 latency inputs of the hub edges and of for_each_outgoing's p2p
+  // edges (the values Trace::min_latency gives).
   std::vector<CoreLocation> loc_;  ///< per rank
   std::array<Duration, 3> latency_{};
 };
@@ -291,12 +194,30 @@ class ReplaySchedule {
 [[noreturn]] void throw_cyclic_constraints(const EventRef& blocked);
 
 template <class Fn>
+void ReplaySchedule::for_each_incoming(std::uint32_t g, Fn&& fn) const {
+  const Rank r = rank_of_[g];
+  for (std::uint32_t k = in_off_[g]; k < in_off_[g + 1]; ++k) {
+    const ConstraintEdge& e = in_recs_[k];
+    if (e.source < total_) {
+      fn(e);
+      continue;
+    }
+    edge_rules::for_each_other_rank(hub_begins(e.source - static_cast<std::uint32_t>(total_)), 0,
+                                    r, member_rank, [&](const HubMember& b) {
+                                      fn(ConstraintEdge{b.event, true, hub_l_min(b.rank, r)});
+                                      return true;
+                                    });
+  }
+}
+
+template <class Fn>
 void ReplaySchedule::for_each_outgoing(std::uint32_t g, Fn&& fn) const {
   const Rank r = rank_of_[g];
   for (std::uint32_t k = out_off_[g]; k < out_off_[g + 1]; ++k) {
     const std::uint32_t target = out_recs_[k];
     if (target < total_) {
-      fn(target, trace_->min_latency(r, rank_of_[target]));
+      const Rank to = rank_of_[target];
+      fn(target, to == r ? 0.0 : hub_l_min(r, to));
       continue;
     }
     edge_rules::for_each_other_rank(ends_of(target - static_cast<std::uint32_t>(total_)), 0, r,
@@ -308,8 +229,9 @@ void ReplaySchedule::for_each_outgoing(std::uint32_t g, Fn&& fn) const {
 }
 
 /// Dependency-order replay over any schedule with events(), rank_begin(),
-/// rank_size(), rank_of(), incoming(g).size() and outgoing(g): ranks drain in
-/// FIFO order, each until its next event waits for a constraint source.
+/// rank_size(), rank_of(), for_each_incoming(g, fn) and for_each_outgoing(g,
+/// fn): ranks drain in FIFO order, each until its next event waits for a
+/// constraint source.  Only the edges' endpoints are read.
 template <class Schedule, class Visit>
 void replay_in_dependency_order(const Schedule& s, int ranks, Visit&& visit) {
   const auto total = static_cast<std::uint32_t>(s.events());
@@ -318,7 +240,7 @@ void replay_in_dependency_order(const Schedule& s, int ranks, Visit&& visit) {
   // Remaining unvisited constraint sources per event.
   std::vector<std::uint32_t> pending(total);
   for (std::uint32_t g = 0; g < total; ++g) {
-    pending[g] = static_cast<std::uint32_t>(s.incoming(g).size());
+    s.for_each_incoming(g, [&](const auto&) { ++pending[g]; });
   }
 
   std::vector<std::uint32_t> cursor(n, 0);
@@ -354,7 +276,7 @@ void replay_in_dependency_order(const Schedule& s, int ranks, Visit&& visit) {
       visit(g, ref);
       ++visited;
       ++cursor[static_cast<std::size_t>(r)];
-      for (std::uint32_t dep : s.outgoing(g)) {
+      s.for_each_outgoing(g, [&](std::uint32_t dep, Duration) {
         CS_ENSURE(pending[dep] > 0, "dependency counting corrupted");
         --pending[dep];
         if (pending[dep] == 0) {
@@ -363,7 +285,7 @@ void replay_in_dependency_order(const Schedule& s, int ranks, Visit&& visit) {
           const Rank dr = s.rank_of(dep);
           if (cursor_gidx(dr) == dep) enqueue_if_ready(dr);
         }
-      }
+      });
     }
   }
 

@@ -11,7 +11,8 @@
 //   1. pair_latency: l_min between two ranks; 0 for a rank's message to
 //      itself, which program order already orders.
 //   2. MessageJoin: the online msg_id join over rank-major order, on the
-//      IdTable that also holds the windowed CLC's pairing state.
+//      IdTable that also holds the windowed CLC's pairing state; and
+//      SeenEndpoints, which proves an out-of-order join pairs the same way.
 //   3. for_each_source / for_each_logical_edge: which begins of a collective
 //      instance constrain which of its ends; for_each_other_rank is their
 //      N-to-N branch, which ReplaySchedule's collective hubs expand with.
@@ -21,6 +22,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -291,6 +293,50 @@ class MessageJoin {
 
   IdTable<Endpoint> open_;
   std::size_t peak_ = 0;
+};
+
+/// The (msg_id, side) pairs read so far: 2 bits per id, in 8 KiB pages of
+/// 2^15 consecutive ids.  A consumer that joins messages out of rank-major
+/// order pairs as MessageJoin does whenever no (msg_id, side) pair occurs
+/// twice; this set proves that, or finds the repeat.  Its budget is one byte
+/// per event of the trace, but at least one page: pages beyond it (ids too
+/// sparse for pages) would cost more than the join they guard.
+class SeenEndpoints {
+ public:
+  static constexpr int kPageBits = 15;
+  static constexpr std::size_t kPageBytes = (std::size_t{1} << kPageBits) / 4;
+
+  /// A set for a trace of `events` events.
+  explicit SeenEndpoints(std::uint64_t events)
+      : budget_(std::max<std::uint64_t>(events, kPageBytes)) {}
+
+  /// Marks side `side` (0 send, 1 receive) of `id`; false if it was marked.
+  bool mark(std::int64_t id, int side) {
+    const std::int64_t key = id >> kPageBits;
+    if (page_ == nullptr || key != key_) {
+      std::unique_ptr<Page>& page = pages_[key];
+      if (page == nullptr) page = std::make_unique<Page>();  // zeroed
+      key_ = key;
+      page_ = page.get();
+    }
+    const auto bit = 2 * static_cast<std::size_t>(id & ((std::int64_t{1} << kPageBits) - 1)) +
+                     static_cast<std::size_t>(side);
+    std::uint8_t& byte = (*page_)[bit / 8];
+    const auto m = static_cast<std::uint8_t>(1u << (bit % 8));
+    if ((byte & m) != 0) return false;
+    byte = static_cast<std::uint8_t>(byte | m);
+    return true;
+  }
+
+  /// Whether the pages outgrew the budget.
+  bool over_budget() const { return pages_.size() * kPageBytes > budget_; }
+
+ private:
+  using Page = std::array<std::uint8_t, kPageBytes>;
+  IdTable<std::unique_ptr<Page>> pages_;
+  std::uint64_t budget_;
+  std::int64_t key_ = 0;
+  Page* page_ = nullptr;  ///< the page of key_; pages never move
 };
 
 // -- 3. collective flavour rule -----------------------------------------------

@@ -27,9 +27,9 @@ ClcResult replay_order(const Trace& trace, const Schedule& schedule, const Times
 
   schedule.replay([&](std::uint32_t g, const EventRef& ref) {
     Time bound = -kTimeInfinity;
-    for (const auto& edge : schedule.incoming(g)) {
+    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
       bound = clc_kernel::eq1_bound(bound, fwd.lc[edge.source], edge.l_min);
-    }
+    });
     const clc_kernel::Step step = clc_kernel::forward_step(
         clock[static_cast<std::size_t>(ref.proc)], input.at(ref), bound, options.forward_decay);
     fwd.record(g, step);

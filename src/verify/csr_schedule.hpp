@@ -1,12 +1,13 @@
 // The every-edge schedule: the oracle of ReplaySchedule's hub encoding.
 //
 // ReplaySchedule stores an N-to-N collective instance once, as a hub, and
-// expands its edges on demand.  CsrSchedule is the build it replaced: one
-// explicit CSR record per p2p and per logical message, p2p first, then the
-// logical ones in list order, with no hubs.  Its incoming(g) and outgoing(g)
-// are what ReplaySchedule's must expand to, edge for edge; and the
-// replay-order CLC (clc_oracle.hpp) runs over it, so the driver's hub walk
-// is checked against a forward pass that never saw a hub.
+// expands its edges on demand in for_each_incoming and for_each_outgoing.
+// CsrSchedule is the build it replaced: one explicit CSR record per p2p and
+// per logical message, p2p first, then the logical ones in list order, with
+// no hubs.  Its two callbacks visit what ReplaySchedule's must expand to,
+// edge for edge (source or target, and l_min); and the replay-order CLC
+// (clc_oracle.hpp) and replay_in_dependency_order run over it, so the
+// driver's hub walk is checked against a forward pass that never saw a hub.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,10 @@ class CsrSchedule {
     return std::span<const ConstraintEdge>(in_edges_).subspan(in_off_.at(g),
                                                               in_off_.at(g + 1) - in_off_[g]);
   }
-  std::span<const std::uint32_t> outgoing(std::uint32_t g) const {
-    return std::span<const std::uint32_t>(out_edges_)
-        .subspan(out_off_.at(g), out_off_.at(g + 1) - out_off_[g]);
+  /// Calls fn(edge) for every incoming edge of g.
+  template <class Fn>
+  void for_each_incoming(std::uint32_t g, Fn&& fn) const {
+    for (const ConstraintEdge& e : incoming(g)) fn(e);
   }
   /// Calls fn(target, l_min) for every outgoing edge of g.
   template <class Fn>

@@ -114,10 +114,11 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
 /// Cross-checks the out-of-core windowed streaming CLC against the in-memory
 /// one on the same trace: serializes the trace as a v2 file under `work_dir`,
 /// runs clc_stream_file on it, and demands a *bit-identical* corrected trace
-/// and jump statistics whenever the streaming run reports zero divergences
-/// (ramp_clamped == horizon_dropped == forced == 0) — which the fixture's
-/// options must ensure.  true_ts and all non-timestamp fields must survive
-/// the round-trip untouched.  Appends contract breaches to `failures` and
+/// and jump statistics, which the streaming run promises whenever it reports
+/// zero divergences.  Any non-zero divergence counter (ramp_clamped,
+/// horizon_dropped, forced, repeated_ids) is itself a failure: the fixture
+/// and options must keep them zero.  true_ts and all non-timestamp fields
+/// must survive the round-trip untouched.  Appends contract breaches to `failures` and
 /// returns the number of comparisons made.  The temporary files live in a
 /// private ScratchDir under `work_dir`, so concurrent cross-checks may share
 /// one `work_dir`; the directory is removed on return.

@@ -197,6 +197,71 @@ TEST(WindowedClc, CompactReadAheadKeepsOutputAndStats) {
                        0x3FAF24EBAC5FFE82ull, 0, 0, 0, 9600, 2400}));
 }
 
+/// Message 7 is sent twice, by rank 0 at 1.0 and by rank 1 at 0.5; rank 2
+/// receives it at 0.7.  The in-memory join, rank-major, pairs the receive
+/// with rank 0's send; the frontier-order join of the windowed CLC reads
+/// rank 1's send first.  Rank 0's receive of message 9 (sent by rank 1)
+/// keeps rank 0 behind rank 1 in the frontier.
+Trace repeated_send_id() {
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), 3), {1e-7, 1e-6, 5e-6}, "repeated-id");
+  const auto message = [&](Rank r, EventType type, Rank peer, std::int64_t id, Time ts) {
+    Event e;
+    e.type = type;
+    e.peer = peer;
+    e.msg_id = id;
+    e.local_ts = e.true_ts = ts;
+    t.events(r).push_back(e);
+  };
+  message(0, EventType::Recv, 1, 9, 0.0);
+  message(0, EventType::Send, 2, 7, 1.0);
+  message(1, EventType::Send, 2, 7, 0.5);
+  message(1, EventType::Send, 0, 9, 0.6);
+  message(2, EventType::Recv, 0, 7, 0.7);
+  return t;
+}
+
+TEST(WindowedClc, RepeatedMessageIdIsCountedAsDivergence) {
+  // The two joins pair message 7 differently, so the outputs differ; the
+  // windowed CLC must say so instead of reporting a divergence-free run.
+  StreamClcOptions opt;
+  opt.backward_window = 1e4;
+  const ScratchDir scratch(testing::TempDir());
+  const std::string in = scratch.file("in.v2");
+  write_trace_v2_file(repeated_send_id(), in);
+  const StreamClcStats st = clc_stream_file(in, scratch.file("out.v2"), opt);
+  EXPECT_EQ(st.repeated_ids, 1u);
+  EXPECT_EQ(st.ramp_clamped + st.horizon_dropped + st.forced, 0u);
+
+  const std::vector<std::string> failures = check(repeated_send_id(), opt);
+  ASSERT_FALSE(failures.empty());
+  EXPECT_NE(failures[0].find("repeated_ids=1"), std::string::npos) << failures[0];
+}
+
+TEST(WindowedClc, SeenSetPastItsBudgetIsCountedAsDivergence) {
+  // Two messages 2^15 ids apart need two seen-set pages, past the budget of
+  // a 4-event trace (one page).  Their ids are unique, so the outputs agree,
+  // but the run can no longer prove it and must say so, once.
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), 2), {1e-7, 1e-6, 5e-6}, "sparse-ids");
+  for (const std::int64_t id : {std::int64_t{0}, std::int64_t{1} << 15}) {
+    Event send;
+    send.type = EventType::Send;
+    send.peer = 1;
+    send.msg_id = id;
+    send.local_ts = send.true_ts = 0.1 + 1e-6 * static_cast<double>(id);
+    t.events(0).push_back(send);
+    Event recv = send;
+    recv.type = EventType::Recv;
+    recv.peer = 0;
+    recv.local_ts = recv.true_ts = send.local_ts + 0.5;
+    t.events(1).push_back(recv);
+  }
+  StreamClcOptions opt;
+  opt.backward_window = 1e4;
+  const std::vector<std::string> failures = check(t, opt);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("repeated_ids=1"), std::string::npos) << failures[0];
+}
+
 TEST(WindowedClc, ConcurrentCrossChecksShareOneWorkDir) {
   // Regression: the cross-check used fixed scratch names inside work_dir, so
   // concurrent runs sharing it (ctest -j, parallel chronocheck) overwrote
