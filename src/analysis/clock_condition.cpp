@@ -1,8 +1,5 @@
 #include "analysis/clock_condition.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/expect.hpp"
 #include "obs/obs.hpp"
 
@@ -37,25 +34,12 @@ ClockConditionReport check_clock_condition(const Trace& trace,
              "schedule was not built from this trace");
   ClockConditionReport rep;
 
-  // Flatten the per-rank timestamp rows into global-index order once, so the
-  // edge scan below reads both endpoints with plain array lookups.
-  const auto total = static_cast<std::uint32_t>(schedule.events());
-  std::vector<Time> flat(total);
-  for (Rank r = 0; r < trace.ranks(); ++r) {
-    const auto& row = timestamps.of_rank(r);
-    CS_REQUIRE(row.size() == schedule.rank_size(r),
-               "timestamp array does not match the trace's shape");
-    std::copy(row.begin(), row.end(), flat.begin() + schedule.rank_begin(r));
-  }
-
-  // One pass over every event's incoming edges; each constraint edge is
-  // exactly one matched p2p or derived logical message.
-  for (std::uint32_t g = 0; g < total; ++g) {
-    const Time tr = flat[g];
-    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
-      rep.add_edge(edge.logical, flat[edge.source], tr, edge.l_min);
-    });
-  }
+  // One pass over every constraint edge; each is exactly one matched p2p or
+  // derived logical message.
+  schedule.for_each_timed_edge(timestamps, [&](const EventRef&, Time t_recv, const EventRef&,
+                                               Time t_send, Duration l_min, bool logical) {
+    rep.add_edge(logical, t_send, t_recv, l_min);
+  });
 
   for (Rank r = 0; r < trace.ranks(); ++r) {
     for (const Event& e : trace.events(r)) rep.add_event(e.type);

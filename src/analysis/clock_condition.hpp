@@ -6,8 +6,9 @@
 // and the stricter observable the paper plots in Fig. 7,
 //     t_recv <  t_send                  (reversed message).
 //
-// In memory the check is one pass over the CSR constraint edges of a
-// ReplaySchedule; trace files are scanned out of core by
+// In memory the check is one pass over a ReplaySchedule's constraint edges
+// (for_each_timed_edge, which the zero-slack audit shares); trace files are
+// scanned out of core by
 // analysis/clock_condition_stream.hpp.  Both tally through the same
 // ClockConditionReport members, so the per-edge rule is written once.
 #pragma once
@@ -80,9 +81,10 @@ struct ClockConditionReport {
   bool operator==(const ClockConditionReport&) const = default;
 };
 
-/// Single pass over the CSR constraint edges of an already-built
-/// ReplaySchedule: each edge is one matched p2p or derived logical message.
-/// `timestamps` (any correction output) must have the trace's shape.
+/// Single pass over the constraint edges of an already-built ReplaySchedule:
+/// each edge is one matched p2p or derived logical message.  `timestamps`
+/// (any correction output) must have the trace's shape, extra ranks
+/// included; otherwise std::invalid_argument.
 ClockConditionReport check_clock_condition(const Trace& trace,
                                            const TimestampArray& timestamps,
                                            const ReplaySchedule& schedule);

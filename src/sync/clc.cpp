@@ -19,23 +19,16 @@ namespace {
 // event has a constraining send that is not yet processed; it then *parks* on
 // the rank owning that send, and that rank re-queues it once its own drain
 // has moved past the send.  Each rank keeps its place in the blocked event's
-// incoming edges (and the partial Eq. 1 bound over the edges already passed),
-// so a woken rank resumes the scan instead of restarting it: every edge is
-// scanned once, plus once more per park.  The work is O(events + edges) with
-// no per-event dependency counters and no walk over outgoing edges.  A hub
-// end's edges are read from the hub's begin array, skipping the end's own
-// rank; the place kept is then a position inside that array.
+// incoming edges (a ReplaySchedule::EdgeCursor, resumed by scan_incoming) and
+// the partial Eq. 1 bound over the edges already passed, so a woken rank
+// resumes the scan instead of restarting it: every edge is scanned once, plus
+// once more per park.  The work is O(events + edges) with no per-event
+// dependency counters and no walk over outgoing edges.
 clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& schedule,
                                       const TimestampArray& input, const ClcOptions& options) {
   CS_SPAN("clc.forward_pass");
   const auto ranks = static_cast<std::size_t>(trace.ranks());
-  // Raw views over the schedule's CSR arrays: the per-edge hot path must not
-  // pay the bounds-checked accessors' branches.
-  const Rank* const ranks_of = schedule.ranks_of().data();
   const std::uint32_t* const rank_off = schedule.rank_offsets().data();
-  const std::uint32_t* const in_off = schedule.incoming_offsets().data();
-  const ReplaySchedule::ConstraintEdge* const in_recs = schedule.incoming_records().data();
-  const auto total = static_cast<std::uint32_t>(schedule.events());
 
   clc_kernel::ForwardPass fwd;
   fwd.lc.assign(schedule.events(), 0.0);
@@ -43,15 +36,14 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
 
   struct Cursor {
     std::uint32_t next = 0;  ///< global index of the rank's next unprocessed event
-    std::uint32_t edge = 0;  ///< resume point in next's incoming records
-    std::uint32_t hub_pos = 0;  ///< resume point in a hub record's begins
-    Time bound = -kTimeInfinity;  ///< Eq. 1 bound over the edges before `edge`
+    ReplaySchedule::EdgeCursor at;  ///< resume point in next's incoming edges
+    Time bound = -kTimeInfinity;  ///< Eq. 1 bound over the edges before `at`
     clc_kernel::RankClock clock;
   };
   std::vector<Cursor> cursor(ranks);
   for (std::size_t r = 0; r < ranks; ++r) {
     cursor[r].next = rank_off[r];
-    cursor[r].edge = in_off[rank_off[r]];
+    cursor[r].at = schedule.first_edge(rank_off[r]);
   }
 
   // parked[x]: (awaited global index, rank) of every rank parked on rank x,
@@ -90,49 +82,26 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
     // The drain works on local copies of the cursor, stored back when it
     // parks or finishes; only c.next is kept current, for the blocked-source
     // test of a message this rank sent itself.
-    std::uint32_t edge = c.edge;
-    std::uint32_t hub_pos = c.hub_pos;
+    ReplaySchedule::EdgeCursor at = c.at;
     Time bound = c.bound;
     clc_kernel::RankClock clock = c.clock;
     const std::uint32_t first = c.next;
 
     for (std::uint32_t g = c.next; g < end;) {
-      const std::uint32_t edge_end = in_off[g + 1];
       Rank blocker = -1;
       std::uint32_t awaited = 0;
-      for (; edge < edge_end; ++edge) {
-        const auto& rec = in_recs[edge];
-        if (rec.source >= total) {
-          const auto begins = schedule.hub_begins(rec.source - total);
-          std::uint64_t scanned = 0;
-          const std::size_t stop = edge_rules::for_each_other_rank(
-              begins, hub_pos, r, [](const ReplaySchedule::HubMember& b) { return b.rank; },
-              [&](const ReplaySchedule::HubMember& b) {
-                ++scanned;
-                if (b.event >= cursor[static_cast<std::size_t>(b.rank)].next) return false;
-                bound = clc_kernel::eq1_bound(bound, lc[b.event], schedule.hub_l_min(b.rank, r));
-                return true;
-              });
-          edges_scanned += scanned;
-          if (stop < begins.size()) {
-            blocker = begins[stop].rank;
-            awaited = begins[stop].event;
-            hub_pos = static_cast<std::uint32_t>(stop);
-            break;
-          }
-          hub_pos = 0;
-          continue;
-        }
-        ++edges_scanned;
-        const Rank src_rank = ranks_of[rec.source];
-        if (rec.source >= cursor[static_cast<std::size_t>(src_rank)].next) {
-          blocker = src_rank;
-          awaited = rec.source;
-          break;
-        }
-        bound = clc_kernel::eq1_bound(bound, lc[rec.source], rec.l_min);
-      }
-      if (blocker >= 0) {
+      const bool ready_now = schedule.scan_incoming(
+          g, at, [&](const ReplaySchedule::ConstraintEdge& e, Rank src_rank) {
+            ++edges_scanned;
+            if (e.source >= cursor[static_cast<std::size_t>(src_rank)].next) {
+              blocker = src_rank;
+              awaited = e.source;
+              return false;
+            }
+            bound = clc_kernel::eq1_bound(bound, lc[e.source], e.l_min);
+            return true;
+          });
+      if (!ready_now) {
         auto& heap = parked[static_cast<std::size_t>(blocker)];
         heap.emplace_back(awaited, r);
         std::push_heap(heap.begin(), heap.end(), std::greater<>());
@@ -144,10 +113,9 @@ clc_kernel::ForwardPass drain_forward(const Trace& trace, const ReplaySchedule& 
       fwd.record(g, step);
       bound = -kTimeInfinity;
       c.next = ++g;
-      // edge == edge_end == in_off[g]: already the next event's first edge.
+      // `at` is already on the next event's first edge.
     }
-    c.edge = edge;
-    c.hub_pos = hub_pos;
+    c.at = at;
     c.bound = bound;
     c.clock = clock;
     ++stints;

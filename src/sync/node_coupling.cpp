@@ -68,13 +68,16 @@ NodeCoupledClcResult node_coupled_clc(const Trace& trace, const ReplaySchedule& 
 
   // Send caps against the *final* CLC receive timestamps (only ever loosened
   // by coupling, since receives move forward too).
-  std::vector<Time> cap(schedule.events(), kTimeInfinity);
-  for (std::uint32_t g = 0; g < schedule.events(); ++g) {
-    const Time recv = result.clc.corrected.at(schedule.event_ref(g));
-    schedule.for_each_incoming(g, [&](const ReplaySchedule::ConstraintEdge& edge) {
-      cap[edge.source] = std::min(cap[edge.source], clc_kernel::send_cap(recv, edge.l_min));
-    });
+  std::vector<std::vector<Time>> cap(static_cast<std::size_t>(trace.ranks()));
+  for (Rank r = 0; r < trace.ranks(); ++r) {
+    cap[static_cast<std::size_t>(r)].assign(schedule.rank_size(r), kTimeInfinity);
   }
+  schedule.for_each_timed_edge(result.clc.corrected, [&](const EventRef&, Time recv,
+                                                         const EventRef& send, Time, Duration l_min,
+                                                         bool) {
+    Time& c = cap[static_cast<std::size_t>(send.proc)][send.index];
+    c = std::min(c, clc_kernel::send_cap(recv, l_min));
+  });
 
   for (const auto& [node, ranks] : nodes) {
     if (ranks.size() < 2) continue;  // nothing to couple
@@ -92,7 +95,7 @@ NodeCoupledClcResult node_coupled_clc(const Trace& trace, const ReplaySchedule& 
           want = std::max(want, profiles[static_cast<std::size_t>(q)].at(in[i]));
         }
         Time moved = in[i] + want;
-        moved = std::min(moved, cap[schedule.global_index({r, i})]);
+        moved = std::min(moved, cap[static_cast<std::size_t>(r)][i]);
         moved = std::min(moved, successor);  // keep local order
         if (moved > out[i] + 1e-15) {
           result.max_coupled_shift = std::max(result.max_coupled_shift, moved - out[i]);

@@ -98,9 +98,8 @@ std::size_t scan_run(const std::vector<LogicalMessage>& logical, std::size_t lo,
 /// Per member of `members`, the number of members of `others` of another rank
 /// (its edge count in the hub).  `per_rank` is a zeroed counter per rank, and
 /// is left zeroed.
-template <class Fn>
-void for_each_degree(std::span<const ReplaySchedule::HubMember> members,
-                     std::span<const ReplaySchedule::HubMember> others,
+template <class Member, class Fn>
+void for_each_degree(std::span<const Member> members, std::span<const Member> others,
                      std::vector<std::uint32_t>& per_rank, Fn&& fn) {
   for (const auto& o : others) ++per_rank[static_cast<std::size_t>(o.rank)];
   for (const auto& m : members) {

@@ -27,16 +27,18 @@
 //     begin or one end, so they stay explicit); and
 //   * none of the run's ends and begins takes part in a logical message
 //     outside the run.
-// Every other run stays explicit CSR edges.  Hub expansion lives in two
-// callbacks, one per direction: for_each_incoming(g, fn) and
-// for_each_outgoing(g, fn) visit an event's edges in the order an
-// all-explicit build lists them (p2p first, then logical ones in list order;
-// verify::CsrSchedule is that build), so per-edge consumers need not know
-// hubs exist, and no per-edge iterator state is kept.  incoming(g) and
-// outgoing(g) copy the same edges into a vector, for callers that want one.
-// The hottest loops walk a hub's arrays directly: the CLC driver's forward
-// pass and the audit read the begins through the raw views.  No
-// per-(begin, end) record is built or stored.
+// Every other run stays explicit CSR edges.  No per-(begin, end) record is
+// built or stored, and no code outside replay.{hpp,cpp} sees a hub: consumers
+// read edges through three walkers, which visit an event's edges in the order
+// an all-explicit build lists them (p2p first, then logical ones in list
+// order; verify::CsrSchedule is that build):
+//   * scan_incoming(g, at, fn), a resumable walk over g's incoming edges (the
+//     CLC driver keeps one EdgeCursor per rank; for_each_incoming runs it
+//     once through);
+//   * for_each_outgoing(g, fn); and
+//   * for_each_timed_edge(ts, fn), every edge with both endpoints' timestamps
+//     read from `ts` (the audit, the CSR Eq. 1 scan and node coupling).
+// incoming(g) and outgoing(g) copy an event's edges into a vector.
 #pragma once
 
 #include <array>
@@ -62,10 +64,11 @@ class ReplaySchedule {
     Duration l_min = 0.0;
   };
 
-  /// One begin or end of a hub.
-  struct HubMember {
-    std::uint32_t event = 0;  ///< global event index
-    Rank rank = 0;            ///< its rank
+  /// A resumable position in an event's incoming edges: the CSR record, and
+  /// inside a hub's record the position in the hub's begins.
+  struct EdgeCursor {
+    std::uint32_t record = 0;
+    std::uint32_t hub_pos = 0;
   };
 
   ReplaySchedule(const Trace& trace, const std::vector<MessageRecord>& messages,
@@ -112,43 +115,41 @@ class ReplaySchedule {
     return targets;
   }
 
-  // Raw whole-array views for hot loops that index with already-validated
-  // global indexes (the CLC driver's edge scan).  The per-event accessors
-  // above re-check bounds and copy each event's edges; a forward pass
-  // touching millions of edges streams these arrays directly.
-  /// Owning rank per global index (size events()).
-  std::span<const Rank> ranks_of() const { return rank_of_; }
   /// Global index of each rank's event 0, plus a final total-events sentinel
   /// (size ranks + 1).
   std::span<const std::uint32_t> rank_offsets() const { return prefix_; }
-  /// CSR offsets into incoming_records() (size events() + 1).
-  std::span<const std::uint32_t> incoming_offsets() const { return in_off_; }
-  /// All incoming records, CSR order: explicit edges, and per hub end one
-  /// final record whose source is events() + the hub's index.
-  std::span<const ConstraintEdge> incoming_records() const { return in_recs_; }
-  /// A hub's begins, in order (hub < hubs()).
-  std::span<const HubMember> hub_begins(std::uint32_t hub) const {
-    return {members_.data() + hub_off_[2 * std::size_t{hub}],
-            members_.data() + hub_off_[2 * std::size_t{hub} + 1]};
-  }
-  /// l_min of an edge from rank `from` to rank `to`, two distinct ranks;
-  /// throws for two ranks of one core, as Trace::min_latency does (the
-  /// constructor proved no hub pairs such ranks).
-  Duration hub_l_min(Rank from, Rank to) const {
-    return edge_rules::domain_latency(latency_, classify(loc_[static_cast<std::size_t>(from)],
-                                                         loc_[static_cast<std::size_t>(to)]));
-  }
 
+  /// Cursor on event `g`'s first incoming edge (g <= events(), unchecked).
+  EdgeCursor first_edge(std::uint32_t g) const { return {in_off_[g], 0}; }
+  /// Calls fn(edge, source_rank) for event `g`'s incoming edges from `at` on,
+  /// in for_each_incoming order and without bounds checks, until fn returns
+  /// false.  Returns false with `at` left on the edge fn refused, where a
+  /// later call resumes; true once every edge was visited, with `at` on
+  /// first_edge(g + 1).
+  template <class Fn>
+  bool scan_incoming(std::uint32_t g, EdgeCursor& at, Fn&& fn) const;
   /// Calls fn(edge) for every incoming edge of event `g`, without bounds
   /// checks: the explicit records in CSR order, then a hub's begins of
   /// another rank, in begin order.
   template <class Fn>
-  void for_each_incoming(std::uint32_t g, Fn&& fn) const;
+  void for_each_incoming(std::uint32_t g, Fn&& fn) const {
+    EdgeCursor at = first_edge(g);
+    scan_incoming(g, at, [&](const ConstraintEdge& e, Rank) {
+      fn(e);
+      return true;
+    });
+  }
   /// Calls fn(target, l_min) for every outgoing edge of event `g`, without
   /// bounds checks: the explicit records in CSR order, then a hub's ends of
   /// another rank, in end order.
   template <class Fn>
   void for_each_outgoing(std::uint32_t g, Fn&& fn) const;
+  /// Calls fn(recv, t_recv, send, t_send, l_min, logical) for every edge,
+  /// target by target in rank-major order and each target's edges in
+  /// for_each_incoming order, with the endpoints' timestamps read from `ts`.
+  /// Throws std::invalid_argument unless `ts` has the trace's shape.
+  template <class Fn>
+  void for_each_timed_edge(const TimestampArray& ts, Fn&& fn) const;
 
   /// Visits every event in a dependency-respecting order.  Throws
   /// std::invalid_argument (see throw_cyclic_constraints) if the constraint
@@ -157,10 +158,29 @@ class ReplaySchedule {
   void replay(Visit&& visit) const;
 
  private:
+  /// One begin or end of a hub.
+  struct HubMember {
+    std::uint32_t event = 0;  ///< global event index
+    Rank rank = 0;            ///< its rank
+  };
+
   static Rank member_rank(const HubMember& m) { return m.rank; }
+  /// A hub's begins, in order (hub < hubs()).
+  std::span<const HubMember> hub_begins(std::uint32_t hub) const {
+    return {members_.data() + hub_off_[2 * std::size_t{hub}],
+            members_.data() + hub_off_[2 * std::size_t{hub} + 1]};
+  }
   std::span<const HubMember> ends_of(std::uint32_t hub) const {
     return {members_.data() + hub_off_[2 * std::size_t{hub} + 1],
             members_.data() + hub_off_[2 * std::size_t{hub} + 2]};
+  }
+
+  /// l_min of an edge from rank `from` to rank `to`, two distinct ranks;
+  /// throws for two ranks of one core, as Trace::min_latency does (the
+  /// constructor proved no hub pairs such ranks).
+  Duration hub_l_min(Rank from, Rank to) const {
+    return edge_rules::domain_latency(latency_, classify(loc_[static_cast<std::size_t>(from)],
+                                                         loc_[static_cast<std::size_t>(to)]));
   }
 
   const Trace* trace_;
@@ -194,20 +214,26 @@ class ReplaySchedule {
 [[noreturn]] void throw_cyclic_constraints(const EventRef& blocked);
 
 template <class Fn>
-void ReplaySchedule::for_each_incoming(std::uint32_t g, Fn&& fn) const {
+bool ReplaySchedule::scan_incoming(std::uint32_t g, EdgeCursor& at, Fn&& fn) const {
   const Rank r = rank_of_[g];
-  for (std::uint32_t k = in_off_[g]; k < in_off_[g + 1]; ++k) {
-    const ConstraintEdge& e = in_recs_[k];
+  for (const std::uint32_t end = in_off_[g + 1]; at.record < end; ++at.record) {
+    const ConstraintEdge& e = in_recs_[at.record];
     if (e.source < total_) {
-      fn(e);
+      if (!fn(e, rank_of_[e.source])) return false;
       continue;
     }
-    edge_rules::for_each_other_rank(hub_begins(e.source - static_cast<std::uint32_t>(total_)), 0,
-                                    r, member_rank, [&](const HubMember& b) {
-                                      fn(ConstraintEdge{b.event, true, hub_l_min(b.rank, r)});
-                                      return true;
-                                    });
+    const auto begins = hub_begins(e.source - static_cast<std::uint32_t>(total_));
+    const std::size_t stop = edge_rules::for_each_other_rank(
+        begins, at.hub_pos, r, member_rank, [&](const HubMember& b) {
+          return fn(ConstraintEdge{b.event, true, hub_l_min(b.rank, r)}, b.rank);
+        });
+    if (stop < begins.size()) {
+      at.hub_pos = static_cast<std::uint32_t>(stop);
+      return false;
+    }
+    at.hub_pos = 0;
   }
+  return true;
 }
 
 template <class Fn>
@@ -225,6 +251,58 @@ void ReplaySchedule::for_each_outgoing(std::uint32_t g, Fn&& fn) const {
                                       fn(e.event, hub_l_min(r, e.rank));
                                       return true;
                                     });
+  }
+}
+
+template <class Fn>
+void ReplaySchedule::for_each_timed_edge(const TimestampArray& ts, Fn&& fn) const {
+  const int n = trace_->ranks();
+  CS_REQUIRE(ts.ranks() == n, "timestamp array rank count mismatch");
+  std::vector<const Time*> rows(static_cast<std::size_t>(n));
+  for (Rank r = 0; r < n; ++r) {
+    CS_REQUIRE(ts.of_rank(r).size() == rank_size(r), "timestamp array shape differs from trace");
+    rows[static_cast<std::size_t>(r)] = ts.of_rank(r).data();
+  }
+  const auto ref_of = [&](Rank r, std::uint32_t g) {
+    return EventRef{r, g - prefix_[static_cast<std::size_t>(r)]};
+  };
+  const auto time_at = [&](const EventRef& ref) {
+    return rows[static_cast<std::size_t>(ref.proc)][ref.index];
+  };
+
+  // A hub's begins sit in every rank's row, so their timestamps are first
+  // gathered hub by hub into one small array, which a hub end then reads
+  // (skipping its own rank) instead of reading the rows.
+  std::vector<std::uint32_t> hub_first(hubs());
+  std::vector<Time> hub_ts;
+  for (std::uint32_t h = 0; h < hubs(); ++h) {
+    hub_first[h] = static_cast<std::uint32_t>(hub_ts.size());
+    for (const HubMember& b : hub_begins(h)) hub_ts.push_back(time_at(ref_of(b.rank, b.event)));
+  }
+
+  for (Rank r = 0; r < n; ++r) {
+    const std::uint32_t first = prefix_[static_cast<std::size_t>(r)];
+    const std::uint32_t size = rank_size(r);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const EventRef recv{r, i};
+      const Time t_recv = rows[static_cast<std::size_t>(r)][i];
+      for (std::uint32_t k = in_off_[first + i]; k < in_off_[first + i + 1]; ++k) {
+        const ConstraintEdge& e = in_recs_[k];
+        if (e.source < total_) {
+          const EventRef send = ref_of(rank_of_[e.source], e.source);
+          fn(recv, t_recv, send, time_at(send), e.l_min, e.logical);
+          continue;
+        }
+        const std::uint32_t h = e.source - static_cast<std::uint32_t>(total_);
+        const auto begins = hub_begins(h);
+        const Time* const sent = hub_ts.data() + hub_first[h];
+        edge_rules::for_each_other_rank(begins, 0, r, member_rank, [&](const HubMember& b) {
+          fn(recv, t_recv, ref_of(b.rank, b.event), sent[&b - begins.data()],
+             hub_l_min(b.rank, r), true);
+          return true;
+        });
+      }
+    }
   }
 }
 

@@ -1,15 +1,16 @@
 // The CLC's replay-order oracle.
 //
 // controlled_logical_clock visits events rank by rank, parking a blocked rank
-// on the rank that owns its missing send, and reads a collective hub's edges
-// straight from its begin array.  This reference visits the same events in
-// replay order instead (per-event pending counters over the outgoing edges),
-// reads each event's incoming edges one by one, and feeds them through the
-// same kernel (sync/clc_kernel.hpp).  A CLC event's value depends only on its
-// predecessor and its constraining sends, so any dependency-respecting order
-// must produce the same bits; the differential suite and the CLC tests hold
-// the driver to that.  Over a verify::CsrSchedule the reference never sees a
-// hub at all.
+// on the rank that owns its missing send and resuming its scan_incoming
+// cursor, inside a collective hub too, when it wakes.  This reference visits
+// the same events in replay order instead (per-event pending counters over
+// the outgoing edges), reads each event's incoming edges in one
+// for_each_incoming call, and feeds them through the same kernel
+// (sync/clc_kernel.hpp).  A CLC event's value depends only on its predecessor
+// and its constraining sends, so any dependency-respecting order must produce
+// the same bits; the differential suite and the CLC tests hold the driver to
+// that.  Over a verify::CsrSchedule no hub exists at all, so the driver's
+// resumed hub scans are checked against edges never stored as one.
 #pragma once
 
 #include "sync/clc.hpp"

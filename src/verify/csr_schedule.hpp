@@ -1,13 +1,15 @@
 // The every-edge schedule: the oracle of ReplaySchedule's hub encoding.
 //
-// ReplaySchedule stores an N-to-N collective instance once, as a hub, and
-// expands its edges on demand in for_each_incoming and for_each_outgoing.
-// CsrSchedule is the build it replaced: one explicit CSR record per p2p and
-// per logical message, p2p first, then the logical ones in list order, with
-// no hubs.  Its two callbacks visit what ReplaySchedule's must expand to,
-// edge for edge (source or target, and l_min); and the replay-order CLC
-// (clc_oracle.hpp) and replay_in_dependency_order run over it, so the
-// driver's hub walk is checked against a forward pass that never saw a hub.
+// ReplaySchedule stores an N-to-N collective instance once, as a private hub,
+// and expands its edges on demand in its walkers (scan_incoming,
+// for_each_outgoing, for_each_timed_edge).  CsrSchedule is the build it
+// replaced: one explicit CSR record per p2p and per logical message, p2p
+// first, then the logical ones in list order, with no hubs.  Its two
+// callbacks visit what ReplaySchedule's walkers must expand to, edge for edge
+// (source or target, and l_min), resumed scans included
+// (testutil::expect_same_edges); and the replay-order CLC (clc_oracle.hpp)
+// and replay_in_dependency_order run over it, so the driver's hub walk is
+// checked against a forward pass that never saw a hub.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <vector>
 
 #include "common/expect.hpp"
 
@@ -104,65 +103,16 @@ VerifyReport InvariantChecker::check(const TimestampArray& ts) const {
   }
 
   // Pass 2, over the constraint edges: Eq. 1 with per-edge slack, event by
-  // event in rank order.  It reads one timestamp row per rank; pass 1 proved
-  // every row as long as its rank's extent in the schedule, so no edge needs
-  // a bounds check.  A hub's begins sit in every rank's row, so their
-  // timestamps are first gathered hub by hub into one small array, which a
-  // hub end then reads (skipping its own rank) instead of reading the rows.
-  const std::uint32_t* const rank_offsets = schedule_->rank_offsets().data();
-  std::vector<const Time*> row_of(static_cast<std::size_t>(trace_->ranks()));
-  for (Rank r = 0; r < trace_->ranks(); ++r) {
-    row_of[static_cast<std::size_t>(r)] = ts.of_rank(r).data();
-  }
-  const Time* const* const rows = row_of.data();
-  const Rank* const ranks_of = schedule_->ranks_of().data();
-  const std::uint32_t* const in_off = schedule_->incoming_offsets().data();
-  const ReplaySchedule::ConstraintEdge* const in_recs = schedule_->incoming_records().data();
-  const auto total = static_cast<std::uint32_t>(schedule_->events());
-
-  std::vector<std::uint32_t> hub_first(schedule_->hubs());
-  std::vector<Time> hub_ts;
-  for (std::uint32_t h = 0; h < schedule_->hubs(); ++h) {
-    hub_first[h] = static_cast<std::uint32_t>(hub_ts.size());
-    for (const auto& b : schedule_->hub_begins(h)) {
-      hub_ts.push_back(rows[b.rank][b.event - rank_offsets[b.rank]]);
-    }
-  }
-
+  // event in rank order.
   const Duration slack = options_.clock_condition_slack;
   std::size_t edges = 0;
-  for (Rank r = 0; r < trace_->ranks(); ++r) {
-    const std::uint32_t first = rank_offsets[r];
-    const std::uint32_t size = rank_offsets[r + 1] - first;
-    const Time* const recv_row = rows[r];
-    for (std::uint32_t i = 0; i < size; ++i) {
-      const Time t_recv = recv_row[i];
-      const auto check_edge = [&](Time t_send, Duration l_min, Rank sr, std::uint32_t si) {
-        ++edges;
-        if (!std::isfinite(t_recv) || !std::isfinite(t_send)) return;  // already counted
-        const Duration gap = t_send + l_min - t_recv;
-        if (gap > slack) rec.add(InvariantKind::ClockCondition, r, {r, i}, gap, {sr, si}, true);
-      };
-      for (std::uint32_t k = in_off[first + i]; k < in_off[first + i + 1]; ++k) {
-        const ReplaySchedule::ConstraintEdge& e = in_recs[k];
-        if (e.source < total) {
-          const Rank sr = ranks_of[e.source];
-          const std::uint32_t si = e.source - rank_offsets[sr];
-          check_edge(rows[sr][si], e.l_min, sr, si);
-          continue;
-        }
-        const auto begins = schedule_->hub_begins(e.source - total);
-        const Time* const sent = hub_ts.data() + hub_first[e.source - total];
-        edge_rules::for_each_other_rank(
-            begins, 0, r, [](const ReplaySchedule::HubMember& b) { return b.rank; },
-            [&](const ReplaySchedule::HubMember& b) {
-              check_edge(sent[&b - begins.data()], schedule_->hub_l_min(b.rank, r), b.rank,
-                         b.event - rank_offsets[b.rank]);
-              return true;
-            });
-      }
-    }
-  }
+  schedule_->for_each_timed_edge(ts, [&](const EventRef& recv, Time t_recv, const EventRef& send,
+                                         Time t_send, Duration l_min, bool) {
+    ++edges;
+    if (!std::isfinite(t_recv) || !std::isfinite(t_send)) return;  // already counted
+    const Duration gap = t_send + l_min - t_recv;
+    if (gap > slack) rec.add(InvariantKind::ClockCondition, recv.proc, recv, gap, send, true);
+  });
   report.edges_checked = edges;
   return report;
 }

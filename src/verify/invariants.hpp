@@ -15,8 +15,8 @@
 //     (the CLC, including backward amortization, only advances events).
 //
 // InvariantChecker audits a whole array in one pass over the trace plus one
-// pass over the ReplaySchedule's constraint edges (a collective hub's read
-// from its begin array, never expanded into records) and reports *typed*
+// pass over the ReplaySchedule's constraint edges (for_each_timed_edge, which
+// the CSR Eq. 1 scan shares) and reports *typed*
 // violations (kind, rank, event refs, slack) instead of a bool, so callers —
 // tests, the chronocheck tool, the --verify bench mode — can decide what is
 // fatal and print actionable diagnostics.

@@ -149,8 +149,8 @@ TEST(ClockCondition, ScanOverloadMatchesMessageListPath) {
 }
 
 TEST(ClockCondition, RejectsTimestampsOfAnotherShape) {
-  // The CSR scan copies each rank's row into a flat array sized by the
-  // schedule; a longer row must be refused, not written past its end.
+  // The CSR scan reads each rank's row up to the schedule's extent; a longer
+  // row must be refused, not scanned short.
   Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
               "test");
   trace.events(0).push_back(make_event(EventType::Send, 1.0, 0, 1));
@@ -162,6 +162,22 @@ TEST(ClockCondition, RejectsTimestampsOfAnotherShape) {
                std::invalid_argument);
   EXPECT_THROW(check_clock_condition(trace, TimestampArray::from_local(longer)),
                std::invalid_argument);
+}
+
+TEST(ClockCondition, RejectsTimestampsWithExtraRanks) {
+  // Rows for every rank of the trace plus one more: the audit refuses such an
+  // array, and the scan must too instead of ignoring the extra row.
+  Trace trace(pinning::inter_node(clusters::xeon_rwth(), 2), {0.47e-6, 0.86e-6, 4.29e-6},
+              "test");
+  trace.events(0).push_back(make_event(EventType::Send, 1.0, 0, 1));
+  trace.events(1).push_back(make_event(EventType::Recv, 1.1, 0, 0));
+  const TimestampArray local = TimestampArray::from_local(trace);
+  TimestampArray wider(trace.ranks() + 1);
+  for (Rank r = 0; r < trace.ranks(); ++r) wider.of_rank(r) = local.of_rank(r);
+  const ReplaySchedule schedule(trace, trace.match_messages(), {});
+  EXPECT_NO_THROW(check_clock_condition(trace, local, schedule));
+  EXPECT_THROW(check_clock_condition(trace, wider, schedule), std::invalid_argument);
+  EXPECT_THROW(check_clock_condition(trace, wider), std::invalid_argument);
 }
 
 TEST(ClockCondition, RejectsScheduleOfAnotherTrace) {

@@ -1,6 +1,6 @@
-// Property suite: every application proxy (POP, SMG2000, Sweep3D, random
-// sweep) under every timer must produce a causally consistent ground truth,
-// a deterministic trace, and a trace the CLC can repair completely.
+// Property suite: every application proxy (POP, SMG2000, random sweep) under
+// every timer must produce a causally consistent ground truth, a
+// deterministic trace, and a trace the CLC can repair completely.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,19 +13,18 @@
 #include "workload/pop.hpp"
 #include "workload/smg2000.hpp"
 #include "workload/sweep.hpp"
-#include "workload/sweep3d.hpp"
 
 namespace chronosync {
 namespace {
 
-enum class App { Pop, Smg, Sweep3d, RandomSweep };
+// The values print in the test names (GetParam()), so they stay fixed.
+enum class App { Pop = 0, Smg = 1, RandomSweep = 3 };
 enum class TimerChoice { Tsc, Gettimeofday };
 
 const char* app_name(App a) {
   switch (a) {
     case App::Pop: return "pop";
     case App::Smg: return "smg2000";
-    case App::Sweep3d: return "sweep3d";
     case App::RandomSweep: return "sweep";
   }
   return "?";
@@ -60,15 +59,6 @@ AppRunResult run_app(App app, TimerChoice timer, std::uint64_t seed) {
       cfg.post_sleep = 1.0;
       cfg.level_compute = 200 * units::us;
       return run_smg(cfg, std::move(job));
-    }
-    case App::Sweep3d: {
-      Sweep3dConfig cfg;
-      cfg.px = 4;
-      cfg.py = 2;
-      cfg.iterations = 3;
-      cfg.angles_per_block = 3;
-      cfg.block_compute = 200 * units::us;
-      return run_sweep3d(cfg, std::move(job));
     }
     case App::RandomSweep: {
       SweepConfig cfg;
@@ -145,7 +135,7 @@ TEST_P(WorkloadProperty, DeterministicAcrossRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     Apps, WorkloadProperty,
-    testing::Combine(testing::Values(App::Pop, App::Smg, App::Sweep3d, App::RandomSweep),
+    testing::Combine(testing::Values(App::Pop, App::Smg, App::RandomSweep),
                      testing::Values(TimerChoice::Tsc, TimerChoice::Gettimeofday),
                      testing::Values<std::uint64_t>(1, 2)),
     [](const testing::TestParamInfo<Param>& tpi) {
