@@ -170,7 +170,6 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
        {"peak_rss_bytes", static_cast<double>(rss_after.peak_rss_bytes)},
        {"peak_resident_events", static_cast<double>(stats.peak_resident_events)},
        {"peak_outstanding_msgs", static_cast<double>(stats.peak_outstanding_msgs)},
-       {"spilled_msgs", static_cast<double>(stats.spilled_msgs)},
        {"violations_repaired", static_cast<double>(stats.violations_repaired)}});
 
   harness.time("clc_stream_correct", cfg, static_cast<std::int64_t>(written), [&] {
@@ -229,6 +228,12 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  if (cli.reject_unknown("perf_clc", {"ranks", "events", "rounds", "stream-events", "verify",
+                                      "json", "reps", "warmup", "seed", "boot-resamples",
+                                      "boot-confidence", "obs-level", "trace-out",
+                                      "metrics-out"})) {
+    return 2;
+  }
   benchkit::Harness harness(cli, "perf_clc");
   obs::ObsSession obs_session(cli, "perf_clc");
   const auto ranks_list = cli.get_int_list("ranks", {16});

@@ -161,6 +161,12 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  if (cli.reject_unknown("perf_trace", {"ranks", "rounds", "stream-events", "verify", "json",
+                                        "reps", "warmup", "seed", "boot-resamples",
+                                        "boot-confidence", "obs-level", "trace-out",
+                                        "metrics-out"})) {
+    return 2;
+  }
   benchkit::Harness harness(cli, "perf_trace");
   obs::ObsSession obs_session(cli, "perf_trace");
   const int ranks = static_cast<int>(cli.get_int("ranks", 16));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <iostream>
 #include <string_view>
 
 #include "common/expect.hpp"
@@ -96,13 +97,17 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
   return out;
 }
 
-std::vector<std::string> Cli::unknown_options(
-    std::initializer_list<std::string_view> known) const {
-  std::vector<std::string> out;
+bool Cli::reject_unknown(std::string_view tool,
+                         std::initializer_list<std::string_view> known) const {
+  bool any = false;
   for (const auto& [name, value] : options_) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) out.push_back(name);
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    if (!any) std::cerr << tool << ": unknown option";
+    std::cerr << " --" << name;
+    any = true;
   }
-  return out;
+  if (any) std::cerr << "\n";
+  return any;
 }
 
 std::uint64_t Cli::get_seed(std::uint64_t fallback) const {

@@ -26,9 +26,11 @@ class Cli {
                                          std::vector<std::int64_t> fallback) const;
   std::uint64_t get_seed(std::uint64_t fallback = 42) const;
 
-  /// The given options whose names are not in `known`, in name order: lets a
-  /// tool refuse a misspelled or retired flag instead of ignoring it.
-  std::vector<std::string> unknown_options(std::initializer_list<std::string_view> known) const;
+  /// Lets a tool refuse a misspelled or retired flag instead of ignoring it:
+  /// if any given option's name is not in `known`, writes one
+  /// "<tool>: unknown option --a --b" line (names in order) to stderr and
+  /// returns true, and the caller exits 2.
+  bool reject_unknown(std::string_view tool, std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,22 @@ struct ForwardPass {
   }
 };
 
+/// total_jump's floating-point fold, shared by the driver, the replay-order
+/// oracle and the streaming engine: each rank's jumps summed in event order,
+/// then the rank sums in rank order, so ranks may be fed interleaved.
+class JumpTotal {
+ public:
+  void add(Rank r, Duration jump) {
+    const auto i = static_cast<std::size_t>(r);
+    if (i >= sums_.size()) sums_.resize(i + 1, 0.0);
+    sums_[i] += jump;
+  }
+  Duration total() const { return std::accumulate(sums_.begin(), sums_.end(), 0.0); }
+
+ private:
+  std::vector<Duration> sums_;  ///< by rank
+};
+
 /// Backward amortization over a finished forward pass: the events before
 /// each jump are pulled forward along a ramp, capped so no send overtakes
 /// its receive.  Reads `fwd` and moves events in `out`, its per-rank copy.
@@ -181,21 +198,23 @@ void backward_pass(const Trace& trace, const Schedule& schedule, const ForwardPa
   }
 }
 
-/// Everything after the forward pass: jump statistics (in global-index order,
-/// so they are independent of the visit order; `fwd.jumps` is sorted here),
-/// the per-rank result, and backward amortization on it.  Shared by the
-/// driver and the replay-order oracle so the two differ only in the order
-/// they visit events.
+/// Everything after the forward pass: jump statistics (in global-index order
+/// through JumpTotal, so they are independent of the visit order; `fwd.jumps`
+/// is sorted here), the per-rank result, and backward amortization on it.
+/// Shared by the driver and the replay-order oracle so the two differ only in
+/// the order they visit events.
 template <class Schedule>
 ClcResult finish(const Trace& trace, const Schedule& schedule, ForwardPass fwd,
                  const ClcOptions& options) {
   ClcResult result;
   std::sort(fwd.jumps.begin(), fwd.jumps.end());
+  JumpTotal total;
   for (const auto& [g, j] : fwd.jumps) {
     ++result.violations_repaired;
     result.max_jump = std::max(result.max_jump, j);
-    result.total_jump += j;
+    total.add(schedule.rank_of(g), j);
   }
+  result.total_jump = total.total();
   result.corrected = TimestampArray(trace.ranks());
   for (Rank r = 0; r < trace.ranks(); ++r) {
     const auto first = fwd.lc.begin() + schedule.rank_begin(r);

@@ -166,8 +166,7 @@ struct RankState {
 
   std::uint32_t seq = 0;  ///< events processed so far
   BlockQueue<Pending> pend;  ///< processed, not yet emitted (the retention window)
-  std::uint32_t front_seq = 0;  ///< seq of pend.front()
-  std::uint64_t emitted = 0;
+  std::uint32_t front_seq = 0;  ///< seq of pend.front(), and events emitted
   std::size_t sweep_trigger = 0;
   std::uint64_t base = 0;         ///< rank's first slot in the ts side file
 
@@ -176,25 +175,32 @@ struct RankState {
   std::vector<Finality> fin;
 };
 
-/// The corrected-timestamp side file: (corrected_ts, jump) per event, at the
-/// event's rank-major slot.  The correct pass writes it as entries become
-/// final and the merge reads it back in file order.  Removed when it goes out
-/// of scope.
-struct SideFile {
-  explicit SideFile(std::string p) : path(std::move(p)) {
+/// Deletes a file when it goes out of scope, unless disarmed.  Not copyable,
+/// so no two objects remove one file.
+struct RemoveOnExit {
+  explicit RemoveOnExit(std::string p) : path(std::move(p)) {}
+  RemoveOnExit(const RemoveOnExit&) = delete;
+  RemoveOnExit& operator=(const RemoveOnExit&) = delete;
+  ~RemoveOnExit() {
+    if (armed) std::remove(path.c_str());
+  }
+
+  std::string path;
+  bool armed = true;
+};
+
+/// The corrected-timestamp side file: one Time per event, at the event's
+/// rank-major slot.  The correct pass writes it as entries become final and
+/// the merge reads it back in file order.  Closed and removed when it goes
+/// out of scope (the base's destructor runs after f's).
+struct SideFile : RemoveOnExit {
+  explicit SideFile(std::string p) : RemoveOnExit(std::move(p)) {
     f.open(path, std::ios::binary | std::ios::in | std::ios::out | std::ios::trunc);
     if (!f.good()) {
       throw TraceIoError(TraceIoErrorKind::Io, "cannot open spill file for writing: " + path);
     }
   }
-  ~SideFile() {
-    f.close();
-    std::remove(path.c_str());
-  }
-  SideFile(const SideFile&) = delete;
-  SideFile& operator=(const SideFile&) = delete;
 
-  std::string path;
   std::fstream f;
 };
 
@@ -213,17 +219,14 @@ class StreamEngine {
     CS_REQUIRE(opts_.emit_batch > 0, "emit_batch must be positive");
 
     ranks_.reserve(static_cast<std::size_t>(index_.meta.ranks()));
-    for (Rank r = 0; r < index_.meta.ranks(); ++r) {
-      ranks_.emplace_back(record_blocks_, pending_blocks_);
-    }
     std::uint64_t base = 0;
-    for (Rank r = 0; r < index_.meta.ranks(); ++r) {
-      ranks_[static_cast<std::size_t>(r)].base = base;
-      base += index_.rank_events[static_cast<std::size_t>(r)];
+    for (const std::uint64_t events : index_.rank_events) {
+      ranks_.emplace_back(record_blocks_, pending_blocks_).base = base;
+      base += events;
     }
   }
 
-  /// Runs the correct pass to its end; the side file then holds every event.
+  /// Runs the correct pass to its end; then the side file and the stats are complete.
   StreamClcStats run() {
     const std::uint64_t alloc0 = benchkit::allocation_totals().bytes;
     {
@@ -253,6 +256,7 @@ class StreamEngine {
     }
     CS_ENSURE(stats_.events == index_.total_events,
               "streaming CLC processed a different event count than the index");
+    stats_.total_jump = total_jump_.total();
     const std::uint64_t alloc1 = benchkit::allocation_totals().bytes;
 
     if (obs::metrics_enabled()) {
@@ -553,6 +557,7 @@ class StreamEngine {
       p.jump = step.jump;
       ++stats_.violations_repaired;
       stats_.max_jump = std::max(stats_.max_jump, p.jump);
+      total_jump_.add(r, p.jump);
       if (opts_.clc.backward_amortization &&
           p.jump / opts_.clc.backward_slope > opts_.backward_window) {
         ++stats_.ramp_clamped;
@@ -721,23 +726,14 @@ class StreamEngine {
     while (k < n && rs.fin[k] == kFinal) ++k;
     if (k < n) (rs.fin[k] == kHeld ? pending_held_ : pending_window_) += n - k;
     if (k > 0) {
-      // Records are (corrected_ts, jump) pairs: the jump rides along so the
-      // merge pass can fold total_jump in global (rank-major) order, giving
-      // the exact same floating-point accumulation as finalize_stats.
-      emit_buf_.resize(2 * k);
-      for (std::size_t i = 0; i < k; ++i) {
-        emit_buf_[2 * i] = rs.val[i];
-        emit_buf_[2 * i + 1] = rs.pend[i].jump;
-      }
-      side_.f.seekp(static_cast<std::streamoff>((rs.base + rs.emitted) * 16));
-      side_.f.write(reinterpret_cast<const char*>(emit_buf_.data()),
-                    static_cast<std::streamsize>(k * 16));
+      side_.f.seekp(static_cast<std::streamoff>((rs.base + rs.front_seq) * sizeof(Time)));
+      side_.f.write(reinterpret_cast<const char*>(rs.val.data()),
+                    static_cast<std::streamsize>(k * sizeof(Time)));
       if (!side_.f.good()) {
         throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + side_.path);
       }
       rs.pend.pop_front(k);
       rs.front_seq += static_cast<std::uint32_t>(k);
-      rs.emitted += k;
       pending_ -= k;
       rs.sweep_trigger = rs.pend.size() + opts_.emit_batch;
     } else {
@@ -758,8 +754,8 @@ class StreamEngine {
   std::optional<edge_rules::SeenEndpoints> seen_;  ///< dropped past its budget
   edge_rules::IdTable<CollInst> colls_;
   std::vector<std::vector<BeginRec>> free_begins_;  ///< retired instances' begins, emptied
-  std::vector<double> emit_buf_;
   StreamClcStats stats_;
+  clc_kernel::JumpTotal total_jump_;
   bool drained_something_ = false;
   std::size_t ahead_ = 0;    ///< events in the read-ahead queues
   std::size_t pending_ = 0;  ///< events in the retention windows
@@ -769,15 +765,6 @@ class StreamEngine {
   std::uint64_t pending_window_ = 0;  ///< see clc.stream.pending_window_events
 };
 
-/// Deletes a file when it goes out of scope, unless disarmed.
-struct RemoveOnExit {
-  std::string path;
-  bool armed = true;
-  ~RemoveOnExit() {
-    if (armed) std::remove(path.c_str());
-  }
-};
-
 /// Second pass over the input: re-reads every chunk in file order (its CRC
 /// and head checked against the index again), rewrites only the local_ts
 /// deltas from the corrected timestamps in the side file, copies every
@@ -785,10 +772,10 @@ struct RemoveOnExit {
 /// The output keeps the input's chunk layout.  The temporary is renamed
 /// into place only after finish() sealed the footer, and removed on any
 /// error, so a failed merge leaves neither a half-written trace under the
-/// output name nor the temporary behind.  Folds the side file's jumps into
-/// stats.total_jump.
+/// output name nor the temporary behind.  No chunk's work depends on
+/// another's.
 void merge_output(std::istream& raw_in, const TraceIndex& index, SideFile& side,
-                  const std::string& out_path, StreamClcStats& stats) {
+                  const std::string& out_path) {
   CS_SPAN("clc.stream.merge");
   side.f.flush();
   side.f.seekg(0);
@@ -801,28 +788,20 @@ void merge_output(std::istream& raw_in, const TraceIndex& index, SideFile& side,
   {
     TraceWriter writer(outf, index.meta);
     ChunkReader merge_reader(raw_in, index);
-    std::vector<double> vals;
     std::vector<Time> ts;
     std::vector<std::uint8_t> events;
-    // File order is rank-major (the writer enforces it), so this fold over
-    // the per-event jumps reproduces finalize_stats' accumulation exactly.
-    double total_jump = 0.0;
+    // File order is rank-major (the writer enforces it), as are the side
+    // file's slots, so each chunk's timestamps are the next ref.count.
     for (const ChunkRef& ref : index.chunks) {
-      vals.resize(2 * std::size_t{ref.count});
-      side.f.read(reinterpret_cast<char*>(vals.data()),
-                  static_cast<std::streamsize>(vals.size() * 8));
-      if (static_cast<std::size_t>(side.f.gcount()) != vals.size() * 8) {
-        throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + side.path);
-      }
       ts.resize(ref.count);
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        ts[i] = vals[2 * i];
-        if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
+      const auto bytes = static_cast<std::streamsize>(ts.size() * sizeof(Time));
+      side.f.read(reinterpret_cast<char*>(ts.data()), bytes);
+      if (side.f.gcount() != bytes) {
+        throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + side.path);
       }
       merge_reader.read_retimed(ref, ts, events);
       writer.append_chunk(ref.rank, ref.count, events);
     }
-    stats.total_jump = total_jump;
     writer.finish();
   }
   outf.close();
@@ -849,9 +828,9 @@ StreamClcStats clc_stream_file(const std::string& in_path, const std::string& ou
   // The engine is a temporary: the window, the pairing tables and the sweep
   // scratch go with it, so the merge's buffers reuse their memory instead of
   // adding to its peak.
-  StreamClcStats stats = StreamEngine(in, index, side, options).run();
+  const StreamClcStats stats = StreamEngine(in, index, side, options).run();
   const std::uint64_t alloc0 = benchkit::allocation_totals().bytes;
-  merge_output(in, index, side, out_path, stats);
+  merge_output(in, index, side, out_path);
   if (obs::metrics_enabled()) {
     static obs::Counter& merge_alloc = obs::counter("clc.stream.merge.alloc_bytes");
     merge_alloc.add(static_cast<std::int64_t>(benchkit::allocation_totals().bytes - alloc0));

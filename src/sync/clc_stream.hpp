@@ -20,11 +20,12 @@
 //
 // The read-ahead and retention windows are rings of recycled capacity, so
 // the steady state allocates nothing.  Corrected timestamps stream to an
-// on-disk side file as they become final.  One last pass merges them into a
-// sealed v2 output: it re-reads each input chunk (CRC and head checked
-// against the index again), rewrites only the local_ts deltas, copies every
-// other field's bytes, and appends the chunk whole, so the output keeps the
-// input's chunk layout.
+// on-disk side file as they become final: one 8-byte Time per event at its
+// rank-major slot, nothing else.  One last pass merges them into a sealed v2
+// output: it re-reads each input chunk (CRC and head checked against the
+// index again), reads its slice of the side file as its timestamps,
+// rewrites only the local_ts deltas, copies every other field's bytes, and
+// appends the chunk whole, so the output keeps the input's chunk layout.
 //
 // Memory model: what stays resident is the window (read-ahead at 24 bytes
 // per event plus retention at 48), the collective backlog, every processed
@@ -83,6 +84,7 @@
 // in-memory
 //   controlled_logical_clock(trace, schedule, TimestampArray::from_local(t)).
 // src/verify/differential.hpp::cross_check_windowed_clc asserts exactly this.
+// Both sum total_jump through clc_kernel::JumpTotal, so its bits agree too.
 #pragma once
 
 #include <cstddef>
@@ -126,7 +128,8 @@ struct StreamClcStats {
   std::uint64_t repeated_ids = 0;
   // Resource telemetry.
   /// Always 0: message entries stay in memory (see the memory model above).
-  /// Kept so existing readers of the stats record keep their field.
+  /// Kept because perfbench still reports it as sync.stream_spilled_msgs;
+  /// it goes when that record does.
   std::uint64_t spilled_msgs = 0;
   std::size_t peak_resident_events = 0; ///< read-ahead + retention high-water
   std::size_t peak_outstanding_msgs = 0;///< in-memory message-table high-water

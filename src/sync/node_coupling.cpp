@@ -24,23 +24,27 @@ class CorrectionProfile {
     knots_.push_back({t, corr});
   }
 
-  Duration at(Time t) const {
+  /// The correction at `t`.  Walking from the previous call's bracket finds
+  /// the first knot not below t, the knot a lower_bound finds, in steps
+  /// proportional to how far t moved.  A NaN t reads the front knot.
+  Duration at(Time t) {
     if (knots_.empty()) return 0.0;
-    if (t <= knots_.front().first) return knots_.front().second;
+    if (!(t > knots_.front().first)) return knots_.front().second;
     if (t >= knots_.back().first) return knots_.back().second;
-    auto it = std::lower_bound(
-        knots_.begin(), knots_.end(), t,
-        [](const std::pair<Time, Duration>& k, Time v) { return k.first < v; });
-    const auto& hi = *it;
-    const auto& lo = *(it - 1);
+    // front < t < back, so both walks stop inside [1, size - 1].
+    std::size_t j = cursor_;
+    while (knots_[j - 1].first >= t) --j;
+    while (knots_[j].first < t) ++j;
+    cursor_ = j;
+    const auto& hi = knots_[j];
+    const auto& lo = knots_[j - 1];
     const double f = (t - lo.first) / (hi.first - lo.first);
     return lo.second + f * (hi.second - lo.second);
   }
 
-  bool empty() const { return knots_.empty(); }
-
  private:
   std::vector<std::pair<Time, Duration>> knots_;
+  std::size_t cursor_ = 1;  ///< the previous at()'s first knot not below t
 };
 
 }  // namespace
@@ -50,26 +54,19 @@ NodeCoupledClcResult node_coupled_clc(const Trace& trace, const ReplaySchedule& 
   NodeCoupledClcResult result;
   result.clc = controlled_logical_clock(trace, schedule, input, options);
 
-  // Group ranks by node.
+  // Per rank: its node, its correction profile from the CLC result, and its
+  // send caps against the *final* CLC receive timestamps (only ever loosened
+  // by coupling, since receives move forward too).
   std::map<int, std::vector<Rank>> nodes;
+  std::vector<CorrectionProfile> profiles(static_cast<std::size_t>(trace.ranks()));
+  std::vector<std::vector<Time>> cap(static_cast<std::size_t>(trace.ranks()));
   for (Rank r = 0; r < trace.ranks(); ++r) {
     nodes[trace.placement().location(r).node].push_back(r);
-  }
-
-  // Correction profiles per rank from the CLC result.
-  std::vector<CorrectionProfile> profiles(static_cast<std::size_t>(trace.ranks()));
-  for (Rank r = 0; r < trace.ranks(); ++r) {
     const auto& in = input.of_rank(r);
     const auto& out = result.clc.corrected.of_rank(r);
     for (std::size_t i = 0; i < in.size(); ++i) {
       profiles[static_cast<std::size_t>(r)].add(in[i], out[i] - in[i]);
     }
-  }
-
-  // Send caps against the *final* CLC receive timestamps (only ever loosened
-  // by coupling, since receives move forward too).
-  std::vector<std::vector<Time>> cap(static_cast<std::size_t>(trace.ranks()));
-  for (Rank r = 0; r < trace.ranks(); ++r) {
     cap[static_cast<std::size_t>(r)].assign(schedule.rank_size(r), kTimeInfinity);
   }
   schedule.for_each_timed_edge(result.clc.corrected, [&](const EventRef&, Time recv,

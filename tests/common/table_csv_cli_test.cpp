@@ -109,9 +109,12 @@ TEST(Cli, Defaults) {
 TEST(Cli, UnknownOptionsAreNamed) {
   const char* argv[] = {"prog", "--seed", "7", "--emit-batch=3", "in.v2", "--strict", "--zz"};
   Cli cli(7, argv);
-  EXPECT_EQ(cli.unknown_options({"seed", "strict"}),
-            (std::vector<std::string>{"emit-batch", "zz"}));
-  EXPECT_TRUE(cli.unknown_options({"seed", "strict", "emit-batch", "zz"}).empty());
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(cli.reject_unknown("prog", {"seed", "strict"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "prog: unknown option --emit-batch --zz\n");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(cli.reject_unknown("prog", {"seed", "strict", "emit-batch", "zz"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(Cli, SeedOption) {

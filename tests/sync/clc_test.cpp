@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
+#include "sync/clc_kernel.hpp"
 #include "sync/logical_clock.hpp"
 #include "topology/cluster.hpp"
 #include "trace/logical_messages.hpp"
@@ -208,6 +210,29 @@ TEST(Clc, StatisticsAccumulate) {
       controlled_logical_clock(fx.trace, s, TimestampArray::from_local(fx.trace));
   EXPECT_GT(res.total_jump, 0.0);
   EXPECT_GE(res.total_jump, res.max_jump);
+}
+
+TEST(ClcKernel, JumpTotalSumsEachRankBeforeTheRanks) {
+  // Rank 1's two 2^-53 jumps sum to 2^-52 before they meet rank 0's 1.0, so
+  // the total is 1 + 2^-52 whichever way the ranks interleave.  A running
+  // sum in rank-major order would round each 2^-53 away and give 1.0.
+  const Duration tiny = std::ldexp(1.0, -53);
+  const Duration expected = 1.0 + std::ldexp(1.0, -52);
+  ASSERT_EQ((1.0 + tiny) + tiny, 1.0);
+
+  clc_kernel::JumpTotal rank_major;
+  rank_major.add(0, 1.0);
+  rank_major.add(1, tiny);
+  rank_major.add(1, tiny);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rank_major.total()),
+            std::bit_cast<std::uint64_t>(expected));
+
+  clc_kernel::JumpTotal interleaved;
+  interleaved.add(1, tiny);
+  interleaved.add(0, 1.0);
+  interleaved.add(1, tiny);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(interleaved.total()),
+            std::bit_cast<std::uint64_t>(expected));
 }
 
 TEST(Clc, OptionValidation) {

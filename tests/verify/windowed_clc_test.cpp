@@ -13,8 +13,11 @@
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/scratch_dir.hpp"
+#include "sync/clc.hpp"
 #include "sync/clc_stream.hpp"
+#include "sync/replay.hpp"
 #include "topology/cluster.hpp"
+#include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
 #include "verify/differential.hpp"
 #include "workload/smg2000.hpp"
@@ -166,14 +169,24 @@ StreamRun stream_run(const std::string& in, const std::string& out,
 // The read-ahead keeps 24-byte EdgeRecords, decoded straight into it, where
 // it kept 64-byte Events copied from a decoded chunk.  The golden values
 // below were recorded with the Event read-ahead: the output bytes, the jump
-// statistics and the window high-water marks must not move.  Small chunks
-// interleave the ranks finely; a short horizon and window let collectives
-// close and entries emit while reading, so the window stays small.
+// statistics and the window high-water marks must not move.  The one
+// exception is total_jump, recorded with clc_kernel::JumpTotal's per-rank
+// fold; the in-memory driver must reach the same bits.  Small chunks interleave
+// the ranks finely; a short horizon and window let collectives close and
+// entries emit while reading, so the window stays small.
 TEST(WindowedClc, CompactReadAheadKeepsOutputAndStats) {
+  constexpr std::uint64_t kTotalJumpBits = 0x3FAF24EBAC5FFE85ull;
   const ScratchDir scratch(testing::TempDir());
   const std::string in = scratch.file("in.v2");
   const std::string out = scratch.file("out.v2");
-  write_trace_v2_file(collective_fixture(), in, /*events_per_chunk=*/64);
+  const Trace fixture = collective_fixture();
+  write_trace_v2_file(fixture, in, /*events_per_chunk=*/64);
+
+  const ReplaySchedule schedule(fixture, fixture.match_messages(),
+                                derive_logical_messages(fixture));
+  const ClcResult mem =
+      controlled_logical_clock(fixture, schedule, TimestampArray::from_local(fixture));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(mem.total_jump), kTotalJumpBits);
 
   StreamClcOptions windowed;
   windowed.emit_batch = 16;
@@ -181,20 +194,20 @@ TEST(WindowedClc, CompactReadAheadKeepsOutputAndStats) {
   windowed.backward_window = 2e-2;
   EXPECT_EQ(stream_run(in, out, windowed),
             (StreamRun{251307, 0x98881CCFu, 9600, 2400, 7000, 1747, 0x3F363C7A10A80B9Full,
-                       0x3FAF24EBAC5FFE82ull, 0, 0, 0, 1152, 128}));
+                       kTotalJumpBits, 0, 0, 0, 1152, 128}));
 
   StreamClcOptions no_ba = windowed;
   no_ba.backward_window = StreamClcOptions{}.backward_window;
   no_ba.clc.backward_amortization = false;
   EXPECT_EQ(stream_run(in, out, no_ba),
             (StreamRun{251319, 0x72A454B2u, 9600, 2400, 7000, 1747, 0x3F363C7A10A80B9Full,
-                       0x3FAF24EBAC5FFE82ull, 0, 0, 0, 576, 128}));
+                       kTotalJumpBits, 0, 0, 0, 576, 128}));
 
   // Default options: a 10 s horizon outlasts the 0.4 s trace, so every
   // event and message stays resident until the end.
   EXPECT_EQ(stream_run(in, out, {}),
             (StreamRun{251307, 0x98881CCFu, 9600, 2400, 7000, 1747, 0x3F363C7A10A80B9Full,
-                       0x3FAF24EBAC5FFE82ull, 0, 0, 0, 9600, 2400}));
+                       kTotalJumpBits, 0, 0, 0, 9600, 2400}));
 }
 
 /// Message 7 is sent twice, by rank 0 at 1.0 and by rank 1 at 0.5; rank 2

@@ -363,14 +363,11 @@ int write_fixture(const std::string& path, const Cli& cli) {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  const std::vector<std::string> unknown = cli.unknown_options(
-      {"synthetic", "method", "omp", "faults", "stream", "scenario", "scenario-battery",
-       "write-fixture", "ranks", "rounds", "gap", "probe-every", "seed", "threads", "slack",
-       "strict", "input", "work-dir", "obs-level", "trace-out", "metrics-out"});
-  if (!unknown.empty()) {
-    std::cerr << "chronocheck: unknown option";
-    for (const std::string& name : unknown) std::cerr << " --" << name;
-    std::cerr << "\n";
+  if (cli.reject_unknown(
+          "chronocheck",
+          {"synthetic", "method", "omp", "faults", "stream", "scenario", "scenario-battery",
+           "write-fixture", "ranks", "rounds", "gap", "probe-every", "seed", "threads", "slack",
+           "strict", "input", "work-dir", "obs-level", "trace-out", "metrics-out"})) {
     return 2;
   }
   try {

@@ -627,13 +627,8 @@ std::vector<std::string> mode_paths(const chronosync::Cli& cli, const char* flag
 
 int main(int argc, char** argv) {
   const chronosync::Cli cli(argc, argv);
-  const std::vector<std::string> unknown =
-      cli.unknown_options({"check", "top", "phases", "metrics", "diff", "threshold",
-                           "bench-gate"});
-  if (!unknown.empty()) {
-    std::cerr << "chronoscope: unknown option";
-    for (const std::string& name : unknown) std::cerr << " --" << name;
-    std::cerr << "\n";
+  if (cli.reject_unknown("chronoscope", {"check", "top", "phases", "metrics", "diff",
+                                          "threshold", "bench-gate"})) {
     return 2;
   }
 
