@@ -158,7 +158,7 @@ void run_streaming_section(benchkit::Harness& harness, std::uint64_t stream_even
   const auto rss_after = sample_resource_usage();
   const auto alloc_after = allocation_totals();
   CS_ENSURE(stats.ramp_clamped == 0 && stats.horizon_dropped == 0 && stats.forced == 0 &&
-                stats.repeated_ids == 0,
+                stats.repeated_ids == 0 && stats.kind_conflicts == 0,
             "streaming CLC diverged on the synthetic stream");
   CS_ENSURE(stats.violations_repaired > 0, "synthetic stream exercised no repairs");
   harness.metric(

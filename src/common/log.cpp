@@ -5,50 +5,16 @@
 
 namespace chronosync {
 
-namespace detail {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::Warn)};
-}  // namespace detail
-
-namespace {
-
-const char* level_name(LogLevel l) {
-  switch (l) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
-
-std::mutex& log_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) {
-  detail::g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  return static_cast<LogLevel>(detail::g_log_level.load(std::memory_order_relaxed));
-}
-
 void log_message(LogLevel level, const std::string& msg) {
-  if (!log_enabled(level)) return;
   // One formatted line, one stream write, under one mutex: concurrent
   // threads' messages never interleave mid-line.
+  static std::mutex mu;
   std::string line;
   line.reserve(msg.size() + 16);
-  line += '[';
-  line += level_name(level);
-  line += "] ";
+  line += level == LogLevel::Warn ? "[WARN] " : "[ERROR] ";
   line += msg;
   line += '\n';
-  const std::lock_guard<std::mutex> lock(log_mutex());
+  const std::lock_guard<std::mutex> lock(mu);
   std::fwrite(line.data(), 1, line.size(), stderr);
 }
 

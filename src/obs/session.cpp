@@ -45,10 +45,6 @@ void ObsSession::write_artifacts(const std::string& trace_path,
                                  const std::string& metrics_path) const {
   if (!trace_path.empty()) {
     write_chrome_trace_file(trace_path);
-    const TraceStats stats = trace_stats();
-    CS_LOG_INFO << "obs: wrote " << trace_path << " (" << stats.spans << " spans, "
-                << stats.counter_samples << " counter samples, " << stats.dropped
-                << " dropped, " << stats.threads << " threads)";
   }
   if (!metrics_path.empty()) {
     // Gauges are last-writer-wins and peak RSS is a high-water mark, so one
@@ -59,7 +55,6 @@ void ObsSession::write_artifacts(const std::string& trace_path,
     gauge("process.cpu_user_s").set(static_cast<double>(u.cpu_user_ns) * 1e-9);
     gauge("process.cpu_sys_s").set(static_cast<double>(u.cpu_sys_ns) * 1e-9);
     write_metrics_json_file(metrics_path, suite_, level_);
-    CS_LOG_INFO << "obs: wrote " << metrics_path;
   }
 }
 

@@ -2,13 +2,17 @@
 //
 // Every expression of the Controlled Logical Clock (clc.hpp) lives here: the
 // forward step (carry decay, local-order clamp, Eq. 1 bound, jump), the send
-// cap of the backward pass with its floating-point margin, the backward ramp
-// shift, and the backward pass and result assembly (`finish`) that the driver
-// and the replay-order oracle share.  The in-memory driver (clc.cpp), the
-// replay-order oracle (verify/clc_oracle.hpp), the windowed streaming engine
-// (clc_stream.cpp) and node coupling (node_coupling.cpp) all call these
-// functions, so they agree bit for bit by construction.  The floating-point
-// order of each expression is part of that contract: never reassociate one.
+// cap of the backward pass with its floating-point margin, the jump tally
+// (violations_repaired, max_jump, total_jump's fold and the ramp_clamped
+// test), the per-rank backward sweep (ramp window, ramp shift, cap, successor
+// and forward clamps), and the backward pass and result assembly (`finish`)
+// that the driver and the replay-order oracle share.  The in-memory driver
+// (clc.cpp), the replay-order oracle (verify/clc_oracle.hpp), the windowed
+// streaming engine (clc_stream.cpp) and node coupling (node_coupling.cpp) all
+// call these, so they agree bit for bit by construction: the windowed engine
+// runs the same BackwardSweep and JumpTally as `finish`, with its ramps
+// clamped to a finite window.  The floating-point order of each expression is
+// part of that contract: never reassociate one.
 #pragma once
 
 #include <algorithm>
@@ -121,6 +125,83 @@ class JumpTotal {
   std::vector<Duration> sums_;  ///< by rank
 };
 
+/// The jump statistics of a CLC run, which the driver, the replay-order
+/// oracle and the windowed engine all count through: violations_repaired,
+/// max_jump, total_jump's fold, and ramp_clamped, the jumps whose ramp a
+/// BackwardSweep with the same options and max_window clamps.
+struct JumpTally {
+  /// Counts a jump (> 0) of rank r.
+  void add(Rank r, Duration jump) {
+    ++violations_repaired;
+    max_jump = std::max(max_jump, jump);
+    total.add(r, jump);
+    if (options.backward_amortization && jump / options.backward_slope > max_window) {
+      ++ramp_clamped;
+    }
+  }
+
+  ClcOptions options;
+  Duration max_window = kTimeInfinity;
+  std::size_t violations_repaired = 0;
+  Duration max_jump = 0.0;
+  JumpTotal total{};
+  std::uint64_t ramp_clamped = 0;
+};
+
+/// Backward amortization of one rank, fed its events newest first.  A jump
+/// opens a ramp of window min(jump / backward_slope, max_window) over the
+/// events before it and keeps its own forward value; an event inside the
+/// ramp is pulled forward by ramp_shift, capped by its send cap, clamped to
+/// its successor's amortized value and never moved backward.
+class BackwardSweep {
+ public:
+  /// One swept event.
+  struct Swept {
+    Time value = 0.0;      ///< amortized timestamp
+    bool in_ramp = false;  ///< inside a ramp; otherwise value is the forward value
+    Time candidate = 0.0;  ///< in a ramp: the capped value before the successor clamp
+  };
+
+  BackwardSweep(const ClcOptions& options, Duration max_window)
+      : slope_(options.backward_slope), max_window_(max_window) {}
+
+  /// Sweeps the next older event: its forward value `lc`, its jump (0 for
+  /// none), and `cap()`, its send cap, called only inside a ramp.
+  template <class CapOf>
+  Swept step(Time lc, Duration jump, CapOf&& cap) {
+    Swept s;
+    s.value = lc;
+    if (jump > 0.0) {
+      // The events before it are smoothed toward it.
+      have_jump_ = true;
+      jump_at_ = lc;
+      jump_size_ = jump;
+      window_ = std::min(jump / slope_, max_window_);
+    } else if (have_jump_) {
+      const Duration dist = jump_at_ - lc;
+      if (dist >= 0.0 && dist < window_) {
+        s.in_ramp = true;
+        // Never break a send's condition, keep local order, only move forward.
+        s.candidate = std::min(lc + ramp_shift(jump_size_, dist, window_), cap());
+        s.value = std::max(std::min(s.candidate, successor_), lc);
+      } else if (dist >= window_) {
+        have_jump_ = false;  // out of the amortization window
+      }
+    }
+    successor_ = std::min(successor_, s.value);
+    return s;
+  }
+
+ private:
+  double slope_;
+  Duration max_window_;
+  bool have_jump_ = false;
+  Time jump_at_ = 0.0;  ///< forward value of the nearest newer jump
+  Duration jump_size_ = 0.0;
+  Duration window_ = 0.0;
+  Time successor_ = kTimeInfinity;  ///< least amortized value of the newer events
+};
+
 /// Backward amortization over a finished forward pass: the events before
 /// each jump are pulled forward along a ramp, capped so no send overtakes
 /// its receive.  Reads `fwd` and moves events in `out`, its per-rank copy.
@@ -147,16 +228,12 @@ void backward_pass(const Trace& trace, const Schedule& schedule, const ForwardPa
   };
 
   // Per process, sweep backwards applying the ramp of the nearest following
-  // jump; monotonicity is maintained by clamping against the successor.
+  // jump, with unclamped ramps.
   for (Rank r = 0; r < trace.ranks(); ++r) {
     const auto n = static_cast<std::uint32_t>(trace.events(r).size());
     if (n == 0) continue;
     std::vector<Time>& row = out.of_rank(r);
 
-    bool have_jump = false;
-    Time jump_at = 0.0;      // corrected timestamp of the jump event
-    Duration jump_size = 0.0;
-    Duration window = 0.0;
     // This rank's jumps, walked backwards with the events.  Checking the
     // rank's last event checks every global index below.
     const std::uint32_t first = schedule.global_index({r, n - 1}) - (n - 1);
@@ -165,41 +242,23 @@ void backward_pass(const Trace& trace, const Schedule& schedule, const ForwardPa
         std::lower_bound(fwd.jumps.begin(), fwd.jumps.end(), first, by_index);
     auto next_jump = std::lower_bound(rank_jumps, fwd.jumps.end(), first + n, by_index);
 
-    Time successor = kTimeInfinity;
+    BackwardSweep sweep(options, kTimeInfinity);
     for (std::uint32_t i = n; i-- > 0;) {
       const std::uint32_t g = first + i;
-      const Time lc = fwd.lc[g];
-
+      Duration jump = 0.0;
       if (next_jump != rank_jumps && std::prev(next_jump)->first == g) {
-        // This event is itself a jump: events before it are smoothed toward
-        // it.  (The jump event keeps its forward-pass value.)
         --next_jump;
-        have_jump = true;
-        jump_at = lc;
-        jump_size = next_jump->second;
-        window = jump_size / options.backward_slope;
-        successor = std::min(successor, lc);
-        continue;
+        jump = next_jump->second;
       }
-
-      if (have_jump) {
-        const Duration dist = jump_at - lc;
-        if (dist >= 0.0 && dist < window) {
-          Time moved = lc + ramp_shift(jump_size, dist, window);
-          moved = std::min(moved, cap_of(g));   // never break a send's condition
-          moved = std::min(moved, successor);   // keep local order
-          row[i] = std::max(moved, lc);         // only ever move forward
-        } else if (dist >= window) {
-          have_jump = false;  // out of the amortization window
-        }
-      }
-      successor = std::min(successor, row[i]);
+      // `row` already holds the forward values; only a ramp moves one.
+      const BackwardSweep::Swept s = sweep.step(fwd.lc[g], jump, [&] { return cap_of(g); });
+      if (s.in_ramp) row[i] = s.value;
     }
   }
 }
 
 /// Everything after the forward pass: jump statistics (in global-index order
-/// through JumpTotal, so they are independent of the visit order; `fwd.jumps`
+/// through JumpTally, so they are independent of the visit order; `fwd.jumps`
 /// is sorted here), the per-rank result, and backward amortization on it.
 /// Shared by the driver and the replay-order oracle so the two differ only in
 /// the order they visit events.
@@ -208,13 +267,11 @@ ClcResult finish(const Trace& trace, const Schedule& schedule, ForwardPass fwd,
                  const ClcOptions& options) {
   ClcResult result;
   std::sort(fwd.jumps.begin(), fwd.jumps.end());
-  JumpTotal total;
-  for (const auto& [g, j] : fwd.jumps) {
-    ++result.violations_repaired;
-    result.max_jump = std::max(result.max_jump, j);
-    total.add(schedule.rank_of(g), j);
-  }
-  result.total_jump = total.total();
+  JumpTally tally{options};
+  for (const auto& [g, j] : fwd.jumps) tally.add(schedule.rank_of(g), j);
+  result.violations_repaired = tally.violations_repaired;
+  result.max_jump = tally.max_jump;
+  result.total_jump = tally.total.total();
   result.corrected = TimestampArray(trace.ranks());
   for (Rank r = 0; r < trace.ranks(); ++r) {
     const auto first = fwd.lc.begin() + schedule.rank_begin(r);

@@ -120,10 +120,11 @@ struct BeginRec {
 };
 
 /// One collective instance.  kind/root follow registration order (last one
-/// wins); for well-formed traces every participant agrees so the order cannot
-/// matter.  The instance closes when the read frontier of every rank has
-/// passed last_ts + horizon: after that no further participant can appear
-/// (under the horizon contract), so partiality and the edge set are settled.
+/// wins); a registration that disagrees with them counts in kind_conflicts,
+/// since then the order matters.  The instance closes when the read frontier
+/// of every rank has passed last_ts + horizon: after that no further
+/// participant can appear (under the horizon contract), so partiality and the
+/// edge set are settled.
 struct CollInst {
   CollectiveKind kind{};
   Rank root = -1;
@@ -212,7 +213,12 @@ class StreamEngine {
  public:
   StreamEngine(std::istream& in, const TraceIndex& index, SideFile& side,
                const StreamClcOptions& opts)
-      : index_(index), reader_(in, index_), opts_(opts), side_(side), seen_(index_.total_events) {
+      : index_(index),
+        reader_(in, index_),
+        opts_(opts),
+        side_(side),
+        seen_(index_.total_events),
+        jumps_{opts_.clc, opts_.backward_window} {
     clc_kernel::require_valid(opts_.clc);
     CS_REQUIRE(opts_.horizon > 0.0, "horizon must be positive");
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
@@ -256,7 +262,10 @@ class StreamEngine {
     }
     CS_ENSURE(stats_.events == index_.total_events,
               "streaming CLC processed a different event count than the index");
-    stats_.total_jump = total_jump_.total();
+    stats_.violations_repaired = jumps_.violations_repaired;
+    stats_.max_jump = jumps_.max_jump;
+    stats_.total_jump = jumps_.total.total();
+    stats_.ramp_clamped = jumps_.ramp_clamped;
     const std::uint64_t alloc1 = benchkit::allocation_totals().bytes;
 
     if (obs::metrics_enabled()) {
@@ -273,6 +282,7 @@ class StreamEngine {
       static obs::Counter& pending_window = obs::counter("clc.stream.pending_window_events");
       static obs::Counter& correct_alloc = obs::counter("clc.stream.correct.alloc_bytes");
       static obs::Counter& repeated = obs::counter("clc.stream.repeated_ids");
+      static obs::Counter& kind_conflicts = obs::counter("clc.stream.kind_conflicts");
       events.add(static_cast<std::int64_t>(stats_.events));
       repaired.add(static_cast<std::int64_t>(stats_.violations_repaired));
       peak_ahead.set(static_cast<double>(peak_ahead_));
@@ -281,6 +291,7 @@ class StreamEngine {
       pending_window.add(static_cast<std::int64_t>(pending_window_));
       correct_alloc.add(static_cast<std::int64_t>(alloc1 - alloc0));
       repeated.add(static_cast<std::int64_t>(stats_.repeated_ids));
+      kind_conflicts.add(static_cast<std::int64_t>(stats_.kind_conflicts));
     }
 
     return stats_;
@@ -326,11 +337,16 @@ class StreamEngine {
         edge_rules::IdTable<CollInst>::Slot slot = colls_.probe(e.id);
         if (!slot.found()) {
           CollInst fresh;
+          fresh.kind = e.coll;
+          fresh.root = e.root;
           fresh.begins = take_begins();
           slot.insert(std::move(fresh));
         }
         CollInst& inst = slot.value();
         if (inst.closed) ++stats_.horizon_dropped;  // straggler past closure
+        if (!edge_rules::same_collective(inst.kind, inst.root, e.coll, e.root)) {
+          ++stats_.kind_conflicts;
+        }
         inst.kind = e.coll;
         inst.root = e.root;
         inst.last_ts = std::max(inst.last_ts, e.local_ts);
@@ -553,17 +569,9 @@ class StreamEngine {
     const clc_kernel::Step step =
         clc_kernel::forward_step(rs.clock, t, bound, opts_.clc.forward_decay);
     const Time lc = step.lc;
-    if (step.jump > 0.0) {
-      p.jump = step.jump;
-      ++stats_.violations_repaired;
-      stats_.max_jump = std::max(stats_.max_jump, p.jump);
-      total_jump_.add(r, p.jump);
-      if (opts_.clc.backward_amortization &&
-          p.jump / opts_.clc.backward_slope > opts_.backward_window) {
-        ++stats_.ramp_clamped;
-      }
-    }
+    if (step.jump > 0.0) jumps_.add(r, step.jump);
     p.lc = lc;
+    p.jump = step.jump;
 
     // Post-lc bookkeeping: caps flow backward from this event onto the
     // sources of the edges just applied (the in-memory backward pass's
@@ -660,15 +668,9 @@ class StreamEngine {
         rs.fin[i] = kFinal;
       }
     } else {
-      const double slope = opts_.clc.backward_slope;
-      const double B = opts_.backward_window;
-      double succ_est = kTimeInfinity;
+      clc_kernel::BackwardSweep sweep(opts_.clc, opts_.backward_window);
       double succ_lb = rank_final ? kTimeInfinity : rs.clock.prev_lc;
       bool suffix_exact = rank_final;
-      bool have_jump = false;
-      double jump_at = 0.0;
-      double jump_size = 0.0;
-      double window = 0.0;
       for (std::size_t i = n; i-- > 0;) {
         Pending& p = rs.pend[i];
         // Horizon release of send holds: once the read frontier proves no
@@ -681,44 +683,24 @@ class StreamEngine {
           }
         }
 
+        const clc_kernel::BackwardSweep::Swept s =
+            sweep.step(p.lc, p.jump, [&] { return p.cap; });
+        rs.val[i] = s.value;
         if (p.jump > 0.0) {
-          have_jump = true;
-          jump_at = p.lc;
-          jump_size = p.jump;
-          window = std::min(jump_size / slope, B);
-          rs.val[i] = p.lc;
           rs.fin[i] = kFinal;
-          succ_est = std::min(succ_est, p.lc);
           succ_lb = std::min(succ_lb, p.lc);
           continue;
         }
-
-        double v = p.lc;
-        bool in_ramp = false;
-        double uncapped = 0.0;  // candidate before the successor clamp
-        if (have_jump) {
-          const double dist = jump_at - p.lc;
-          if (dist >= 0.0 && dist < window) {
-            in_ramp = true;
-            uncapped = std::min(p.lc + clc_kernel::ramp_shift(jump_size, dist, window), p.cap);
-            v = std::max(std::min(uncapped, succ_est), p.lc);
-          } else if (dist >= window) {
-            have_jump = false;
-          }
-        }
-        const bool b_safe = rank_final || p.lc < rs.clock.prev_lc - B;
+        const bool b_safe = rank_final || p.lc < rs.clock.prev_lc - opts_.backward_window;
         Finality fin = b_safe ? kFinal : kWindowed;
-        if (in_ramp && p.holds > 0) {
+        if (s.in_ramp && p.holds > 0) {
           fin = kHeld;
-        } else if (in_ramp && b_safe && !(uncapped <= succ_lb || suffix_exact)) {
+        } else if (s.in_ramp && b_safe && !(s.candidate <= succ_lb || suffix_exact)) {
           fin = kWindowed;
         }
-        const bool final_entry = fin == kFinal;
-        rs.val[i] = v;
         rs.fin[i] = fin;
-        suffix_exact = suffix_exact && final_entry;
-        succ_est = std::min(succ_est, v);
-        succ_lb = std::min(succ_lb, final_entry ? v : p.lc);
+        suffix_exact = suffix_exact && fin == kFinal;
+        succ_lb = std::min(succ_lb, fin == kFinal ? s.value : p.lc);
       }
     }
 
@@ -755,7 +737,7 @@ class StreamEngine {
   edge_rules::IdTable<CollInst> colls_;
   std::vector<std::vector<BeginRec>> free_begins_;  ///< retired instances' begins, emptied
   StreamClcStats stats_;
-  clc_kernel::JumpTotal total_jump_;
+  clc_kernel::JumpTally jumps_;  ///< the jump statistics of stats_
   bool drained_something_ = false;
   std::size_t ahead_ = 0;    ///< events in the read-ahead queues
   std::size_t pending_ = 0;  ///< events in the retention windows

@@ -31,8 +31,8 @@
 // per event plus retention at 48), the collective backlog, every processed
 // send still waiting for its receive (one 24-byte message-table slot each),
 // and the seen-set of message endpoints (2 bits per msg_id, at most one byte
-// per event; see the equivalence contract).  A send leaves the message table when its receive takes the
-// edge.  A send whose receive never comes — only a trace cut mid-run
+// per event; see the equivalence contract).  A send leaves the message table
+// when its receive takes the edge.  A send whose receive never comes — only a trace cut mid-run
 // produces one — stays until the run ends, one table slot each; its backward
 // hold is released once the read frontier passes the horizon, so it delays
 // no emission.  Peak RSS is therefore bounded by window size plus edge
@@ -77,14 +77,23 @@
 //     that; each repeated endpoint counts in `repeated_ids`, and so does the
 //     set outgrowing its budget (ids too sparse for its pages), after which
 //     it is dropped and nothing is proven.
+//   * Collective kind conflicts: the in-memory trace takes an instance's
+//     kind and root from its participant last in rank-major order, this
+//     engine from the last one read.  The two agree only while every
+//     participant names the same kind and, for the 1-to-N and N-to-1
+//     flavours, the same root (edge_rules::same_collective, a malformed
+//     trace otherwise); each registration that disagrees with its instance
+//     counts in `kind_conflicts`.
 // A cyclic or dangling constraint graph forces progress (`forced`).
 //
-// With ramp_clamped == horizon_dropped == forced == repeated_ids == 0 the
-// emitted trace is bit-identical — timestamps and jump statistics — to the
-// in-memory
+// With ramp_clamped == horizon_dropped == forced == repeated_ids ==
+// kind_conflicts == 0 the emitted trace is bit-identical — timestamps and
+// jump statistics — to the in-memory
 //   controlled_logical_clock(trace, schedule, TimestampArray::from_local(t)).
 // src/verify/differential.hpp::cross_check_windowed_clc asserts exactly this.
-// Both sum total_jump through clc_kernel::JumpTotal, so its bits agree too.
+// Both run clc_kernel's BackwardSweep (this engine with its ramps clamped to
+// backward_window) and count jumps through clc_kernel::JumpTally, so the
+// ramps and the bits of total_jump agree too.
 #pragma once
 
 #include <cstddef>
@@ -126,6 +135,9 @@ struct StreamClcStats {
   /// Message endpoints whose (msg_id, side) pair was read before, plus one if
   /// the seen-set outgrew its budget (see the equivalence contract).
   std::uint64_t repeated_ids = 0;
+  /// Collective registrations whose kind, or rooted flavour's root, differs
+  /// from their instance's (see the equivalence contract).
+  std::uint64_t kind_conflicts = 0;
   // Resource telemetry.
   /// Always 0: message entries stay in memory (see the memory model above).
   /// Kept because perfbench still reports it as sync.stream_spilled_msgs;

@@ -354,6 +354,17 @@ inline bool partial_instance(std::size_t begins, std::size_t ends) {
   return begins == 0 || begins != ends;
 }
 
+/// Whether two participants of one instance agree on what it is: the same
+/// kind and, for the rooted flavours, the same root.  Consumers take kind and
+/// root from different participants (Trace::collect_collectives and the file
+/// scan from the last in rank-major order, the windowed CLC from the last
+/// read), so they derive the same edges only from an instance whose
+/// participants all agree.
+inline bool same_collective(CollectiveKind kind, Rank root, CollectiveKind other_kind,
+                            Rank other_root) {
+  return kind == other_kind && (flavor_of(kind) == CollectiveFlavor::NToN || root == other_root);
+}
+
 /// Whether an end of rank `end_rank` can take edges at all, before the
 /// instance's begins are known.  `root_end_seen` tells whether an earlier end
 /// of the root rank exists (the first root end owns the N-to-1 edges).

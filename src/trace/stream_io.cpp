@@ -240,12 +240,17 @@ void check_trace_header(const char (&header)[8]) {
 
 // -- EventCursor --------------------------------------------------------------
 
-/// The one event decoder.  Both record forms run the same parse and the same
-/// checks; an EdgeRecord stores five of the fields, an Event all of them.
+/// The one event decoder.  Its three forms run the same parse and the same
+/// checks: an EdgeRecord stores five of the fields, an Event all of them, and
+/// the retimed form (Rec = const Time) stores none but appends each event to
+/// `retimed` re-encoded with out[i] as its local_ts and every other field's
+/// bytes copied.  The retimed form's delta state is that of the new
+/// timestamps, so it decodes a whole chunk from its first event.
 template <class Rec>
-void EventCursor::decode_as(std::span<Rec> out) {
+void EventCursor::decode_as(std::span<Rec> out, std::vector<std::uint8_t>* retimed) {
   constexpr bool kFull = std::is_same_v<Rec, Event>;
-  static_assert(kFull || std::is_same_v<Rec, EdgeRecord>);
+  constexpr bool kRetime = std::is_same_v<Rec, const Time>;
+  static_assert(kFull || kRetime || std::is_same_v<Rec, EdgeRecord>);
   CS_REQUIRE(out.size() <= left_, "decode past the end of the event chunk");
   const std::uint8_t* p = p_;
   const std::uint8_t* const end = end_;
@@ -257,10 +262,14 @@ void EventCursor::decode_as(std::span<Rec> out) {
     if (p == end) malformed("event chunk ends mid-event");
     const std::uint8_t type = *p++;
     if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
-    e.type = static_cast<EventType>(type);
-    prev_local += static_cast<std::uint64_t>(get_sv(&p, end, "event local_ts"));
+    if constexpr (!kRetime) e.type = static_cast<EventType>(type);
+    const auto local_delta = static_cast<std::uint64_t>(get_sv(&p, end, "event local_ts"));
+    const std::uint8_t* const kept = p;  // true_ts onwards: what the retimed form copies
     prev_true += static_cast<std::uint64_t>(get_sv(&p, end, "event true_ts"));
-    e.local_ts = std::bit_cast<double>(prev_local);
+    if constexpr (!kRetime) {
+      prev_local += local_delta;
+      e.local_ts = std::bit_cast<double>(prev_local);
+    }
     const std::int32_t region = get_sv32(&p, end, "event region");
     const std::int32_t peer = get_sv32(&p, end, "event peer");
     const std::int32_t tag = get_sv32(&p, end, "event tag");
@@ -280,18 +289,27 @@ void EventCursor::decode_as(std::span<Rec> out) {
     if (p == end) malformed("event chunk ends mid-event");
     const std::uint8_t coll = *p++;
     if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
-    e.coll = static_cast<CollectiveKind>(coll);
     prev_coll += static_cast<std::uint64_t>(get_sv(&p, end, "event coll_id"));
-    e.root = get_sv32(&p, end, "event root");
+    const std::int32_t root = get_sv32(&p, end, "event root");
     const std::int32_t omp_instance = get_sv32(&p, end, "event omp_instance");
     const std::int32_t thread = get_sv32(&p, end, "event thread");
-    if constexpr (kFull) {
-      e.coll_id = static_cast<std::int64_t>(prev_coll);
-      e.omp_instance = omp_instance;
-      e.thread = thread;
+    if constexpr (kRetime) {
+      const auto local = std::bit_cast<std::uint64_t>(e);
+      retimed->push_back(type);
+      put_svarint(*retimed, static_cast<std::int64_t>(local - prev_local));
+      retimed->insert(retimed->end(), kept, p);
+      prev_local = local;
     } else {
-      const bool collective = e.type == EventType::CollBegin || e.type == EventType::CollEnd;
-      e.id = static_cast<std::int64_t>(collective ? prev_coll : prev_msg);
+      e.coll = static_cast<CollectiveKind>(coll);
+      e.root = root;
+      if constexpr (kFull) {
+        e.coll_id = static_cast<std::int64_t>(prev_coll);
+        e.omp_instance = omp_instance;
+        e.thread = thread;
+      } else {
+        const bool collective = e.type == EventType::CollBegin || e.type == EventType::CollEnd;
+        e.id = static_cast<std::int64_t>(collective ? prev_coll : prev_msg);
+      }
     }
   }
   p_ = p;
@@ -303,8 +321,8 @@ void EventCursor::decode_as(std::span<Rec> out) {
   if (left_ == 0 && p != end) malformed("trailing bytes in event chunk");
 }
 
-template void EventCursor::decode_as(std::span<Event>);
-template void EventCursor::decode_as(std::span<EdgeRecord>);
+template void EventCursor::decode_as(std::span<Event>, std::vector<std::uint8_t>*);
+template void EventCursor::decode_as(std::span<EdgeRecord>, std::vector<std::uint8_t>*);
 
 // -- TraceMeta ----------------------------------------------------------------
 
@@ -630,39 +648,8 @@ EventCursor ChunkReader::read(const ChunkRef& ref) {
 void ChunkReader::read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
                                std::vector<std::uint8_t>& out) {
   CS_REQUIRE(local_ts.size() == ref.count, "one timestamp per event of the chunk");
-  const std::span<const std::uint8_t> events = load(ref);
-  const std::uint8_t* p = events.data();
-  const std::uint8_t* const end = p + events.size();
   out.clear();
-  std::uint64_t prev_local = 0;
-  for (const Time t : local_ts) {
-    if (p == end) malformed("event chunk ends mid-event");
-    const std::uint8_t type = *p++;
-    if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
-    out.push_back(type);
-    get_uv(&p, end, "event local_ts");
-    const std::uint64_t local = std::bit_cast<std::uint64_t>(t);
-    put_svarint(out, static_cast<std::int64_t>(local - prev_local));
-    prev_local = local;
-    // true_ts through thread: skipped by reading them with the decoder's
-    // bounds checks and discarding the values, then copied as they are.
-    const std::uint8_t* kept = p;
-    get_uv(&p, end, "event true_ts");
-    get_uv(&p, end, "event region");
-    get_uv(&p, end, "event peer");
-    get_uv(&p, end, "event tag");
-    get_uv(&p, end, "event bytes");
-    get_uv(&p, end, "event msg_id");
-    if (p == end) malformed("event chunk ends mid-event");
-    const std::uint8_t coll = *p++;
-    if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
-    get_uv(&p, end, "event coll_id");
-    get_uv(&p, end, "event root");
-    get_uv(&p, end, "event omp_instance");
-    get_uv(&p, end, "event thread");
-    out.insert(out.end(), kept, p);
-  }
-  if (p != end) malformed("trailing bytes in event chunk");
+  read(ref).decode_as(local_ts, &out);
   // Longer timestamp deltas could push a forged maximal chunk past the limit
   // the writer enforces.
   if (out.size() > kMaxChunkPayload - kMaxEventChunkHead) {

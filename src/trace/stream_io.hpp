@@ -54,11 +54,13 @@
 // scan of Eq. 1 (clock_condition_stream.hpp).
 //
 // Every reader hands a chunk's events out through one decoder, EventCursor,
-// in pieces of any size and in one of two forms: the 64-byte Event, which
-// read_trace_v2 materializes, or the 24-byte EdgeRecord, the fields an Eq. 1
-// edge reads, which both out-of-core consumers keep.  Every field is parsed
-// and range-checked in either form, so a malformed chunk raises the same
-// error whichever form decodes it.
+// in pieces of any size and in one of three forms: the 64-byte Event, which
+// read_trace_v2 materializes; the 24-byte EdgeRecord, the fields an Eq. 1
+// edge reads, which both out-of-core consumers keep; or re-encoded with new
+// local timestamps, which the windowed CLC's merge writes
+// (ChunkReader::read_retimed).  Every field is parsed and range-checked in
+// each form, so a malformed chunk raises the same error whichever form
+// decodes it.
 #pragma once
 
 #include <array>
@@ -176,10 +178,11 @@ struct EdgeRecord {
 static_assert(sizeof(EdgeRecord) <= 24, "EdgeRecord must stay at most 24 bytes");
 
 /// Decodes the events of one verified event chunk front to back, in pieces
-/// of any size, as Events or as EdgeRecords.  Both forms parse and
-/// range-check every field, so a malformed event raises the same
-/// TraceIoError{Malformed} in either.  A cursor points into its reader's
-/// chunk buffer: it is valid until that reader moves to another chunk.
+/// of any size, as Events or as EdgeRecords (or, for ChunkReader, re-encoded
+/// with new local timestamps).  Every form parses and range-checks every
+/// field, so a malformed event raises the same TraceIoError{Malformed} in
+/// each.  A cursor points into its reader's chunk buffer: it is valid until
+/// that reader moves to another chunk.
 class EventCursor {
  public:
   EventCursor() = default;
@@ -195,8 +198,10 @@ class EventCursor {
   void decode(std::span<EdgeRecord> out) { decode_as(out); }
 
  private:
+  friend class ChunkReader;  // decodes the retimed form
+
   template <class Rec>
-  void decode_as(std::span<Rec> out);
+  void decode_as(std::span<Rec> out, std::vector<std::uint8_t>* retimed = nullptr);
 
   const std::uint8_t* p_ = nullptr;
   const std::uint8_t* end_ = nullptr;
@@ -308,11 +313,11 @@ class ChunkReader {
   /// visited.
   EventCursor read(const ChunkRef& ref);
 
-  /// Re-reads the chunk at `ref`, verified as read() does, without decoding
-  /// its events: writes to `out` the chunk's encoded events with event i's
-  /// local_ts replaced by `local_ts[i]` and every other field's bytes copied
-  /// unchanged after a bounds-checked skip — the input of
-  /// TraceWriter::append_chunk.  Throws TraceIoError on a malformed chunk.
+  /// Re-reads the chunk at `ref`, verified as read() does, and writes to
+  /// `out` its encoded events with event i's local_ts replaced by
+  /// `local_ts[i]` and every other field's bytes copied unchanged once the
+  /// decoder has checked them — the input of TraceWriter::append_chunk.
+  /// Throws TraceIoError on a malformed chunk.
   void read_retimed(const ChunkRef& ref, std::span<const Time> local_ts,
                     std::vector<std::uint8_t>& out);
 

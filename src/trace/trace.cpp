@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "common/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 
@@ -181,11 +180,6 @@ std::vector<MessageRecord> Trace::match_messages() const {
           join.recv(e.msg_id, {{r, i}}, on_pair);
         }
       }
-    }
-    if (join.outstanding() > 0) {
-      // Sends whose receive fell outside the tracing window (or vice versa).
-      CS_LOG_DEBUG << join.outstanding()
-                   << " half-matched messages dropped (tracing window edges)";
     }
     if (obs::metrics_enabled()) {
       static obs::Counter& half_matched = obs::counter("trace.match.half_matched");

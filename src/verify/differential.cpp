@@ -289,11 +289,12 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
 
   std::size_t comparisons = 0;
   if (stats.ramp_clamped != 0 || stats.horizon_dropped != 0 || stats.forced != 0 ||
-      stats.repeated_ids != 0) {
+      stats.repeated_ids != 0 || stats.kind_conflicts != 0) {
     std::ostringstream os;
     os << "windowed CLC: fixture must be divergence-free but ramp_clamped="
        << stats.ramp_clamped << " horizon_dropped=" << stats.horizon_dropped
-       << " forced=" << stats.forced << " repeated_ids=" << stats.repeated_ids;
+       << " forced=" << stats.forced << " repeated_ids=" << stats.repeated_ids
+       << " kind_conflicts=" << stats.kind_conflicts;
     failures.push_back(os.str());
   }
   ++comparisons;

@@ -116,7 +116,8 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
 /// runs clc_stream_file on it, and demands a *bit-identical* corrected trace
 /// and jump statistics, which the streaming run promises whenever it reports
 /// zero divergences.  Any non-zero divergence counter (ramp_clamped,
-/// horizon_dropped, forced, repeated_ids) is itself a failure: the fixture
+/// horizon_dropped, forced, repeated_ids, kind_conflicts) is itself a
+/// failure: the fixture
 /// and options must keep them zero.  true_ts and all non-timestamp fields
 /// must survive the round-trip untouched.  Appends contract breaches to `failures` and
 /// returns the number of comparisons made.  The temporary files live in a

@@ -1,7 +1,8 @@
 // Property: the windowed streaming CLC's divergence counters are complete.
 // Whenever all of them read zero, its output is bit-identical to the
 // in-memory CLC — timestamps and jump statistics — on random traces, whose
-// receives repeat message ids and whose collectives mix kinds and roots.
+// receives repeat message ids and whose collectives mix kinds and roots
+// (each mix a kind conflict).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -27,12 +28,17 @@ TEST(WindowedClcProperty, ZeroDivergenceCountersMeanBitIdenticalOutput) {
   const std::string out = scratch.file("out.v2");
   int exact = 0;
   int repeated = 0;
+  int conflicted = 0;
   for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
     const Trace t = testutil::random_trace(seed);
     write_trace_v2_file(t, in, /*events_per_chunk=*/8);
     const StreamClcStats st = clc_stream_file(in, out, opt);
     if (st.repeated_ids != 0) ++repeated;
-    if (st.ramp_clamped + st.horizon_dropped + st.forced + st.repeated_ids != 0) continue;
+    if (st.kind_conflicts != 0) ++conflicted;
+    if (st.ramp_clamped + st.horizon_dropped + st.forced + st.repeated_ids + st.kind_conflicts !=
+        0) {
+      continue;
+    }
     ++exact;
 
     const ReplaySchedule schedule(t, t.match_messages(), derive_logical_messages(t));
@@ -57,6 +63,7 @@ TEST(WindowedClcProperty, ZeroDivergenceCountersMeanBitIdenticalOutput) {
   // Both sides of the implication must be exercised.
   EXPECT_GT(exact, 20);
   EXPECT_GT(repeated, 1000);
+  EXPECT_GT(conflicted, 1000);
 }
 
 }  // namespace

@@ -250,6 +250,65 @@ TEST(WindowedClc, RepeatedMessageIdIsCountedAsDivergence) {
   EXPECT_NE(failures[0].find("repeated_ids=1"), std::string::npos) << failures[0];
 }
 
+/// Collective 7 is a Bcast rooted at rank 0 in rank 0's events and an
+/// Allreduce in rank 1's.  The in-memory trace takes the kind of rank 1, last
+/// in rank-major order, so rank 1's begin at 6 ms constrains rank 0's end at
+/// 5.001 ms.  Cut into two-event chunks, the file reads rank 0's collective
+/// last, so the windowed CLC takes the Bcast, whose one edge is already met.
+Trace collective_kind_conflict() {
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), 2), {1e-7, 1e-6, 5e-6}, "kind-conflict");
+  const auto event = [&](Rank r, EventType type, Time ts, CollectiveKind kind = {}) {
+    Event e;
+    e.type = type;
+    e.local_ts = e.true_ts = ts;
+    if (type == EventType::CollBegin || type == EventType::CollEnd) {
+      e.coll = kind;
+      e.coll_id = 7;
+      e.root = 0;
+    }
+    t.events(r).push_back(e);
+  };
+  event(0, EventType::Enter, 0.0);
+  event(0, EventType::Exit, 1e-3);
+  event(0, EventType::CollBegin, 5e-3, CollectiveKind::Bcast);
+  event(0, EventType::CollEnd, 5.001e-3, CollectiveKind::Bcast);
+  event(1, EventType::CollBegin, 6e-3, CollectiveKind::Allreduce);
+  event(1, EventType::CollEnd, 6.001e-3, CollectiveKind::Allreduce);
+  event(1, EventType::Enter, 7e-3);
+  event(1, EventType::Exit, 8e-3);
+  return t;
+}
+
+TEST(WindowedClc, CollectiveKindConflictIsCountedAsDivergence) {
+  const Trace t = collective_kind_conflict();
+  const ScratchDir scratch(testing::TempDir());
+  const std::string in = scratch.file("in.v2");
+  const std::string out = scratch.file("out.v2");
+  write_trace_v2_file(t, in, /*events_per_chunk=*/2);
+  const StreamClcStats st = clc_stream_file(in, out);
+  EXPECT_EQ(st.kind_conflicts, 1u);
+  EXPECT_EQ(st.ramp_clamped + st.horizon_dropped + st.forced + st.repeated_ids, 0u);
+
+  // The counter is needed: the outputs do differ.
+  const ReplaySchedule schedule(t, t.match_messages(), derive_logical_messages(t));
+  const ClcResult mem = controlled_logical_clock(t, schedule, TimestampArray::from_local(t));
+  EXPECT_EQ(mem.violations_repaired, 1u);
+  EXPECT_EQ(st.violations_repaired, 0u);
+  const Trace streamed = read_trace_v2_file(out);
+  int differing = 0;
+  for (Rank r = 0; r < t.ranks(); ++r) {
+    for (std::size_t i = 0; i < t.events(r).size(); ++i) {
+      differing += std::bit_cast<std::uint64_t>(streamed.events(r)[i].local_ts) !=
+                   std::bit_cast<std::uint64_t>(mem.corrected.of_rank(r)[i]);
+    }
+  }
+  EXPECT_GT(differing, 0);
+
+  const std::vector<std::string> failures = check(t, {});
+  ASSERT_FALSE(failures.empty());
+  EXPECT_NE(failures[0].find("kind_conflicts=1"), std::string::npos) << failures[0];
+}
+
 TEST(WindowedClc, SeenSetPastItsBudgetIsCountedAsDivergence) {
   // Two messages 2^15 ids apart need two seen-set pages, past the budget of
   // a 4-event trace (one page).  Their ids are unique, so the outputs agree,
